@@ -137,12 +137,6 @@ def parallelism_residual(fr: Frame) -> float:
 # Degenerate (quotient) branch
 # ---------------------------------------------------------------------------
 
-def _tangent_projector_off(fr: Frame) -> np.ndarray:
-    """Euclidean-orthogonal projector off the tangent span (rows basis)."""
-    basis = B.row_space_basis(fr.jac.T)
-    return basis
-
-
 def quotient_representative(fr: Frame, vector: np.ndarray,
                             complement: np.ndarray | None = None) -> np.ndarray:
     """A representative of [vector] modulo the tangent span.
@@ -195,7 +189,7 @@ def umbilicity_data(fr: Frame, tol_zero: float = DEFAULT_ZERO_TOL,
         rank = B.numerical_rank(h.reshape(m * m, -1))
         return UmbilicityData(umb / fr.scale, geo / fr.scale, H, h_norm, rank)
 
-    basis = _tangent_projector_off(fr)
+    basis = B.row_space_basis(fr.jac.T)   # rows span the tangent space
 
     def off_tangent(v):
         return v - basis.T @ (basis @ v)
@@ -312,11 +306,17 @@ class ReductionReport:
     offset_norm_sq: float
 
 
-def reduction_report(chart: ImmersionChart, count: int = 40, seed: int = 42,
+def _hull_samples(chart: ImmersionChart) -> int:
+    """Image points sampled for the hull and fullness: at least 40, and
+    enough to span an affine hull of the full embedding dimension."""
+    return max(40, chart.ambient.flat_dim + 2)
+
+
+def reduction_report(chart: ImmersionChart, seed: int = 42,
                      tol: float = DEFAULT_TOL,
                      tol_zero: float = DEFAULT_ZERO_TOL) -> ReductionReport:
     """Classify the affine hull of sampled image points."""
-    Y = chart.sample_values(count, seed)
+    Y = chart.sample_values(_hull_samples(chart), seed)
     base = Y[0]
     W = B.row_space_basis(Y[1:] - base, tol_zero)
     hull_dim = W.shape[0]
@@ -346,7 +346,7 @@ def reduction_report(chart: ImmersionChart, count: int = 40, seed: int = 42,
     return ReductionReport(hull_dim, dir_sig, cls, rho, vv)
 
 
-def fullness(chart: ImmersionChart, count: int = 40, seed: int = 42,
+def fullness(chart: ImmersionChart, seed: int = 42,
              tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether the image lies in no proper non-degenerate subspace.
 
@@ -354,7 +354,7 @@ def fullness(chart: ImmersionChart, count: int = 40, seed: int = 42,
     restricted ambient form; the immersion is full iff that restriction
     vanishes (the complement is totally degenerate or trivial).
     """
-    Y = chart.sample_values(count, seed)
+    Y = chart.sample_values(_hull_samples(chart), seed)
     C = B.null_space_basis(Y)
     if C.shape[0] == 0:
         return True, 0.0

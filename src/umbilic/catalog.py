@@ -593,10 +593,6 @@ def _add(id, description, defaults, build, expect, draw=None):
 _MS = {"m": 2, "s": 0}
 
 
-def _draw_r_only(lo, hi):
-    return _draw_r(lo, hi)
-
-
 _add("main1-1", "totally geodesic sphere, spacelike normal", dict(_MS),
      _main1_1, lambda p: _geodesic_expected(p, p["m"] + 1))
 _add("main1-2", "totally geodesic sphere, timelike normal", dict(_MS),
@@ -606,13 +602,13 @@ _add("main1-3", "small sphere at spacelike height", {**_MS, "r": 0.5},
      lambda p: _umbilical_expected((1 - p["r"] ** 2) / p["r"] ** 2,
                                    (0.0, math.inf), "v_S",
                                    math.sqrt(1 - p["r"] ** 2), p["m"] + 1),
-     _draw_r_only(0.15, 0.85))
+     _draw_r(0.15, 0.85))
 _add("main1-4", "large sphere at timelike height", {**_MS, "r": 2.0},
      _main1_4,
      lambda p: _umbilical_expected((1 - p["r"] ** 2) / p["r"] ** 2,
                                    (-1.0, 0.0), "v_T",
                                    math.sqrt(p["r"] ** 2 - 1), p["m"] + 1),
-     _draw_r_only(1.2, 3.0))
+     _draw_r(1.2, 3.0))
 _add("main1-5", "null-offset sphere, codimension two", dict(_MS), _main1_5,
      lambda p: _umbilical_expected(0.0, None, "v_L", None, p["m"] + 1,
                                    marginally_trapped=True))
@@ -620,7 +616,7 @@ _add("main1-6", "hyperbolic slice of the sphere", {**_MS, "r": 1.0}, _main1_6,
      lambda p: _umbilical_expected(-(1 + p["r"] ** 2) / p["r"] ** 2,
                                    (-math.inf, -1.0), "v_S",
                                    math.sqrt(1 + p["r"] ** 2), p["m"] + 1),
-     _draw_r_only(0.3, 2.0))
+     _draw_r(0.3, 2.0))
 _add("main1-7", "flat null graph inside the sphere", dict(_MS), _main1_7,
      lambda p: _umbilical_expected(-1.0, None, "+N", None, p["m"] + 1))
 
@@ -633,13 +629,13 @@ _add("main2-3", "small hyperbolic slice at timelike height", {**_MS, "r": 0.5},
      lambda p: _umbilical_expected(-(1 - p["r"] ** 2) / p["r"] ** 2,
                                    (-math.inf, 0.0), "v_T",
                                    math.sqrt(1 - p["r"] ** 2), p["m"] + 1),
-     _draw_r_only(0.15, 0.85))
+     _draw_r(0.15, 0.85))
 _add("main2-4", "large hyperbolic slice at spacelike height", {**_MS, "r": 2.0},
      _main2_4,
      lambda p: _umbilical_expected((p["r"] ** 2 - 1) / p["r"] ** 2,
                                    (0.0, 1.0), "v_S",
                                    math.sqrt(p["r"] ** 2 - 1), p["m"] + 1),
-     _draw_r_only(1.2, 3.0))
+     _draw_r(1.2, 3.0))
 _add("main2-5", "null-offset hyperbolic slice, codimension two", dict(_MS),
      _main2_5,
      lambda p: _umbilical_expected(0.0, None, "v_L", None, p["m"] + 1,
@@ -649,7 +645,7 @@ _add("main2-6", "spherical slice of the hyperbolic space", {**_MS, "r": 1.0},
      lambda p: _umbilical_expected((1 + p["r"] ** 2) / p["r"] ** 2,
                                    (1.0, math.inf), "v_T",
                                    math.sqrt(1 + p["r"] ** 2), p["m"] + 1),
-     _draw_r_only(0.3, 2.0))
+     _draw_r(0.3, 2.0))
 _add("main2-7", "flat null graph inside the hyperbolic space", dict(_MS),
      _main2_7,
      lambda p: _umbilical_expected(1.0, None, "+N", None, p["m"] + 1))
@@ -661,12 +657,12 @@ _add("akk-1", "flat totally geodesic subspace", dict(_MS), _akk_1,
 _add("akk-2", "round pseudo-sphere in flat space", {**_MS, "r": 1.0}, _akk_2,
      lambda p: _umbilical_expected(1.0 / p["r"] ** 2, (0.0, math.inf),
                                    "linear", None, p["m"] + 1),
-     _draw_r_only(0.5, 2.0))
+     _draw_r(0.5, 2.0))
 _add("akk-3", "pseudo-hyperbolic space in flat space", {**_MS, "r": 1.0},
      _akk_3,
      lambda p: _umbilical_expected(-1.0 / p["r"] ** 2, (-math.inf, 0.0),
                                    "linear", None, p["m"] + 1),
-     _draw_r_only(0.5, 2.0))
+     _draw_r(0.5, 2.0))
 _add("akk-4", "flat marginally trapped null graph", dict(_MS), _akk_4,
      lambda p: _umbilical_expected(0.0, None, "+N", None, p["m"] + 1,
                                    marginally_trapped=True))
@@ -678,11 +674,11 @@ _add("U-flat", "flat marginally trapped null graph (named instance)",
 _add("light1-1", "degenerate product over a sphere, totally geodesic",
      dict(_MS), _light1_1, lambda p: _light_expected(1, geodesic=True))
 _add("light1-2", "degenerate product, small sphere factor", {**_MS, "r": 0.5},
-     _light1_2, lambda p: _light_expected(1), _draw_r_only(0.15, 0.85))
+     _light1_2, lambda p: _light_expected(1), _draw_r(0.15, 0.85))
 _add("light1-3", "degenerate product, large sphere factor", {**_MS, "r": 2.0},
-     _light1_3, lambda p: _light_expected(1), _draw_r_only(1.2, 3.0))
+     _light1_3, lambda p: _light_expected(1), _draw_r(1.2, 3.0))
 _add("light1-4", "degenerate product, hyperbolic factor", {**_MS, "r": 1.0},
-     _light1_4, lambda p: _light_expected(1), _draw_r_only(0.3, 2.0))
+     _light1_4, lambda p: _light_expected(1), _draw_r(0.3, 2.0))
 _add("light1-5", "lightcone as hypersurface of the sphere", dict(_MS),
      _light1_5, lambda p: _light_expected(1, has_t=False))
 _add("light1-6", "degenerate product over the lightcone", {"m": 3, "s": 0},
@@ -694,12 +690,12 @@ _add("light2-1", "degenerate product over a hyperbolic slice, geodesic",
      dict(_MS), _light2_1, lambda p: _light_expected(1, geodesic=True))
 _add("light2-2", "degenerate product, small hyperbolic factor",
      {**_MS, "r": 0.5}, _light2_2, lambda p: _light_expected(1),
-     _draw_r_only(0.15, 0.85))
+     _draw_r(0.15, 0.85))
 _add("light2-3", "degenerate product, large hyperbolic factor",
      {**_MS, "r": 2.0}, _light2_3, lambda p: _light_expected(1),
-     _draw_r_only(1.2, 3.0))
+     _draw_r(1.2, 3.0))
 _add("light2-4", "degenerate product, spherical factor", {**_MS, "r": 1.0},
-     _light2_4, lambda p: _light_expected(1), _draw_r_only(0.3, 2.0))
+     _light2_4, lambda p: _light_expected(1), _draw_r(0.3, 2.0))
 _add("light2-5", "lightcone as hypersurface of the hyperbolic space",
      dict(_MS), _light2_5, lambda p: _light_expected(1, has_t=False))
 _add("light2-6", "degenerate product over the lightcone (hyperbolic target)",

@@ -3,8 +3,9 @@
 A chart is a jet-evaluable map from an open box of chart coordinates into
 the flat embedding space of an ambient space form (flat space itself, a
 unit pseudo-sphere, or a unit pseudo-hyperbolic space).  Charts may be
-expression-backed or compositions of other charts; composition propagates
-jets with the exact third-order chain rule.
+expression-backed or compositions of other charts; in a composition the
+inner chart's jets seed the walk of the outer chart's expressions, and an
+isometric image is the composition with a linear chart.
 """
 from __future__ import annotations
 
@@ -117,12 +118,17 @@ class ExprChart(ImmersionChart):
         return J.evaluate(self.exprs, point, order, max_vars=max(J.MAX_VARS, self.nvars))
 
     def value(self, point):
-        point = np.asarray(point, dtype=float)
-        return np.array([e.value_at(point) for e in self.exprs])
+        args = np.asarray(point, dtype=float).tolist()
+        return np.array([e.eval(args) for e in self.exprs])
 
 
 class CompositeChart(ImmersionChart):
-    """Pointwise composition outer(inner(u)); jets via the chain rule."""
+    """Pointwise composition outer(inner(u)).
+
+    The inner chart's jets seed the walk of the outer chart's expressions.
+    A composite outer is re-associated, outer.outer(outer.inner(inner(u))),
+    so the outer chart is always expression-backed.
+    """
 
     def __init__(self, outer: ImmersionChart, inner: ImmersionChart,
                  name: str = ""):
@@ -132,6 +138,8 @@ class CompositeChart(ImmersionChart):
                 f"outer chart has {outer.nvars} variables")
         super().__init__(inner.nvars, outer.ambient, inner.box,
                          name or f"{outer.name}*{inner.name}")
+        if isinstance(outer, CompositeChart):
+            outer, inner = outer.outer, CompositeChart(outer.inner, inner)
         self.outer = outer
         self.inner = inner
 
@@ -139,26 +147,8 @@ class CompositeChart(ImmersionChart):
         return self.outer.value(self.inner.value(point))
 
     def jet_list(self, point, order: int = 3):
-        gval, gjac, ghess, gthird = self.inner.jet_arrays(point, order)
-        fjets = self.outer.jet_list(gval, order)
-        m = self.nvars
-        out = []
-        for fj in fjets:
-            grad = np.einsum("a,ai->i", fj.grad, gjac)
-            hess = (np.einsum("ab,ai,bj->ij", fj.hess, gjac, gjac)
-                    + np.einsum("a,aij->ij", fj.grad, ghess))
-            hess = J._sym2(hess)
-            third = None
-            if order == 3:
-                t1 = np.einsum("abc,ai,bj,ck->ijk", fj.third, gjac, gjac, gjac)
-                t2 = np.einsum("ab,aij,bk->ijk", fj.hess, ghess, gjac)
-                t2 = (t2 + np.transpose(t2, (2, 0, 1))
-                      + np.transpose(t2, (0, 2, 1)))
-                t3 = np.einsum("a,aijk->ijk", fj.grad, gthird)
-                third = J._sym3(t1 + t2 + t3)
-            out.append(J.Jet3(fj.value, grad.reshape(m),
-                              hess.reshape(m, m), third))
-        return out
+        return J.eval_jets(self.outer.exprs, self.inner.jet_list(point, order),
+                           self.nvars, order)
 
 
 def compose(outer: ImmersionChart, inner: ImmersionChart) -> CompositeChart:
@@ -187,30 +177,13 @@ def transform_chart(chart: ImmersionChart, matrix: np.ndarray) -> ImmersionChart
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (chart.ambient.flat_dim,) * 2:
         raise InputError("transform matrix does not match the embedding dimension")
-    if isinstance(chart, CompositeChart):
-        return CompositeChart(transform_chart(chart.outer, matrix), chart.inner,
-                              name=chart.name + "~L")
-    new_exprs = []
-    for row in matrix:
-        acc = J.as_expr(0.0)
-        for c, e in zip(row, chart.exprs):
-            if c != 0.0:
-                acc = acc + J.Const(c) * e
-        new_exprs.append(acc)
-    return ExprChart(new_exprs, chart.nvars, chart.ambient, chart.box,
-                     name=chart.name + "~L")
+    return CompositeChart(linear_chart(matrix, chart.ambient), chart,
+                          name=chart.name + "~L")
 
 
 def fd_jet_arrays(chart: ImmersionChart, point, step: float = 1e-4):
-    """Finite-difference analogue of jet_arrays for expression-backed charts."""
-    if isinstance(chart, CompositeChart):
-        raise InputError("finite-difference oracle needs an expression chart")
-    out = [J.fd_oracle(e, point, step) for e in chart.exprs]
-    val = np.array([j.value for j in out])
-    jac = np.stack([j.grad for j in out])
-    hess = np.stack([j.hess for j in out])
-    third = np.stack([j.third for j in out])
-    return val, jac, hess, third
+    """Finite-difference analogue of jet_arrays, from the chart's values."""
+    return J.fd_arrays(chart.value, point, step)
 
 
 def ambient_residual(chart: ImmersionChart, points) -> float:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import zlib
@@ -172,6 +173,8 @@ def _parse_param(text: str):
         num = float(value)
     except ValueError:
         raise UsageError(f"parameter value {value!r} is not a number")
+    if not math.isfinite(num):
+        raise UsageError(f"parameter value {value!r} is not finite")
     if num == int(num) and "." not in value and "e" not in value.lower():
         return key, int(num)
     return key, num
@@ -357,15 +360,18 @@ def main(argv=None) -> int:
     if hasattr(args, "samples") and args.samples < 4:
         print("error: --samples must be at least 4", file=sys.stderr)
         return 2
-    if hasattr(args, "tol") and (args.tol <= 0 or args.tol_zero <= 0):
-        print("error: tolerances must be positive", file=sys.stderr)
+    if hasattr(args, "tol") and not all(math.isfinite(t) and t > 0
+                                        for t in (args.tol, args.tol_zero)):
+        print("error: tolerances must be positive and finite", file=sys.stderr)
         return 2
     try:
         return args.func(args)
     except (UsageError, InputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except DomainError as err:
+    except (DomainError, ArithmeticError) as err:
+        # ArithmeticError: a closed form overflowed or divided by zero at an
+        # extreme (finite) parameter
         print(f"domain error: {err}", file=sys.stderr)
         return 1
 

@@ -3,8 +3,10 @@
 A Jet3 carries the value, gradient, Hessian and (optionally) the symmetric
 third-derivative tensor of a scalar quantity.  Arithmetic implements the
 exact sum/product/chain rules, so derivatives of expression trees are exact
-up to rounding.  A central finite-difference oracle is provided as an
-independent cross-check.
+up to rounding.  One walk, `Expr.eval`, serves every use: floats in give the
+value, jets in give the jet, and jets of an inner map in give the jets of a
+composition.  A central finite-difference oracle, which uses only float
+evaluation, is provided as an independent cross-check.
 """
 from __future__ import annotations
 
@@ -55,10 +57,6 @@ class Jet3:
         self.third = None if third is None else np.asarray(third, dtype=float)
 
     @property
-    def nvars(self) -> int:
-        return self.grad.shape[0]
-
-    @property
     def order(self) -> int:
         return 2 if self.third is None else 3
 
@@ -74,16 +72,12 @@ class Jet3:
         third = np.zeros((m, m, m)) if order == 3 else None
         return cls(value, g, np.zeros((m, m)), third)
 
-    def _coerce(self, other) -> "Jet3":
-        if isinstance(other, Jet3):
-            return other
-        return Jet3.constant(float(other), self.nvars, self.order)
-
     def __add__(self, other):
-        o = self._coerce(other)
-        third = None if self.third is None else self.third + o.third
-        return Jet3(self.value + o.value, self.grad + o.grad,
-                    self.hess + o.hess, third)
+        if not isinstance(other, Jet3):
+            return Jet3(self.value + other, self.grad, self.hess, self.third)
+        third = None if self.third is None else self.third + other.third
+        return Jet3(self.value + other.value, self.grad + other.grad,
+                    self.hess + other.hess, third)
 
     __radd__ = __add__
 
@@ -92,13 +86,15 @@ class Jet3:
         return Jet3(-self.value, -self.grad, -self.hess, third)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + self._coerce(other)
+        return (-self) + other
 
-    def __mul__(self, other):
-        o = self._coerce(other)
+    def __mul__(self, o):
+        if not isinstance(o, Jet3):
+            third = None if self.third is None else o * self.third
+            return Jet3(self.value * o, o * self.grad, o * self.hess, third)
         value = self.value * o.value
         grad = self.value * o.grad + o.value * self.grad
         hess = _sym2(self.value * o.hess + o.value * self.hess
@@ -114,19 +110,6 @@ class Jet3:
         return Jet3(value, grad, hess, third)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o._reciprocal()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self._reciprocal()
-
-    def _reciprocal(self):
-        t = self.value
-        if abs(t) <= DIV_EPS:
-            raise DomainError(f"division by value {t!r} within 1e-12 of zero")
-        return self.apply(1.0 / t, -1.0 / t**2, 2.0 / t**3, -6.0 / t**4)
 
     def apply(self, d0, d1, d2, d3) -> "Jet3":
         """Chain rule for a scalar function with derivatives d0..d3 at value."""
@@ -150,10 +133,13 @@ class Jet3:
 class Expr:
     """Immutable expression tree over chart variables u_0..u_{m-1}."""
 
-    def jet(self, var_jets: list[Jet3]) -> Jet3:
-        raise NotImplementedError
+    def eval(self, args):
+        """Walk the tree with args[i] in place of u_i.
 
-    def value_at(self, point: np.ndarray) -> float:
+        Floats in give a float; Jet3s in give a Jet3 (or a float for a
+        subtree that reads no variable).  Seeding with the jets of an inner
+        map gives the jets of the composition.
+        """
         raise NotImplementedError
 
     def substitute(self, replacements: list["Expr"]) -> "Expr":
@@ -198,13 +184,7 @@ class Const(Expr):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def jet(self, var_jets):
-        probe = var_jets[0] if var_jets else None
-        m = probe.nvars if probe else 0
-        order = probe.order if probe else 3
-        return Jet3.constant(self.value, m, order)
-
-    def value_at(self, point):
+    def eval(self, args):
         return self.value
 
     def substitute(self, replacements):
@@ -215,11 +195,8 @@ class Var(Expr):
     def __init__(self, index: int):
         self.index = index
 
-    def jet(self, var_jets):
-        return var_jets[self.index]
-
-    def value_at(self, point):
-        return float(point[self.index])
+    def eval(self, args):
+        return args[self.index]
 
     def substitute(self, replacements):
         return replacements[self.index]
@@ -236,38 +213,38 @@ class _Binary(Expr):
 
 
 class Add(_Binary):
-    def jet(self, var_jets):
-        return self.left.jet(var_jets) + self.right.jet(var_jets)
-
-    def value_at(self, point):
-        return self.left.value_at(point) + self.right.value_at(point)
+    def eval(self, args):
+        return self.left.eval(args) + self.right.eval(args)
 
 
 class Sub(_Binary):
-    def jet(self, var_jets):
-        return self.left.jet(var_jets) - self.right.jet(var_jets)
-
-    def value_at(self, point):
-        return self.left.value_at(point) - self.right.value_at(point)
+    def eval(self, args):
+        return self.left.eval(args) - self.right.eval(args)
 
 
 class Mul(_Binary):
-    def jet(self, var_jets):
-        return self.left.jet(var_jets) * self.right.jet(var_jets)
+    def eval(self, args):
+        return self.left.eval(args) * self.right.eval(args)
 
-    def value_at(self, point):
-        return self.left.value_at(point) * self.right.value_at(point)
+
+def _reciprocal_derivs(t):
+    if abs(t) <= DIV_EPS:
+        raise DomainError(f"division by value {t!r} within 1e-12 of zero")
+    return 1.0 / t, -1.0 / t**2, 2.0 / t**3, -6.0 / t**4
+
+
+def _lift(derivs, x):
+    """Apply a scalar function, given by its derivatives d0..d3, to a float
+    or a jet."""
+    if isinstance(x, Jet3):
+        return x.apply(*derivs(x.value))
+    return derivs(x)[0]
 
 
 class Div(_Binary):
-    def jet(self, var_jets):
-        return self.left.jet(var_jets) / self.right.jet(var_jets)
-
-    def value_at(self, point):
-        den = self.right.value_at(point)
-        if abs(den) <= DIV_EPS:
-            raise DomainError(f"division by value {den!r} within 1e-12 of zero")
-        return self.left.value_at(point) / den
+    def eval(self, args):
+        return self.left.eval(args) * _lift(_reciprocal_derivs,
+                                            self.right.eval(args))
 
 
 def _sqrt_derivs(t):
@@ -293,12 +270,8 @@ class Func(Expr):
         self.name = name
         self.arg = arg
 
-    def jet(self, var_jets):
-        inner = self.arg.jet(var_jets)
-        return inner.apply(*_FUNCS[self.name](inner.value))
-
-    def value_at(self, point):
-        return _FUNCS[self.name](self.arg.value_at(point))[0]
+    def eval(self, args):
+        return _lift(_FUNCS[self.name], self.arg.eval(args))
 
     def substitute(self, replacements):
         return Func(self.name, self.arg.substitute(replacements))
@@ -354,29 +327,41 @@ def evaluate(exprs, point, order: int = 3,
     if order not in (2, 3):
         raise InputError("order must be 2 or 3")
     var_jets = [Jet3.variable(i, point[i], m, order) for i in range(m)]
+    out = eval_jets(expr_list, var_jets, m, order)
+    return out[0] if single else out
+
+
+def eval_jets(exprs, seeds: list[Jet3], m: int, order: int) -> list[Jet3]:
+    """Jets of each expression walked on seed jets over m chart variables.
+
+    Seeds are the variables' own jets (see `evaluate`) or the jets of an
+    inner map, which gives the jets of the composition.  A coordinate that
+    reads no variable becomes a constant jet.  Raises DomainError naming
+    the offending coordinate.
+    """
     out = []
-    for k, e in enumerate(expr_list):
+    for k, e in enumerate(exprs):
         try:
-            out.append(e.jet(var_jets))
+            j = e.eval(seeds)
         except DomainError as err:
             raise DomainError(f"coordinate {k}: {err}") from err
-    return out[0] if single else out
+        out.append(j if isinstance(j, Jet3) else Jet3.constant(j, m, order))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def fd_oracle(expr: Expr, point, step: float = 1e-4) -> Jet3:
-    """Central finite-difference jet: O(step^2) truncation on every entry.
+def fd_arrays(f, point, step: float = 1e-4):
+    """Central finite differences of f (float or array valued) at a point.
 
-    Independent of the Taylor path; exists purely as a cross-check oracle.
+    Returns value, gradient, Hessian and third-derivative arrays with the
+    variable axes last, O(step^2) truncation on every entry.  Only values
+    of f are used, so this is independent of the Taylor path.
     """
     point = np.asarray(point, dtype=float)
     m = point.shape[0]
-
-    def f(p):
-        return expr.value_at(p)
 
     def shift(p, i, d):
         q = p.copy()
@@ -384,32 +369,40 @@ def fd_oracle(expr: Expr, point, step: float = 1e-4) -> Jet3:
         return q
 
     h = step
-    value = f(point)
-    grad = np.zeros(m)
+    value = np.asarray(f(point), dtype=float)
+    grad = np.zeros(value.shape + (m,))
     for i in range(m):
-        grad[i] = (f(shift(point, i, h)) - f(shift(point, i, -h))) / (2 * h)
+        grad[..., i] = (f(shift(point, i, h)) - f(shift(point, i, -h))) / (2 * h)
 
     def fd_hess(p):
-        out = np.zeros((m, m))
+        out = np.zeros(value.shape + (m, m))
         f0 = f(p)
         for i in range(m):
-            out[i, i] = (f(shift(p, i, h)) - 2 * f0 + f(shift(p, i, -h))) / h**2
+            out[..., i, i] = (f(shift(p, i, h)) - 2 * f0
+                              + f(shift(p, i, -h))) / h**2
             for j in range(i + 1, m):
                 v = (f(shift(shift(p, i, h), j, h))
                      - f(shift(shift(p, i, h), j, -h))
                      - f(shift(shift(p, i, -h), j, h))
                      + f(shift(shift(p, i, -h), j, -h))) / (4 * h**2)
-                out[i, j] = out[j, i] = v
+                out[..., i, j] = out[..., j, i] = v
         return out
 
     hess = fd_hess(point)
-    third = np.zeros((m, m, m))
+    third = np.zeros(value.shape + (m, m, m))
     for i in range(m):
-        hp = fd_hess(shift(point, i, h))
-        hm = fd_hess(shift(point, i, -h))
-        d = (hp - hm) / (2 * h)
-        for j, k in combinations_with_replacement(range(m), 2):
-            if i <= j:
-                third[i, j, k] = d[j, k]
-    third = _sym3(third)
-    return Jet3(value, grad, hess, third)
+        d = (fd_hess(shift(point, i, h)) - fd_hess(shift(point, i, -h))) / (2 * h)
+        # one difference per sorted index i <= j <= k, copied to every
+        # permutation so the tensor is exactly symmetric
+        for j, k in combinations_with_replacement(range(i, m), 2):
+            for p in set(permutations((i, j, k))):
+                third[(..., *p)] = d[..., j, k]
+    return value, grad, hess, third
+
+
+def fd_oracle(expr: Expr, point, step: float = 1e-4) -> Jet3:
+    """Central finite-difference jet of one expression from float evaluation.
+
+    Independent of the Taylor path; exists purely as a cross-check oracle.
+    """
+    return Jet3(*fd_arrays(lambda p: expr.eval(p.tolist()), point, step))

@@ -6,6 +6,8 @@ run always shows the scoreboard.  Tolerances are pinned here, not
 imported, so drift in library defaults cannot silently weaken the gate.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def _runs(fid, draws=3, seed=1000):
     spec = get_family(fid)
     out = [dict(spec.defaults)]
     if spec.parametric:
-        rng = np.random.default_rng([seed, hash(fid) % 2**32])
+        rng = np.random.default_rng([seed, zlib.crc32(fid.encode())])
         out += [{**spec.defaults, **spec.draw_params(rng)}
                 for _ in range(draws)]
     return out

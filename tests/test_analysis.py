@@ -155,6 +155,16 @@ class TestReduction:
         assert red.translation_class == "linear"
         assert red.hull_dim == 3
 
+    def test_samples_span_a_large_embedding(self):
+        # m=39 embeds in 41 flat dimensions; 40 image points would span
+        # at most a 39-dimensional hull
+        ch = instantiate("main1-3", {"m": 39, "r": 0.5})
+        red = reduction_report(ch)
+        assert red.hull_dim == 40
+        assert red.translation_class == "v_S"
+        assert red.rho == pytest.approx(np.sqrt(3) / 2, abs=1e-9)
+        assert fullness(ch)[0]
+
 
 class TestFullness:
     def test_geodesic_slice_is_not_full(self):

@@ -21,6 +21,17 @@ def _unit_sphere_chart(m=2):
                      [[-0.4, 0.4]] * m, "sphere")
 
 
+def _curved_pair():
+    # nonlinear inner (2 -> 3) and outer (3 -> 4) expression charts
+    u, v = J.variables(2)
+    inner = ExprChart([u + 0.2 * v * v, u * v, J.sin(u)], 2,
+                      AmbientSpace.flat(3, 1), [[-0.5, 0.5]] * 2, "g")
+    a, b, c = J.variables(3)
+    outer = ExprChart([J.sqrt(2.0 + a * b), a - c, b * b, a + b + c], 3,
+                      AmbientSpace.flat(4, 1), name="f")
+    return outer, inner
+
+
 class TestAmbientSpace:
     def test_factory_signatures(self):
         assert AmbientSpace.flat(4, 1).signature.as_tuple() == (1, 3, 0)
@@ -98,6 +109,23 @@ class TestComposition:
             np.testing.assert_allclose(hess1, hess2, atol=1e-12)
             np.testing.assert_allclose(third1, third2, atol=1e-12)
 
+    def test_nested_composition_matches_substitution(self):
+        # compose(compose(a, b), c) against one tree a(b(c(u)))
+        b, c = _curved_pair()
+        x, y, z, w = J.variables(4)
+        a = ExprChart([x * J.cos(y) - z / (3.0 + w), x * y * w], 4,
+                      AmbientSpace.flat(2, 0), name="a")
+        comp = compose(compose(a, b), c)
+        bc = [e.substitute(c.exprs) for e in b.exprs]
+        direct = ExprChart([e.substitute(bc) for e in a.exprs], 2,
+                           AmbientSpace.flat(2, 0), c.box)
+        assert comp.name == "a*f*g"
+        for p in c.sample_points(6, 3):
+            for got, want in zip(comp.jet_arrays(p), direct.jet_arrays(p)):
+                np.testing.assert_allclose(got, want, atol=1e-12)
+            np.testing.assert_allclose(comp.value(p), direct.value(p),
+                                       atol=1e-14)
+
     def test_identity_composition(self):
         ch = _unit_sphere_chart()
         ident = linear_chart(np.eye(3), ch.ambient)
@@ -141,8 +169,11 @@ class TestTransformChart:
 class TestFdJetArrays:
     def test_matches_taylor_jets(self):
         ch = _unit_sphere_chart()
+        L = random_pseudo_orthogonal(ch.ambient.signature,
+                                     np.random.default_rng(5))
         p = np.array([0.15, -0.25])
-        _, jac, hess, _ = ch.jet_arrays(p)
-        _, fjac, fhess, _ = fd_jet_arrays(ch, p, 1e-4)
-        assert np.max(np.abs(jac - fjac)) < 1e-5
-        assert np.max(np.abs(hess - fhess)) < 1e-5
+        for chart in (ch, compose(*_curved_pair()), transform_chart(ch, L)):
+            _, jac, hess, _ = chart.jet_arrays(p)
+            _, fjac, fhess, _ = fd_jet_arrays(chart, p, 1e-4)
+            assert np.max(np.abs(jac - fjac)) < 1e-5
+            assert np.max(np.abs(hess - fhess)) < 1e-5

@@ -142,6 +142,22 @@ class TestAnalyze:
         assert "coordinate" in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "--family", "main1-3", "--param", "r=nan"], 2),
+    (["analyze", "--family", "main1-3", "--param", "r=inf"], 2),
+    (["analyze", "--family", "psi-a", "--param", "a=nan"], 2),
+    (["analyze", "--family", "main1-3", "--tol-zero", "nan"], 2),
+    (["verify-all", "--tol", "nan"], 2),
+    # finite but extreme: the closed forms overflow or divide by zero
+    (["analyze", "--family", "main1-4", "--param", "r=1e200"], 1),
+    (["analyze", "--family", "main1-3", "--param", "r=1e-200"], 1),
+])
+def test_bad_numbers_fail_closed(argv, code, capsys):
+    got, _, err = run(argv, capsys)
+    assert got == code
+    assert "Traceback" not in err
+
+
 class TestModuli:
     def test_table_and_verdict(self, capsys):
         code, out, _ = run(["moduli", "--a", "0,0.001,0.1,1"], capsys)

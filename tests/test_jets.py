@@ -43,6 +43,7 @@ class TestJetArithmetic:
         u, v, w = J.variables(3)
         e = J.sqrt(1.0 + u * v * w + u * u) * J.sin(v + 2.0 * w)
         jet = J.evaluate(e, [0.3, -0.2, 0.15])
+        assert e.eval([0.3, -0.2, 0.15]) == jet.value
         assert np.array_equal(jet.hess, jet.hess.T)
         for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)]:
             assert np.array_equal(jet.third, np.transpose(jet.third, perm))
@@ -52,6 +53,7 @@ class TestJetArithmetic:
         f, g = u * u + 1.0, v + 2.0
         prod = J.evaluate((f / g) * g, [0.5, 0.25])
         direct = J.evaluate(f, [0.5, 0.25])
+        assert ((f / g) * g).eval([0.5, 0.25]) == prod.value
         np.testing.assert_allclose(prod.grad, direct.grad, atol=1e-12)
         np.testing.assert_allclose(prod.third, direct.third, atol=1e-12)
 
@@ -120,6 +122,8 @@ class TestDomainHandling:
         u, = J.variables(1)
         with pytest.raises(DomainError):
             J.evaluate(1.0 / u, [1e-13])
+        with pytest.raises(DomainError):
+            (1.0 / u).eval([1e-13])
 
     def test_error_names_the_coordinate(self):
         u, = J.variables(1)
