@@ -16,17 +16,20 @@ import numpy as np
 from . import bilinear as B
 from .bilinear import Signature
 from .catalog import Expected, get_family, resolve_params
-from .charts import ImmersionChart
-from .errors import DegenerateMetricError, InputError
+from .charts import ImmersionChart, fd_jet_arrays
+from .errors import DegenerateMetricError, DomainError, InputError
 
 DEFAULT_TOL = 1e-7
 DEFAULT_ZERO_TOL = 1e-8
 CONTROL_GAP = 1e-2
 H_NORM_TOL = 1e-6
+FD_TOL = 1e-5
+FD_STEP = 1e-4
 
 
 def _enorm(v) -> float:
-    return float(np.linalg.norm(v))
+    """Euclidean norm along the last axis, maximized over any leading axes."""
+    return float(np.max(np.linalg.norm(v, axis=-1)))
 
 
 @dataclass
@@ -35,7 +38,9 @@ class Frame:
 
     `second` holds the ambient second derivatives with the space-form
     position component already removed, indexed [i, j, :]; `third` (when
-    present) is indexed [i, j, k, :].
+    present) is indexed [i, j, k, :].  `signature` is the induced metric's
+    signature, decided once at the `tol_zero` given to `build_frame`; every
+    pointwise computation on the frame branches on it.
     """
 
     chart: ImmersionChart
@@ -46,6 +51,9 @@ class Frame:
     third: np.ndarray | None  # (m, m, m, N)
     metric: np.ndarray       # (m, m) induced first fundamental form
     scale: float
+    signature: Signature
+    ginv: np.ndarray | None  # inverse metric, None when degenerate
+    tensors: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -60,9 +68,19 @@ class Frame:
         return self.chart.ambient.epsilon
 
 
-def build_frame(chart: ImmersionChart, point, order: int = 3) -> Frame:
-    """Evaluate jets and assemble the pointwise curvature data."""
-    val, jac, hess, third = chart.jet_arrays(point, order)
+def build_frame(chart: ImmersionChart, point, order: int = 3,
+                tol_zero: float = DEFAULT_ZERO_TOL) -> Frame:
+    """Evaluate jets and assemble the pointwise curvature data.
+
+    Raises DomainError when a jet is not finite (a closed form overflowed
+    at an extreme parameter).
+    """
+    point = np.asarray(point, dtype=float)
+    arrays = chart.jet_arrays(point, order)
+    if not all(a is None or np.all(np.isfinite(a)) for a in arrays):
+        raise DomainError(
+            f"jets of {chart.name!r} are not finite at u={point.tolist()}")
+    val, jac, hess, third = arrays
     G = chart.ambient.metric()
     eps = chart.ambient.epsilon
     g = jac.T @ G @ jac
@@ -75,14 +93,15 @@ def build_frame(chart: ImmersionChart, point, order: int = 3) -> Frame:
         if T3 is not None:
             T3 = T3 - eps * np.einsum("ijkn,n->ijk", T3, Gy)[..., None] * val
     scale = max(1.0, float(np.max(np.abs(D))), float(np.max(np.abs(g))))
-    return Frame(chart, np.asarray(point, dtype=float), val, jac, D, T3,
-                 g, scale)
+    sig = B.signature_of(g, tol_zero)
+    ginv = None if sig.degenerate else np.linalg.inv(g)
+    return Frame(chart, point, val, jac, D, T3, g, scale, sig, ginv)
 
 
 def induced_metric(chart: ImmersionChart, point) -> tuple[np.ndarray, Signature]:
     """First fundamental form and its numerical signature at a point."""
     fr = build_frame(chart, point, order=2)
-    return fr.metric, B.signature_of(fr.metric)
+    return fr.metric, fr.signature
 
 
 # ---------------------------------------------------------------------------
@@ -90,17 +109,20 @@ def induced_metric(chart: ImmersionChart, point) -> tuple[np.ndarray, Signature]
 # ---------------------------------------------------------------------------
 
 def _nondegenerate_tensors(fr: Frame):
-    """Christoffel coefficients, second fundamental form, mean curvature."""
-    m = fr.m
-    G = fr.ambient_metric
-    TG = fr.jac.T @ G                       # (m, N)
-    rhs = np.einsum("ln,ijn->lij", TG, fr.second)
-    gamma = np.linalg.solve(fr.metric, rhs.reshape(m, m * m)).reshape(m, m, m)
-    tangential = np.einsum("lij,nl->ijn", gamma, fr.jac)
-    h = fr.second - tangential
-    ginv = np.linalg.inv(fr.metric)
-    H = np.einsum("ij,ijn->n", ginv, h) / m
-    return gamma, h, H
+    """Christoffel coefficients, second fundamental form, mean curvature.
+
+    Needs a non-degenerate induced metric; computed once per frame.
+    """
+    if fr.tensors is None:
+        m = fr.m
+        TG = fr.jac.T @ fr.ambient_metric                # (m, N)
+        rhs = np.einsum("ln,ijn->lij", TG, fr.second)
+        gamma = np.linalg.solve(fr.metric,
+                                rhs.reshape(m, m * m)).reshape(m, m, m)
+        h = fr.second - np.einsum("lij,nl->ijn", gamma, fr.jac)
+        H = np.einsum("ij,ijn->n", fr.ginv, h) / m
+        fr.tensors = gamma, h, H
+    return fr.tensors
 
 
 def parallelism_residual(fr: Frame) -> float:
@@ -110,52 +132,27 @@ def parallelism_residual(fr: Frame) -> float:
     """
     if fr.third is None:
         raise InputError("parallelism needs order-3 jets")
-    if B.signature_of(fr.metric).degenerate:
+    if fr.signature.degenerate:
         raise DegenerateMetricError(
             "normal covariant derivative needs a non-degenerate induced metric")
     gamma, h, _ = _nondegenerate_tensors(fr)
-    G = fr.ambient_metric
-    ginv = np.linalg.inv(fr.metric)
-    P_tan = fr.jac @ ginv @ fr.jac.T @ G
-    m = fr.m
-    worst = 0.0
-    for k in range(m):
-        for i in range(m):
-            for j in range(i, m):
-                v = fr.third[i, j, k].copy()
-                if fr.epsilon != 0:
-                    v -= fr.epsilon * float(np.dot(G @ fr.value, v)) * fr.value
-                v -= P_tan @ v
-                v -= np.einsum("l,ln->n", gamma[:, i, j], h[k, :])
-                v -= np.einsum("l,ln->n", gamma[:, k, i], h[j, :])
-                v -= np.einsum("l,ln->n", gamma[:, k, j], h[i, :])
-                worst = max(worst, _enorm(v))
-    return worst / fr.scale
+    P_tan = fr.jac @ fr.ginv @ fr.jac.T @ fr.ambient_metric
+    # c[a, b, c] = gamma[:, a, b] . h[c]
+    c = np.einsum("lab,cln->abcn", gamma, h)
+    T = fr.third
+    if fr.epsilon != 0:
+        Gy = fr.ambient_metric @ fr.value
+        T = T - fr.epsilon * (T @ Gy)[..., None] * fr.value
+    v = T - T @ P_tan.T
+    v -= c
+    v -= c.transpose(1, 2, 0, 3)   # c[k, i, j] at [i, j, k]
+    v -= c.transpose(2, 1, 0, 3)   # c[k, j, i] at [i, j, k]
+    return _enorm(v) / fr.scale
 
 
 # ---------------------------------------------------------------------------
 # Degenerate (quotient) branch
 # ---------------------------------------------------------------------------
-
-def quotient_representative(fr: Frame, vector: np.ndarray,
-                            complement: np.ndarray | None = None) -> np.ndarray:
-    """A representative of [vector] modulo the tangent span.
-
-    With `complement` (rows spanning a complement of the tangent span) the
-    representative is taken inside that complement; otherwise the original
-    vector is returned unchanged.  Residual norms downstream are invariant
-    under this choice because they project off the tangent span anyway.
-    """
-    if complement is None:
-        return vector
-    comp = np.atleast_2d(np.asarray(complement, dtype=float))
-    A = np.hstack([fr.jac, comp.T])
-    coef, *_ = np.linalg.lstsq(A, vector, rcond=None)
-    rep = comp.T @ coef[fr.m:]
-    if _enorm(A @ coef - vector) > 1e-8 * max(1.0, _enorm(vector)):
-        raise InputError("complement does not span a complement of the tangent space")
-    return rep
-
 
 @dataclass
 class UmbilicityData:
@@ -167,54 +164,37 @@ class UmbilicityData:
     totally_degenerate_metric: bool = False
 
 
-def umbilicity_data(fr: Frame, tol_zero: float = DEFAULT_ZERO_TOL,
-                    complement: np.ndarray | None = None) -> UmbilicityData:
+def umbilicity_data(fr: Frame) -> UmbilicityData:
     """Umbilicity and geodesy residuals, mean curvature when defined.
 
     Non-degenerate metric: residuals of h_ij - g_ij H and of h_ij itself.
     Degenerate metric: the same residuals for the classes of the second
     derivatives modulo the tangent span, using the largest metric entry as
-    pivot; norms are taken after projecting off the tangent span so they
-    do not depend on any choice of complement.
+    pivot; each class is represented by its part off the tangent span, so
+    no choice of representative enters.
     """
-    sig = B.signature_of(fr.metric, tol_zero)
     m = fr.m
-    if not sig.degenerate:
+    iu = np.triu_indices(m)
+    if not fr.signature.degenerate:
         _, h, H = _nondegenerate_tensors(fr)
-        G = fr.ambient_metric
-        geo = max(_enorm(h[i, j]) for i in range(m) for j in range(i, m))
-        umb = max(_enorm(h[i, j] - fr.metric[i, j] * H)
-                  for i in range(m) for j in range(i, m))
-        h_norm = float(H @ G @ H)
+        geo = _enorm(h[iu])
+        umb = _enorm(h[iu] - fr.metric[iu][:, None] * H)
+        h_norm = float(H @ fr.ambient_metric @ H)
         rank = B.numerical_rank(h.reshape(m * m, -1))
         return UmbilicityData(umb / fr.scale, geo / fr.scale, H, h_norm, rank)
 
     basis = B.row_space_basis(fr.jac.T)   # rows span the tangent space
-
-    def off_tangent(v):
-        return v - basis.T @ (basis @ v)
-
-    geo = max(_enorm(off_tangent(fr.second[i, j]))
-              for i in range(m) for j in range(i, m))
-    gmax = float(np.max(np.abs(fr.metric)))
-    if gmax <= tol_zero * fr.scale:
+    classes = fr.second - (fr.second @ basis.T) @ basis
+    geo = _enorm(classes[iu])
+    if fr.signature.null == m:
         # metric identically zero: umbilicity is vacuous
         return UmbilicityData(0.0, geo / fr.scale, None, None,
-                              B.numerical_rank(np.stack(
-                                  [off_tangent(fr.second[i, j])
-                                   for i in range(m) for j in range(m)])),
+                              B.numerical_rank(classes.reshape(m * m, -1)),
                               totally_degenerate_metric=True)
     piv = np.unravel_index(np.argmax(np.abs(fr.metric)), fr.metric.shape)
-    pivot_class = quotient_representative(fr, fr.second[piv], complement)
-    umb = 0.0
-    residual_classes = []
-    for i in range(m):
-        for j in range(i, m):
-            rep = quotient_representative(fr, fr.second[i, j], complement)
-            r = rep - (fr.metric[i, j] / fr.metric[piv]) * pivot_class
-            residual_classes.append(off_tangent(fr.second[i, j]))
-            umb = max(umb, _enorm(off_tangent(r)))
-    rank = B.numerical_rank(np.stack(residual_classes))
+    ratios = fr.metric[iu] / fr.metric[piv]
+    umb = _enorm(classes[iu] - ratios[:, None] * classes[piv])
+    rank = B.numerical_rank(classes[iu])
     return UmbilicityData(umb / fr.scale, geo / fr.scale, None, None, rank)
 
 
@@ -258,14 +238,12 @@ class PointReport:
 
 
 def analyze_point(chart: ImmersionChart, point, order: int = 3,
-                  tol_zero: float = DEFAULT_ZERO_TOL,
-                  complement: np.ndarray | None = None) -> PointReport:
+                  tol_zero: float = DEFAULT_ZERO_TOL) -> PointReport:
     """Full pointwise report: metric, residuals, curvature invariants."""
-    fr = build_frame(chart, point, order)
-    sig = B.signature_of(fr.metric, tol_zero)
-    data = umbilicity_data(fr, tol_zero, complement)
+    fr = build_frame(chart, point, order, tol_zero)
+    sig = fr.signature
+    data = umbilicity_data(fr)
     minimal_res = None
-    h_norm = data.h_norm
     if data.mean_curvature is not None:
         minimal_res = _enorm(data.mean_curvature)
     par = None
@@ -280,7 +258,7 @@ def analyze_point(chart: ImmersionChart, point, order: int = 3,
         rad_res = _enorm(e_last - R.T @ (R @ e_last))
     return PointReport(fr.point, fr.metric, sig, sig.null,
                        data.umbilicity_residual, data.geodesic_residual,
-                       data.mean_curvature, h_norm, minimal_res, par,
+                       data.mean_curvature, data.h_norm, minimal_res, par,
                        data.first_normal_rank, rad_res,
                        data.totally_degenerate_metric)
 
@@ -387,6 +365,38 @@ def _check_flag(verdict, name, computed, expected):
             f"{name}: computed {computed}, catalog asserts {expected}")
 
 
+def _fd_cross_check(chart, tol_zero: float, seed: int) -> list[str]:
+    """Independent finite-difference check of one entry's jets and metric.
+
+    Compares first and second derivatives against the central-difference
+    oracle, and requires the induced-metric signature computed from the
+    oracle's jacobian to agree with the jet-based one under the active
+    zero tolerance.  An overtight tolerance turns the oracle's O(step^2)
+    truncation error into phantom metric rank, which this check reports.
+    """
+    failures = []
+    point = chart.sample_points(1, seed)[0]
+    _, jac, hess, _ = chart.jet_arrays(point, order=2)
+    _, fjac, fhess, _ = fd_jet_arrays(chart, point, FD_STEP)
+    d1 = float(np.max(np.abs(jac - fjac)))
+    d2 = float(np.max(np.abs(hess - fhess)))
+    if max(d1, d2) > FD_TOL:
+        failures.append(
+            f"finite-difference oracle disagrees with jets "
+            f"(jacobian {d1:.3e}, hessian {d2:.3e} > {FD_TOL})")
+    G = chart.ambient.metric()
+    g_jet = jac.T @ G @ jac
+    g_fd = fjac.T @ G @ fjac
+    sig_jet = B.signature_of(0.5 * (g_jet + g_jet.T), tol_zero)
+    sig_fd = B.signature_of(0.5 * (g_fd + g_fd.T), tol_zero)
+    if sig_jet != sig_fd:
+        failures.append(
+            f"metric signature unstable under the oracle cross-check at "
+            f"tol_zero={tol_zero:g}: jets {sig_jet.as_tuple()} vs "
+            f"finite differences {sig_fd.as_tuple()}")
+    return failures
+
+
 def verify_family(family_id: str, params: dict | None = None, *,
                   samples: int = 5, seed: int = 42, tol: float = DEFAULT_TOL,
                   tol_zero: float = DEFAULT_ZERO_TOL,
@@ -395,7 +405,8 @@ def verify_family(family_id: str, params: dict | None = None, *,
 
     Pointwise residuals are measured at `samples` seeded chart points and
     aggregated by worst case; hull reduction and fullness use a larger
-    sample of image points.  Expected-vs-computed disagreements listed in
+    sample of image points; a finite-difference oracle cross-checks the
+    jets at one more point.  Expected-vs-computed disagreements listed in
     the entry's discrepancy allowance are reported, not failed.
     """
     spec = get_family(family_id)
@@ -442,8 +453,9 @@ def verify_family(family_id: str, params: dict | None = None, *,
     _check_flag(verdict, "totally_geodesic", geo <= tol,
                 expected.totally_geodesic)
 
-    # mean curvature invariants (non-degenerate entries only)
-    h_norms = [r.h_norm for r in reports if r.h_norm is not None]
+    # mean curvature invariants (points with a non-degenerate metric only)
+    nondegenerate = [r for r in reports if r.h_norm is not None]
+    h_norms = [r.h_norm for r in nondegenerate]
     if h_norms:
         spread = max(h_norms) - min(h_norms)
         h_norm = float(np.median(h_norms))
@@ -461,9 +473,9 @@ def verify_family(family_id: str, params: dict | None = None, *,
             if not (lo < h_norm < hi):
                 verdict.failures.append(
                     f"h_norm {h_norm!r} outside the open range ({lo}, {hi})")
-        min_res = max(r.minimal_residual for r in reports)
+        min_res = max(r.minimal_residual for r in nondegenerate)
         _check_flag(verdict, "minimal", min_res <= tol, expected.minimal)
-        flags = [r.flags(tol)["marginally_trapped"] for r in reports]
+        flags = [r.flags(tol)["marginally_trapped"] for r in nondegenerate]
         _check_flag(verdict, "marginally_trapped", all(flags),
                     expected.marginally_trapped)
     elif expected.minimal is not None:
@@ -528,5 +540,6 @@ def verify_family(family_id: str, params: dict | None = None, *,
                     f"translation length: computed {red.rho!r}, catalog "
                     f"asserts {expected.rho!r}")
 
+    verdict.failures.extend(_fd_cross_check(chart, tol_zero, seed))
     verdict.ok = not verdict.failures
     return verdict

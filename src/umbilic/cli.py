@@ -14,16 +14,12 @@ import zlib
 
 import numpy as np
 
-from . import bilinear as B
 from . import catalog
 from .analysis import (DEFAULT_TOL, DEFAULT_ZERO_TOL, analyze_point, fullness,
                        reduction_report, verify_family)
-from .charts import fd_jet_arrays
 from .congruence import moduli_demo
 from .errors import DomainError, InputError
 
-FD_TOL = 1e-5
-FD_STEP = 1e-4
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 16
 RANDOM_DRAWS = 3
@@ -66,45 +62,10 @@ def _entry_rng(seed: int, family_id: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(family_id.encode())])
 
 
-def _fd_cross_check(chart, tol_zero: float, seed: int) -> list[str]:
-    """Independent finite-difference check of one entry's jets and metric.
-
-    Compares first and second derivatives against the central-difference
-    oracle, and requires the induced-metric signature computed from the
-    oracle's jacobian to agree with the jet-based one under the active
-    zero tolerance.  An overtight tolerance turns the oracle's O(step^2)
-    truncation error into phantom metric rank, which this check reports.
-    """
-    failures = []
-    point = chart.sample_points(1, seed)[0]
-    val, jac, hess, _ = chart.jet_arrays(point, order=2)
-    fval, fjac, fhess, _ = fd_jet_arrays(chart, point, FD_STEP)
-    d1 = float(np.max(np.abs(jac - fjac)))
-    d2 = float(np.max(np.abs(hess - fhess)))
-    if max(d1, d2) > FD_TOL:
-        failures.append(
-            f"finite-difference oracle disagrees with jets "
-            f"(jacobian {d1:.3e}, hessian {d2:.3e} > {FD_TOL})")
-    G = chart.ambient.metric()
-    g_jet = jac.T @ G @ jac
-    g_fd = fjac.T @ G @ fjac
-    sig_jet = B.signature_of(0.5 * (g_jet + g_jet.T), tol_zero)
-    sig_fd = B.signature_of(0.5 * (g_fd + g_fd.T), tol_zero)
-    if sig_jet != sig_fd:
-        failures.append(
-            f"metric signature unstable under the oracle cross-check at "
-            f"tol_zero={tol_zero:g}: jets {sig_jet.as_tuple()} vs "
-            f"finite differences {sig_fd.as_tuple()}")
-    return failures
-
-
 def _verify_one(fid, params, args) -> dict:
     verdict = verify_family(fid, params, samples=args.samples, seed=args.seed,
                             tol=args.tol, tol_zero=args.tol_zero,
                             order=args.order)
-    chart = catalog.instantiate(fid, verdict.params)
-    verdict.failures.extend(_fd_cross_check(chart, args.tol_zero, args.seed))
-    verdict.ok = not verdict.failures
     if not verdict.ok:
         status = "fail"
     elif verdict.discrepancies:
@@ -182,9 +143,10 @@ def _parse_param(text: str):
 
 def cmd_analyze(args) -> int:
     params = dict(_parse_param(p) for p in args.param or [])
-    chart = catalog.instantiate(args.family, params)
+    spec = catalog.get_family(args.family)
     merged = catalog.resolve_params(args.family, params)
-    expected = catalog.expected_report(args.family, merged)
+    chart = spec.build(merged)
+    expected = spec.expect(merged)
     if args.point is not None:
         if len(args.point) != chart.nvars:
             raise UsageError(
@@ -224,7 +186,7 @@ def cmd_analyze(args) -> int:
         notes.append(f"radical rank computed {rank}, catalog asserts "
                      f"{expected.radical_rank} (allowed discrepancy)")
     report = {
-        "family": catalog.get_family(args.family).id,
+        "family": spec.id,
         "params": merged,
         "points": point_payloads,
         "reduction": {

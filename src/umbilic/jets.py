@@ -10,8 +10,8 @@ evaluation, is provided as an independent cross-check.
 """
 from __future__ import annotations
 
+import functools
 import math
-from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -21,25 +21,21 @@ MAX_VARS = 6
 DIV_EPS = 1e-12
 
 
-def _sym2(h: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower one (canonical storage)."""
-    m = h.shape[0]
-    out = np.empty_like(h)
-    for i in range(m):
-        for j in range(i, m):
-            out[i, j] = out[j, i] = h[i, j]
-    return out
+@functools.cache
+def _sorted_positions(m: int, rank: int) -> np.ndarray:
+    """Flat position of the sorted permutation of every multi-index of a
+    rank-`rank` tensor over m variables."""
+    shape = (m,) * rank
+    idx = np.sort(np.indices(shape).reshape(rank, -1), axis=0)
+    pos = np.ravel_multi_index(idx, shape).reshape(shape)
+    pos.setflags(write=False)
+    return pos
 
 
-def _sym3(t: np.ndarray) -> np.ndarray:
-    """Broadcast each sorted-index entry to all index permutations."""
-    m = t.shape[0]
-    out = np.empty_like(t)
-    for i, j, k in combinations_with_replacement(range(m), 3):
-        v = t[i, j, k]
-        for p in set(permutations((i, j, k))):
-            out[p] = v
-    return out
+def _sym(t: np.ndarray) -> np.ndarray:
+    """Copy each sorted-index entry to all of its index permutations
+    (canonical storage of a symmetric tensor)."""
+    return t.reshape(-1)[_sorted_positions(t.shape[0], t.ndim)]
 
 
 class Jet3:
@@ -97,16 +93,16 @@ class Jet3:
             return Jet3(self.value * o, o * self.grad, o * self.hess, third)
         value = self.value * o.value
         grad = self.value * o.grad + o.value * self.grad
-        hess = _sym2(self.value * o.hess + o.value * self.hess
-                     + np.outer(self.grad, o.grad) + np.outer(o.grad, self.grad))
+        hess = _sym(self.value * o.hess + o.value * self.hess
+                    + np.outer(self.grad, o.grad) + np.outer(o.grad, self.grad))
         third = None
         if self.third is not None:
             def mixed(h, g):
                 # H_ij g_k + H_jk g_i + H_ik g_j
                 t = np.multiply.outer(h, g)
                 return t + np.transpose(t, (2, 0, 1)) + np.transpose(t, (0, 2, 1))
-            third = _sym3(self.value * o.third + o.value * self.third
-                          + mixed(self.hess, o.grad) + mixed(o.hess, self.grad))
+            third = _sym(self.value * o.third + o.value * self.third
+                         + mixed(self.hess, o.grad) + mixed(o.hess, self.grad))
         return Jet3(value, grad, hess, third)
 
     __rmul__ = __mul__
@@ -115,14 +111,14 @@ class Jet3:
         """Chain rule for a scalar function with derivatives d0..d3 at value."""
         g = self.grad
         grad = d1 * g
-        hess = _sym2(d2 * np.outer(g, g) + d1 * self.hess)
+        hess = _sym(d2 * np.outer(g, g) + d1 * self.hess)
         third = None
         if self.third is not None:
             gg = np.outer(g, g)
             t1 = d3 * np.multiply.outer(gg, g)
             t2 = np.multiply.outer(self.hess, g)
             t2 = t2 + np.transpose(t2, (2, 0, 1)) + np.transpose(t2, (0, 2, 1))
-            third = _sym3(t1 + d2 * t2 + d1 * self.third)
+            third = _sym(t1 + d2 * t2 + d1 * self.third)
         return Jet3(d0, grad, hess, third)
 
 
@@ -389,14 +385,11 @@ def fd_arrays(f, point, step: float = 1e-4):
         return out
 
     hess = fd_hess(point)
-    third = np.zeros(value.shape + (m, m, m))
-    for i in range(m):
-        d = (fd_hess(shift(point, i, h)) - fd_hess(shift(point, i, -h))) / (2 * h)
-        # one difference per sorted index i <= j <= k, copied to every
-        # permutation so the tensor is exactly symmetric
-        for j, k in combinations_with_replacement(range(i, m), 2):
-            for p in set(permutations((i, j, k))):
-                third[(..., *p)] = d[..., j, k]
+    d = np.stack([(fd_hess(shift(point, i, h)) - fd_hess(shift(point, i, -h)))
+                  / (2 * h) for i in range(m)], axis=-3)
+    # one difference per sorted index i <= j <= k, copied to every
+    # permutation so the tensor is exactly symmetric
+    third = d.reshape(value.shape + (-1,))[..., _sorted_positions(m, 3)]
     return value, grad, hess, third
 
 

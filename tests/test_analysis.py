@@ -1,13 +1,14 @@
 """Tests for the pointwise geometry engine and family verifier."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from umbilic.analysis import (analyze_point, build_frame, fullness,
-                              induced_metric, parallelism_residual,
-                              quotient_representative, reduction_report,
+from umbilic.analysis import (_nondegenerate_tensors, analyze_point,
+                              build_frame, fullness, induced_metric,
+                              parallelism_residual, reduction_report,
                               umbilicity_data, verify_family)
-from umbilic.bilinear import null_space_basis
 from umbilic.catalog import family_ids, instantiate
 from umbilic.errors import DegenerateMetricError
 
@@ -85,20 +86,20 @@ class TestUmbilicity:
             assert rep.umbilicity_residual <= TOL
             assert rep.geodesic_residual > 1e-2
 
-    def test_quotient_residual_is_complement_independent(self):
-        # any complement of the tangent span yields the same residuals
+    def test_quotient_residual_is_representative_independent(self):
+        # adding tangent vectors to the second derivatives changes their
+        # representatives, not their classes modulo the tangent span
         ch = instantiate("light1-2", {"r": 0.6})
         p = ch.sample_points(1, 24)[0]
         fr = build_frame(ch, p)
         base = umbilicity_data(fr)
         rng = np.random.default_rng(25)
-        tangent_rows = fr.jac.T
         for _ in range(20):
-            # random complement: perturb the canonical one by tangent noise
-            comp = null_space_basis(tangent_rows)
-            comp = comp + 0.5 * rng.normal(
-                size=(comp.shape[0], 1)) * tangent_rows[0]
-            data = umbilicity_data(fr, complement=comp)
+            c = rng.normal(size=(fr.m, fr.m, fr.m))
+            c = c + c.transpose(1, 0, 2)          # symmetric in i, j
+            moved = dataclasses.replace(
+                fr, second=fr.second + np.einsum("ijl,nl->ijn", c, fr.jac))
+            data = umbilicity_data(moved)
             assert data.umbilicity_residual == pytest.approx(
                 base.umbilicity_residual, abs=1e-10)
             assert data.geodesic_residual == pytest.approx(
@@ -126,6 +127,27 @@ class TestParallelism:
         res = [analyze_point(ch, p).parallel_residual
                for p in ch.sample_points(4, 28)]
         assert min(res) >= 1e-2
+
+    @pytest.mark.parametrize("fid", ["main1-3", "main2-6", "akk-3",
+                                     "clifford-control",
+                                     "cubic-graph-control"])
+    def test_matches_the_loop_reference(self, fid):
+        # reference: the normal part of d_k h_ij, one (i, j, k) at a time
+        ch = instantiate(fid)
+        fr = build_frame(ch, ch.sample_points(1, 30)[0])
+        gamma, h, _ = _nondegenerate_tensors(fr)
+        G = fr.ambient_metric
+        P_tan = fr.jac @ np.linalg.inv(fr.metric) @ fr.jac.T @ G
+        worst = 0.0
+        for i, j, k in np.ndindex(fr.third.shape[:3]):
+            v = fr.third[i, j, k]
+            v = v - fr.epsilon * float(fr.value @ G @ v) * fr.value
+            v = v - P_tan @ v
+            v = v - (gamma[:, i, j] @ h[k] + gamma[:, k, i] @ h[j]
+                     + gamma[:, k, j] @ h[i])
+            worst = max(worst, float(np.linalg.norm(v)))
+        assert parallelism_residual(fr) == pytest.approx(
+            worst / fr.scale, rel=1e-12, abs=1e-14)
 
     def test_degenerate_metric_rejected(self):
         ch = instantiate("light1-1")
@@ -199,6 +221,13 @@ class TestVerifyFamily:
         verdict = verify_family("main1-3", {"r": 0.5})
         assert verdict.ok
         assert verdict.summary["h_norm"] == pytest.approx(3.0, abs=1e-9)
+
+    def test_fd_cross_check_catches_overtight_zero_tol(self):
+        # the oracle's truncation error shows up as metric rank at 1e-15
+        verdict = verify_family("S-theta", tol_zero=1e-15)
+        assert not verdict.ok
+        assert any("metric signature unstable under the oracle cross-check"
+                   in f for f in verdict.failures)
 
     def test_order2_skips_parallelism(self):
         verdict = verify_family("main1-3", order=2)

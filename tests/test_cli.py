@@ -151,6 +151,15 @@ class TestAnalyze:
     # finite but extreme: the closed forms overflow or divide by zero
     (["analyze", "--family", "main1-4", "--param", "r=1e200"], 1),
     (["analyze", "--family", "main1-3", "--param", "r=1e-200"], 1),
+    # the metric's degeneracy is decided once, at --tol-zero
+    (["analyze", "--family", "lightcone-L", "--tol-zero", "1e-17"], 0),
+    (["verify-all", "--samples", "5", "--tol-zero", "1e-17"], 1),
+    # degenerate at some sample points, non-degenerate at others
+    (["verify-all", "--samples", "5", "--order", "2", "--tol-zero", "1e-16"],
+     1),
+    # jets overflow to inf or nan
+    (["analyze", "--family", "light1-3", "--param", "r=1e160"], 1),
+    (["analyze", "--family", "main1-4", "--param", "r=1e150"], 1),
 ])
 def test_bad_numbers_fail_closed(argv, code, capsys):
     got, _, err = run(argv, capsys)

@@ -48,6 +48,17 @@ class TestJetArithmetic:
         for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)]:
             assert np.array_equal(jet.third, np.transpose(jet.third, perm))
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    def test_sym_copies_the_sorted_index_entry(self, m):
+        # reference: every entry read from its sorted multi-index
+        rng = np.random.default_rng(m)
+        for rank in (2, 3):
+            t = rng.normal(size=(m,) * rank)
+            ref = np.empty_like(t)
+            for idx in np.ndindex(t.shape):
+                ref[idx] = t[tuple(sorted(idx))]
+            assert np.array_equal(J._sym(t), ref)
+
     def test_quotient_rule(self):
         u, v = J.variables(2)
         f, g = u * u + 1.0, v + 2.0
