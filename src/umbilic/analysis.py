@@ -16,7 +16,7 @@ import numpy as np
 from . import bilinear as B
 from .bilinear import Signature
 from .catalog import Expected, get_family, resolve_params
-from .charts import ImmersionChart, fd_jet_arrays
+from .charts import ImmersionChart, ambient_residual, fd_jet_arrays
 from .errors import DegenerateMetricError, DomainError, InputError
 
 DEFAULT_TOL = 1e-7
@@ -76,7 +76,8 @@ def build_frame(chart: ImmersionChart, point, order: int = 3,
     at an extreme parameter).
     """
     point = np.asarray(point, dtype=float)
-    arrays = chart.jet_arrays(point, order)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        arrays = chart.jet_arrays(point, order)
     if not all(a is None or np.all(np.isfinite(a)) for a in arrays):
         raise DomainError(
             f"jets of {chart.name!r} are not finite at u={point.tolist()}")
@@ -430,6 +431,10 @@ def verify_family(family_id: str, params: dict | None = None, *,
     })
     if len(ranks) > 1:
         verdict.failures.append(f"radical rank varies over samples: {ranks}")
+    off = ambient_residual(chart, points)
+    if off > tol:
+        verdict.failures.append(
+            f"image off its space form: ambient residual {off:.3e} > {tol}")
 
     # degeneracy
     if ranks[-1] != expected.radical_rank:

@@ -5,16 +5,19 @@ polynomial charts for flat ones) with its parameter domain, flat embedding
 signature and the properties the classification asserts for it.  Chart
 coordinates follow the canonical order: negative block first, then
 positive; degenerate chart factors always contribute the last chart
-variable.
+variable.  The graph families are rows of one table, and each lightlike
+product is a null pair (t, base(u), t) over its base family at m-1.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .bilinear import Signature
 from .charts import AmbientSpace, ExprChart
 from .errors import InputError
 from .jets import Const, indefinite_square, sqrt, sin, cos, variables
@@ -101,10 +104,23 @@ def _cone_exprs(vs, s: int):
     return [sqrt(q), *vs]
 
 
-def _ms(params) -> tuple[int, int]:
+def _null_graph_exprs(vs, s: int, a: float, b: float):
+    """Flat null graph (q + a, u, q + b) with q the indefinite square of u."""
+    q = indefinite_square(vs, s)
+    return [q + Const(a), *vs, q + Const(b)]
+
+
+def _ms(params, lift: int = 0, cone: bool = False) -> tuple[int, int]:
+    """Validated (m, s) of a chart whose curved factor has m - lift variables.
+
+    A cone factor needs a positive direction, so its index stays below its
+    dimension.  Messages name the m and s that were passed.
+    """
     m, s = int(params["m"]), int(params["s"])
-    _require(m >= 1, "m must be >= 1")
-    _require(0 <= s <= m, f"index s={s} out of range for m={m}")
+    k = m - lift
+    _require(k >= 1, f"m={m}: need m >= {1 + lift}")
+    _require(0 <= s <= k - cone,
+             f"index s={s} out of range for m={m} (need 0 <= s <= {k - cone})")
     return m, s
 
 
@@ -121,345 +137,140 @@ def _draw_r(lo: float, hi: float):
 
 
 # ---------------------------------------------------------------------------
-# Sphere-target families (curvature +1)
+# Graph families
 # ---------------------------------------------------------------------------
 
-def _main1_1(p):
-    m, s = _ms(p)
-    vs = variables(m)
-    exprs = _sphere_exprs(vs, s, 1.0) + [Const(0.0)]
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 1, s),
-                     _ball_box(m, 1.0), "main1-1")
+@dataclass(frozen=True)
+class _Graph:
+    """A graph family over m chart variables in `space(m + dn, s + dp)`.
+
+    `coords(u, s, r)` gives the flat coordinates (r is None for a family
+    without a radius); `r_range` is the radius's open range; `box` is
+    "ball" (of radius r, or 1), "flat" or "cone".
+    """
+
+    space: Callable[[int, int], AmbientSpace]
+    dn: int
+    dp: int
+    coords: Callable[[list, int, float | None], list]
+    r_range: tuple[float, float] | None = None
+    box: str = "ball"
 
 
-def _main1_2(p):
-    m, s = _ms(p)
-    vs = variables(m)
-    exprs = [Const(0.0)] + _sphere_exprs(vs, s, 1.0)
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 1, s + 1),
-                     _ball_box(m, 1.0), "main1-2")
+def _graph_chart(g: _Graph, params: dict, name: str,
+                 lift: int = 0) -> ExprChart:
+    """The chart of a graph family over m - lift variables.
+
+    `lift` is the number of chart variables a lightlike product adds
+    around it; parameters are validated as passed.
+    """
+    m, s = _ms(params, lift, cone=g.box == "cone")
+    r = None if g.r_range is None else _r(params, *g.r_range)
+    k = m - lift
+    if g.box == "ball":
+        box = _ball_box(k, 1.0 if r is None else r)
+    elif g.box == "flat":
+        box = [_FLAT_BOX] * k
+    else:
+        box = _cone_box(k, s)
+    return ExprChart(g.coords(variables(k), s, r), k,
+                     g.space(k + g.dn, s + g.dp), box, name)
 
 
-def _main1_3(p):
-    m, s = _ms(p)
-    r = _r(p, 0.0, 1.0)
-    vs = variables(m)
-    exprs = _sphere_exprs(vs, s, r * r) + [Const(math.sqrt(1 - r * r))]
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 1, s),
-                     _ball_box(m, r), "main1-3")
+_S, _H, _E = AmbientSpace.sphere, AmbientSpace.hyperbolic, AmbientSpace.flat
 
-
-def _main1_4(p):
-    m, s = _ms(p)
-    r = _r(p, 1.0, math.inf)
-    vs = variables(m)
-    exprs = [Const(math.sqrt(r * r - 1))] + _sphere_exprs(vs, s, r * r)
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 1, s + 1),
-                     _ball_box(m, r), "main1-4")
-
-
-def _main1_5(p):
-    m, s = _ms(p)
-    vs = variables(m)
-    exprs = [Const(1.0)] + _sphere_exprs(vs, s, 1.0) + [Const(1.0)]
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 2, s + 1),
-                     _ball_box(m, 1.0), "main1-5")
-
-
-def _main1_6(p):
-    m, s = _ms(p)
-    r = _r(p, 0.0, math.inf)
-    vs = variables(m)
-    exprs = _hyper_exprs(vs, s, r * r) + [Const(math.sqrt(1 + r * r))]
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 1, s + 1),
-                     _ball_box(m, r), "main1-6")
-
-
-def _main1_7(p):
-    m, s = _ms(p)
-    vs = variables(m)
-    q = indefinite_square(vs, s)
-    exprs = [q - Const(0.75), *vs, q - Const(1.25)]
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 1, s + 1),
-                     [_FLAT_BOX] * m, "main1-7")
-
-
-# ---------------------------------------------------------------------------
-# Hyperbolic-target families (curvature -1)
-# ---------------------------------------------------------------------------
-
-def _main2_1(p):
-    m, s = _ms(p)
-    vs = variables(m)
-    exprs = _hyper_exprs(vs, s, 1.0) + [Const(0.0)]
-    return ExprChart(exprs, m, AmbientSpace.hyperbolic(m + 1, s),
-                     _ball_box(m, 1.0), "main2-1")
-
-
-def _main2_2(p):
-    m, s = _ms(p)
-    vs = variables(m)
-    exprs = [Const(0.0)] + _hyper_exprs(vs, s, 1.0)
-    return ExprChart(exprs, m, AmbientSpace.hyperbolic(m + 1, s + 1),
-                     _ball_box(m, 1.0), "main2-2")
-
-
-def _main2_3(p):
-    m, s = _ms(p)
-    r = _r(p, 0.0, 1.0)
-    vs = variables(m)
-    exprs = [Const(math.sqrt(1 - r * r))] + _hyper_exprs(vs, s, r * r)
-    return ExprChart(exprs, m, AmbientSpace.hyperbolic(m + 1, s + 1),
-                     _ball_box(m, r), "main2-3")
-
-
-def _main2_4(p):
-    m, s = _ms(p)
-    r = _r(p, 1.0, math.inf)
-    vs = variables(m)
-    exprs = _hyper_exprs(vs, s, r * r) + [Const(math.sqrt(r * r - 1))]
-    return ExprChart(exprs, m, AmbientSpace.hyperbolic(m + 1, s),
-                     _ball_box(m, r), "main2-4")
-
-
-def _main2_5(p):
-    m, s = _ms(p)
-    vs = variables(m)
-    exprs = [Const(1.0)] + _hyper_exprs(vs, s, 1.0) + [Const(1.0)]
-    return ExprChart(exprs, m, AmbientSpace.hyperbolic(m + 2, s + 1),
-                     _ball_box(m, 1.0), "main2-5")
-
-
-def _main2_6(p):
-    m, s = _ms(p)
-    r = _r(p, 0.0, math.inf)
-    vs = variables(m)
-    exprs = [Const(math.sqrt(1 + r * r))] + _sphere_exprs(vs, s, r * r)
-    return ExprChart(exprs, m, AmbientSpace.hyperbolic(m + 1, s),
-                     _ball_box(m, r), "main2-6")
-
-
-def _main2_7(p):
-    m, s = _ms(p)
-    vs = variables(m)
-    q = indefinite_square(vs, s)
-    exprs = [q + Const(1.25), *vs, q + Const(0.75)]
-    return ExprChart(exprs, m, AmbientSpace.hyperbolic(m + 1, s),
-                     [_FLAT_BOX] * m, "main2-7")
+_GRAPHS: dict[str, _Graph] = {
+    # sphere-target families (curvature +1)
+    "main1-1": _Graph(_S, 1, 0, lambda u, s, r:
+                      _sphere_exprs(u, s, 1.0) + [Const(0.0)]),
+    "main1-2": _Graph(_S, 1, 1, lambda u, s, r:
+                      [Const(0.0)] + _sphere_exprs(u, s, 1.0)),
+    "main1-3": _Graph(_S, 1, 0, lambda u, s, r: _sphere_exprs(u, s, r * r)
+                      + [Const(math.sqrt(1 - r * r))], (0.0, 1.0)),
+    "main1-4": _Graph(_S, 1, 1, lambda u, s, r: [Const(math.sqrt(r * r - 1))]
+                      + _sphere_exprs(u, s, r * r), (1.0, math.inf)),
+    "main1-5": _Graph(_S, 2, 1, lambda u, s, r:
+                      [Const(1.0)] + _sphere_exprs(u, s, 1.0) + [Const(1.0)]),
+    "main1-6": _Graph(_S, 1, 1, lambda u, s, r: _hyper_exprs(u, s, r * r)
+                      + [Const(math.sqrt(1 + r * r))], (0.0, math.inf)),
+    "main1-7": _Graph(_S, 1, 1, lambda u, s, r:
+                      _null_graph_exprs(u, s, -0.75, -1.25), box="flat"),
+    "light1-5": _Graph(_S, 1, 1, lambda u, s, r:
+                       _cone_exprs(u, s) + [Const(1.0)], box="cone"),
+    # hyperbolic-target families (curvature -1)
+    "main2-1": _Graph(_H, 1, 0, lambda u, s, r:
+                      _hyper_exprs(u, s, 1.0) + [Const(0.0)]),
+    "main2-2": _Graph(_H, 1, 1, lambda u, s, r:
+                      [Const(0.0)] + _hyper_exprs(u, s, 1.0)),
+    "main2-3": _Graph(_H, 1, 1, lambda u, s, r: [Const(math.sqrt(1 - r * r))]
+                      + _hyper_exprs(u, s, r * r), (0.0, 1.0)),
+    "main2-4": _Graph(_H, 1, 0, lambda u, s, r: _hyper_exprs(u, s, r * r)
+                      + [Const(math.sqrt(r * r - 1))], (1.0, math.inf)),
+    "main2-5": _Graph(_H, 2, 1, lambda u, s, r:
+                      [Const(1.0)] + _hyper_exprs(u, s, 1.0) + [Const(1.0)]),
+    "main2-6": _Graph(_H, 1, 0, lambda u, s, r: [Const(math.sqrt(1 + r * r))]
+                      + _sphere_exprs(u, s, r * r), (0.0, math.inf)),
+    "main2-7": _Graph(_H, 1, 0, lambda u, s, r:
+                      _null_graph_exprs(u, s, 1.25, 0.75), box="flat"),
+    "light2-5": _Graph(_H, 1, 1, lambda u, s, r:
+                       [Const(1.0)] + _cone_exprs(u, s), box="cone"),
+    # flat-target families
+    "akk-1": _Graph(_E, 1, 0, lambda u, s, r: [*u, Const(0.0)], box="flat"),
+    "akk-2": _Graph(_E, 1, 0, lambda u, s, r: _sphere_exprs(u, s, r * r),
+                    (0.0, math.inf)),
+    "akk-3": _Graph(_E, 1, 1, lambda u, s, r: _hyper_exprs(u, s, r * r),
+                    (0.0, math.inf)),
+    "akk-4": _Graph(_E, 2, 1, lambda u, s, r:
+                    _null_graph_exprs(u, s, 0.25, -0.25), box="flat"),
+}
+_GRAPHS["U-flat"] = _GRAPHS["akk-4"]  # a named instance of akk-4
 
 
 # ---------------------------------------------------------------------------
-# Flat-target families
+# Lightlike product families
 # ---------------------------------------------------------------------------
 
-def _akk_1(p):
-    m, s = _ms(p)
-    vs = variables(m)
-    return ExprChart([*vs, Const(0.0)], m, AmbientSpace.flat(m + 1, s),
-                     [_FLAT_BOX] * m, "akk-1")
+def _null_pair(base: _Graph, params: dict, name: str) -> ExprChart:
+    """The null line times `base`: (t, base(u), t) over `base` at m-1.
+
+    The degenerate variable t is the last chart variable and ranges over
+    _T_BOX; the flat embedding gains one negative and one positive
+    direction.
+    """
+    m = int(params["m"])
+    # over one variable a cone is a line, not a genuinely curved factor
+    _require(base.box != "cone" or m >= 3, f"m={m}: need m >= 3")
+    core = _graph_chart(base, params, name, lift=1)
+    t = variables(m)[-1]
+    amb, sig = core.ambient, core.ambient.signature
+    ambient = AmbientSpace(amb.epsilon, amb.n + 2, amb.p + 1,
+                           Signature(sig.neg + 1, sig.pos + 1))
+    return ExprChart([t, *core.exprs, t], m, ambient,
+                     [*core.box.tolist(), _T_BOX], name)
 
 
-def _akk_2(p):
-    m, s = _ms(p)
-    r = _r(p, 0.0, math.inf)
-    vs = variables(m)
-    return ExprChart(_sphere_exprs(vs, s, r * r), m, AmbientSpace.flat(m + 1, s),
-                     _ball_box(m, r), "akk-2")
+# lightlike product -> its base (light1-1 and light2-1: the unit S and H)
+_NULL_PAIRS: dict[str, _Graph] = {
+    "light1-1": _Graph(_S, 0, 0, lambda u, s, r: _sphere_exprs(u, s, 1.0)),
+    "light1-2": _GRAPHS["main1-3"],
+    "light1-3": _GRAPHS["main1-4"],
+    "light1-4": _GRAPHS["main1-6"],
+    "light1-6": _GRAPHS["light1-5"],
+    "light1-7": _GRAPHS["main1-5"],
+    "light2-1": _Graph(_H, 0, 0, lambda u, s, r: _hyper_exprs(u, s, 1.0)),
+    "light2-2": _GRAPHS["main2-3"],
+    "light2-3": _GRAPHS["main2-4"],
+    "light2-4": _GRAPHS["main2-6"],
+    "light2-6": _GRAPHS["light2-5"],
+    "light2-7": _GRAPHS["main2-5"],
+}
 
 
-def _akk_3(p):
-    m, s = _ms(p)
-    r = _r(p, 0.0, math.inf)
-    vs = variables(m)
-    return ExprChart(_hyper_exprs(vs, s, r * r), m,
-                     AmbientSpace.flat(m + 1, s + 1), _ball_box(m, r), "akk-3")
-
-
-def _flat_null_graph(p, name):
-    m, s = _ms(p)
-    vs = variables(m)
-    q = indefinite_square(vs, s)
-    exprs = [q + Const(0.25), *vs, q - Const(0.25)]
-    return ExprChart(exprs, m, AmbientSpace.flat(m + 2, s + 1),
-                     [_FLAT_BOX] * m, name)
-
-
-def _akk_4(p):
-    return _flat_null_graph(p, "akk-4")
-
-
-def _u_flat(p):
-    return _flat_null_graph(p, "U-flat")
-
-
-# ---------------------------------------------------------------------------
-# Lightlike families in the pseudo-sphere
-# ---------------------------------------------------------------------------
-# Chart variables: curved-factor variables first, the degenerate variable t
-# last.  Embedding signatures are forced by the coordinate blocks; where
-# that disagrees with the catalog's stated sub-index the constructor keeps
-# the forced value.
-
-def _light1_1(p):
-    m, s = _ms(p)
-    _require(m >= 2 and s <= m - 1, "need m >= 2 and s <= m-1")
-    vs = variables(m)
-    core = _sphere_exprs(vs[:-1], s, 1.0)
-    t = vs[-1]
-    exprs = [t, *core, t]
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 1, s + 1),
-                     _ball_box(m - 1, 1.0) + [_T_BOX], "light1-1")
-
-
-def _light1_2(p):
-    m, s = _ms(p)
-    _require(m >= 2 and s <= m - 1, "need m >= 2 and s <= m-1")
-    r = _r(p, 0.0, 1.0)
-    vs = variables(m)
-    core = _sphere_exprs(vs[:-1], s, r * r)
-    t = vs[-1]
-    exprs = [t, *core, Const(math.sqrt(1 - r * r)), t]
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 2, s + 1),
-                     _ball_box(m - 1, r) + [_T_BOX], "light1-2")
-
-
-def _light1_3(p):
-    m, s = _ms(p)
-    _require(m >= 2 and s <= m - 1, "need m >= 2 and s <= m-1")
-    r = _r(p, 1.0, math.inf)
-    vs = variables(m)
-    core = _sphere_exprs(vs[:-1], s, r * r)
-    t = vs[-1]
-    exprs = [t, Const(math.sqrt(r * r - 1)), *core, t]
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 2, s + 2),
-                     _ball_box(m - 1, r) + [_T_BOX], "light1-3")
-
-
-def _light1_4(p):
-    m, s = _ms(p)
-    _require(m >= 2 and s <= m - 1, "need m >= 2 and s <= m-1")
-    r = _r(p, 0.0, math.inf)
-    vs = variables(m)
-    core = _hyper_exprs(vs[:-1], s, r * r)
-    t = vs[-1]
-    exprs = [t, *core, Const(math.sqrt(1 + r * r)), t]
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 2, s + 2),
-                     _ball_box(m - 1, r) + [_T_BOX], "light1-4")
-
-
-def _light1_5(p):
-    m, s = _ms(p)
-    _require(s <= m - 1, "cone base needs at least one positive direction")
-    vs = variables(m)
-    exprs = _cone_exprs(vs, s) + [Const(1.0)]
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 1, s + 1),
-                     _cone_box(m, s), "light1-5")
-
-
-def _light1_6(p):
-    m, s = _ms(p)
-    _require(m >= 3 and s <= m - 2,
-             "item 6 needs m >= 3 so the cone factor is genuinely curved")
-    vs = variables(m)
-    core = _cone_exprs(vs[:-1], s)
-    t = vs[-1]
-    exprs = [t, *core, Const(1.0), t]
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 2, s + 2),
-                     _cone_box(m - 1, s) + [_T_BOX], "light1-6")
-
-
-def _light1_7(p):
-    m, s = _ms(p)
-    _require(m >= 2 and s <= m - 1, "need m >= 2 and s <= m-1")
-    vs = variables(m)
-    core = _sphere_exprs(vs[:-1], s, 1.0)
-    t = vs[-1]
-    exprs = [t, Const(1.0), *core, Const(1.0), t]
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 3, s + 2),
-                     _ball_box(m - 1, 1.0) + [_T_BOX], "light1-7")
-
-
-# ---------------------------------------------------------------------------
-# Lightlike families in the pseudo-hyperbolic space
-# ---------------------------------------------------------------------------
-
-def _light2_1(p):
-    m, s = _ms(p)
-    _require(m >= 2, "need m >= 2")
-    vs = variables(m)
-    core = _hyper_exprs(vs[:-1], s, 1.0)
-    t = vs[-1]
-    exprs = [t, *core, t]
-    return ExprChart(exprs, m, AmbientSpace.hyperbolic(m + 1, s + 1),
-                     _ball_box(m - 1, 1.0) + [_T_BOX], "light2-1")
-
-
-def _light2_2(p):
-    m, s = _ms(p)
-    _require(m >= 2, "need m >= 2")
-    r = _r(p, 0.0, 1.0)
-    vs = variables(m)
-    core = _hyper_exprs(vs[:-1], s, r * r)
-    t = vs[-1]
-    exprs = [t, Const(math.sqrt(1 - r * r)), *core, t]
-    return ExprChart(exprs, m, AmbientSpace.hyperbolic(m + 2, s + 2),
-                     _ball_box(m - 1, r) + [_T_BOX], "light2-2")
-
-
-def _light2_3(p):
-    m, s = _ms(p)
-    _require(m >= 2, "need m >= 2")
-    r = _r(p, 1.0, math.inf)
-    vs = variables(m)
-    core = _hyper_exprs(vs[:-1], s, r * r)
-    t = vs[-1]
-    exprs = [t, *core, Const(math.sqrt(r * r - 1)), t]
-    return ExprChart(exprs, m, AmbientSpace.hyperbolic(m + 2, s + 1),
-                     _ball_box(m - 1, r) + [_T_BOX], "light2-3")
-
-
-def _light2_4(p):
-    m, s = _ms(p)
-    _require(m >= 2 and s <= m - 1, "need m >= 2 and s <= m-1")
-    r = _r(p, 0.0, math.inf)
-    vs = variables(m)
-    core = _sphere_exprs(vs[:-1], s, r * r)
-    t = vs[-1]
-    exprs = [t, Const(math.sqrt(1 + r * r)), *core, t]
-    return ExprChart(exprs, m, AmbientSpace.hyperbolic(m + 2, s + 1),
-                     _ball_box(m - 1, r) + [_T_BOX], "light2-4")
-
-
-def _light2_5(p):
-    m, s = _ms(p)
-    _require(s <= m - 1, "cone base needs at least one positive direction")
-    vs = variables(m)
-    exprs = [Const(1.0)] + _cone_exprs(vs, s)
-    return ExprChart(exprs, m, AmbientSpace.hyperbolic(m + 1, s + 1),
-                     _cone_box(m, s), "light2-5")
-
-
-def _light2_6(p):
-    m, s = _ms(p)
-    _require(m >= 3 and s <= m - 2,
-             "item 6 needs m >= 3 so the cone factor is genuinely curved")
-    vs = variables(m)
-    core = _cone_exprs(vs[:-1], s)
-    t = vs[-1]
-    exprs = [t, Const(1.0), *core, t]
-    return ExprChart(exprs, m, AmbientSpace.hyperbolic(m + 2, s + 2),
-                     _cone_box(m - 1, s) + [_T_BOX], "light2-6")
-
-
-def _light2_7(p):
-    m, s = _ms(p)
-    _require(m >= 2, "need m >= 2")
-    vs = variables(m)
-    core = _hyper_exprs(vs[:-1], s, 1.0)
-    t = vs[-1]
-    exprs = [t, Const(1.0), *core, Const(1.0), t]
-    return ExprChart(exprs, m, AmbientSpace.hyperbolic(m + 3, s + 2),
-                     _ball_box(m - 1, 1.0) + [_T_BOX], "light2-7")
+def _table(fid: str) -> Callable[[dict], ExprChart]:
+    """Chart builder of a graph or lightlike product family, named `fid`."""
+    if fid in _GRAPHS:
+        return functools.partial(_graph_chart, _GRAPHS[fid], name=fid)
+    return functools.partial(_null_pair, _NULL_PAIRS[fid], name=fid)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +288,6 @@ def _psi_a(p):
 
 def _s_example(p):
     m, s = _ms(p)
-    _require(s <= m, "index out of range")
     vs = variables(m + 1)
     t = vs[0]
     mids = vs[1:]
@@ -509,7 +319,7 @@ def _s_theta(p):
                      box, "S-theta")
 
 
-def _lightcone(p):
+def _flat_lightcone(p):
     n, s = int(p["n"]), int(p["s"])
     _require(n >= 2 and 0 <= s <= n - 1, "need n >= 2 and 0 <= s <= n-1")
     vs = variables(n)
@@ -573,7 +383,7 @@ def _umbilical_expected(h_norm, h_range, cls, rho, hull_dim,
                     translation_class=cls, rho=rho)
 
 
-def _light_expected(rank, geodesic=False, has_t=True):
+def _degenerate_expected(rank, geodesic=False, has_t=True):
     return Expected(radical_rank=rank, totally_geodesic=geodesic,
                     totally_umbilical=True, minimal=geodesic,
                     full=True, radical_contains_last_var=has_t)
@@ -582,126 +392,116 @@ def _light_expected(rank, geodesic=False, has_t=True):
 _REGISTRY: dict[str, FamilySpec] = {}
 
 
-def _register(spec: FamilySpec):
-    _REGISTRY[spec.id] = spec
-
-
-def _add(id, description, defaults, build, expect, draw=None):
-    _register(FamilySpec(id, description, defaults, build, expect, draw))
+def _add(id, description, defaults, expect, draw=None, build=None):
+    """Register a family; `build` defaults to the table's chart builder."""
+    _REGISTRY[id] = FamilySpec(id, description, defaults,
+                               build or _table(id), expect, draw)
 
 
 _MS = {"m": 2, "s": 0}
 
 
 _add("main1-1", "totally geodesic sphere, spacelike normal", dict(_MS),
-     _main1_1, lambda p: _geodesic_expected(p, p["m"] + 1))
+     lambda p: _geodesic_expected(p, p["m"] + 1))
 _add("main1-2", "totally geodesic sphere, timelike normal", dict(_MS),
-     _main1_2, lambda p: _geodesic_expected(p, p["m"] + 1))
+     lambda p: _geodesic_expected(p, p["m"] + 1))
 _add("main1-3", "small sphere at spacelike height", {**_MS, "r": 0.5},
-     _main1_3,
      lambda p: _umbilical_expected((1 - p["r"] ** 2) / p["r"] ** 2,
                                    (0.0, math.inf), "v_S",
                                    math.sqrt(1 - p["r"] ** 2), p["m"] + 1),
      _draw_r(0.15, 0.85))
 _add("main1-4", "large sphere at timelike height", {**_MS, "r": 2.0},
-     _main1_4,
      lambda p: _umbilical_expected((1 - p["r"] ** 2) / p["r"] ** 2,
                                    (-1.0, 0.0), "v_T",
                                    math.sqrt(p["r"] ** 2 - 1), p["m"] + 1),
      _draw_r(1.2, 3.0))
-_add("main1-5", "null-offset sphere, codimension two", dict(_MS), _main1_5,
+_add("main1-5", "null-offset sphere, codimension two", dict(_MS),
      lambda p: _umbilical_expected(0.0, None, "v_L", None, p["m"] + 1,
                                    marginally_trapped=True))
-_add("main1-6", "hyperbolic slice of the sphere", {**_MS, "r": 1.0}, _main1_6,
+_add("main1-6", "hyperbolic slice of the sphere", {**_MS, "r": 1.0},
      lambda p: _umbilical_expected(-(1 + p["r"] ** 2) / p["r"] ** 2,
                                    (-math.inf, -1.0), "v_S",
                                    math.sqrt(1 + p["r"] ** 2), p["m"] + 1),
      _draw_r(0.3, 2.0))
-_add("main1-7", "flat null graph inside the sphere", dict(_MS), _main1_7,
+_add("main1-7", "flat null graph inside the sphere", dict(_MS),
      lambda p: _umbilical_expected(-1.0, None, "+N", None, p["m"] + 1))
 
 _add("main2-1", "totally geodesic hyperbolic slice, spacelike normal",
-     dict(_MS), _main2_1, lambda p: _geodesic_expected(p, p["m"] + 1))
+     dict(_MS), lambda p: _geodesic_expected(p, p["m"] + 1))
 _add("main2-2", "totally geodesic hyperbolic slice, timelike normal",
-     dict(_MS), _main2_2, lambda p: _geodesic_expected(p, p["m"] + 1))
+     dict(_MS), lambda p: _geodesic_expected(p, p["m"] + 1))
 _add("main2-3", "small hyperbolic slice at timelike height", {**_MS, "r": 0.5},
-     _main2_3,
      lambda p: _umbilical_expected(-(1 - p["r"] ** 2) / p["r"] ** 2,
                                    (-math.inf, 0.0), "v_T",
                                    math.sqrt(1 - p["r"] ** 2), p["m"] + 1),
      _draw_r(0.15, 0.85))
 _add("main2-4", "large hyperbolic slice at spacelike height", {**_MS, "r": 2.0},
-     _main2_4,
      lambda p: _umbilical_expected((p["r"] ** 2 - 1) / p["r"] ** 2,
                                    (0.0, 1.0), "v_S",
                                    math.sqrt(p["r"] ** 2 - 1), p["m"] + 1),
      _draw_r(1.2, 3.0))
 _add("main2-5", "null-offset hyperbolic slice, codimension two", dict(_MS),
-     _main2_5,
      lambda p: _umbilical_expected(0.0, None, "v_L", None, p["m"] + 1,
                                    marginally_trapped=True))
 _add("main2-6", "spherical slice of the hyperbolic space", {**_MS, "r": 1.0},
-     _main2_6,
      lambda p: _umbilical_expected((1 + p["r"] ** 2) / p["r"] ** 2,
                                    (1.0, math.inf), "v_T",
                                    math.sqrt(1 + p["r"] ** 2), p["m"] + 1),
      _draw_r(0.3, 2.0))
 _add("main2-7", "flat null graph inside the hyperbolic space", dict(_MS),
-     _main2_7,
      lambda p: _umbilical_expected(1.0, None, "+N", None, p["m"] + 1))
 
-_add("akk-1", "flat totally geodesic subspace", dict(_MS), _akk_1,
+_add("akk-1", "flat totally geodesic subspace", dict(_MS),
      lambda p: Expected(totally_geodesic=True, totally_umbilical=True,
                         minimal=True, h_norm=0.0, parallel=True, full=False,
                         hull_dim=p["m"], translation_class="linear"))
-_add("akk-2", "round pseudo-sphere in flat space", {**_MS, "r": 1.0}, _akk_2,
+_add("akk-2", "round pseudo-sphere in flat space", {**_MS, "r": 1.0},
      lambda p: _umbilical_expected(1.0 / p["r"] ** 2, (0.0, math.inf),
                                    "linear", None, p["m"] + 1),
      _draw_r(0.5, 2.0))
 _add("akk-3", "pseudo-hyperbolic space in flat space", {**_MS, "r": 1.0},
-     _akk_3,
      lambda p: _umbilical_expected(-1.0 / p["r"] ** 2, (-math.inf, 0.0),
                                    "linear", None, p["m"] + 1),
      _draw_r(0.5, 2.0))
-_add("akk-4", "flat marginally trapped null graph", dict(_MS), _akk_4,
+_add("akk-4", "flat marginally trapped null graph", dict(_MS),
      lambda p: _umbilical_expected(0.0, None, "+N", None, p["m"] + 1,
                                    marginally_trapped=True))
 _add("U-flat", "flat marginally trapped null graph (named instance)",
-     dict(_MS), _u_flat,
+     dict(_MS),
      lambda p: _umbilical_expected(0.0, None, "+N", None, p["m"] + 1,
                                    marginally_trapped=True))
 
 _add("light1-1", "degenerate product over a sphere, totally geodesic",
-     dict(_MS), _light1_1, lambda p: _light_expected(1, geodesic=True))
+     dict(_MS), lambda p: _degenerate_expected(1, geodesic=True))
 _add("light1-2", "degenerate product, small sphere factor", {**_MS, "r": 0.5},
-     _light1_2, lambda p: _light_expected(1), _draw_r(0.15, 0.85))
+     lambda p: _degenerate_expected(1), _draw_r(0.15, 0.85))
 _add("light1-3", "degenerate product, large sphere factor", {**_MS, "r": 2.0},
-     _light1_3, lambda p: _light_expected(1), _draw_r(1.2, 3.0))
+     lambda p: _degenerate_expected(1), _draw_r(1.2, 3.0))
 _add("light1-4", "degenerate product, hyperbolic factor", {**_MS, "r": 1.0},
-     _light1_4, lambda p: _light_expected(1), _draw_r(0.3, 2.0))
+     lambda p: _degenerate_expected(1), _draw_r(0.3, 2.0))
 _add("light1-5", "lightcone as hypersurface of the sphere", dict(_MS),
-     _light1_5, lambda p: _light_expected(1, has_t=False))
+     lambda p: _degenerate_expected(1, has_t=False))
 _add("light1-6", "degenerate product over the lightcone", {"m": 3, "s": 0},
-     _light1_6, lambda p: _light_expected(2))
-_add("light1-7", "doubly offset degenerate product", dict(_MS), _light1_7,
-     lambda p: _light_expected(1))
+     lambda p: _degenerate_expected(2))
+_add("light1-7", "doubly offset degenerate product", dict(_MS),
+     lambda p: _degenerate_expected(1))
 
 _add("light2-1", "degenerate product over a hyperbolic slice, geodesic",
-     dict(_MS), _light2_1, lambda p: _light_expected(1, geodesic=True))
+     dict(_MS), lambda p: _degenerate_expected(1, geodesic=True))
 _add("light2-2", "degenerate product, small hyperbolic factor",
-     {**_MS, "r": 0.5}, _light2_2, lambda p: _light_expected(1),
+     {**_MS, "r": 0.5}, lambda p: _degenerate_expected(1),
      _draw_r(0.15, 0.85))
 _add("light2-3", "degenerate product, large hyperbolic factor",
-     {**_MS, "r": 2.0}, _light2_3, lambda p: _light_expected(1),
+     {**_MS, "r": 2.0}, lambda p: _degenerate_expected(1),
      _draw_r(1.2, 3.0))
 _add("light2-4", "degenerate product, spherical factor", {**_MS, "r": 1.0},
-     _light2_4, lambda p: _light_expected(1), _draw_r(0.3, 2.0))
+     lambda p: _degenerate_expected(1), _draw_r(0.3, 2.0))
 _add("light2-5", "lightcone as hypersurface of the hyperbolic space",
-     dict(_MS), _light2_5, lambda p: _light_expected(1, has_t=False))
+     dict(_MS), lambda p: _degenerate_expected(1, has_t=False))
 _add("light2-6", "degenerate product over the lightcone (hyperbolic target)",
-     {"m": 3, "s": 0}, _light2_6, lambda p: _light_expected(2))
+     {"m": 3, "s": 0}, lambda p: _degenerate_expected(2))
 _add("light2-7", "doubly offset degenerate product (hyperbolic target)",
-     dict(_MS), _light2_7, lambda p: _light_expected(1))
+     dict(_MS), lambda p: _degenerate_expected(1))
 
 
 def _psi_expected(p):
@@ -714,36 +514,35 @@ def _psi_expected(p):
 
 
 _add("psi-a", "constant-null-offset family through the geodesic inclusion",
-     {**_MS, "a": 1.0}, _psi_a, _psi_expected,
-     lambda rng: {"a": float(rng.uniform(0.2, 2.0))})
+     {**_MS, "a": 1.0}, _psi_expected,
+     lambda rng: {"a": float(rng.uniform(0.2, 2.0))}, build=_psi_a)
 
 _add("S-example", "flat degenerate slice by an offset null plane",
-     {"m": 2, "s": 0}, _s_example,
+     {"m": 2, "s": 0},
      lambda p: Expected(radical_rank=2, totally_umbilical=True,
                         radical_contains_last_var=False,
-                        discrepancy_allowed={"radical_rank": (1, 2)}))
+                        discrepancy_allowed={"radical_rank": (1, 2)}),
+     build=_s_example)
 _add("S-theta", "rotation family of flat degenerate slices",
-     {"m": 2, "theta": 0.5}, _s_theta,
+     {"m": 2, "theta": 0.5},
      lambda p: Expected(radical_rank=2, totally_umbilical=True,
                         discrepancy_allowed={"radical_rank": (1, 2)}),
-     lambda rng: {"theta": float(rng.uniform(-1.2, 1.2))})
+     lambda rng: {"theta": float(rng.uniform(-1.2, 1.2))}, build=_s_theta)
 _add("lightcone-L", "lightcone of a flat indefinite space", {"n": 2, "s": 0},
-     _lightcone, lambda p: _light_expected(1, has_t=False))
+     lambda p: _degenerate_expected(1, has_t=False), build=_flat_lightcone)
 _add("plane-P", "canonical degenerate plane", {"s": 1, "t": 1, "rad": 1},
-     _plane,
      lambda p: Expected(radical_rank=p["rad"], totally_geodesic=True,
                         totally_umbilical=True, minimal=True,
-                        radical_contains_last_var=True))
+                        radical_contains_last_var=True), build=_plane)
 _add("cv-parallel", "flat parallel product surface in the de Sitter sphere",
-     {"a": 1.0}, _cv_parallel,
+     {"a": 1.0},
      lambda p: Expected(totally_umbilical=False, parallel=True, full=True),
-     lambda rng: {"a": float(rng.uniform(0.5, 1.5))})
+     lambda rng: {"a": float(rng.uniform(0.5, 1.5))}, build=_cv_parallel)
 _add("clifford-control", "product of circles: minimal, not umbilical", {},
-     _clifford,
      lambda p: Expected(totally_umbilical=False, minimal=True, parallel=True,
-                        h_norm=0.0))
+                        h_norm=0.0), build=_clifford)
 _add("cubic-graph-control", "cubic graph: neither umbilical nor parallel", {},
-     _cubic, lambda p: Expected(totally_umbilical=False, parallel=False))
+     lambda p: Expected(totally_umbilical=False, parallel=False), build=_cubic)
 
 
 _ALIASES = {
@@ -794,18 +593,18 @@ def expected_report(family_id: str, params: dict | None = None, **kw) -> Expecte
 # Auxiliary constructions used by the composition identities
 # ---------------------------------------------------------------------------
 
+_CONE_EMBEDDINGS = {
+    1: _Graph(_E, 2, 1, lambda u, s, r:
+              [Const(1.0)] + _sphere_exprs(u, s, 1.0)),
+    -1: _Graph(_E, 2, 1, lambda u, s, r:
+               _hyper_exprs(u, s, 1.0) + [Const(1.0)]),
+}
+
+
 def cone_embedding_chart(m: int, s: int, epsilon: int) -> ExprChart:
     """Unit space form embedded in the lightcone one flat dimension up."""
-    vs = variables(m)
-    if epsilon == 1:
-        exprs = [Const(1.0)] + _sphere_exprs(vs, s, 1.0)
-        return ExprChart(exprs, m, AmbientSpace.flat(m + 2, s + 1),
-                         _ball_box(m, 1.0), "rho")
-    if epsilon == -1:
-        exprs = _hyper_exprs(vs, s, 1.0) + [Const(1.0)]
-        return ExprChart(exprs, m, AmbientSpace.flat(m + 2, s + 1),
-                         _ball_box(m, 1.0), "rho")
-    raise InputError("epsilon must be +1 or -1")
+    _require(epsilon in _CONE_EMBEDDINGS, "epsilon must be +1 or -1")
+    return _graph_chart(_CONE_EMBEDDINGS[epsilon], {"m": m, "s": s}, "rho")
 
 
 def cone_hypersurface_map(m: int, s: int, epsilon: int) -> ExprChart:

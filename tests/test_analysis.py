@@ -9,7 +9,8 @@ from umbilic.analysis import (_nondegenerate_tensors, analyze_point,
                               build_frame, fullness, induced_metric,
                               parallelism_residual, reduction_report,
                               umbilicity_data, verify_family)
-from umbilic.catalog import family_ids, instantiate
+from umbilic.catalog import family_ids, get_family, instantiate
+from umbilic.charts import transform_chart
 from umbilic.errors import DegenerateMetricError
 
 TOL = 1e-7
@@ -228,6 +229,20 @@ class TestVerifyFamily:
         assert not verdict.ok
         assert any("metric signature unstable under the oracle cross-check"
                    in f for f in verdict.failures)
+
+    def test_image_off_the_space_form_fails(self, monkeypatch):
+        # a scaled image is still umbilical but no longer on S^n_p(1)
+        spec = get_family("main1-3")
+        build = spec.build
+
+        def scaled(params):
+            chart = build(params)
+            return transform_chart(chart, 2 * np.eye(chart.ambient.flat_dim))
+
+        monkeypatch.setattr(spec, "build", scaled)
+        verdict = verify_family("main1-3")
+        assert not verdict.ok
+        assert any("image off its space form" in f for f in verdict.failures)
 
     def test_order2_skips_parallelism(self):
         verdict = verify_family("main1-3", order=2)

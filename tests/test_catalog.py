@@ -18,6 +18,14 @@ EXPECTED_IDS = (
        "cv-parallel", "clifford-control", "cubic-graph-control"]
 )
 
+# (lightlike product family, the registered family it is built over)
+NULL_PAIRS = [
+    ("light1-2", "main1-3"), ("light1-3", "main1-4"), ("light1-4", "main1-6"),
+    ("light1-6", "light1-5"), ("light1-7", "main1-5"),
+    ("light2-2", "main2-3"), ("light2-3", "main2-4"), ("light2-4", "main2-6"),
+    ("light2-6", "light2-5"), ("light2-7", "main2-5"),
+]
+
 
 class TestRegistry:
     def test_every_family_is_registered(self):
@@ -52,10 +60,19 @@ class TestParameterValidation:
         ("light1-6", {"m": 2}),      # cone factor needs m >= 3
         ("cv-parallel", {"a": 0.0}),
         ("lightcone-L", {"n": 1}),
+        ("light2-1", {"s": 2}),      # base at m-1 needs s <= m-1
+        ("light2-2", {"m": 3, "s": 3}),
+        ("light2-3", {"s": 2}),
+        ("light2-7", {"s": 2}),
     ])
     def test_out_of_range_rejected(self, fid, bad):
         with pytest.raises(InputError):
             instantiate(fid, bad)
+
+    def test_message_names_the_given_m_and_s(self):
+        # a lightlike product checks its base at m-1 but reports m itself
+        with pytest.raises(InputError, match=r"s=2 out of range for m=2"):
+            instantiate("light2-3", {"s": 2})
 
     def test_interior_values_accepted(self):
         instantiate("main1-3", {"r": 0.999})
@@ -81,6 +98,22 @@ class TestChartConsistency:
     def test_expected_report_validates_too(self):
         with pytest.raises(InputError):
             expected_report("main1-3", {"r": 2.0})
+
+    @pytest.mark.parametrize("light,base", NULL_PAIRS)
+    def test_lightlike_family_is_a_null_pair_over_its_base(self, light,
+                                                           base):
+        # the lightlike item is (t, base(u), t) over the base at m-1
+        params = resolve_params(light, {"m": 3})
+        chart = instantiate(light, params)
+        core = instantiate(base, {**params, "m": 2})
+        for u in core.sample_points(3, 13):
+            for t in (-0.5, 0.0, 0.3):
+                assert chart.value([*u, t]).tolist() == [
+                    t, *core.value(u).tolist(), t]
+        sig, base_sig = chart.ambient.signature, core.ambient.signature
+        assert chart.ambient.epsilon == core.ambient.epsilon
+        assert (sig.neg, sig.pos) == (base_sig.neg + 1, base_sig.pos + 1)
+        assert np.array_equal(chart.box, np.vstack([core.box, [-0.7, 0.7]]))
 
     def test_parameter_continuity(self):
         # nearby parameters give nearby images at a fixed chart point
