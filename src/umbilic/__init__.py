@@ -7,8 +7,8 @@ congruence testing and a verification CLI.
 from .bilinear import Signature, SymmetricForm, inner_product, signature_of
 from .catalog import expected_report, family_ids, get_family, instantiate
 from .charts import AmbientSpace, CompositeChart, ExprChart, compose
-from .analysis import (analyze_point, fullness, induced_metric,
-                       reduction_report, verify_family)
+from .analysis import (analyze_point, analyze_points, fullness,
+                       induced_metric, reduction_report, verify_family)
 from .congruence import classify, congruence_test, moduli_demo
 from .errors import DegenerateMetricError, DomainError, InputError
 
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbientSpace", "CompositeChart", "DegenerateMetricError", "DomainError",
     "ExprChart", "InputError", "Signature", "SymmetricForm", "analyze_point",
-    "classify", "compose", "congruence_test", "expected_report", "family_ids",
+    "analyze_points", "classify", "compose", "congruence_test", "expected_report", "family_ids",
     "fullness", "get_family", "induced_metric", "inner_product", "instantiate",
     "moduli_demo", "reduction_report", "signature_of", "verify_family",
 ]

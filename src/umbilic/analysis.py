@@ -8,6 +8,7 @@ the chart's ambient space form.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,37 +28,51 @@ FD_TOL = 1e-5
 FD_STEP = 1e-4
 
 
-def _enorm(v) -> float:
-    """Euclidean norm along the last axis, maximized over any leading axes."""
-    return float(np.max(np.linalg.norm(v, axis=-1)))
+def _enorm(v, axes: int = 0):
+    """Euclidean norm along the last axis, maximized over the `axes` axes
+    before it; any leading point axes are kept."""
+    n = np.sqrt(np.sum(v * v, axis=-1))
+    return n.max(axis=tuple(range(-axes, 0))) if axes else n
+
+
+@functools.cache
+def _upper(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i <= j of an m x m symmetric matrix (read-only)."""
+    upper = np.triu_indices(m)
+    for a in upper:
+        a.setflags(write=False)
+    return upper
 
 
 @dataclass
 class Frame:
-    """All jet data of a chart at one point, arranged for tensor work.
+    """All jet data of a chart at one point or a stack of points, arranged
+    for tensor work.
 
     `second` holds the ambient second derivatives with the space-form
-    position component already removed, indexed [i, j, :]; `third` (when
-    present) is indexed [i, j, k, :].  `signature` is the induced metric's
-    signature, decided once at the `tol_zero` given to `build_frame`; every
-    pointwise computation on the frame branches on it.
+    position component already removed, indexed [..., i, j, :]; `third`
+    (when present) is indexed [..., i, j, k, :].  A frame built on a (P, m)
+    stack carries a leading point axis on every array and on `scale`, and
+    `signature` is then a list with one entry per point.  The induced
+    metric's signature is decided once, at the `tol_zero` given to
+    `build_frame`; every pointwise computation on the frame branches on it,
+    so a stack must be split by `branches` before that.
     """
 
     chart: ImmersionChart
     point: np.ndarray
     value: np.ndarray
-    jac: np.ndarray          # (N, m): column i is the tangent vector d_i f
-    second: np.ndarray       # (m, m, N)
-    third: np.ndarray | None  # (m, m, m, N)
-    metric: np.ndarray       # (m, m) induced first fundamental form
-    scale: float
-    signature: Signature
-    ginv: np.ndarray | None  # inverse metric, None when degenerate
+    jac: np.ndarray          # (..., N, m): column i is the tangent vector d_i f
+    second: np.ndarray       # (..., m, m, N)
+    third: np.ndarray | None  # (..., m, m, m, N)
+    metric: np.ndarray       # (..., m, m) induced first fundamental form
+    scale: np.ndarray        # (...)
+    signature: Signature | list
     tensors: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def m(self) -> int:
-        return self.jac.shape[1]
+        return self.jac.shape[-1]
 
     @property
     def ambient_metric(self) -> np.ndarray:
@@ -67,36 +82,79 @@ class Frame:
     def epsilon(self) -> int:
         return self.chart.ambient.epsilon
 
+    @functools.cached_property
+    def ginv(self) -> np.ndarray:
+        """Inverse induced metric; needs a non-degenerate metric."""
+        return np.linalg.inv(self.metric)
 
-def build_frame(chart: ImmersionChart, point, order: int = 3,
+    @functools.cached_property
+    def branch(self) -> tuple[bool, bool]:
+        """(degenerate, metric vanishes), shared by every point."""
+        sigs = self.signature if isinstance(self.signature, list) \
+            else [self.signature]
+        kinds = {_branch(s) for s in sigs}
+        if len(kinds) != 1:
+            raise InputError("frame mixes metric branches; split it first")
+        return kinds.pop()
+
+    def branches(self) -> list:
+        """(indices, frame) for each branch among the points of a stacked
+        frame; the frame itself when every point shares one."""
+        groups: dict = {}
+        for k, sig in enumerate(self.signature):
+            groups.setdefault(_branch(sig), []).append(k)
+        if len(groups) == 1:
+            return [(list(range(len(self.signature))), self)]
+        return [(idx, self._take(idx)) for idx in groups.values()]
+
+    def _take(self, idx: list) -> "Frame":
+        third = None if self.third is None else self.third[idx]
+        return Frame(self.chart, self.point[idx], self.value[idx],
+                     self.jac[idx], self.second[idx], third, self.metric[idx],
+                     self.scale[idx], [self.signature[k] for k in idx])
+
+
+def _branch(sig: Signature) -> tuple[bool, bool]:
+    return sig.degenerate, sig.null == sig.dim
+
+
+def build_frame(chart: ImmersionChart, points, order: int = 3,
                 tol_zero: float = DEFAULT_ZERO_TOL) -> Frame:
-    """Evaluate jets and assemble the pointwise curvature data.
+    """Evaluate jets and assemble the pointwise curvature data at one
+    point (m,) or, in one walk, at a (P, m) stack of points.
 
     Raises DomainError when a jet is not finite (a closed form overflowed
-    at an extreme parameter).
+    at an extreme parameter), naming the first such point.
     """
-    point = np.asarray(point, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        arrays = chart.jet_arrays(point, order)
-    if not all(a is None or np.all(np.isfinite(a)) for a in arrays):
+    points = np.asarray(points, dtype=float)
+    with np.errstate(all="ignore"):  # checked just below
+        arrays = chart.jet_arrays(points, order)
+    if not all(a is None or np.isfinite(a).all() for a in arrays):
+        finite = np.ones(points.shape[:-1], dtype=bool)
+        for a in arrays:
+            if a is not None:
+                finite &= np.isfinite(a).reshape(finite.shape + (-1,)).all(-1)
+        bad = points[np.unravel_index(np.argmin(finite), finite.shape)]
         raise DomainError(
-            f"jets of {chart.name!r} are not finite at u={point.tolist()}")
+            f"jets of {chart.name!r} are not finite at u={bad.tolist()}")
     val, jac, hess, third = arrays
     G = chart.ambient.metric()
     eps = chart.ambient.epsilon
-    g = jac.T @ G @ jac
-    g = 0.5 * (g + g.T)
-    D = np.transpose(hess, (1, 2, 0)).copy()
-    T3 = None if third is None else np.transpose(third, (1, 2, 3, 0)).copy()
+    g = np.swapaxes(jac, -1, -2) @ G @ jac
+    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    D = np.moveaxis(hess, -3, -1)
+    T3 = None if third is None else np.moveaxis(third, -4, -1)
     if eps != 0:
-        Gy = G @ val
-        D -= eps * np.einsum("ijn,n->ij", D, Gy)[:, :, None] * val
+        Gy = val @ G
+        y = val[..., None, None, :]
+        D = D - eps * np.einsum("...ijn,...n->...ij", D, Gy)[..., None] * y
         if T3 is not None:
-            T3 = T3 - eps * np.einsum("ijkn,n->ijk", T3, Gy)[..., None] * val
-    scale = max(1.0, float(np.max(np.abs(D))), float(np.max(np.abs(g))))
+            T3 = T3 - eps * (np.einsum("...ijkn,...n->...ijk", T3, Gy)[..., None]
+                             * y[..., None, :])
+    scale = np.maximum(1.0, np.maximum(np.abs(D).max(axis=(-3, -2, -1)),
+                                       np.abs(g).max(axis=(-2, -1))))
     sig = B.signature_of(g, tol_zero)
-    ginv = None if sig.degenerate else np.linalg.inv(g)
-    return Frame(chart, point, val, jac, D, T3, g, scale, sig, ginv)
+    return Frame(chart, points, val, jac, D, T3, g, scale, sig)
 
 
 def induced_metric(chart: ImmersionChart, point) -> tuple[np.ndarray, Signature]:
@@ -116,39 +174,44 @@ def _nondegenerate_tensors(fr: Frame):
     """
     if fr.tensors is None:
         m = fr.m
-        TG = fr.jac.T @ fr.ambient_metric                # (m, N)
-        rhs = np.einsum("ln,ijn->lij", TG, fr.second)
-        gamma = np.linalg.solve(fr.metric,
-                                rhs.reshape(m, m * m)).reshape(m, m, m)
-        h = fr.second - np.einsum("lij,nl->ijn", gamma, fr.jac)
-        H = np.einsum("ij,ijn->n", fr.ginv, h) / m
+        lead = fr.metric.shape[:-2]
+        TG = np.swapaxes(fr.jac, -1, -2) @ fr.ambient_metric   # (..., m, N)
+        rhs = np.einsum("...ln,...ijn->...lij", TG, fr.second)
+        gamma = np.linalg.solve(
+            fr.metric, rhs.reshape(lead + (m, m * m))).reshape(lead + (m,) * 3)
+        h = fr.second - np.einsum("...lij,...nl->...ijn", gamma, fr.jac)
+        H = np.einsum("...ij,...ijn->...n", fr.ginv, h) / m
         fr.tensors = gamma, h, H
     return fr.tensors
 
 
-def parallelism_residual(fr: Frame) -> float:
-    """Max norm of the normal covariant derivative of the shape tensor.
+def parallelism_residual(fr: Frame):
+    """Max norm of the normal covariant derivative of the shape tensor,
+    per point of a stacked frame.
 
     Requires a non-degenerate induced metric and order-3 jets.
     """
     if fr.third is None:
         raise InputError("parallelism needs order-3 jets")
-    if fr.signature.degenerate:
+    if fr.branch[0]:
         raise DegenerateMetricError(
             "normal covariant derivative needs a non-degenerate induced metric")
     gamma, h, _ = _nondegenerate_tensors(fr)
-    P_tan = fr.jac @ fr.ginv @ fr.jac.T @ fr.ambient_metric
+    G = fr.ambient_metric
+    jacT = np.swapaxes(fr.jac, -1, -2)
+    P_tan = fr.jac @ fr.ginv @ jacT @ G
     # c[a, b, c] = gamma[:, a, b] . h[c]
-    c = np.einsum("lab,cln->abcn", gamma, h)
+    c = np.einsum("...lab,...cln->...abcn", gamma, h)
     T = fr.third
     if fr.epsilon != 0:
-        Gy = fr.ambient_metric @ fr.value
-        T = T - fr.epsilon * (T @ Gy)[..., None] * fr.value
-    v = T - T @ P_tan.T
+        Gy = fr.value @ G
+        T = T - fr.epsilon * (np.einsum("...ijkn,...n->...ijk", T, Gy)[..., None]
+                              * fr.value[..., None, None, None, :])
+    v = T - T @ np.swapaxes(P_tan, -1, -2)[..., None, None, :, :]
     v -= c
-    v -= c.transpose(1, 2, 0, 3)   # c[k, i, j] at [i, j, k]
-    v -= c.transpose(2, 1, 0, 3)   # c[k, j, i] at [i, j, k]
-    return _enorm(v) / fr.scale
+    v -= c.swapaxes(-4, -3).swapaxes(-3, -2)   # c[k, i, j] at [i, j, k]
+    v -= c.swapaxes(-4, -2)   # c[k, j, i] at [i, j, k]
+    return _enorm(v, 3) / fr.scale
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +220,8 @@ def parallelism_residual(fr: Frame) -> float:
 
 @dataclass
 class UmbilicityData:
+    """Pointwise residuals; arrays with a leading point axis for a stack."""
+
     umbilicity_residual: float
     geodesic_residual: float
     mean_curvature: np.ndarray | None   # ambient vector, None when degenerate
@@ -175,28 +240,47 @@ def umbilicity_data(fr: Frame) -> UmbilicityData:
     no choice of representative enters.
     """
     m = fr.m
-    iu = np.triu_indices(m)
-    if not fr.signature.degenerate:
+    lead = fr.metric.shape[:-2]
+    i, j = _upper(m)
+    degenerate, vanishes = fr.branch
+    if not degenerate:
         _, h, H = _nondegenerate_tensors(fr)
-        geo = _enorm(h[iu])
-        umb = _enorm(h[iu] - fr.metric[iu][:, None] * H)
-        h_norm = float(H @ fr.ambient_metric @ H)
-        rank = B.numerical_rank(h.reshape(m * m, -1))
-        return UmbilicityData(umb / fr.scale, geo / fr.scale, H, h_norm, rank)
+        hu = h[..., i, j, :]
+        geo = _enorm(hu, 1)
+        umb = _enorm(hu - fr.metric[..., i, j, None] * H[..., None, :], 1)
+        h_norm = np.sum((H @ fr.ambient_metric) * H, axis=-1)
+        rank = B.numerical_rank(h.reshape(lead + (m * m, -1)))
+        return UmbilicityData(umb / fr.scale, geo / fr.scale, H, h_norm, rank,
+                              np.zeros(lead, dtype=bool))
 
-    basis = B.row_space_basis(fr.jac.T)   # rows span the tangent space
-    classes = fr.second - (fr.second @ basis.T) @ basis
-    geo = _enorm(classes[iu])
-    if fr.signature.null == m:
+    # rows span the tangent space
+    basis = B.row_space_bases(np.swapaxes(fr.jac, -1, -2))[..., None, :, :]
+    classes = fr.second - (fr.second @ np.swapaxes(basis, -1, -2)) @ basis
+    cu = classes[..., i, j, :]
+    geo = _enorm(cu, 1)
+    if vanishes:
         # metric identically zero: umbilicity is vacuous
-        return UmbilicityData(0.0, geo / fr.scale, None, None,
-                              B.numerical_rank(classes.reshape(m * m, -1)),
-                              totally_degenerate_metric=True)
-    piv = np.unravel_index(np.argmax(np.abs(fr.metric)), fr.metric.shape)
-    ratios = fr.metric[iu] / fr.metric[piv]
-    umb = _enorm(classes[iu] - ratios[:, None] * classes[piv])
-    rank = B.numerical_rank(classes[iu])
-    return UmbilicityData(umb / fr.scale, geo / fr.scale, None, None, rank)
+        return UmbilicityData(np.zeros(lead), geo / fr.scale, None, None,
+                              B.numerical_rank(classes.reshape(lead + (m * m, -1))),
+                              totally_degenerate_metric=np.ones(lead, dtype=bool))
+    flat = fr.metric.reshape(lead + (m * m,))
+    piv = np.argmax(np.abs(flat), axis=-1)[..., None]
+    ratios = fr.metric[..., i, j] / np.take_along_axis(flat, piv, -1)
+    pivot_class = np.take_along_axis(classes.reshape(lead + (m * m, -1)),
+                                     piv[..., None], -2)
+    umb = _enorm(cu - ratios[..., None] * pivot_class, 1)
+    rank = B.numerical_rank(cu)
+    return UmbilicityData(umb / fr.scale, geo / fr.scale, None, None, rank,
+                          np.zeros(lead, dtype=bool))
+
+
+def _radical_last_var(fr: Frame, tol_zero: float):
+    """Distance of the last chart direction from the metric radical."""
+    eig, vecs = np.linalg.eigh(fr.metric)
+    R = vecs * (np.abs(eig) <= tol_zero)[..., None, :]   # radical columns
+    e_last = np.zeros(fr.m)
+    e_last[-1] = 1.0
+    return _enorm(e_last - np.einsum("...ij,...j->...i", R, R[..., -1, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -238,30 +322,45 @@ class PointReport:
         }
 
 
+def analyze_points(chart: ImmersionChart, points, order: int = 3,
+                   tol_zero: float = DEFAULT_ZERO_TOL) -> list[PointReport]:
+    """Full pointwise reports at a (P, m) stack of points, from one frame.
+
+    The points are split by the branch of their own metric signature, and
+    each branch is computed for all of its points at once.
+    """
+    fr = build_frame(chart, points, order, tol_zero)
+    reports: list = [None] * len(fr.signature)
+    for idx, sub in fr.branches():
+        degenerate = sub.branch[0]
+        data = umbilicity_data(sub)
+        H = data.mean_curvature
+        minimal = None if H is None else _enorm(H)
+        par = None
+        if not degenerate and order == 3:
+            par = parallelism_residual(sub)
+        rad = _radical_last_var(sub, tol_zero) if degenerate else None
+        for n, k in enumerate(idx):
+            sig = sub.signature[n]
+            reports[k] = PointReport(
+                sub.point[n], sub.metric[n], sig, sig.null,
+                float(data.umbilicity_residual[n]),
+                float(data.geodesic_residual[n]),
+                None if H is None else H[n],
+                None if H is None else float(data.h_norm[n]),
+                None if H is None else float(minimal[n]),
+                None if par is None else float(par[n]),
+                int(data.first_normal_rank[n]),
+                None if rad is None else float(rad[n]),
+                bool(data.totally_degenerate_metric[n]))
+    return reports
+
+
 def analyze_point(chart: ImmersionChart, point, order: int = 3,
                   tol_zero: float = DEFAULT_ZERO_TOL) -> PointReport:
     """Full pointwise report: metric, residuals, curvature invariants."""
-    fr = build_frame(chart, point, order, tol_zero)
-    sig = fr.signature
-    data = umbilicity_data(fr)
-    minimal_res = None
-    if data.mean_curvature is not None:
-        minimal_res = _enorm(data.mean_curvature)
-    par = None
-    if not sig.degenerate and order == 3:
-        par = parallelism_residual(fr)
-    rad_res = None
-    if sig.degenerate:
-        rads = B.radical_basis(fr.metric, tol_zero)
-        R = np.stack(rads)
-        e_last = np.zeros(fr.m)
-        e_last[-1] = 1.0
-        rad_res = _enorm(e_last - R.T @ (R @ e_last))
-    return PointReport(fr.point, fr.metric, sig, sig.null,
-                       data.umbilicity_residual, data.geodesic_residual,
-                       data.mean_curvature, data.h_norm, minimal_res, par,
-                       data.first_normal_rank, rad_res,
-                       data.totally_degenerate_metric)
+    point = np.asarray(point, dtype=float)
+    return analyze_points(chart, point[None], order, tol_zero)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +477,7 @@ def _fd_cross_check(chart, tol_zero: float, seed: int) -> list[str]:
     failures = []
     point = chart.sample_points(1, seed)[0]
     _, jac, hess, _ = chart.jet_arrays(point, order=2)
-    _, fjac, fhess, _ = fd_jet_arrays(chart, point, FD_STEP)
+    _, fjac, fhess, _ = fd_jet_arrays(chart, point, FD_STEP, order=2)
     d1 = float(np.max(np.abs(jac - fjac)))
     d2 = float(np.max(np.abs(hess - fhess)))
     if max(d1, d2) > FD_TOL:
@@ -417,10 +516,28 @@ def verify_family(family_id: str, params: dict | None = None, *,
     verdict = FamilyVerdict(spec.id, merged, True)
 
     points = chart.sample_points(samples, seed)
-    reports = [analyze_point(chart, p, order, tol_zero) for p in points]
+    reports = analyze_points(chart, points, order, tol_zero)
 
-    umb = max(r.umbilicity_residual for r in reports)
-    geo = max(r.geodesic_residual for r in reports)
+    def column(name, rows=reports):
+        return np.array([getattr(r, name) for r in rows], dtype=float)
+
+    # np.max keeps a NaN wherever it occurs; any non-finite residual fails
+    umb = float(np.max(column("umbilicity_residual")))
+    geo = float(np.max(column("geodesic_residual")))
+    off = ambient_residual(chart, points)
+    nondegenerate = [r for r in reports if r.h_norm is not None]
+    pars = [r for r in reports if r.parallel_residual is not None]
+    residuals = {"umbilicity": umb, "geodesic": geo, "ambient": off,
+                 "h_norm": column("h_norm", nondegenerate),
+                 "minimal": column("minimal_residual", nondegenerate),
+                 "parallel": column("parallel_residual", pars),
+                 "radical_last_var": column(
+                     "radical_last_var_residual",
+                     [r for r in reports
+                      if r.radical_last_var_residual is not None])}
+    bad = [k for k, v in residuals.items() if not np.all(np.isfinite(v))]
+    if bad:
+        verdict.failures.append(f"non-finite residuals: {', '.join(bad)}")
     ranks = sorted({r.radical_rank for r in reports})
     verdict.summary.update({
         "umbilicity_residual": umb,
@@ -431,7 +548,6 @@ def verify_family(family_id: str, params: dict | None = None, *,
     })
     if len(ranks) > 1:
         verdict.failures.append(f"radical rank varies over samples: {ranks}")
-    off = ambient_residual(chart, points)
     if off > tol:
         verdict.failures.append(
             f"image off its space form: ambient residual {off:.3e} > {tol}")
@@ -459,10 +575,9 @@ def verify_family(family_id: str, params: dict | None = None, *,
                 expected.totally_geodesic)
 
     # mean curvature invariants (points with a non-degenerate metric only)
-    nondegenerate = [r for r in reports if r.h_norm is not None]
-    h_norms = [r.h_norm for r in nondegenerate]
-    if h_norms:
-        spread = max(h_norms) - min(h_norms)
+    h_norms = residuals["h_norm"]
+    if h_norms.size:
+        spread = float(np.max(h_norms) - np.min(h_norms))
         h_norm = float(np.median(h_norms))
         verdict.summary["h_norm"] = h_norm
         if expected.totally_umbilical and spread > H_NORM_TOL:
@@ -478,7 +593,7 @@ def verify_family(family_id: str, params: dict | None = None, *,
             if not (lo < h_norm < hi):
                 verdict.failures.append(
                     f"h_norm {h_norm!r} outside the open range ({lo}, {hi})")
-        min_res = max(r.minimal_residual for r in nondegenerate)
+        min_res = np.max(residuals["minimal"])
         _check_flag(verdict, "minimal", min_res <= tol, expected.minimal)
         flags = [r.flags(tol)["marginally_trapped"] for r in nondegenerate]
         _check_flag(verdict, "marginally_trapped", all(flags),
@@ -488,10 +603,8 @@ def verify_family(family_id: str, params: dict | None = None, *,
         _check_flag(verdict, "minimal", geo <= tol, expected.minimal)
 
     # parallelism
-    pars = [r.parallel_residual for r in reports
-            if r.parallel_residual is not None]
     if pars and expected.parallel is not None:
-        par = max(pars)
+        par = float(np.max(residuals["parallel"]))
         verdict.summary["parallel_residual"] = par
         if expected.parallel:
             if par > tol:
@@ -504,17 +617,15 @@ def verify_family(family_id: str, params: dict | None = None, *,
 
     # radical position
     if expected.radical_contains_last_var:
-        res = max((r.radical_last_var_residual for r in reports
-                   if r.radical_last_var_residual is not None),
-                  default=None)
-        if res is None:
+        rads = residuals["radical_last_var"]
+        if not rads.size:
             verdict.failures.append(
                 "radical asserted to contain the last chart direction but "
                 "the metric is non-degenerate")
-        elif res > tol:
+        elif np.max(rads) > tol:
             verdict.failures.append(
                 f"last chart direction is not in the metric radical "
-                f"(residual {res:.3e})")
+                f"(residual {np.max(rads):.3e})")
 
     # fullness
     if expected.full is not None:

@@ -51,21 +51,23 @@ class Signature:
 
 @dataclass(frozen=True)
 class SymmetricForm:
-    """Dense symmetric matrix of double-precision reals."""
+    """Dense symmetric matrix of double-precision reals, or a (P, n, n)
+    stack of them."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
             raise InputError(f"form must be square, got shape {a.shape}")
-        if np.max(np.abs(a - a.T), initial=0.0) > SYMMETRY_TOL:
+        if np.max(np.abs(a - np.swapaxes(a, -1, -2)),
+                  initial=0.0) > SYMMETRY_TOL:
             raise InputError("form is not symmetric to within 1e-14")
         object.__setattr__(self, "entries", a)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 def inner_product(u, v, sig: Signature) -> float:
@@ -87,16 +89,22 @@ def gram_matrix(vectors: np.ndarray, sig: Signature) -> np.ndarray:
 
 
 def signature_of(form: SymmetricForm | np.ndarray,
-                 tol_zero: float = DEFAULT_ZERO_TOL) -> Signature:
-    """Count eigenvalues below -tol_zero / above +tol_zero / in between."""
+                 tol_zero: float = DEFAULT_ZERO_TOL):
+    """Count eigenvalues below -tol_zero / above +tol_zero / in between.
+
+    A (P, n, n) stack gives a list with one Signature per matrix.
+    """
     if tol_zero <= 0:
         raise InputError("tol_zero must be positive")
     if not isinstance(form, SymmetricForm):
         form = SymmetricForm(form)
     eig = np.linalg.eigvalsh(form.entries)
-    neg = int(np.sum(eig < -tol_zero))
-    pos = int(np.sum(eig > tol_zero))
-    return Signature(neg, pos, form.dim - neg - pos)
+    neg = np.sum(eig < -tol_zero, axis=-1).tolist()
+    pos = np.sum(eig > tol_zero, axis=-1).tolist()
+    n = form.dim
+    if eig.ndim == 1:
+        return Signature(neg, pos, n - neg - pos)
+    return [Signature(a, b, n - a - b) for a, b in zip(neg, pos)]
 
 
 def radical_basis(form: SymmetricForm | np.ndarray,
@@ -121,36 +129,44 @@ def radical_basis(form: SymmetricForm | np.ndarray,
     return out
 
 
-def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL) -> int:
-    """Rank by singular values above an absolute tolerance (scaled by s_max)."""
+def _rank(s: np.ndarray, tol: float):
+    """Count of singular values (descending, along the last axis) above
+    tol * max(1, s_max); 0 when they all vanish."""
+    return np.sum(s > tol * np.maximum(1.0, s[..., :1]), axis=-1)
+
+
+def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
+    """Rank by singular values above an absolute tolerance (scaled by s_max).
+
+    A stack of matrices (..., a, b) gives an integer array of ranks.
+    """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.size == 0:
-        return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    r = _rank(np.linalg.svd(matrix, compute_uv=False), tol)
+    return int(r) if matrix.ndim == 2 else r
 
 
 def row_space_basis(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
     """Euclidean-orthonormal basis (rows) of the row space of `matrix`."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     _, s, vh = np.linalg.svd(matrix)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, matrix.shape[1]))
-    r = int(np.sum(s > tol * max(1.0, s[0])))
-    return vh[:r]
+    return vh[:_rank(s, tol)]
+
+
+def row_space_bases(matrices: np.ndarray,
+                    tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """Row-space basis of each matrix of a (..., a, n) stack, as
+    (..., min(a, n), n) rows with every row past the matrix's rank set to
+    zero."""
+    _, s, vh = np.linalg.svd(matrices, full_matrices=False)
+    keep = np.arange(vh.shape[-2]) < _rank(s, tol)[..., None]
+    return vh * keep[..., None]
 
 
 def null_space_basis(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
     """Euclidean-orthonormal basis (rows) of the right null space of `matrix`."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    n = matrix.shape[1]
     _, s, vh = np.linalg.svd(matrix, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(n)
-    r = int(np.sum(s > tol * max(1.0, s[0])))
-    return vh[r:]
+    return vh[_rank(s, tol):]
 
 
 def orthogonal_split(span, sig: Signature, tol: float = DEFAULT_ZERO_TOL):

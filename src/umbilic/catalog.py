@@ -71,6 +71,13 @@ def _require(cond: bool, msg: str):
         raise InputError(msg)
 
 
+def _integer(params: dict, key: str) -> int:
+    """An integer parameter; an integral float such as 3.0 is accepted."""
+    value = float(params[key])
+    _require(value.is_integer(), f"{key}={params[key]!r} is not an integer")
+    return int(value)
+
+
 def _ball_box(k: int, radius: float) -> list:
     hw = radius / (2.0 * math.sqrt(k))
     return [[-hw, hw]] * k
@@ -116,7 +123,7 @@ def _ms(params, lift: int = 0, cone: bool = False) -> tuple[int, int]:
     A cone factor needs a positive direction, so its index stays below its
     dimension.  Messages name the m and s that were passed.
     """
-    m, s = int(params["m"]), int(params["s"])
+    m, s = _integer(params, "m"), _integer(params, "s")
     k = m - lift
     _require(k >= 1, f"m={m}: need m >= {1 + lift}")
     _require(0 <= s <= k - cone,
@@ -237,7 +244,7 @@ def _null_pair(base: _Graph, params: dict, name: str) -> ExprChart:
     _T_BOX; the flat embedding gains one negative and one positive
     direction.
     """
-    m = int(params["m"])
+    m = _integer(params, "m")
     # over one variable a cone is a line, not a genuinely curved factor
     _require(base.box != "cone" or m >= 3, f"m={m}: need m >= 3")
     core = _graph_chart(base, params, name, lift=1)
@@ -299,7 +306,7 @@ def _s_example(p):
 
 
 def _s_theta(p):
-    m = int(p["m"])
+    m = _integer(p, "m")
     _require(m >= 1, "m must be >= 1")
     theta = float(p["theta"])
     ct, st = math.cos(theta), math.sin(theta)
@@ -320,7 +327,7 @@ def _s_theta(p):
 
 
 def _flat_lightcone(p):
-    n, s = int(p["n"]), int(p["s"])
+    n, s = _integer(p, "n"), _integer(p, "s")
     _require(n >= 2 and 0 <= s <= n - 1, "need n >= 2 and 0 <= s <= n-1")
     vs = variables(n)
     return ExprChart(_cone_exprs(vs, s), n, AmbientSpace.flat(n + 1, s + 1),
@@ -328,7 +335,7 @@ def _flat_lightcone(p):
 
 
 def _plane(p):
-    s, t, r = int(p["s"]), int(p["t"]), int(p["rad"])
+    s, t, r = _integer(p, "s"), _integer(p, "t"), _integer(p, "rad")
     _require(s >= 0 and t >= 0 and r >= 1, "need s,t >= 0 and rad >= 1")
     vs = variables(s + t + r)
     xs, ys, zs = vs[:s], vs[s:s + t], vs[s + t:]

@@ -9,6 +9,7 @@ isometric image is the composition with a linear chart.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,14 @@ class AmbientSpace:
         return self.signature.dim
 
     def metric(self) -> np.ndarray:
-        return self.signature.metric()
+        """The flat embedding metric, built on first use and read-only."""
+        return self._metric
+
+    @functools.cached_property
+    def _metric(self) -> np.ndarray:
+        G = self.signature.metric()
+        G.setflags(write=False)
+        return G
 
     @classmethod
     def flat(cls, n: int, p: int) -> "AmbientSpace":
@@ -75,21 +83,30 @@ class ImmersionChart:
         self.name = name
 
     # -- evaluation -------------------------------------------------------
-    def jet_list(self, point, order: int = 3) -> list[J.Jet3]:
+    # Every evaluation takes one point (m,) or a (P, m) stack of points,
+    # walked once; results of a stack carry its leading point axis, and
+    # one point is walked as a stack of one.
+    def jet_list(self, points, order: int = 3) -> list[J.Jet3]:
+        """Jets of each ambient coordinate at a (P, m) stack of points."""
         raise NotImplementedError
 
-    def jet_arrays(self, point, order: int = 3):
-        """(values (N,), jac (N,m), hess (N,m,m), third (N,m,m,m) or None)."""
-        js = self.jet_list(point, order)
-        val = np.array([j.value for j in js])
-        jac = np.stack([j.grad for j in js])
-        hess = np.stack([j.hess for j in js])
-        third = None
-        if order == 3:
-            third = np.stack([j.third for j in js])
-        return val, jac, hess, third
+    def jet_arrays(self, points, order: int = 3):
+        """(values (N,), jac (N,m), hess (N,m,m), third (N,m,m,m) or None),
+        each with a leading (P,) axis for a (P, m) stack of points."""
+        points = np.asarray(points, dtype=float)
+        js = self.jet_list(points.reshape(-1, points.shape[-1]), order)
+        out = []
+        for name in ("value", "grad", "hess", "third"):
+            if getattr(js[0], name) is None:
+                out.append(None)
+                continue
+            # (N, P, ...) with the coordinates first, then (P, N, ...)
+            a = np.array([getattr(j, name) for j in js]).swapaxes(0, 1)
+            out.append(a.reshape(points.shape[:-1] + a.shape[1:]))
+        return tuple(out)
 
-    def value(self, point) -> np.ndarray:
+    def value(self, points) -> np.ndarray:
+        """Image (N,) of one point, or (P, N) of a stack."""
         raise NotImplementedError
 
     def sample_points(self, count: int, seed: int = 42) -> np.ndarray:
@@ -99,7 +116,7 @@ class ImmersionChart:
         return rng.uniform(lo, hi, size=(count, self.nvars))
 
     def sample_values(self, count: int, seed: int = 42) -> np.ndarray:
-        return np.stack([self.value(p) for p in self.sample_points(count, seed)])
+        return self.value(self.sample_points(count, seed))
 
 
 class ExprChart(ImmersionChart):
@@ -114,12 +131,19 @@ class ExprChart(ImmersionChart):
                 f"{len(self.exprs)} coordinate expressions for flat dimension "
                 f"{ambient.flat_dim}")
 
-    def jet_list(self, point, order: int = 3):
-        return J.evaluate(self.exprs, point, order, max_vars=max(J.MAX_VARS, self.nvars))
+    def jet_list(self, points, order: int = 3):
+        return J.evaluate(self.exprs, points, order,
+                          max_vars=max(J.MAX_VARS, self.nvars))
 
-    def value(self, point):
-        args = np.asarray(point, dtype=float).tolist()
-        return np.array([e.eval(args) for e in self.exprs])
+    def value(self, points):
+        points = np.asarray(points, dtype=float)
+        args = J.coordinates(points)
+        out = np.empty((len(args[0]), len(self.exprs)))
+        # an overflow gives inf or nan without a warning, as floats do
+        with np.errstate(all="ignore"):
+            for k, e in enumerate(self.exprs):
+                out[:, k] = e.eval(args)
+        return out.reshape(points.shape[:-1] + out.shape[1:])
 
 
 class CompositeChart(ImmersionChart):
@@ -143,11 +167,11 @@ class CompositeChart(ImmersionChart):
         self.outer = outer
         self.inner = inner
 
-    def value(self, point):
-        return self.outer.value(self.inner.value(point))
+    def value(self, points):
+        return self.outer.value(self.inner.value(points))
 
-    def jet_list(self, point, order: int = 3):
-        return J.eval_jets(self.outer.exprs, self.inner.jet_list(point, order),
+    def jet_list(self, points, order: int = 3):
+        return J.eval_jets(self.outer.exprs, self.inner.jet_list(points, order),
                            self.nvars, order)
 
 
@@ -181,18 +205,19 @@ def transform_chart(chart: ImmersionChart, matrix: np.ndarray) -> ImmersionChart
                           name=chart.name + "~L")
 
 
-def fd_jet_arrays(chart: ImmersionChart, point, step: float = 1e-4):
-    """Finite-difference analogue of jet_arrays, from the chart's values."""
-    return J.fd_arrays(chart.value, point, step)
+def fd_jet_arrays(chart: ImmersionChart, point, step: float = 1e-4,
+                  order: int = 3):
+    """Finite-difference analogue of jet_arrays at one point, from one
+    evaluation of the chart's values on the whole stencil."""
+    return J.fd_arrays(chart.value, point, step, order)
 
 
 def ambient_residual(chart: ImmersionChart, points) -> float:
-    """Max deviation of <f,f> from epsilon over the given chart points."""
+    """Max deviation of <f,f> from epsilon over the given chart points
+    (NaN when an image is not finite)."""
     if chart.ambient.epsilon == 0:
         return 0.0
-    w = chart.ambient.signature.weights()
-    worst = 0.0
-    for p in np.atleast_2d(points):
-        y = chart.value(p)
-        worst = max(worst, abs(float(np.dot(y * w, y)) - chart.ambient.epsilon))
-    return worst
+    Y = chart.value(np.atleast_2d(points))
+    w = np.diagonal(chart.ambient.metric())
+    return float(np.max(np.abs(np.einsum("pn,n,pn->p", Y, w, Y)
+                               - chart.ambient.epsilon)))

@@ -155,6 +155,7 @@ def cmd_analyze(args) -> int:
     else:
         points = list(chart.sample_points(args.samples, args.seed))
 
+    # one point at a time: a stack's order-3 arrays grow as P m^3 N
     point_payloads = []
     for p in points:
         rep = analyze_point(chart, p, args.order, args.tol_zero)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bilinear as B
-from .analysis import (DEFAULT_TOL, DEFAULT_ZERO_TOL, analyze_point,
+from .analysis import (DEFAULT_TOL, DEFAULT_ZERO_TOL, analyze_points,
                        reduction_report)
 from .catalog import instantiate
 from .charts import ImmersionChart
@@ -45,8 +45,8 @@ def congruence_test(chart_a: ImmersionChart, chart_b: ImmersionChart,
     if chart_a.nvars != chart_b.nvars:
         raise InputError("charts must share a domain to be compared")
     points = chart_a.sample_points(count, seed)
-    Ya = np.stack([chart_a.value(p) for p in points])
-    Yb = np.stack([chart_b.value(p) for p in points])
+    Ya = chart_a.value(points)
+    Yb = chart_b.value(points)
     Ga = B.gram_matrix(Ya, chart_a.ambient.signature)
     Gb = B.gram_matrix(Yb, chart_b.ambient.signature)
     gram_res = float(np.max(np.abs(Ga - Gb)))
@@ -108,20 +108,21 @@ def classify(chart: ImmersionChart, samples: int = 5, seed: int = 42,
     recovered from the norm where the item has one.
     """
     eps = chart.ambient.epsilon
-    reports = [analyze_point(chart, p, order=2, tol_zero=tol_zero)
-               for p in chart.sample_points(samples, seed)]
-    umb = max(r.umbilicity_residual for r in reports)
+    reports = analyze_points(chart, chart.sample_points(samples, seed),
+                             order=2, tol_zero=tol_zero)
+    # np.max keeps a NaN, and a NaN residual is not umbilical
+    umb = float(np.max([r.umbilicity_residual for r in reports]))
     result = ClassificationResult(None, eps, None)
     if any(r.metric_signature.degenerate for r in reports):
         result.notes.append("induced metric is degenerate; outside the "
                             "non-degenerate classification")
         return result
-    if umb > tol:
+    if not umb <= tol:
         result.notes.append(
             f"not totally umbilical (residual {umb:.3e}); no item applies")
         return result
     h = float(np.median([r.h_norm for r in reports]))
-    minimal = max(r.minimal_residual for r in reports) <= tol
+    minimal = np.max([r.minimal_residual for r in reports]) <= tol
     result.h_norm = h
 
     if eps == 1:
@@ -196,10 +197,11 @@ def moduli_demo(a_values, m: int = 2, s: int = 0, samples: int = 25,
     records = []
     for a in a_values:
         chart = instantiate("psi-a", {"m": m, "s": s, "a": float(a)})
-        geo = max(analyze_point(chart, p, order=2).geodesic_residual
-                  for p in chart.sample_points(3, seed))
-        dist = max(float(np.linalg.norm(chart.value(p) - base.value(p)))
-                   for p in points)
+        geo = float(np.max([r.geodesic_residual for r in
+                            analyze_points(chart, chart.sample_points(3, seed),
+                                           order=2)]))
+        dist = float(np.max(np.linalg.norm(chart.value(points)
+                                           - base.value(points), axis=-1)))
         records.append(ModuliRecord(float(a), "g" if geo <= tol else "u",
                                     dist, geo))
     return records

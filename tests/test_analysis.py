@@ -5,13 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from umbilic import analysis
 from umbilic.analysis import (_nondegenerate_tensors, analyze_point,
-                              build_frame, fullness, induced_metric,
-                              parallelism_residual, reduction_report,
-                              umbilicity_data, verify_family)
+                              analyze_points, build_frame, fullness,
+                              induced_metric, parallelism_residual,
+                              reduction_report, umbilicity_data, verify_family)
+from umbilic.bilinear import Signature
 from umbilic.catalog import family_ids, get_family, instantiate
 from umbilic.charts import transform_chart
-from umbilic.errors import DegenerateMetricError
+from umbilic.errors import DegenerateMetricError, DomainError, InputError
 
 TOL = 1e-7
 
@@ -248,3 +250,100 @@ class TestVerifyFamily:
         verdict = verify_family("main1-3", order=2)
         assert verdict.ok
         assert "parallel_residual" not in verdict.summary
+
+    @pytest.mark.parametrize("fid, field", [
+        ("main1-3", "umbilicity_residual"),
+        ("main1-3", "geodesic_residual"),
+        ("main1-3", "parallel_residual"),
+        ("main1-3", "h_norm"),
+        ("main1-3", "minimal_residual"),
+        ("light1-2", "umbilicity_residual"),
+        ("clifford-control", "umbilicity_residual"),
+        ("light1-2", "radical_last_var_residual"),
+    ])
+    def test_nan_residual_fails(self, monkeypatch, fid, field):
+        # a NaN in the middle of the sample must not be dropped by max()
+        # nor pass a comparison
+        batch = analysis.analyze_points
+
+        def with_nan(*args, **kwargs):
+            reports = batch(*args, **kwargs)
+            setattr(reports[2], field, float("nan"))
+            return reports
+
+        monkeypatch.setattr(analysis, "analyze_points", with_nan)
+        verdict = verify_family(fid)
+        assert verdict.ok is False
+        assert any("non-finite residuals" in f for f in verdict.failures)
+
+
+def _same_report(batch, single):
+    assert batch.metric_signature == single.metric_signature
+    assert batch.radical_rank == single.radical_rank
+    assert batch.first_normal_rank == single.first_normal_rank
+    assert batch.totally_degenerate_metric == single.totally_degenerate_metric
+    assert batch.flags() == single.flags()
+    np.testing.assert_array_equal(batch.point, single.point)
+    for name in ("umbilicity_residual", "geodesic_residual", "h_norm",
+                 "minimal_residual", "parallel_residual",
+                 "radical_last_var_residual", "mean_curvature", "metric"):
+        got, want = getattr(batch, name), getattr(single, name)
+        if want is None:
+            assert got is None, name
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15,
+                                       err_msg=name)
+
+
+class TestAnalyzePoints:
+    """One frame on a (P, m) stack gives the single-point reports."""
+
+    @pytest.mark.parametrize("fid", sorted(family_ids()))
+    def test_stack_matches_single_points(self, fid):
+        ch = instantiate(fid)
+        points = ch.sample_points(5, 73)
+        for order in (2, 3):
+            reports = analyze_points(ch, points, order)
+            assert len(reports) == 5
+            for p, rep in zip(points, reports):
+                _same_report(rep, analyze_point(ch, p, order))
+
+    def test_mixed_branches_split_by_signature(self):
+        # at tol_zero=1e-16 some S-theta samples read degenerate, some not
+        ch = instantiate("S-theta")
+        points = ch.sample_points(5, 42)
+        reports = analyze_points(ch, points, order=2, tol_zero=1e-16)
+        assert {r.radical_rank for r in reports} == {0, 1}
+        for p, rep in zip(points, reports):
+            _same_report(rep, analyze_point(ch, p, 2, 1e-16))
+        fr = build_frame(ch, points, 2, 1e-16)
+        with pytest.raises(InputError, match="mixes metric branches"):
+            umbilicity_data(fr)
+
+    def test_domain_error_names_coordinate_and_first_point(self):
+        ch = instantiate("main1-3", {"r": 0.5})
+        points = np.array([[0.0, 0.0], [0.1, 0.0], [2.0, 2.0], [3.0, 3.0]])
+        with pytest.raises(DomainError, match=r"coordinate \d+: .* at point 2$"):
+            analyze_points(ch, points)
+        # a point analyzed alone is named by no stack index
+        with pytest.raises(DomainError, match=r"not strictly positive$"):
+            analyze_point(ch, points[2])
+
+    def test_single_point_frame_shapes(self):
+        ch = instantiate("main1-3", {"m": 3})
+        p = ch.sample_points(1, 74)[0]
+        fr = build_frame(ch, p)
+        assert fr.jac.shape == (5, 3)
+        assert fr.second.shape == (3, 3, 5)
+        assert fr.third.shape == (3, 3, 3, 5)
+        assert fr.metric.shape == (3, 3)
+        assert isinstance(fr.signature, Signature)
+        assert np.ndim(fr.scale) == 0
+        data = umbilicity_data(fr)
+        assert np.ndim(data.umbilicity_residual) == 0
+        assert data.mean_curvature.shape == (5,)
+        assert np.ndim(parallelism_residual(fr)) == 0
+        stacked = build_frame(ch, p[None])
+        assert stacked.second.shape == (1, 3, 3, 5)
+        assert stacked.signature == [fr.signature]
+        assert parallelism_residual(stacked).shape == (1,)

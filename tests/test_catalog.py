@@ -64,6 +64,12 @@ class TestParameterValidation:
         ("light2-2", {"m": 3, "s": 3}),
         ("light2-3", {"s": 2}),
         ("light2-7", {"s": 2}),
+        ("main1-3", {"m": 2.5}),     # dimensions and indices are integers
+        ("main1-1", {"s": 0.5}),
+        ("light1-2", {"m": 3.5}),
+        ("S-theta", {"m": 1.5}),
+        ("lightcone-L", {"n": 2.5}),
+        ("plane-P", {"rad": 1.5}),
     ])
     def test_out_of_range_rejected(self, fid, bad):
         with pytest.raises(InputError):
@@ -73,6 +79,14 @@ class TestParameterValidation:
         # a lightlike product checks its base at m-1 but reports m itself
         with pytest.raises(InputError, match=r"s=2 out of range for m=2"):
             instantiate("light2-3", {"s": 2})
+
+    def test_integral_floats_accepted(self):
+        p = np.array([0.1, -0.2, 0.05])
+        for fid in ("main1-3", "light1-2"):
+            a = instantiate(fid, {"m": 3.0})
+            b = instantiate(fid, {"m": 3})
+            assert a.nvars == 3
+            assert np.array_equal(a.value(p), b.value(p))
 
     def test_interior_values_accepted(self):
         instantiate("main1-3", {"r": 0.999})

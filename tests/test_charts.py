@@ -5,10 +5,11 @@ import pytest
 
 from umbilic import jets as J
 from umbilic.bilinear import random_pseudo_orthogonal
+from umbilic.catalog import family_ids, instantiate
 from umbilic.charts import (AmbientSpace, ExprChart, ambient_residual,
                             compose, fd_jet_arrays, linear_chart,
                             transform_chart)
-from umbilic.errors import InputError
+from umbilic.errors import DomainError, InputError
 
 
 def _unit_sphere_chart(m=2):
@@ -47,6 +48,14 @@ class TestAmbientSpace:
         from umbilic.bilinear import Signature
         with pytest.raises(InputError):
             AmbientSpace(2, 3, 0, Signature(0, 4))
+
+    def test_metric_is_built_once_and_read_only(self):
+        amb = AmbientSpace.hyperbolic(3, 1)
+        G = amb.metric()
+        assert G is amb.metric()
+        np.testing.assert_array_equal(G, np.diag([-1.0, -1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError):
+            G[0, 0] = 1.0
 
 
 class TestExprChart:
@@ -177,3 +186,97 @@ class TestFdJetArrays:
             _, fjac, fhess, _ = fd_jet_arrays(chart, p, 1e-4)
             assert np.max(np.abs(jac - fjac)) < 1e-5
             assert np.max(np.abs(hess - fhess)) < 1e-5
+
+
+def _assert_same(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+class TestPointStacks:
+    """A (P, m) stack is one walk whose results equal the stacked
+    single-point results bit for bit."""
+
+    @pytest.mark.parametrize("fid", family_ids())
+    def test_stack_matches_single_points(self, fid):
+        ch = instantiate(fid)
+        points = ch.sample_points(5, 71)
+        _assert_same(ch.value(points),
+                          np.stack([ch.value(p) for p in points]))
+        for order in (2, 3):
+            batch = ch.jet_arrays(points, order)
+            singles = [ch.jet_arrays(p, order) for p in points]
+            for k, got in enumerate(batch):
+                if order == 2 and k == 3:
+                    assert got is None
+                    continue
+                _assert_same(got, np.stack([s[k] for s in singles]))
+
+    def test_single_point_shapes(self):
+        ch = compose(*_curved_pair())
+        p = np.array([0.1, -0.2])
+        val, jac, hess, third = ch.jet_arrays(p)
+        assert (val.shape, jac.shape, hess.shape, third.shape) == (
+            (4,), (4, 2), (4, 2, 2), (4, 2, 2, 2))
+        assert ch.value(p).shape == (4,)
+        val, jac, hess, third = ch.jet_arrays(p[None])
+        assert (val.shape, jac.shape, hess.shape, third.shape) == (
+            (1, 4), (1, 4, 2), (1, 4, 2, 2), (1, 4, 2, 2, 2))
+        assert ch.value(p[None]).shape == (1, 4)
+
+    def test_constant_coordinate_gets_the_point_axis(self):
+        u, v = J.variables(2)
+        ch = ExprChart([u, J.Const(2.0), u * v], 2, AmbientSpace.flat(3, 0))
+        points = np.array([[0.1, 0.2], [0.3, -0.4], [0.0, 0.5]])
+        val, jac, _, third = ch.jet_arrays(points)
+        np.testing.assert_array_equal(val[:, 1], 2.0)
+        np.testing.assert_array_equal(jac[:, 1], 0.0)
+        assert third.shape == (3, 3, 2, 2, 2)
+        np.testing.assert_array_equal(ch.value(points)[:, 1], 2.0)
+
+    def test_domain_error_names_coordinate_and_first_point(self):
+        # coordinate 1 leaves its domain at points 2 and 3, not at 0 or 1
+        u, v = J.variables(2)
+        ch = ExprChart([u, J.sqrt(1.0 - u * u - v * v)], 2,
+                       AmbientSpace.flat(2, 0))
+        points = np.array([[0.1, 0.1], [0.2, 0.0], [1.5, 0.0], [2.0, 0.0]])
+        with pytest.raises(DomainError, match=r"coordinate 1: .* at point 2$"):
+            ch.jet_arrays(points)
+        with pytest.raises(DomainError, match=r"at point 2$"):
+            ch.value(points)
+        with pytest.raises(DomainError, match=r"coordinate 1: sqrt argument "
+                           r"-1\.25 is not strictly positive$"):
+            ch.jet_arrays(points[2])
+
+    def test_ambient_residual_propagates_nan(self):
+        ch = _unit_sphere_chart()
+        points = ch.sample_points(4, 1)
+        assert ambient_residual(ch, points) < 1e-12
+        nan_point = points.copy()
+        nan_point[2] = np.nan
+        assert np.isnan(ambient_residual(ch, nan_point))
+
+
+class TestFdOrder:
+    @pytest.mark.parametrize("fid", ["main1-3", "light1-2", "psi-a", "S-theta"])
+    def test_order2_jac_and_hess_are_those_of_order3(self, fid):
+        ch = instantiate(fid)
+        p = ch.sample_points(1, 72)[0]
+        v2, jac2, hess2, third2 = fd_jet_arrays(ch, p, 1e-4, order=2)
+        v3, jac3, hess3, third3 = fd_jet_arrays(ch, p, 1e-4)
+        assert third2 is None and third3.shape == hess3.shape + (ch.nvars,)
+        assert np.array_equal(v2, v3)
+        assert np.array_equal(jac2, jac3)
+        assert np.array_equal(hess2, hess3)
+
+    def test_one_value_call_per_stencil(self):
+        calls = []
+        ch = _unit_sphere_chart()
+
+        def value(points):
+            calls.append(np.shape(points))
+            return ch.value(points)
+
+        J.fd_arrays(value, np.array([0.1, 0.2]), 1e-4, order=2)
+        J.fd_arrays(value, np.array([0.1, 0.2]), 1e-4)
+        assert calls == [(9, 2), (45, 2)]

@@ -1,10 +1,17 @@
 """Tests for the command-line driver: exit codes, JSON output, determinism."""
 
+import importlib
 import json
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from umbilic.charts import ImmersionChart
 from umbilic.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(argv, capsys):
@@ -141,6 +148,31 @@ class TestAnalyze:
         assert code == 1
         assert "coordinate" in err
 
+    def test_domain_error_at_a_later_sample(self, capsys, monkeypatch):
+        # the third of four samples leaves the sphere chart's disc; each
+        # sample is analyzed alone, so no stack index names it wrongly
+        points = np.array([[0.0, 0.1], [0.1, 0.0], [2.0, 2.0], [0.0, 0.0]])
+        monkeypatch.setattr(ImmersionChart, "sample_points",
+                            lambda self, count, seed=42: points[:count])
+        code, _, err = run(["analyze", "--family", "main1-3",
+                            "--param", "r=0.5"], capsys)
+        assert code == 1
+        assert "coordinate" in err
+        assert "at point" not in err
+
+
+def test_verify_all_matches_reference(capsys, monkeypatch):
+    # the benchmark's correctness gate, read-only: every record's status,
+    # flags, ranks, hull class, h_norm and rho against the stored reference
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    code, out, _ = run(["verify-all", "--seed", "42", "--json", "-"], capsys)
+    assert code == 0
+    records = workloads.json_tail(out)["records"]
+    reference = json.loads(workloads.REFERENCE.read_text())
+    assert workloads.compare_catalog(records, reference, 42) == []
+
 
 @pytest.mark.parametrize("argv, code", [
     (["analyze", "--family", "main1-3", "--param", "r=nan"], 2),
@@ -160,6 +192,14 @@ class TestAnalyze:
     # jets overflow to inf or nan
     (["analyze", "--family", "light1-3", "--param", "r=1e160"], 1),
     (["analyze", "--family", "main1-4", "--param", "r=1e150"], 1),
+    # a dimension that is not an integer is not truncated
+    (["analyze", "--family", "main1-3", "--param", "m=2.5", "--point", "0", "0"],
+     2),
+    # a stack of points under- or overflows without a RuntimeWarning:
+    # in the jets (a domain error) and in the sampled image values
+    (["analyze", "--family", "main1-3", "--param", "m=3", "--param", "r=1e-100"],
+     1),
+    (["analyze", "--family", "light1-3", "--param", "r=1e100"], 0),
 ])
 def test_bad_numbers_fail_closed(argv, code, capsys):
     got, _, err = run(argv, capsys)

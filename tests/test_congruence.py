@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from umbilic import congruence
 from umbilic.bilinear import random_pseudo_orthogonal
 from umbilic.catalog import get_family, instantiate
 from umbilic.charts import transform_chart
@@ -108,6 +109,20 @@ class TestClassifier:
 
     def test_non_umbilical_input_refused(self):
         res = classify(instantiate("clifford-control"))
+        assert res.label is None
+        assert any("not totally umbilical" in n for n in res.notes)
+
+    def test_nan_umbilicity_refused(self, monkeypatch):
+        # a NaN residual in the middle of the sample is not umbilical
+        batch = congruence.analyze_points
+
+        def with_nan(*args, **kwargs):
+            reports = batch(*args, **kwargs)
+            reports[2].umbilicity_residual = float("nan")
+            return reports
+
+        monkeypatch.setattr(congruence, "analyze_points", with_nan)
+        res = classify(instantiate("main1-3"))
         assert res.label is None
         assert any("not totally umbilical" in n for n in res.notes)
 

@@ -29,6 +29,42 @@ def _poly_derivs(x, y):
     return grad, hess, third
 
 
+def _fd_loop(f, point, step):
+    """Reference central differences: one call of f per stencil point,
+    shifting coordinates one at a time."""
+    m = point.shape[0]
+
+    def shift(p, i, d):
+        q = p.copy()
+        q[i] += d
+        return q
+
+    h = step
+    value = np.asarray(f(point), dtype=float)
+    grad = np.zeros(value.shape + (m,))
+    for i in range(m):
+        grad[..., i] = (f(shift(point, i, h)) - f(shift(point, i, -h))) / (2 * h)
+
+    def fd_hess(p):
+        out = np.zeros(value.shape + (m, m))
+        f0 = f(p)
+        for i in range(m):
+            out[..., i, i] = (f(shift(p, i, h)) - 2 * f0
+                              + f(shift(p, i, -h))) / h**2
+            for j in range(i + 1, m):
+                v = (f(shift(shift(p, i, h), j, h))
+                     - f(shift(shift(p, i, h), j, -h))
+                     - f(shift(shift(p, i, -h), j, h))
+                     + f(shift(shift(p, i, -h), j, -h))) / (4 * h**2)
+                out[..., i, j] = out[..., j, i] = v
+        return out
+
+    d = np.stack([(fd_hess(shift(point, i, h)) - fd_hess(shift(point, i, -h)))
+                  / (2 * h) for i in range(m)], axis=-3)
+    third = d.reshape(value.shape + (-1,))[..., J._sorted_positions(m, 3)]
+    return value, grad, fd_hess(point), third
+
+
 class TestJetArithmetic:
     def test_polynomial_derivatives_exact(self):
         u, v = J.variables(2)
@@ -173,6 +209,29 @@ class TestFiniteDifferenceOracle:
             fd = J.fd_oracle(e, pt, h)
             err.append(np.max(np.abs(fd.hess - jet.hess)))
         assert 3.5 <= err[0] / err[1] <= 4.5
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_stencil_matches_the_loop_reference(self, m):
+        # one call on the whole stencil, differenced in the loop's order
+        vs = J.variables(m)
+        exprs = [J.sqrt(2.0 + vs[0] * vs[-1]) * J.sin(vs[0] - 0.5 * vs[-1]),
+                 vs[-1] * vs[-1] * vs[0] + J.cosh(vs[0])]
+
+        def f(q):
+            args = J.coordinates(q)
+            return np.stack([np.broadcast_to(e.eval(args), q.shape[:1])
+                             for e in exprs], axis=-1)
+
+        p = np.array([0.3, -0.2, 0.45][:m])
+        want = _fd_loop(lambda q: f(q[None])[0], p, 1e-3)
+        for order in (2, 3):
+            got = J.fd_arrays(f, p, 1e-3, order)
+            for k in range(3):
+                assert np.array_equal(got[k], want[k])
+            if order == 3:
+                assert np.array_equal(got[3], want[3])
+            else:
+                assert got[3] is None
 
     def test_third_is_symmetric(self):
         u, v, w = J.variables(3)
