@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bilinear as B
+from . import jets as J
 from .bilinear import Signature
 from .catalog import Expected, get_family, resolve_params
 from .charts import ImmersionChart, ambient_residual, fd_jet_arrays
@@ -35,36 +36,29 @@ def _enorm(v, axes: int = 0):
     return n.max(axis=tuple(range(-axes, 0))) if axes else n
 
 
-@functools.cache
-def _upper(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs i <= j of an m x m symmetric matrix (read-only)."""
-    upper = np.triu_indices(m)
-    for a in upper:
-        a.setflags(write=False)
-    return upper
-
-
 @dataclass
 class Frame:
     """All jet data of a chart at one point or a stack of points, arranged
     for tensor work.
 
     `second` holds the ambient second derivatives with the space-form
-    position component already removed, indexed [..., i, j, :]; `third`
-    (when present) is indexed [..., i, j, k, :].  A frame built on a (P, m)
-    stack carries a leading point axis on every array and on `scale`, and
-    `signature` is then a list with one entry per point.  The induced
-    metric's signature is decided once, at the `tol_zero` given to
-    `build_frame`; every pointwise computation on the frame branches on it,
-    so a stack must be split by `branches` before that.
+    position component already removed, one row per sorted pair i <= j
+    (`jets.packed_indices`); `third` (when present) holds the third
+    derivatives, with the same component removed, one row per sorted
+    triple i <= j <= k.  A frame built on a (P, m) stack carries a leading
+    point axis on every array and on `scale`, and `signature` is then a
+    list with one entry per point.  The induced metric's signature is
+    decided once, at the `tol_zero` given to `build_frame`; every pointwise
+    computation on the frame branches on it, so a stack must be split by
+    `branches` before that.
     """
 
     chart: ImmersionChart
     point: np.ndarray
     value: np.ndarray
     jac: np.ndarray          # (..., N, m): column i is the tangent vector d_i f
-    second: np.ndarray       # (..., m, m, N)
-    third: np.ndarray | None  # (..., m, m, m, N)
+    second: np.ndarray       # (..., T2, N), T2 = m(m+1)/2
+    third: np.ndarray | None  # (..., T3, N), T3 = m(m+1)(m+2)/6
     metric: np.ndarray       # (..., m, m) induced first fundamental form
     scale: np.ndarray        # (...)
     signature: Signature | list
@@ -142,16 +136,15 @@ def build_frame(chart: ImmersionChart, points, order: int = 3,
     eps = chart.ambient.epsilon
     g = np.swapaxes(jac, -1, -2) @ G @ jac
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    D = np.moveaxis(hess, -3, -1)
-    T3 = None if third is None else np.moveaxis(third, -4, -1)
+    D = np.swapaxes(hess, -1, -2)
+    T3 = None if third is None else np.swapaxes(third, -1, -2)
     if eps != 0:
         Gy = val @ G
-        y = val[..., None, None, :]
-        D = D - eps * np.einsum("...ijn,...n->...ij", D, Gy)[..., None] * y
+        y = val[..., None, :]
+        D = D - eps * np.einsum("...pn,...n->...p", D, Gy)[..., None] * y
         if T3 is not None:
-            T3 = T3 - eps * (np.einsum("...ijkn,...n->...ijk", T3, Gy)[..., None]
-                             * y[..., None, :])
-    scale = np.maximum(1.0, np.maximum(np.abs(D).max(axis=(-3, -2, -1)),
+            T3 = T3 - eps * np.einsum("...pn,...n->...p", T3, Gy)[..., None] * y
+    scale = np.maximum(1.0, np.maximum(np.abs(D).max(axis=(-2, -1)),
                                        np.abs(g).max(axis=(-2, -1))))
     sig = B.signature_of(g, tol_zero)
     return Frame(chart, points, val, jac, D, T3, g, scale, sig)
@@ -168,19 +161,20 @@ def induced_metric(chart: ImmersionChart, point) -> tuple[np.ndarray, Signature]
 # ---------------------------------------------------------------------------
 
 def _nondegenerate_tensors(fr: Frame):
-    """Christoffel coefficients, second fundamental form, mean curvature.
+    """Christoffel coefficients gamma (..., m, T2), indexed [l, ij], second
+    fundamental form h (..., T2, N) and mean curvature H (..., N).
 
     Needs a non-degenerate induced metric; computed once per frame.
     """
     if fr.tensors is None:
-        m = fr.m
-        lead = fr.metric.shape[:-2]
         TG = np.swapaxes(fr.jac, -1, -2) @ fr.ambient_metric   # (..., m, N)
-        rhs = np.einsum("...ln,...ijn->...lij", TG, fr.second)
         gamma = np.linalg.solve(
-            fr.metric, rhs.reshape(lead + (m, m * m))).reshape(lead + (m,) * 3)
-        h = fr.second - np.einsum("...lij,...nl->...ijn", gamma, fr.jac)
-        H = np.einsum("...ij,...ijn->...n", fr.ginv, h) / m
+            fr.metric, np.einsum("...ln,...pn->...lp", TG, fr.second))
+        h = fr.second - np.swapaxes(fr.jac @ gamma, -1, -2)
+        # each off-diagonal row stands for both h_ij and h_ji
+        i, j = J.packed_indices(fr.m, 2)
+        weights = fr.ginv[..., i, j] * np.where(i == j, 1.0, 2.0)
+        H = np.einsum("...p,...pn->...n", weights, h) / fr.m
         fr.tensors = gamma, h, H
     return fr.tensors
 
@@ -197,21 +191,25 @@ def parallelism_residual(fr: Frame):
         raise DegenerateMetricError(
             "normal covariant derivative needs a non-degenerate induced metric")
     gamma, h, _ = _nondegenerate_tensors(fr)
-    G = fr.ambient_metric
-    jacT = np.swapaxes(fr.jac, -1, -2)
-    P_tan = fr.jac @ fr.ginv @ jacT @ G
-    # c[a, b, c] = gamma[:, a, b] . h[c]
-    c = np.einsum("...lab,...cln->...abcn", gamma, h)
-    T = fr.third
-    if fr.epsilon != 0:
-        Gy = fr.value @ G
-        T = T - fr.epsilon * (np.einsum("...ijkn,...n->...ijk", T, Gy)[..., None]
-                              * fr.value[..., None, None, None, :])
-    v = T - T @ np.swapaxes(P_tan, -1, -2)[..., None, None, :, :]
-    v -= c
-    v -= c.swapaxes(-4, -3).swapaxes(-3, -2)   # c[k, i, j] at [i, j, k]
-    v -= c.swapaxes(-4, -2)   # c[k, j, i] at [i, j, k]
-    return _enorm(v, 3) / fr.scale
+    m, N = fr.m, fr.jac.shape[-2]
+    lead = fr.metric.shape[:-2]
+    # the residual lies in the range of the normal projector I - P_tan, of
+    # rank N - m: work in Euclidean-orthonormal coordinates Q of that range
+    normal = np.eye(N) - (fr.jac @ fr.ginv @ np.swapaxes(fr.jac, -1, -2)
+                          @ fr.ambient_metric)
+    Q = np.linalg.eigh(normal @ np.swapaxes(normal, -1, -2))[1][..., m:]
+    k = N - m
+    # C[ab, c] = sum_l gamma^l_ab h_cl, one row per (sorted pair ab, c)
+    h_lc = J.unpack(h @ Q, 2, axis=-2)    # (..., m, m, k)
+    C = (np.swapaxes(gamma, -1, -2) @ h_lc.reshape(lead + (m, m * k))
+         ).reshape(lead + (-1, k))
+    # at each sorted triple ijk: C[ij, k], C[jk, i] and C[ik, j]
+    c = C[..., J.split_triples(m), :]
+    v = fr.third @ (np.swapaxes(normal, -1, -2) @ Q)
+    v -= c[..., 0, :, :]
+    v -= c[..., 1, :, :]
+    v -= c[..., 2, :, :]
+    return _enorm(v, 1) / fr.scale
 
 
 # ---------------------------------------------------------------------------
@@ -239,37 +237,32 @@ def umbilicity_data(fr: Frame) -> UmbilicityData:
     pivot; each class is represented by its part off the tangent span, so
     no choice of representative enters.
     """
-    m = fr.m
     lead = fr.metric.shape[:-2]
-    i, j = _upper(m)
+    i, j = J.packed_indices(fr.m, 2)
+    g = fr.metric[..., i, j]
     degenerate, vanishes = fr.branch
     if not degenerate:
         _, h, H = _nondegenerate_tensors(fr)
-        hu = h[..., i, j, :]
-        geo = _enorm(hu, 1)
-        umb = _enorm(hu - fr.metric[..., i, j, None] * H[..., None, :], 1)
+        geo = _enorm(h, 1)
+        umb = _enorm(h - g[..., None] * H[..., None, :], 1)
         h_norm = np.sum((H @ fr.ambient_metric) * H, axis=-1)
-        rank = B.numerical_rank(h.reshape(lead + (m * m, -1)))
-        return UmbilicityData(umb / fr.scale, geo / fr.scale, H, h_norm, rank,
-                              np.zeros(lead, dtype=bool))
+        return UmbilicityData(umb / fr.scale, geo / fr.scale, H, h_norm,
+                              B.numerical_rank(h), np.zeros(lead, dtype=bool))
 
     # rows span the tangent space
-    basis = B.row_space_bases(np.swapaxes(fr.jac, -1, -2))[..., None, :, :]
+    basis = B.row_space_bases(np.swapaxes(fr.jac, -1, -2))
     classes = fr.second - (fr.second @ np.swapaxes(basis, -1, -2)) @ basis
-    cu = classes[..., i, j, :]
-    geo = _enorm(cu, 1)
+    geo = _enorm(classes, 1)
+    rank = B.numerical_rank(classes)
     if vanishes:
         # metric identically zero: umbilicity is vacuous
-        return UmbilicityData(np.zeros(lead), geo / fr.scale, None, None,
-                              B.numerical_rank(classes.reshape(lead + (m * m, -1))),
+        return UmbilicityData(np.zeros(lead), geo / fr.scale, None, None, rank,
                               totally_degenerate_metric=np.ones(lead, dtype=bool))
-    flat = fr.metric.reshape(lead + (m * m,))
-    piv = np.argmax(np.abs(flat), axis=-1)[..., None]
-    ratios = fr.metric[..., i, j] / np.take_along_axis(flat, piv, -1)
-    pivot_class = np.take_along_axis(classes.reshape(lead + (m * m, -1)),
-                                     piv[..., None], -2)
-    umb = _enorm(cu - ratios[..., None] * pivot_class, 1)
-    rank = B.numerical_rank(cu)
+    # the first largest entry of a symmetric matrix is a sorted pair
+    piv = np.argmax(np.abs(g), axis=-1)[..., None]
+    ratios = g / np.take_along_axis(g, piv, -1)
+    pivot_class = np.take_along_axis(classes, piv[..., None], -2)
+    umb = _enorm(classes - ratios[..., None] * pivot_class, 1)
     return UmbilicityData(umb / fr.scale, geo / fr.scale, None, None, rank,
                           np.zeros(lead, dtype=bool))
 
@@ -384,17 +377,19 @@ class ReductionReport:
     offset_norm_sq: float
 
 
-def _hull_samples(chart: ImmersionChart) -> int:
-    """Image points sampled for the hull and fullness: at least 40, and
-    enough to span an affine hull of the full embedding dimension."""
-    return max(40, chart.ambient.flat_dim + 2)
+def hull_sample(chart: ImmersionChart, seed: int = 42) -> np.ndarray:
+    """The image points sampled for the hull and fullness: at least 40,
+    and enough to span an affine hull of the full embedding dimension."""
+    return chart.sample_values(max(40, chart.ambient.flat_dim + 2), seed)
 
 
 def reduction_report(chart: ImmersionChart, seed: int = 42,
                      tol: float = DEFAULT_TOL,
-                     tol_zero: float = DEFAULT_ZERO_TOL) -> ReductionReport:
-    """Classify the affine hull of sampled image points."""
-    Y = chart.sample_values(_hull_samples(chart), seed)
+                     tol_zero: float = DEFAULT_ZERO_TOL,
+                     sample: np.ndarray | None = None) -> ReductionReport:
+    """Classify the affine hull of sampled image points; `sample` is
+    `hull_sample(chart, seed)` when the caller has drawn it already."""
+    Y = hull_sample(chart, seed) if sample is None else sample
     base = Y[0]
     W = B.row_space_basis(Y[1:] - base, tol_zero)
     hull_dim = W.shape[0]
@@ -425,14 +420,16 @@ def reduction_report(chart: ImmersionChart, seed: int = 42,
 
 
 def fullness(chart: ImmersionChart, seed: int = 42,
-             tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+             tol: float = DEFAULT_TOL,
+             sample: np.ndarray | None = None) -> tuple[bool, float]:
     """Whether the image lies in no proper non-degenerate subspace.
 
     The complement of the linear span of sampled image points carries the
     restricted ambient form; the immersion is full iff that restriction
-    vanishes (the complement is totally degenerate or trivial).
+    vanishes (the complement is totally degenerate or trivial).  `sample`
+    is `hull_sample(chart, seed)` when the caller has drawn it already.
     """
-    Y = chart.sample_values(_hull_samples(chart), seed)
+    Y = hull_sample(chart, seed) if sample is None else sample
     C = B.null_space_basis(Y)
     if C.shape[0] == 0:
         return True, 0.0
@@ -476,11 +473,13 @@ def _fd_cross_check(chart, tol_zero: float, seed: int) -> list[str]:
     """
     failures = []
     point = chart.sample_points(1, seed)[0]
-    _, jac, hess, _ = chart.jet_arrays(point, order=2)
+    # a non-finite jet fails the comparison below
+    with np.errstate(all="ignore"):
+        _, jac, hess, _ = chart.jet_arrays(point, order=2)
     _, fjac, fhess, _ = fd_jet_arrays(chart, point, FD_STEP, order=2)
     d1 = float(np.max(np.abs(jac - fjac)))
     d2 = float(np.max(np.abs(hess - fhess)))
-    if max(d1, d2) > FD_TOL:
+    if not (d1 <= FD_TOL and d2 <= FD_TOL):
         failures.append(
             f"finite-difference oracle disagrees with jets "
             f"(jacobian {d1:.3e}, hessian {d2:.3e} > {FD_TOL})")
@@ -516,7 +515,9 @@ def verify_family(family_id: str, params: dict | None = None, *,
     verdict = FamilyVerdict(spec.id, merged, True)
 
     points = chart.sample_points(samples, seed)
-    reports = analyze_points(chart, points, order, tol_zero)
+    # a residual that overflows is not finite, and fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = analyze_points(chart, points, order, tol_zero)
 
     def column(name, rows=reports):
         return np.array([getattr(r, name) for r in rows], dtype=float)
@@ -627,15 +628,21 @@ def verify_family(family_id: str, params: dict | None = None, *,
                 f"last chart direction is not in the metric radical "
                 f"(residual {np.max(rads):.3e})")
 
+    # fullness and the hull reduction read one image sample
+    hull = expected.hull_dim is not None or expected.translation_class is not None
+    sample = (hull_sample(chart, seed) if hull or expected.full is not None
+              else None)
+
     # fullness
     if expected.full is not None:
-        is_full, res = fullness(chart, seed=seed, tol=tol)
+        is_full, res = fullness(chart, seed=seed, tol=tol, sample=sample)
         verdict.summary["full"] = is_full
         _check_flag(verdict, "full", is_full, expected.full)
 
     # hull reduction
-    if expected.hull_dim is not None or expected.translation_class is not None:
-        red = reduction_report(chart, seed=seed, tol=tol, tol_zero=tol_zero)
+    if hull:
+        red = reduction_report(chart, seed=seed, tol=tol, tol_zero=tol_zero,
+                               sample=sample)
         verdict.summary.update({
             "hull_dim": red.hull_dim,
             "translation_class": red.translation_class,

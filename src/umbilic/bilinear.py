@@ -1,7 +1,8 @@
 """Indefinite-signature linear algebra on small dense matrices.
 
 Inner products with a (neg, pos, null) signature, numerical signature
-computation, radical extraction and metric-orthogonal decompositions.
+computation, radical extraction, row and null space bases, and random
+isometries.
 Coordinate convention everywhere: negative block first, then positive,
 then null.
 """
@@ -167,31 +168,6 @@ def null_space_basis(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL) -> np.nd
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     _, s, vh = np.linalg.svd(matrix, full_matrices=True)
     return vh[_rank(s, tol):]
-
-
-def orthogonal_split(span, sig: Signature, tol: float = DEFAULT_ZERO_TOL):
-    """Metric-orthogonal complement of a span, with degeneracy detection.
-
-    Returns (complement_basis, degenerate, projector):
-      complement_basis: rows spanning span^perp = {w : <w, span> = 0};
-      degenerate: True iff span intersects its own complement (within tol);
-      projector: metric-orthogonal projector onto the span when
-        non-degenerate, else None.
-    """
-    span = np.atleast_2d(np.asarray(span, dtype=float))
-    if span.shape[1] != sig.dim:
-        raise InputError("span vectors do not match signature dimension")
-    basis = row_space_basis(span, tol)
-    metric = sig.metric()
-    complement = null_space_basis(basis @ metric, tol)
-    gram = basis @ metric @ basis.T
-    degenerate = basis.shape[0] > 0 and signature_of(gram, tol).null > 0
-    projector = None
-    if not degenerate and basis.shape[0] > 0:
-        projector = basis.T @ np.linalg.solve(gram, basis @ metric)
-    elif basis.shape[0] == 0:
-        projector = np.zeros((sig.dim, sig.dim))
-    return [complement[i] for i in range(complement.shape[0])], degenerate, projector
 
 
 def random_pseudo_orthogonal(sig: Signature, rng: np.random.Generator,

@@ -91,8 +91,9 @@ class ImmersionChart:
         raise NotImplementedError
 
     def jet_arrays(self, points, order: int = 3):
-        """(values (N,), jac (N,m), hess (N,m,m), third (N,m,m,m) or None),
-        each with a leading (P,) axis for a (P, m) stack of points."""
+        """(values (N,), jac (N,m), hess (N,T2), third (N,T3) or None), each
+        with a leading (P,) axis for a (P, m) stack of points; hess and
+        third are packed by sorted multi-index (see `jets.packed_indices`)."""
         points = np.asarray(points, dtype=float)
         js = self.jet_list(points.reshape(-1, points.shape[-1]), order)
         out = []
@@ -207,8 +208,9 @@ def transform_chart(chart: ImmersionChart, matrix: np.ndarray) -> ImmersionChart
 
 def fd_jet_arrays(chart: ImmersionChart, point, step: float = 1e-4,
                   order: int = 3):
-    """Finite-difference analogue of jet_arrays at one point, from one
-    evaluation of the chart's values on the whole stencil."""
+    """Finite-difference analogue of jet_arrays at one point, in the same
+    packed layout, from one evaluation of the chart's values on the whole
+    stencil."""
     return J.fd_arrays(chart.value, point, step, order)
 
 

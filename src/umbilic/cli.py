@@ -15,8 +15,9 @@ import zlib
 import numpy as np
 
 from . import catalog
-from .analysis import (DEFAULT_TOL, DEFAULT_ZERO_TOL, analyze_point, fullness,
-                       reduction_report, verify_family)
+from .analysis import (DEFAULT_TOL, DEFAULT_ZERO_TOL, analyze_point,
+                       analyze_points, fullness, hull_sample, reduction_report,
+                       verify_family)
 from .congruence import moduli_demo
 from .errors import DomainError, InputError
 
@@ -151,14 +152,20 @@ def cmd_analyze(args) -> int:
         if len(args.point) != chart.nvars:
             raise UsageError(
                 f"--point needs {chart.nvars} coordinates for this family")
-        points = [np.asarray(args.point, dtype=float)]
+        points = np.asarray(args.point, dtype=float)[None]
     else:
-        points = list(chart.sample_points(args.samples, args.seed))
+        points = chart.sample_points(args.samples, args.seed)
 
-    # one point at a time: a stack's order-3 arrays grow as P m^3 N
+    try:
+        reports = analyze_points(chart, points, args.order, args.tol_zero)
+    except DomainError:
+        # report the first offending sample as it reads alone, with no
+        # index into a stack the user never sees
+        for p in points:
+            analyze_point(chart, p, args.order, args.tol_zero)
+        raise
     point_payloads = []
-    for p in points:
-        rep = analyze_point(chart, p, args.order, args.tol_zero)
+    for rep in reports:
         flags = rep.flags(args.tol)
         payload = {
             "u": rep.point,
@@ -177,9 +184,10 @@ def cmd_analyze(args) -> int:
         }
         point_payloads.append(payload)
 
+    sample = hull_sample(chart, args.seed)
     red = reduction_report(chart, seed=args.seed, tol=args.tol,
-                           tol_zero=args.tol_zero)
-    is_full, _ = fullness(chart, seed=args.seed, tol=args.tol)
+                           tol_zero=args.tol_zero, sample=sample)
+    is_full, _ = fullness(chart, seed=args.seed, tol=args.tol, sample=sample)
     notes = []
     rank = max(p["radical_rank"] for p in point_payloads)
     allowed = expected.discrepancy_allowed.get("radical_rank", ())

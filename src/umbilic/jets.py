@@ -3,17 +3,21 @@
 A Jet3 carries the value, gradient, Hessian and (optionally) the symmetric
 third-derivative tensor of a scalar quantity.  Arithmetic implements the
 exact sum/product/chain rules, so derivatives of expression trees are exact
-up to rounding.  One walk, `Expr.eval`, serves every use: point values in
-give the values, jets in give the jet, and jets of an inner map in give the
-jets of a composition.  The walk takes arrays of point values, so one walk
-covers a whole stack of points and every jet carries a leading point axis;
-a single point is walked as a stack of one.  A central finite-difference
+up to rounding.  The symmetric tensors are stored packed: one entry per
+sorted multi-index (`packed_indices`), m(m+1)/2 for the Hessian and
+m(m+1)(m+2)/6 for the third derivatives, and `unpack` gives the full
+tensor.  One walk, `Expr.eval`, serves every use: point values in give the
+values, jets in give the jet, and jets of an inner map in give the jets of
+a composition.  The walk takes arrays of point values, so one walk covers
+a whole stack of points and every jet carries a leading point axis; a
+single point is walked as a stack of one.  A central finite-difference
 oracle, which uses only value evaluation, is provided as an independent
 cross-check.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -23,51 +27,75 @@ MAX_VARS = 6
 DIV_EPS = 1e-12
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @functools.cache
-def _sorted_positions(m: int, rank: int) -> np.ndarray:
-    """Flat position of the sorted permutation of every multi-index of a
-    rank-`rank` tensor over m variables."""
+def packed_indices(m: int, rank: int) -> np.ndarray:
+    """The sorted multi-indices i <= j (<= k) of a symmetric rank-2 (or
+    rank-3) tensor over m variables in lexicographic order, as a read-only
+    (rank, T) array; for rank 2 this is `np.triu_indices(m)`."""
+    idx = itertools.combinations_with_replacement(range(m), rank)
+    return _frozen(np.array(list(idx), dtype=int).reshape(-1, rank).T)
+
+
+@functools.cache
+def _positions(m: int, rank: int) -> np.ndarray:
+    """Packed position of every multi-index of a rank-`rank` tensor over m
+    variables, as a read-only (m,) * rank array."""
     shape = (m,) * rank
+    packed = packed_indices(m, rank)
+    lookup = np.zeros(shape, dtype=int)
+    lookup[tuple(packed)] = np.arange(packed.shape[1])
     idx = np.sort(np.indices(shape).reshape(rank, -1), axis=0)
-    pos = np.ravel_multi_index(idx, shape).reshape(shape)
-    pos.setflags(write=False)
-    return pos
+    return _frozen(lookup[tuple(idx)].reshape(shape))
 
 
-def _sym(t: np.ndarray, rank: int | None = None) -> np.ndarray:
-    """Copy each sorted-index entry of the trailing `rank` axes (all axes
-    by default) to all of its index permutations (canonical storage of a
-    symmetric tensor)."""
-    rank = t.ndim if rank is None else rank
-    lead = t.shape[:-rank]
-    return t.reshape(lead + (-1,))[..., _sorted_positions(t.shape[-1], rank)]
+@functools.cache
+def split_triples(m: int) -> np.ndarray:
+    """The three ways to split each sorted triple i <= j <= k into a sorted
+    pair and the remaining index, (ij, k), (jk, i) and (ik, j), as flat
+    positions in a (T2, m) array indexed by packed pair and variable: a
+    read-only (3, T3) array."""
+    i, j, k = packed_indices(m, 3)
+    pos = _positions(m, 2)
+    return _frozen(np.stack([pos[i, j] * m + k, pos[j, k] * m + i,
+                             pos[i, k] * m + j]))
 
 
-def _lead(v):
-    """A (P,) value broadcast against grad, hess and third: as (P, 1),
-    (P, 1, 1) and (P, 1, 1, 1)."""
-    v1 = v[..., None]
-    v2 = v1[..., None]
-    return v1, v2, v2[..., None]
+def unpack(t: np.ndarray, rank: int, axis: int = -1) -> np.ndarray:
+    """The full symmetric tensor of a packed one: the packed `axis` of t
+    becomes `rank` axes of length m, each entry read from its sorted
+    multi-index."""
+    m = 0
+    while packed_indices(m, rank).shape[1] < t.shape[axis]:
+        m += 1
+    return np.take(t, _positions(m, rank), axis=axis)
 
 
-def _outer(a, b):
-    """a_i b_j over the trailing axes, for every leading point."""
-    return a[..., :, None] * b[..., None, :]
+def _pair_var(h, g):
+    """h_p g_k for every packed pair p and variable k, flattened to the
+    layout of `split_triples`."""
+    return (h[..., :, None] * g[..., None, :]).reshape(h.shape[:-1] + (-1,))
 
 
-def _mixed(h, g):
-    """H_ij g_k + H_jk g_i + H_ik g_j over the trailing axes."""
-    t = h[..., None] * g[..., None, None, :]
-    return t + t.swapaxes(-1, -2).swapaxes(-2, -3) + t.swapaxes(-1, -2)
+def _hess_grad(h, g):
+    """h_ij g_k + h_jk g_i + h_ik g_j at each sorted triple i <= j <= k,
+    from a packed Hessian and a gradient."""
+    t = np.take(_pair_var(h, g), split_triples(g.shape[-1]), axis=-1)
+    return t[..., 0, :] + t[..., 1, :] + t[..., 2, :]
 
 
 class Jet3:
-    """Truncated Taylor expansion: value, grad (m,), hess (m,m), third (m,m,m).
+    """Truncated Taylor expansion: value, grad (m,), hess (T2,), third (T3,).
 
-    A jet of P points at once carries a leading point axis: value (P,),
-    grad (P, m), hess (P, m, m), third (P, m, m, m); `jet[k]` is the jet
-    of point k alone.  `third` is None when the jet was built at order 2.
+    hess and third are packed by sorted multi-index (T2 = m(m+1)/2,
+    T3 = m(m+1)(m+2)/6, see `packed_indices`).  A jet of P points at once
+    carries a leading point axis: value (P,), grad (P, m), hess (P, T2),
+    third (P, T3); `jet[k]` is the jet of point k alone.  `third` is None
+    when the jet was built at order 2.
     """
 
     __slots__ = ("value", "grad", "hess", "third")
@@ -87,18 +115,22 @@ class Jet3:
         return Jet3(self.value[k], self.grad[k], self.hess[k], third)
 
     @classmethod
+    def _zeros(cls, value, m: int, order: int) -> "Jet3":
+        lead = np.shape(value)
+        third = (np.zeros(lead + packed_indices(m, 3).shape[1:])
+                 if order == 3 else None)
+        return cls(value, np.zeros(lead + (m,)),
+                   np.zeros(lead + packed_indices(m, 2).shape[1:]), third)
+
+    @classmethod
     def constant(cls, c: float, m: int, order: int, lead: tuple) -> "Jet3":
-        third = np.zeros(lead + (m, m, m)) if order == 3 else None
-        return cls(np.full(lead, c), np.zeros(lead + (m,)),
-                   np.zeros(lead + (m, m)), third)
+        return cls._zeros(np.full(lead, c), m, order)
 
     @classmethod
     def variable(cls, index: int, value, m: int, order: int = 3) -> "Jet3":
-        lead = np.shape(value)
-        g = np.zeros(lead + (m,))
-        g[..., index] = 1.0
-        third = np.zeros(lead + (m, m, m)) if order == 3 else None
-        return cls(value, g, np.zeros(lead + (m, m)), third)
+        jet = cls._zeros(value, m, order)
+        jet.grad[..., index] = 1.0
+        return jet
 
     def __add__(self, other):
         if not isinstance(other, Jet3):
@@ -123,16 +155,17 @@ class Jet3:
         if not isinstance(o, Jet3):
             third = None if self.third is None else o * self.third
             return Jet3(self.value * o, o * self.grad, o * self.hess, third)
-        a1, a2, a3 = _lead(self.value)
-        b1, b2, b3 = _lead(o.value)
-        grad = a1 * o.grad + b1 * self.grad
-        hess = _sym(a2 * o.hess + b2 * self.hess
-                    + _outer(self.grad, o.grad) + _outer(o.grad, self.grad), 2)
+        a, b = self.value[..., None], o.value[..., None]
+        i, j = packed_indices(self.grad.shape[-1], 2)
+        grad = a * o.grad + b * self.grad
+        hess = (a * o.hess + b * self.hess + self.grad[..., i] * o.grad[..., j]
+                + o.grad[..., i] * self.grad[..., j])
         third = None
         if self.third is not None:
-            third = _sym(a3 * o.third + b3 * self.third
-                         + _mixed(self.hess, o.grad)
-                         + _mixed(o.hess, self.grad), 3)
+            third = a * o.third + b * self.third
+            for h, g in ((self.hess, o.grad), (o.hess, self.grad)):
+                if h.any():   # a zero Hessian, as of a variable, adds nothing
+                    third = third + _hess_grad(h, g)
         return Jet3(self.value * o.value, grad, hess, third)
 
     __rmul__ = __mul__
@@ -140,16 +173,18 @@ class Jet3:
     def apply(self, d0, d1, d2, d3) -> "Jet3":
         """Chain rule for a scalar function with derivatives d0..d3 at value."""
         g = self.grad
-        gg = _outer(g, g)
-        (d1g, d1h, d1t), (_, d2h, d2t) = _lead(d1), _lead(d2)
-        grad = d1g * g
-        # g_i g_j is g_j g_i exactly, so the sum needs no symmetrization
-        hess = d2h * gg + d1h * self.hess
+        i, j = packed_indices(g.shape[-1], 2)
+        gg = g[..., i] * g[..., j]
+        d1, d2 = d1[..., None], d2[..., None]
+        grad = d1 * g
+        hess = d2 * gg + d1 * self.hess
         third = None
         if self.third is not None:
-            d3t = _lead(d3)[2]
-            third = _sym(d3t * (gg[..., None] * g[..., None, None, :])
-                         + d2t * _mixed(self.hess, g) + d1t * self.third, 3)
+            # (g_i g_j) g_k at each sorted triple, split as (ij, k)
+            ggg = np.take(_pair_var(gg, g), split_triples(g.shape[-1])[0],
+                          axis=-1)
+            third = (d3[..., None] * ggg + d2 * _hess_grad(self.hess, g)
+                     + d1 * self.third)
         return Jet3(d0, grad, hess, third)
 
 
@@ -451,28 +486,27 @@ def _stencil_moves(m: int, order: int):
 
 def _fd_hessians(F, m: int, h: float) -> np.ndarray:
     """Central-difference Hessians from values F (B, block, ...) laid out
-    as in `_stencil_moves`; returns (B, ..., m, m)."""
+    as in `_stencil_moves`; returns them packed, (B, ..., T2)."""
     f0, fp, fm = F[:, :1], F[:, 1:1 + m], F[:, 1 + m:1 + 2 * m]
-    out = np.empty(F.shape[:1] + F.shape[2:] + (m, m))
+    out = np.empty(F.shape[:1] + packed_indices(m, 2).shape[1:] + F.shape[2:])
+    pos = _positions(m, 2)
     i = np.arange(m)
-    out[..., i, i] = np.moveaxis((fp - 2 * f0 + fm) / h**2, 1, -1)
+    out[:, pos[i, i]] = (fp - 2 * f0 + fm) / h**2
     iu, ju = np.triu_indices(m, 1)
     q = F[:, 1 + 2 * m:].reshape(F.shape[:1] + (-1, 4) + F.shape[2:])
-    off = np.moveaxis((q[:, :, 0] - q[:, :, 1] - q[:, :, 2] + q[:, :, 3])
-                      / (4 * h**2), 1, -1)
-    out[..., iu, ju] = off
-    out[..., ju, iu] = off
-    return out
+    out[:, pos[iu, ju]] = ((q[:, :, 0] - q[:, :, 1] - q[:, :, 2] + q[:, :, 3])
+                           / (4 * h**2))
+    return np.moveaxis(out, 1, -1)
 
 
 def fd_arrays(f, point, step: float = 1e-4, order: int = 3):
     """Central finite differences of f (float or array valued) at a point.
 
     f maps a (K, m) stack of points to a (K, ...) stack of values and is
-    called once, on the whole stencil.  Returns value, gradient, Hessian
-    and (order 3, else None) third-derivative arrays with the variable
-    axes last, O(step^2) truncation on every entry.  Only values of f are
-    used, so this is independent of the Taylor path.
+    called once, on the whole stencil.  Returns value, gradient, packed
+    Hessian and (order 3, else None) packed third-derivative arrays with
+    the variable axes last, O(step^2) truncation on every entry.  Only
+    values of f are used, so this is independent of the Taylor path.
     """
     if order not in (2, 3):
         raise InputError("order must be 2 or 3")
@@ -490,10 +524,12 @@ def fd_arrays(f, point, step: float = 1e-4, order: int = 3):
     hessians = _fd_hessians(F, m, h)
     if order == 2:
         return value, grad, hessians[0], None
-    d = np.moveaxis((hessians[1:1 + m] - hessians[1 + m:]) / (2 * h), 0, -3)
-    # one difference per sorted index i <= j <= k, copied to every
-    # permutation so the tensor is exactly symmetric
-    return value, grad, hessians[0], _sym(d, 3)
+    # one difference per sorted index i <= j <= k: d_i of the Hessian
+    # entry jk, from the blocks centred at +e_i and -e_i
+    i, j, k = packed_indices(m, 3)
+    jk = _positions(m, 2)[j, k]
+    third = (hessians[1 + i, ..., jk] - hessians[1 + m + i, ..., jk]) / (2 * h)
+    return value, grad, hessians[0], np.moveaxis(third, 0, -1)
 
 
 def fd_oracle(expr: Expr, point, step: float = 1e-4) -> Jet3:

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from umbilic import analysis
+from umbilic import jets as J
 from umbilic.analysis import (_nondegenerate_tensors, analyze_point,
                               analyze_points, build_frame, fullness,
                               induced_metric, parallelism_residual,
                               reduction_report, umbilicity_data, verify_family)
 from umbilic.bilinear import Signature
 from umbilic.catalog import family_ids, get_family, instantiate
-from umbilic.charts import transform_chart
+from umbilic.charts import ImmersionChart, transform_chart
 from umbilic.errors import DegenerateMetricError, DomainError, InputError
 
 TOL = 1e-7
@@ -96,12 +97,13 @@ class TestUmbilicity:
         p = ch.sample_points(1, 24)[0]
         fr = build_frame(ch, p)
         base = umbilicity_data(fr)
+        i, j = J.packed_indices(fr.m, 2)
         rng = np.random.default_rng(25)
         for _ in range(20):
             c = rng.normal(size=(fr.m, fr.m, fr.m))
             c = c + c.transpose(1, 0, 2)          # symmetric in i, j
-            moved = dataclasses.replace(
-                fr, second=fr.second + np.einsum("ijl,nl->ijn", c, fr.jac))
+            shift = np.einsum("ijl,nl->ijn", c, fr.jac)[i, j]   # packed rows
+            moved = dataclasses.replace(fr, second=fr.second + shift)
             data = umbilicity_data(moved)
             assert data.umbilicity_residual == pytest.approx(
                 base.umbilicity_residual, abs=1e-10)
@@ -135,15 +137,19 @@ class TestParallelism:
                                      "clifford-control",
                                      "cubic-graph-control"])
     def test_matches_the_loop_reference(self, fid):
-        # reference: the normal part of d_k h_ij, one (i, j, k) at a time
+        # reference: the normal part of d_k h_ij, one (i, j, k) of the
+        # full tensors at a time
         ch = instantiate(fid)
         fr = build_frame(ch, ch.sample_points(1, 30)[0])
         gamma, h, _ = _nondegenerate_tensors(fr)
+        gamma = J.unpack(gamma, 2)                # [l, i, j]
+        h = J.unpack(h, 2, axis=-2)               # [i, j, n]
+        third = J.unpack(fr.third, 3, axis=-2)    # [i, j, k, n]
         G = fr.ambient_metric
         P_tan = fr.jac @ np.linalg.inv(fr.metric) @ fr.jac.T @ G
         worst = 0.0
-        for i, j, k in np.ndindex(fr.third.shape[:3]):
-            v = fr.third[i, j, k]
+        for i, j, k in np.ndindex(third.shape[:3]):
+            v = third[i, j, k]
             v = v - fr.epsilon * float(fr.value @ G @ v) * fr.value
             v = v - P_tan @ v
             v = v - (gamma[:, i, j] @ h[k] + gamma[:, k, i] @ h[j]
@@ -246,6 +252,27 @@ class TestVerifyFamily:
         assert not verdict.ok
         assert any("image off its space form" in f for f in verdict.failures)
 
+    def test_overflowing_radius_fails_closed_without_warnings(self):
+        # a RuntimeWarning raises here (filterwarnings = error)
+        verdict = verify_family("main1-4", {"m": 2, "s": 0, "r": 1e100})
+        assert verdict.ok is False
+        assert any("non-finite residuals" in f for f in verdict.failures)
+
+    def test_hull_sample_is_drawn_once(self, monkeypatch):
+        # fullness and the hull reduction share one image sample
+        calls = []
+        sample_values = ImmersionChart.sample_values
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return sample_values(self, *args, **kwargs)
+
+        monkeypatch.setattr(ImmersionChart, "sample_values", counted)
+        verdict = verify_family("main1-3")
+        assert verdict.ok
+        assert verdict.summary["full"] and verdict.summary["hull_dim"] == 3
+        assert len(calls) == 1
+
     def test_order2_skips_parallelism(self):
         verdict = verify_family("main1-3", order=2)
         assert verdict.ok
@@ -334,8 +361,9 @@ class TestAnalyzePoints:
         p = ch.sample_points(1, 74)[0]
         fr = build_frame(ch, p)
         assert fr.jac.shape == (5, 3)
-        assert fr.second.shape == (3, 3, 5)
-        assert fr.third.shape == (3, 3, 3, 5)
+        # one row per sorted pair i <= j and per sorted triple i <= j <= k
+        assert fr.second.shape == (6, 5)
+        assert fr.third.shape == (10, 5)
         assert fr.metric.shape == (3, 3)
         assert isinstance(fr.signature, Signature)
         assert np.ndim(fr.scale) == 0
@@ -344,6 +372,6 @@ class TestAnalyzePoints:
         assert data.mean_curvature.shape == (5,)
         assert np.ndim(parallelism_residual(fr)) == 0
         stacked = build_frame(ch, p[None])
-        assert stacked.second.shape == (1, 3, 3, 5)
+        assert stacked.second.shape == (1, 6, 5)
         assert stacked.signature == [fr.signature]
         assert parallelism_residual(stacked).shape == (1,)

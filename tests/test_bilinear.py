@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from umbilic.bilinear import (Signature, SymmetricForm, gram_matrix,
                               inner_product, null_space_basis, numerical_rank,
-                              orthogonal_split, radical_basis,
+                              radical_basis,
                               random_pseudo_orthogonal, row_space_basis,
                               signature_of)
 from umbilic.errors import InputError
@@ -112,24 +112,6 @@ class TestRankAndSpans:
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 3))) == 0
         assert null_space_basis(np.zeros((2, 4))).shape == (4, 4)
-
-
-class TestOrthogonalSplit:
-    def test_spacelike_line_in_lorentz_plane(self):
-        sig = Signature(1, 1)
-        comp, degenerate, proj = orthogonal_split([[0.0, 1.0]], sig)
-        assert not degenerate
-        assert len(comp) == 1
-        assert inner_product(comp[0], [0.0, 1.0], sig) == pytest.approx(0.0)
-        np.testing.assert_allclose(proj @ [3.0, 5.0], [0.0, 5.0], atol=1e-12)
-
-    def test_null_line_is_degenerate(self):
-        sig = Signature(1, 1)
-        comp, degenerate, proj = orthogonal_split([[1.0, 1.0]], sig)
-        assert degenerate
-        assert proj is None
-        # a null line lies inside its own orthogonal complement
-        assert any(abs(inner_product(c, c, sig)) < 1e-12 for c in comp)
 
 
 class TestRandomPseudoOrthogonal:

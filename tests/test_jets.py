@@ -31,7 +31,8 @@ def _poly_derivs(x, y):
 
 def _fd_loop(f, point, step):
     """Reference central differences: one call of f per stencil point,
-    shifting coordinates one at a time."""
+    shifting coordinates one at a time; the Hessian and third derivatives
+    are returned packed, as `fd_arrays` gives them."""
     m = point.shape[0]
 
     def shift(p, i, d):
@@ -61,8 +62,9 @@ def _fd_loop(f, point, step):
 
     d = np.stack([(fd_hess(shift(point, i, h)) - fd_hess(shift(point, i, -h)))
                   / (2 * h) for i in range(m)], axis=-3)
-    third = d.reshape(value.shape + (-1,))[..., J._sorted_positions(m, 3)]
-    return value, grad, fd_hess(point), third
+    i, j = J.packed_indices(m, 2)
+    return (value, grad, fd_hess(point)[..., i, j],
+            d[(...,) + tuple(J.packed_indices(m, 3))])
 
 
 class TestJetArithmetic:
@@ -71,29 +73,39 @@ class TestJetArithmetic:
         jet = J.evaluate(_poly(u, v), [0.7, -0.4])
         grad, hess, third = _poly_derivs(0.7, -0.4)
         np.testing.assert_allclose(jet.grad, grad, atol=1e-14)
-        np.testing.assert_allclose(jet.hess, hess, atol=1e-14)
-        np.testing.assert_allclose(jet.third, third, atol=1e-14)
+        np.testing.assert_allclose(J.unpack(jet.hess, 2), hess, atol=1e-14)
+        np.testing.assert_allclose(J.unpack(jet.third, 3), third, atol=1e-14)
 
     def test_symmetry_is_exact(self):
-        # canonical storage: permuted index reads are bit-identical
+        # packed storage: permuted index reads are bit-identical
         u, v, w = J.variables(3)
         e = J.sqrt(1.0 + u * v * w + u * u) * J.sin(v + 2.0 * w)
         jet = J.evaluate(e, [0.3, -0.2, 0.15])
         assert e.eval([0.3, -0.2, 0.15]) == jet.value
-        assert np.array_equal(jet.hess, jet.hess.T)
+        assert jet.hess.shape == (6,) and jet.third.shape == (10,)
+        hess, third = J.unpack(jet.hess, 2), J.unpack(jet.third, 3)
+        assert np.array_equal(hess, hess.T)
         for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)]:
-            assert np.array_equal(jet.third, np.transpose(jet.third, perm))
+            assert np.array_equal(third, np.transpose(third, perm))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_sym_copies_the_sorted_index_entry(self, m):
-        # reference: every entry read from its sorted multi-index
+        # reference: every entry of the full symmetric tensor read from the
+        # packed entry of its sorted multi-index, in lexicographic order
         rng = np.random.default_rng(m)
         for rank in (2, 3):
-            t = rng.normal(size=(m,) * rank)
-            ref = np.empty_like(t)
-            for idx in np.ndindex(t.shape):
-                ref[idx] = t[tuple(sorted(idx))]
-            assert np.array_equal(J._sym(t), ref)
+            sorted_idx = sorted(set(tuple(sorted(idx))
+                                    for idx in np.ndindex((m,) * rank)))
+            assert np.array_equal(J.packed_indices(m, rank),
+                                  np.array(sorted_idx).T)
+            t = rng.normal(size=(2, len(sorted_idx)))
+            ref = np.empty((2,) + (m,) * rank)
+            for idx in np.ndindex((m,) * rank):
+                ref[(slice(None),) + idx] = t[:, sorted_idx.index(
+                    tuple(sorted(idx)))]
+            assert np.array_equal(J.unpack(t, rank), ref)
+            assert np.array_equal(J.unpack(t.T, rank, axis=0),
+                                  np.moveaxis(ref, 0, -1))
 
     def test_quotient_rule(self):
         u, v = J.variables(2)
@@ -145,11 +157,12 @@ class TestChainRule:
         jet = J.evaluate(J.sin(u * v), [0.2, -0.3])
         x, y = 0.2, -0.3
         c, s = math.cos(x * y), math.sin(x * y)
-        assert jet.third[0, 0, 0] == pytest.approx(-y**3 * c, abs=1e-14)
-        assert jet.third[0, 0, 1] == pytest.approx(-2 * y * s - x * y * y * c,
-                                                   abs=1e-14)
-        assert jet.third[0, 1, 1] == pytest.approx(-2 * x * s - x * x * y * c,
-                                                   abs=1e-14)
+        third = J.unpack(jet.third, 3)
+        assert third[0, 0, 0] == pytest.approx(-y**3 * c, abs=1e-14)
+        assert third[1, 0, 0] == pytest.approx(-2 * y * s - x * y * y * c,
+                                               abs=1e-14)
+        assert third[1, 1, 0] == pytest.approx(-2 * x * s - x * x * y * c,
+                                               abs=1e-14)
 
     def test_hyperbolic_functions(self):
         t, = J.variables(1)
@@ -236,5 +249,6 @@ class TestFiniteDifferenceOracle:
     def test_third_is_symmetric(self):
         u, v, w = J.variables(3)
         fd = J.fd_oracle(u * v * w + J.cos(u * w), [0.2, 0.3, -0.1], 1e-3)
+        third = J.unpack(fd.third, 3)
         for perm in [(1, 0, 2), (0, 2, 1), (2, 1, 0)]:
-            assert np.array_equal(fd.third, np.transpose(fd.third, perm))
+            assert np.array_equal(third, np.transpose(third, perm))
