@@ -57,7 +57,8 @@ class Frame:
     point: np.ndarray
     value: np.ndarray
     jac: np.ndarray          # (..., N, m): column i is the tangent vector d_i f
-    second: np.ndarray       # (..., T2, N), T2 = m(m+1)/2
+    hess: np.ndarray         # (..., N, T2) as walked, T2 = m(m+1)/2
+    second: np.ndarray       # (..., T2, N)
     third: np.ndarray | None  # (..., T3, N), T3 = m(m+1)(m+2)/6
     metric: np.ndarray       # (..., m, m) induced first fundamental form
     scale: np.ndarray        # (...)
@@ -71,10 +72,6 @@ class Frame:
     @property
     def ambient_metric(self) -> np.ndarray:
         return self.chart.ambient.metric()
-
-    @property
-    def epsilon(self) -> int:
-        return self.chart.ambient.epsilon
 
     @functools.cached_property
     def ginv(self) -> np.ndarray:
@@ -104,8 +101,9 @@ class Frame:
     def _take(self, idx: list) -> "Frame":
         third = None if self.third is None else self.third[idx]
         return Frame(self.chart, self.point[idx], self.value[idx],
-                     self.jac[idx], self.second[idx], third, self.metric[idx],
-                     self.scale[idx], [self.signature[k] for k in idx])
+                     self.jac[idx], self.hess[idx], self.second[idx], third,
+                     self.metric[idx], self.scale[idx],
+                     [self.signature[k] for k in idx])
 
 
 def _branch(sig: Signature) -> tuple[bool, bool]:
@@ -147,7 +145,7 @@ def build_frame(chart: ImmersionChart, points, order: int = 3,
     scale = np.maximum(1.0, np.maximum(np.abs(D).max(axis=(-2, -1)),
                                        np.abs(g).max(axis=(-2, -1))))
     sig = B.signature_of(g, tol_zero)
-    return Frame(chart, points, val, jac, D, T3, g, scale, sig)
+    return Frame(chart, points, val, jac, hess, D, T3, g, scale, sig)
 
 
 def induced_metric(chart: ImmersionChart, point) -> tuple[np.ndarray, Signature]:
@@ -315,14 +313,12 @@ class PointReport:
         }
 
 
-def analyze_points(chart: ImmersionChart, points, order: int = 3,
-                   tol_zero: float = DEFAULT_ZERO_TOL) -> list[PointReport]:
-    """Full pointwise reports at a (P, m) stack of points, from one frame.
+def point_reports(fr: Frame, tol_zero: float) -> list[PointReport]:
+    """Full pointwise reports from a stacked frame built at `tol_zero`.
 
     The points are split by the branch of their own metric signature, and
     each branch is computed for all of its points at once.
     """
-    fr = build_frame(chart, points, order, tol_zero)
     reports: list = [None] * len(fr.signature)
     for idx, sub in fr.branches():
         degenerate = sub.branch[0]
@@ -330,7 +326,7 @@ def analyze_points(chart: ImmersionChart, points, order: int = 3,
         H = data.mean_curvature
         minimal = None if H is None else _enorm(H)
         par = None
-        if not degenerate and order == 3:
+        if not degenerate and sub.third is not None:
             par = parallelism_residual(sub)
         rad = _radical_last_var(sub, tol_zero) if degenerate else None
         for n, k in enumerate(idx):
@@ -347,6 +343,12 @@ def analyze_points(chart: ImmersionChart, points, order: int = 3,
                 None if rad is None else float(rad[n]),
                 bool(data.totally_degenerate_metric[n]))
     return reports
+
+
+def analyze_points(chart: ImmersionChart, points, order: int = 3,
+                   tol_zero: float = DEFAULT_ZERO_TOL) -> list[PointReport]:
+    """Full pointwise reports at a (P, m) stack of points, from one frame."""
+    return point_reports(build_frame(chart, points, order, tol_zero), tol_zero)
 
 
 def analyze_point(chart: ImmersionChart, point, order: int = 3,
@@ -454,6 +456,25 @@ class FamilyVerdict:
     summary: dict = field(default_factory=dict)
 
 
+# each residual of a point report, by the name a failure gives it
+_RESIDUALS = {"umbilicity": "umbilicity_residual",
+              "geodesic": "geodesic_residual", "h_norm": "h_norm",
+              "minimal": "minimal_residual", "parallel": "parallel_residual",
+              "radical_last_var": "radical_last_var_residual"}
+
+
+def residual_columns(reports: list[PointReport]) -> dict:
+    """Each residual over the reports that define it, as a float array."""
+    return {name: np.array([getattr(r, a) for r in reports
+                            if getattr(r, a) is not None], dtype=float)
+            for name, a in _RESIDUALS.items()}
+
+
+def non_finite(residuals: dict) -> list[str]:
+    """Names of the residuals with a value that is not finite (NaN too)."""
+    return [k for k, v in residuals.items() if not np.all(np.isfinite(v))]
+
+
 def _check_flag(verdict, name, computed, expected):
     if expected is None or computed is None:
         return
@@ -462,31 +483,25 @@ def _check_flag(verdict, name, computed, expected):
             f"{name}: computed {computed}, catalog asserts {expected}")
 
 
-def _fd_cross_check(chart, tol_zero: float, seed: int) -> list[str]:
-    """Independent finite-difference check of one entry's jets and metric.
+def _fd_cross_check(fr: Frame, tol_zero: float) -> list[str]:
+    """Independent finite-difference check of a frame's jets and metric.
 
-    Compares first and second derivatives against the central-difference
+    Compares the jets at the frame's first point with the central-difference
     oracle, and requires the induced-metric signature computed from the
-    oracle's jacobian to agree with the jet-based one under the active
-    zero tolerance.  An overtight tolerance turns the oracle's O(step^2)
+    oracle's jacobian to agree with the frame's under the active zero
+    tolerance.  An overtight tolerance turns the oracle's O(step^2)
     truncation error into phantom metric rank, which this check reports.
     """
     failures = []
-    point = chart.sample_points(1, seed)[0]
-    # a non-finite jet fails the comparison below
-    with np.errstate(all="ignore"):
-        _, jac, hess, _ = chart.jet_arrays(point, order=2)
-    _, fjac, fhess, _ = fd_jet_arrays(chart, point, FD_STEP, order=2)
-    d1 = float(np.max(np.abs(jac - fjac)))
-    d2 = float(np.max(np.abs(hess - fhess)))
+    _, fjac, fhess, _ = fd_jet_arrays(fr.chart, fr.point[0], FD_STEP, order=2)
+    d1 = float(np.max(np.abs(fr.jac[0] - fjac)))
+    d2 = float(np.max(np.abs(fr.hess[0] - fhess)))
     if not (d1 <= FD_TOL and d2 <= FD_TOL):
         failures.append(
             f"finite-difference oracle disagrees with jets "
             f"(jacobian {d1:.3e}, hessian {d2:.3e} > {FD_TOL})")
-    G = chart.ambient.metric()
-    g_jet = jac.T @ G @ jac
-    g_fd = fjac.T @ G @ fjac
-    sig_jet = B.signature_of(0.5 * (g_jet + g_jet.T), tol_zero)
+    g_fd = fjac.T @ fr.ambient_metric @ fjac
+    sig_jet = fr.signature[0]
     sig_fd = B.signature_of(0.5 * (g_fd + g_fd.T), tol_zero)
     if sig_jet != sig_fd:
         failures.append(
@@ -502,11 +517,11 @@ def verify_family(family_id: str, params: dict | None = None, *,
                   order: int = 3) -> FamilyVerdict:
     """Check every asserted property of a catalog family numerically.
 
-    Pointwise residuals are measured at `samples` seeded chart points and
-    aggregated by worst case; hull reduction and fullness use a larger
-    sample of image points; a finite-difference oracle cross-checks the
-    jets at one more point.  Expected-vs-computed disagreements listed in
-    the entry's discrepancy allowance are reported, not failed.
+    Pointwise residuals (worst case over the samples), the ambient check
+    and a finite-difference oracle of the first point's jets read one frame
+    at `samples` seeded chart points; hull reduction and fullness use a
+    larger image sample.  Expected-vs-computed disagreements listed in the
+    entry's discrepancy allowance are reported, not failed.
     """
     spec = get_family(family_id)
     merged = resolve_params(family_id, params)
@@ -517,26 +532,16 @@ def verify_family(family_id: str, params: dict | None = None, *,
     points = chart.sample_points(samples, seed)
     # a residual that overflows is not finite, and fails below
     with np.errstate(over="ignore", invalid="ignore"):
-        reports = analyze_points(chart, points, order, tol_zero)
+        fr = build_frame(chart, points, order, tol_zero)
+        reports = point_reports(fr, tol_zero)
 
-    def column(name, rows=reports):
-        return np.array([getattr(r, name) for r in rows], dtype=float)
-
+    residuals = residual_columns(reports)
     # np.max keeps a NaN wherever it occurs; any non-finite residual fails
-    umb = float(np.max(column("umbilicity_residual")))
-    geo = float(np.max(column("geodesic_residual")))
-    off = ambient_residual(chart, points)
+    umb = float(np.max(residuals["umbilicity"]))
+    geo = float(np.max(residuals["geodesic"]))
+    off = ambient_residual(chart.ambient, fr.value)
     nondegenerate = [r for r in reports if r.h_norm is not None]
-    pars = [r for r in reports if r.parallel_residual is not None]
-    residuals = {"umbilicity": umb, "geodesic": geo, "ambient": off,
-                 "h_norm": column("h_norm", nondegenerate),
-                 "minimal": column("minimal_residual", nondegenerate),
-                 "parallel": column("parallel_residual", pars),
-                 "radical_last_var": column(
-                     "radical_last_var_residual",
-                     [r for r in reports
-                      if r.radical_last_var_residual is not None])}
-    bad = [k for k, v in residuals.items() if not np.all(np.isfinite(v))]
+    bad = non_finite({**residuals, "ambient": off})
     if bad:
         verdict.failures.append(f"non-finite residuals: {', '.join(bad)}")
     ranks = sorted({r.radical_rank for r in reports})
@@ -604,7 +609,7 @@ def verify_family(family_id: str, params: dict | None = None, *,
         _check_flag(verdict, "minimal", geo <= tol, expected.minimal)
 
     # parallelism
-    if pars and expected.parallel is not None:
+    if residuals["parallel"].size and expected.parallel is not None:
         par = float(np.max(residuals["parallel"]))
         verdict.summary["parallel_residual"] = par
         if expected.parallel:
@@ -663,6 +668,6 @@ def verify_family(family_id: str, params: dict | None = None, *,
                     f"translation length: computed {red.rho!r}, catalog "
                     f"asserts {expected.rho!r}")
 
-    verdict.failures.extend(_fd_cross_check(chart, tol_zero, seed))
+    verdict.failures.extend(_fd_cross_check(fr, tol_zero))
     verdict.ok = not verdict.failures
     return verdict

@@ -133,8 +133,7 @@ class ExprChart(ImmersionChart):
                 f"{ambient.flat_dim}")
 
     def jet_list(self, points, order: int = 3):
-        return J.evaluate(self.exprs, points, order,
-                          max_vars=max(J.MAX_VARS, self.nvars))
+        return J.evaluate(self.exprs, points, order)
 
     def value(self, points):
         points = np.asarray(points, dtype=float)
@@ -214,12 +213,11 @@ def fd_jet_arrays(chart: ImmersionChart, point, step: float = 1e-4,
     return J.fd_arrays(chart.value, point, step, order)
 
 
-def ambient_residual(chart: ImmersionChart, points) -> float:
-    """Max deviation of <f,f> from epsilon over the given chart points
-    (NaN when an image is not finite)."""
-    if chart.ambient.epsilon == 0:
+def ambient_residual(ambient: AmbientSpace, values) -> float:
+    """Max deviation of <y,y> from epsilon over the image points y, one
+    (N,) or a (P, N) stack (NaN when an image is not finite)."""
+    if ambient.epsilon == 0:
         return 0.0
-    Y = chart.value(np.atleast_2d(points))
-    w = np.diagonal(chart.ambient.metric())
-    return float(np.max(np.abs(np.einsum("pn,n,pn->p", Y, w, Y)
-                               - chart.ambient.epsilon)))
+    w = np.diagonal(ambient.metric())
+    return float(np.max(np.abs(np.einsum("...n,n,...n->...", values, w, values)
+                               - ambient.epsilon)))

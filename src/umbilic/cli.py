@@ -16,8 +16,8 @@ import numpy as np
 
 from . import catalog
 from .analysis import (DEFAULT_TOL, DEFAULT_ZERO_TOL, analyze_point,
-                       analyze_points, fullness, hull_sample, reduction_report,
-                       verify_family)
+                       analyze_points, fullness, hull_sample, non_finite,
+                       reduction_report, residual_columns, verify_family)
 from .congruence import moduli_demo
 from .errors import DomainError, InputError
 
@@ -156,14 +156,19 @@ def cmd_analyze(args) -> int:
     else:
         points = chart.sample_points(args.samples, args.seed)
 
-    try:
-        reports = analyze_points(chart, points, args.order, args.tol_zero)
-    except DomainError:
-        # report the first offending sample as it reads alone, with no
-        # index into a stack the user never sees
-        for p in points:
-            analyze_point(chart, p, args.order, args.tol_zero)
-        raise
+    # a residual that overflows is not finite, and fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            reports = analyze_points(chart, points, args.order, args.tol_zero)
+        except DomainError:
+            # report the first offending sample as it reads alone, with no
+            # index into a stack the user never sees
+            for p in points:
+                analyze_point(chart, p, args.order, args.tol_zero)
+            raise
+    bad = non_finite(residual_columns(reports))
+    if bad:
+        raise DomainError(f"non-finite residuals: {', '.join(bad)}")
     point_payloads = []
     for rep in reports:
         flags = rep.flags(args.tol)

@@ -1,4 +1,4 @@
-"""Order-3 truncated Taylor arithmetic over a small number of chart variables.
+"""Order-3 truncated Taylor arithmetic in the chart variables.
 
 A Jet3 carries the value, gradient, Hessian and (optionally) the symmetric
 third-derivative tensor of a scalar quantity.  Arithmetic implements the
@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DomainError, InputError
 
-MAX_VARS = 6
 DIV_EPS = 1e-12
 
 
@@ -402,8 +401,7 @@ def coordinates(points) -> list:
     return list(np.ascontiguousarray(points.reshape(-1, points.shape[-1]).T))
 
 
-def evaluate(exprs, points, order: int = 3,
-             max_vars: int = MAX_VARS) -> list[Jet3]:
+def evaluate(exprs, points, order: int = 3) -> list[Jet3]:
     """Jets of one or several expressions at a point or a (P, m) stack.
 
     A stack is walked once, every jet carrying a leading point axis; one
@@ -417,8 +415,6 @@ def evaluate(exprs, points, order: int = 3,
     points = np.asarray(points, dtype=float)
     args = coordinates(points)
     m = len(args)
-    if m > max_vars:
-        raise InputError(f"{m} chart variables exceeds the cap of {max_vars}")
     if order not in (2, 3):
         raise InputError("order must be 2 or 3")
     var_jets = [Jet3.variable(i, args[i], m, order) for i in range(m)]

@@ -13,7 +13,7 @@ from umbilic.analysis import (_nondegenerate_tensors, analyze_point,
                               reduction_report, umbilicity_data, verify_family)
 from umbilic.bilinear import Signature
 from umbilic.catalog import family_ids, get_family, instantiate
-from umbilic.charts import ImmersionChart, transform_chart
+from umbilic.charts import ExprChart, ImmersionChart, transform_chart
 from umbilic.errors import DegenerateMetricError, DomainError, InputError
 
 TOL = 1e-7
@@ -145,12 +145,12 @@ class TestParallelism:
         gamma = J.unpack(gamma, 2)                # [l, i, j]
         h = J.unpack(h, 2, axis=-2)               # [i, j, n]
         third = J.unpack(fr.third, 3, axis=-2)    # [i, j, k, n]
-        G = fr.ambient_metric
+        G, eps = fr.ambient_metric, fr.chart.ambient.epsilon
         P_tan = fr.jac @ np.linalg.inv(fr.metric) @ fr.jac.T @ G
         worst = 0.0
         for i, j, k in np.ndindex(third.shape[:3]):
             v = third[i, j, k]
-            v = v - fr.epsilon * float(fr.value @ G @ v) * fr.value
+            v = v - eps * float(fr.value @ G @ v) * fr.value
             v = v - P_tan @ v
             v = v - (gamma[:, i, j] @ h[k] + gamma[:, k, i] @ h[j]
                      + gamma[:, k, j] @ h[i])
@@ -273,6 +273,28 @@ class TestVerifyFamily:
         assert verdict.summary["full"] and verdict.summary["hull_dim"] == 3
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("fid, hull", [("main1-3", True),
+                                           ("light1-2", True),
+                                           ("cubic-graph-control", False)])
+    def test_one_walk_per_record(self, monkeypatch, fid, hull):
+        # the residuals, the ambient check and the FD oracle read one frame:
+        # one jet walk and one draw of chart points, and image values only
+        # for the hull sample and the FD stencil
+        calls = {"jet_arrays": [], "sample_points": [], "value": []}
+        for cls, name in ((ImmersionChart, "jet_arrays"),
+                          (ImmersionChart, "sample_points"),
+                          (ExprChart, "value")):
+            def counted(self, *args, _name=name, _method=getattr(cls, name),
+                        **kwargs):
+                calls[_name].append(args[0])
+                return _method(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+        verdict = verify_family(fid, samples=5)
+        assert verdict.ok
+        assert len(calls["jet_arrays"]) == 1
+        assert calls["sample_points"] == ([5, 40] if hull else [5])
+        assert len(calls["value"]) == (2 if hull else 1)
+
     def test_order2_skips_parallelism(self):
         verdict = verify_family("main1-3", order=2)
         assert verdict.ok
@@ -291,14 +313,14 @@ class TestVerifyFamily:
     def test_nan_residual_fails(self, monkeypatch, fid, field):
         # a NaN in the middle of the sample must not be dropped by max()
         # nor pass a comparison
-        batch = analysis.analyze_points
+        batch = analysis.point_reports
 
         def with_nan(*args, **kwargs):
             reports = batch(*args, **kwargs)
             setattr(reports[2], field, float("nan"))
             return reports
 
-        monkeypatch.setattr(analysis, "analyze_points", with_nan)
+        monkeypatch.setattr(analysis, "point_reports", with_nan)
         verdict = verify_family(fid)
         assert verdict.ok is False
         assert any("non-finite residuals" in f for f in verdict.failures)

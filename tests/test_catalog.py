@@ -98,7 +98,8 @@ class TestChartConsistency:
     @pytest.mark.parametrize("fid", sorted(EXPECTED_IDS))
     def test_image_lies_on_the_space_form(self, fid):
         chart = instantiate(fid)
-        residual = ambient_residual(chart, chart.sample_points(25, 11))
+        residual = ambient_residual(chart.ambient,
+                                    chart.value(chart.sample_points(25, 11)))
         assert residual <= 1e-12
 
     @pytest.mark.parametrize("fid", sorted(EXPECTED_IDS))

@@ -150,6 +150,14 @@ class TestAnalyze:
         assert code == 1
         assert "coordinate" in err
 
+    def test_non_finite_residual_fails_closed(self, capsys):
+        # the jets are finite, but the parallelism residual overflows
+        code, out, err = run(["analyze", "--family", "main1-4",
+                              "--param", "r=1e100"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "domain error: non-finite residuals: parallel\n"
+
     def test_domain_error_at_a_later_sample(self, capsys, monkeypatch):
         # the third of four samples leaves the sphere chart's disc; each
         # sample is analyzed alone, so no stack index names it wrongly
@@ -250,6 +258,8 @@ def test_verify_all_matches_reference(capsys, monkeypatch):
     (["analyze", "--family", "main1-3", "--param", "m=3", "--param", "r=1e-100"],
      1),
     (["analyze", "--family", "light1-3", "--param", "r=1e100"], 0),
+    # finite jets, but the parallelism residual overflows
+    (["analyze", "--family", "main1-4", "--param", "r=1e100"], 1),
 ])
 def test_bad_numbers_fail_closed(argv, code, capsys):
     got, _, err = run(argv, capsys)

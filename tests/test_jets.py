@@ -191,10 +191,6 @@ class TestDomainHandling:
         with pytest.raises(DomainError, match="coordinate 1"):
             J.evaluate(exprs, [1.0])
 
-    def test_variable_cap(self):
-        with pytest.raises(InputError):
-            J.evaluate(J.Const(1.0), np.zeros(J.MAX_VARS + 1))
-
     def test_bad_order(self):
         u, = J.variables(1)
         with pytest.raises(InputError):
