@@ -17,8 +17,9 @@ import numpy as np
 from . import bilinear as B
 from . import jets as J
 from .bilinear import Signature
-from .catalog import Expected, get_family, resolve_params
-from .charts import ImmersionChart, ambient_residual, fd_jet_arrays
+from .catalog import family_instance
+from .charts import (AmbientSpace, ImmersionChart, ambient_residual,
+                     fd_jet_arrays)
 from .errors import DegenerateMetricError, DomainError, InputError
 
 DEFAULT_TOL = 1e-7
@@ -38,28 +39,29 @@ def _enorm(v, axes: int = 0):
 
 @dataclass
 class Frame:
-    """All jet data of a chart at one point or a stack of points, arranged
-    for tensor work.
+    """All jet data at one point or a stack of points of one ambient space
+    form, arranged for tensor work; the points of a stack may come from
+    several charts of the same dimension.
 
     `second` holds the ambient second derivatives with the space-form
     position component already removed, one row per sorted pair i <= j
-    (`jets.packed_indices`); `third` (when present) holds the third
+    (`jets.packed_indices`); `third` (when walked) holds the third
     derivatives, with the same component removed, one row per sorted
-    triple i <= j <= k.  A frame built on a (P, m) stack carries a leading
-    point axis on every array and on `scale`, and `signature` is then a
-    list with one entry per point.  The induced metric's signature is
-    decided once, at the `tol_zero` given to `build_frame`; every pointwise
-    computation on the frame branches on it, so a stack must be split by
-    `branches` before that.
+    triple i <= j <= k, and is projected on first read.  A frame built on
+    a (P, m) stack carries a leading point axis on every array and on
+    `scale`, and `signature` is then a list with one entry per point.  The
+    induced metric's signature is decided once, at the `tol_zero` given to
+    `assemble_frame`; every pointwise computation on the frame branches on
+    it, so a stack must be split by `branches` before that.
     """
 
-    chart: ImmersionChart
+    ambient: AmbientSpace
     point: np.ndarray
     value: np.ndarray
     jac: np.ndarray          # (..., N, m): column i is the tangent vector d_i f
     hess: np.ndarray         # (..., N, T2) as walked, T2 = m(m+1)/2
     second: np.ndarray       # (..., T2, N)
-    third: np.ndarray | None  # (..., T3, N), T3 = m(m+1)(m+2)/6
+    walked_third: np.ndarray | None  # (..., N, T3), T3 = m(m+1)(m+2)/6
     metric: np.ndarray       # (..., m, m) induced first fundamental form
     scale: np.ndarray        # (...)
     signature: Signature | list
@@ -71,7 +73,15 @@ class Frame:
 
     @property
     def ambient_metric(self) -> np.ndarray:
-        return self.chart.ambient.metric()
+        return self.ambient.metric()
+
+    @functools.cached_property
+    def third(self) -> np.ndarray | None:
+        """(..., T3, N) off the position; None when walked at order 2."""
+        if self.walked_third is None:
+            return None
+        return _off_position(self.ambient, self.value,
+                             np.swapaxes(self.walked_third, -1, -2))
 
     @functools.cached_property
     def ginv(self) -> np.ndarray:
@@ -99,8 +109,8 @@ class Frame:
         return [(idx, self._take(idx)) for idx in groups.values()]
 
     def _take(self, idx: list) -> "Frame":
-        third = None if self.third is None else self.third[idx]
-        return Frame(self.chart, self.point[idx], self.value[idx],
+        third = None if self.walked_third is None else self.walked_third[idx]
+        return Frame(self.ambient, self.point[idx], self.value[idx],
                      self.jac[idx], self.hess[idx], self.second[idx], third,
                      self.metric[idx], self.scale[idx],
                      [self.signature[k] for k in idx])
@@ -110,10 +120,8 @@ def _branch(sig: Signature) -> tuple[bool, bool]:
     return sig.degenerate, sig.null == sig.dim
 
 
-def build_frame(chart: ImmersionChart, points, order: int = 3,
-                tol_zero: float = DEFAULT_ZERO_TOL) -> Frame:
-    """Evaluate jets and assemble the pointwise curvature data at one
-    point (m,) or, in one walk, at a (P, m) stack of points.
+def walk_jets(chart: ImmersionChart, points, order: int = 3) -> tuple:
+    """`chart.jet_arrays` at one point (m,) or a (P, m) stack, one walk.
 
     Raises DomainError when a jet is not finite (a closed form overflowed
     at an extreme parameter), naming the first such point.
@@ -129,23 +137,41 @@ def build_frame(chart: ImmersionChart, points, order: int = 3,
         bad = points[np.unravel_index(np.argmin(finite), finite.shape)]
         raise DomainError(
             f"jets of {chart.name!r} are not finite at u={bad.tolist()}")
+    return arrays
+
+
+def _off_position(ambient: AmbientSpace, val, D):
+    """Rows of D with their space-form position component
+    eps <D, G y> y removed, y the image point."""
+    if ambient.epsilon == 0:
+        return D
+    Gy = val @ ambient.metric()
+    return D - ambient.epsilon * np.einsum(
+        "...pn,...n->...p", D, Gy)[..., None] * val[..., None, :]
+
+
+def assemble_frame(ambient: AmbientSpace, points, arrays,
+                   tol_zero: float = DEFAULT_ZERO_TOL) -> Frame:
+    """The pointwise curvature data of walked jet arrays at one point or a
+    stack of points in `ambient`; every result is computed point by point,
+    so a point's data do not depend on the rest of its stack."""
     val, jac, hess, third = arrays
-    G = chart.ambient.metric()
-    eps = chart.ambient.epsilon
-    g = np.swapaxes(jac, -1, -2) @ G @ jac
+    g = np.swapaxes(jac, -1, -2) @ ambient.metric() @ jac
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    D = np.swapaxes(hess, -1, -2)
-    T3 = None if third is None else np.swapaxes(third, -1, -2)
-    if eps != 0:
-        Gy = val @ G
-        y = val[..., None, :]
-        D = D - eps * np.einsum("...pn,...n->...p", D, Gy)[..., None] * y
-        if T3 is not None:
-            T3 = T3 - eps * np.einsum("...pn,...n->...p", T3, Gy)[..., None] * y
+    D = _off_position(ambient, val, np.swapaxes(hess, -1, -2))
     scale = np.maximum(1.0, np.maximum(np.abs(D).max(axis=(-2, -1)),
                                        np.abs(g).max(axis=(-2, -1))))
     sig = B.signature_of(g, tol_zero)
-    return Frame(chart, points, val, jac, hess, D, T3, g, scale, sig)
+    return Frame(ambient, points, val, jac, hess, D, third, g, scale, sig)
+
+
+def build_frame(chart: ImmersionChart, points, order: int = 3,
+                tol_zero: float = DEFAULT_ZERO_TOL) -> Frame:
+    """Evaluate jets and assemble the pointwise curvature data at one
+    point (m,) or, in one walk, at a (P, m) stack of points."""
+    points = np.asarray(points, dtype=float)
+    return assemble_frame(chart.ambient, points,
+                          walk_jets(chart, points, order), tol_zero)
 
 
 def induced_metric(chart: ImmersionChart, point) -> tuple[np.ndarray, Signature]:
@@ -326,7 +352,7 @@ def point_reports(fr: Frame, tol_zero: float) -> list[PointReport]:
         H = data.mean_curvature
         minimal = None if H is None else _enorm(H)
         par = None
-        if not degenerate and sub.third is not None:
+        if not degenerate and sub.walked_third is not None:
             par = parallelism_residual(sub)
         rad = _radical_last_var(sub, tol_zero) if degenerate else None
         for n, k in enumerate(idx):
@@ -483,25 +509,26 @@ def _check_flag(verdict, name, computed, expected):
             f"{name}: computed {computed}, catalog asserts {expected}")
 
 
-def _fd_cross_check(fr: Frame, tol_zero: float) -> list[str]:
-    """Independent finite-difference check of a frame's jets and metric.
+def _fd_cross_check(chart: ImmersionChart, point, jac, hess,
+                    sig_jet: Signature, tol_zero: float) -> list[str]:
+    """Independent finite-difference check of walked jets and their metric.
 
-    Compares the jets at the frame's first point with the central-difference
-    oracle, and requires the induced-metric signature computed from the
-    oracle's jacobian to agree with the frame's under the active zero
-    tolerance.  An overtight tolerance turns the oracle's O(step^2)
-    truncation error into phantom metric rank, which this check reports.
+    Compares the Jacobian and packed Hessian walked at `point` with the
+    central-difference oracle, and requires the induced-metric signature
+    computed from the oracle's jacobian to agree with the walked one's,
+    `sig_jet`, under the active zero tolerance.  An overtight tolerance
+    turns the oracle's O(step^2) truncation error into phantom metric rank,
+    which this check reports.
     """
     failures = []
-    _, fjac, fhess, _ = fd_jet_arrays(fr.chart, fr.point[0], FD_STEP, order=2)
-    d1 = float(np.max(np.abs(fr.jac[0] - fjac)))
-    d2 = float(np.max(np.abs(fr.hess[0] - fhess)))
+    _, fjac, fhess, _ = fd_jet_arrays(chart, point, FD_STEP, order=2)
+    d1 = float(np.max(np.abs(jac - fjac)))
+    d2 = float(np.max(np.abs(hess - fhess)))
     if not (d1 <= FD_TOL and d2 <= FD_TOL):
         failures.append(
             f"finite-difference oracle disagrees with jets "
             f"(jacobian {d1:.3e}, hessian {d2:.3e} > {FD_TOL})")
-    g_fd = fjac.T @ fr.ambient_metric @ fjac
-    sig_jet = fr.signature[0]
+    g_fd = fjac.T @ chart.ambient.metric() @ fjac
     sig_fd = B.signature_of(0.5 * (g_fd + g_fd.T), tol_zero)
     if sig_jet != sig_fd:
         failures.append(
@@ -511,35 +538,75 @@ def _fd_cross_check(fr: Frame, tol_zero: float) -> list[str]:
     return failures
 
 
+def verify_families(jobs, *, samples: int = 5, seed: int = 42,
+                    tol: float = DEFAULT_TOL,
+                    tol_zero: float = DEFAULT_ZERO_TOL,
+                    order: int = 3) -> list[FamilyVerdict]:
+    """Check every asserted property of each (family id, params) job
+    numerically; the verdicts come back in job order.
+
+    Each record's chart is walked once on `samples` seeded chart points.
+    The records that share a chart dimension and an ambient space form are
+    stacked into one frame and reported on together, then each is judged
+    from its own rows; see `_judge`.
+    """
+    groups: dict = {}
+    for n, (family_id, params) in enumerate(jobs):
+        spec, merged, chart, expected = family_instance(family_id, params)
+        points = chart.sample_points(samples, seed)
+        arrays = walk_jets(chart, points, order)
+        groups.setdefault((chart.nvars, chart.ambient), []).append(
+            (n, (spec.id, merged, chart, expected, points, arrays)))
+    verdicts = [None] * len(jobs)
+    for key in list(groups):
+        # a group's arrays and reports are dropped before the next is stacked
+        idx, records = zip(*groups.pop(key))
+        for n, verdict in zip(idx, _verify_group(records, seed, tol, tol_zero)):
+            verdicts[n] = verdict
+    return verdicts
+
+
+def _verify_group(records, seed, tol, tol_zero) -> list[FamilyVerdict]:
+    """One frame and one report pass for the walked records of one group,
+    then each record's verdict from its own rows."""
+    _, _, charts, _, points, walked = zip(*records)
+    stack = [None if a[0] is None else np.concatenate(a) for a in zip(*walked)]
+    # a residual that overflows is not finite, and fails when judged
+    with np.errstate(over="ignore", invalid="ignore"):
+        fr = assemble_frame(charts[0].ambient, np.concatenate(points), stack,
+                            tol_zero)
+        reports = point_reports(fr, tol_zero)
+    n = len(points[0])
+    return [_judge(*rec, reports[k * n:(k + 1) * n], seed=seed, tol=tol,
+                   tol_zero=tol_zero) for k, rec in enumerate(records)]
+
+
 def verify_family(family_id: str, params: dict | None = None, *,
                   samples: int = 5, seed: int = 42, tol: float = DEFAULT_TOL,
                   tol_zero: float = DEFAULT_ZERO_TOL,
                   order: int = 3) -> FamilyVerdict:
-    """Check every asserted property of a catalog family numerically.
+    """Check every asserted property of a catalog family numerically: a
+    one-job `verify_families`."""
+    return verify_families([(family_id, params)], samples=samples, seed=seed,
+                           tol=tol, tol_zero=tol_zero, order=order)[0]
+
+
+def _judge(family_id, params, chart, expected, points, arrays, reports, *,
+           seed, tol, tol_zero) -> FamilyVerdict:
+    """The verdict on one record from its point reports.
 
     Pointwise residuals (worst case over the samples), the ambient check
-    and a finite-difference oracle of the first point's jets read one frame
-    at `samples` seeded chart points; hull reduction and fullness use a
-    larger image sample.  Expected-vs-computed disagreements listed in the
-    entry's discrepancy allowance are reported, not failed.
+    and a finite-difference oracle of the first point's jets read the
+    record's one walk; hull reduction and fullness use a larger image
+    sample.  Expected-vs-computed disagreements listed in the entry's
+    discrepancy allowance are reported, not failed.
     """
-    spec = get_family(family_id)
-    merged = resolve_params(family_id, params)
-    chart = spec.build(merged)
-    expected: Expected = spec.expect(merged)
-    verdict = FamilyVerdict(spec.id, merged, True)
-
-    points = chart.sample_points(samples, seed)
-    # a residual that overflows is not finite, and fails below
-    with np.errstate(over="ignore", invalid="ignore"):
-        fr = build_frame(chart, points, order, tol_zero)
-        reports = point_reports(fr, tol_zero)
-
+    verdict = FamilyVerdict(family_id, params, True)
     residuals = residual_columns(reports)
     # np.max keeps a NaN wherever it occurs; any non-finite residual fails
     umb = float(np.max(residuals["umbilicity"]))
     geo = float(np.max(residuals["geodesic"]))
-    off = ambient_residual(chart.ambient, fr.value)
+    off = ambient_residual(chart.ambient, arrays[0])
     nondegenerate = [r for r in reports if r.h_norm is not None]
     bad = non_finite({**residuals, "ambient": off})
     if bad:
@@ -668,6 +735,8 @@ def verify_family(family_id: str, params: dict | None = None, *,
                     f"translation length: computed {red.rho!r}, catalog "
                     f"asserts {expected.rho!r}")
 
-    verdict.failures.extend(_fd_cross_check(fr, tol_zero))
+    verdict.failures.extend(_fd_cross_check(
+        chart, points[0], arrays[1][0], arrays[2][0],
+        reports[0].metric_signature, tol_zero))
     verdict.ok = not verdict.failures
     return verdict

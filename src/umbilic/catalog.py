@@ -19,7 +19,7 @@ import numpy as np
 
 from .bilinear import Signature
 from .charts import AmbientSpace, ExprChart
-from .errors import InputError
+from .errors import DomainError, InputError
 from .jets import Const, indefinite_square, sqrt, sin, cos, variables
 
 
@@ -581,6 +581,20 @@ def resolve_params(family_id: str, params: dict | None = None) -> dict:
     return merged
 
 
+def family_instance(family_id: str, params: dict | None = None):
+    """(spec, resolved params, chart, expectations) of a family instance.
+
+    A closed form that overflows or divides by zero at an extreme (finite)
+    parameter raises DomainError naming the family and its parameters.
+    """
+    spec = get_family(family_id)
+    merged = resolve_params(family_id, params)
+    try:
+        return spec, merged, spec.build(merged), spec.expect(merged)
+    except ArithmeticError as err:
+        raise DomainError(f"family {spec.id!r} at {merged}: {err}") from err
+
+
 def instantiate(family_id: str, params: dict | None = None, **kw) -> ExprChart:
     """Build the chart of a catalog family with validated parameters."""
     spec = get_family(family_id)
@@ -589,11 +603,9 @@ def instantiate(family_id: str, params: dict | None = None, **kw) -> ExprChart:
 
 
 def expected_report(family_id: str, params: dict | None = None, **kw) -> Expected:
-    """The catalog's asserted properties for a family at given parameters."""
-    spec = get_family(family_id)
-    merged = resolve_params(family_id, {**(params or {}), **kw})
-    spec.build(merged)  # validate parameter ranges
-    return spec.expect(merged)
+    """The catalog's asserted properties for a family at given parameters,
+    which building its chart validates."""
+    return family_instance(family_id, {**(params or {}), **kw})[3]
 
 
 # ---------------------------------------------------------------------------

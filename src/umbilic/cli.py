@@ -17,7 +17,7 @@ import numpy as np
 from . import catalog
 from .analysis import (DEFAULT_TOL, DEFAULT_ZERO_TOL, analyze_point,
                        analyze_points, fullness, hull_sample, non_finite,
-                       reduction_report, residual_columns, verify_family)
+                       reduction_report, residual_columns, verify_families)
 from .congruence import moduli_demo
 from .errors import DomainError, InputError
 
@@ -32,6 +32,8 @@ def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
+        if x.dtype.kind == "f" and np.isfinite(x).all():
+            return x.tolist()
         return [_jsonable(v) for v in x.tolist()]
     if isinstance(x, (np.floating, float)):
         x = float(x)
@@ -63,10 +65,7 @@ def _entry_rng(seed: int, family_id: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(family_id.encode())])
 
 
-def _verify_one(fid, params, args) -> dict:
-    verdict = verify_family(fid, params, samples=args.samples, seed=args.seed,
-                            tol=args.tol, tol_zero=args.tol_zero,
-                            order=args.order)
+def _record(verdict, args) -> dict:
     if not verdict.ok:
         status = "fail"
     elif verdict.discrepancies:
@@ -88,16 +87,18 @@ def _verify_one(fid, params, args) -> dict:
 
 
 def cmd_verify_all(args) -> int:
-    records = []
+    jobs = []
     for fid in catalog.family_ids():
         spec = catalog.get_family(fid)
-        runs = [dict(spec.defaults)]
+        jobs.append((fid, dict(spec.defaults)))
         if spec.parametric:
             rng = _entry_rng(args.seed, fid)
             for _ in range(RANDOM_DRAWS):
-                runs.append({**spec.defaults, **spec.draw_params(rng)})
-        for params in runs:
-            records.append(_verify_one(fid, params, args))
+                jobs.append((fid, {**spec.defaults, **spec.draw_params(rng)}))
+    verdicts = verify_families(jobs, samples=args.samples, seed=args.seed,
+                               tol=args.tol, tol_zero=args.tol_zero,
+                               order=args.order)
+    records = [_record(v, args) for v in verdicts]
     records.sort(key=lambda r: (r["family"],
                                 json.dumps(_jsonable(r["params"]),
                                            sort_keys=True)))
@@ -144,10 +145,7 @@ def _parse_param(text: str):
 
 def cmd_analyze(args) -> int:
     params = dict(_parse_param(p) for p in args.param or [])
-    spec = catalog.get_family(args.family)
-    merged = catalog.resolve_params(args.family, params)
-    chart = spec.build(merged)
-    expected = spec.expect(merged)
+    spec, merged, chart, expected = catalog.family_instance(args.family, params)
     if args.point is not None:
         if len(args.point) != chart.nvars:
             raise UsageError(
@@ -346,8 +344,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (DomainError, ArithmeticError) as err:
-        # ArithmeticError: a closed form overflowed or divided by zero at an
-        # extreme (finite) parameter
+        # ArithmeticError: a last guard; `catalog.family_instance` names the
+        # family when its closed forms overflow or divide by zero
         print(f"domain error: {err}", file=sys.stderr)
         return 1
 

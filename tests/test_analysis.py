@@ -5,12 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from umbilic import analysis
+from umbilic import analysis, cli
 from umbilic import jets as J
 from umbilic.analysis import (_nondegenerate_tensors, analyze_point,
                               analyze_points, build_frame, fullness,
                               induced_metric, parallelism_residual,
-                              reduction_report, umbilicity_data, verify_family)
+                              reduction_report, umbilicity_data,
+                              verify_families, verify_family)
 from umbilic.bilinear import Signature
 from umbilic.catalog import family_ids, get_family, instantiate
 from umbilic.charts import ExprChart, ImmersionChart, transform_chart
@@ -145,7 +146,7 @@ class TestParallelism:
         gamma = J.unpack(gamma, 2)                # [l, i, j]
         h = J.unpack(h, 2, axis=-2)               # [i, j, n]
         third = J.unpack(fr.third, 3, axis=-2)    # [i, j, k, n]
-        G, eps = fr.ambient_metric, fr.chart.ambient.epsilon
+        G, eps = fr.ambient_metric, fr.ambient.epsilon
         P_tan = fr.jac @ np.linalg.inv(fr.metric) @ fr.jac.T @ G
         worst = 0.0
         for i, j, k in np.ndindex(third.shape[:3]):
@@ -157,6 +158,15 @@ class TestParallelism:
             worst = max(worst, float(np.linalg.norm(v)))
         assert parallelism_residual(fr) == pytest.approx(
             worst / fr.scale, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("fid, read", [("light1-2", False),
+                                           ("main1-3", True)])
+    def test_third_is_projected_on_first_read(self, fid, read):
+        # the degenerate branch never reads the order-3 data
+        ch = instantiate(fid)
+        fr = build_frame(ch, ch.sample_points(4, 31), order=3)
+        analysis.point_reports(fr, analysis.DEFAULT_ZERO_TOL)
+        assert ("third" in vars(fr)) is read
 
     def test_degenerate_metric_rejected(self):
         ch = instantiate("light1-1")
@@ -324,6 +334,99 @@ class TestVerifyFamily:
         verdict = verify_family(fid)
         assert verdict.ok is False
         assert any("non-finite residuals" in f for f in verdict.failures)
+
+
+def _verify_all_jobs(seed):
+    """The (family id, params) jobs of `umbilic verify-all --seed seed`."""
+    jobs = []
+    for fid in family_ids():
+        spec = get_family(fid)
+        jobs.append((fid, dict(spec.defaults)))
+        if spec.parametric:
+            rng = cli._entry_rng(seed, fid)
+            jobs += [(fid, {**spec.defaults, **spec.draw_params(rng)})
+                     for _ in range(cli.RANDOM_DRAWS)]
+    return jobs
+
+
+class TestVerifyFamilies:
+    """Records stacked by (m, ambient) give the one-at-a-time verdicts."""
+
+    @pytest.mark.parametrize("kw", [{}, {"order": 2}, {"tol_zero": 1e-15}])
+    def test_stacked_equals_one_at_a_time(self, kw):
+        jobs = _verify_all_jobs(42)
+        assert len(jobs) == 92
+        stacked = verify_families(jobs, samples=16, seed=42, **kw)
+        for (fid, params), got in zip(jobs, stacked):
+            want = verify_family(fid, params, samples=16, seed=42, **kw)
+            assert (got.family_id, got.params) == (want.family_id, want.params)
+            assert got.ok == want.ok
+            assert got.failures == want.failures
+            assert got.discrepancies == want.discrepancies
+            assert got.summary.keys() == want.summary.keys()
+            for key, value in want.summary.items():
+                assert got.summary[key] == value, (fid, key)
+        unstable = [f for v in stacked for f in v.failures
+                    if "metric signature unstable" in f]
+        assert bool(unstable) == ("tol_zero" in kw)
+
+    def test_one_report_pass_per_group(self, monkeypatch):
+        jobs = _verify_all_jobs(42)
+        shapes = set()
+        for fid, params in jobs:
+            ch = get_family(fid).build(params)
+            shapes.add((ch.nvars, ch.ambient))
+        assert len(shapes) == 16
+        calls = {"point_reports": 0, "jet_arrays": 0}
+        point_reports = analysis.point_reports
+        jet_arrays = ImmersionChart.jet_arrays
+
+        def reports(*args, **kwargs):
+            calls["point_reports"] += 1
+            return point_reports(*args, **kwargs)
+
+        def walk(self, *args, **kwargs):
+            calls["jet_arrays"] += 1
+            return jet_arrays(self, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "point_reports", reports)
+        monkeypatch.setattr(ImmersionChart, "jet_arrays", walk)
+        verify_families(jobs, samples=16, seed=42)
+        assert calls == {"point_reports": 16, "jet_arrays": 92}
+
+    def test_walk_error_is_the_single_record_error(self, monkeypatch):
+        # the chart box leaves the sphere chart's disc, so the walk fails
+        spec = get_family("main1-3")
+        build = spec.build
+
+        def widened(params):
+            chart = build(params)
+            chart.box = 10 * chart.box
+            return chart
+
+        monkeypatch.setattr(spec, "build", widened)
+        with pytest.raises(DomainError) as alone:
+            verify_family("main1-3")
+        jobs = [("main2-3", None), ("main1-1", None), ("main1-3", None),
+                ("main2-1", None)]
+        with pytest.raises(DomainError) as stacked:
+            verify_families(jobs)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_verdicts_in_job_order_across_groups(self):
+        jobs = [("main1-3", {"r": 0.3}), ("main2-3", {"r": 0.4}),
+                ("main1-3", {"r": 0.6})]
+        verdicts = verify_families(jobs)
+        assert [(v.family_id, v.params["r"]) for v in verdicts] == [
+            ("main1-3", 0.3), ("main2-3", 0.4), ("main1-3", 0.6)]
+        for (fid, params), got in zip(jobs, verdicts):
+            assert got.summary == verify_family(fid, params).summary
+
+    @pytest.mark.parametrize("fid, r", [("main1-4", 1e155),
+                                        ("main1-3", 1e-200)])
+    def test_closed_form_arithmetic_error_names_the_family(self, fid, r):
+        with pytest.raises(DomainError, match=fid):
+            verify_family(fid, {"r": r})
 
 
 def _same_report(batch, single):

@@ -7,11 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from umbilic.analysis import analyze_point
 from umbilic.catalog import instantiate
 from umbilic.charts import ImmersionChart
-from umbilic.cli import main
+from umbilic.cli import _jsonable, main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -158,6 +161,14 @@ class TestAnalyze:
         assert out == ""
         assert err == "domain error: non-finite residuals: parallel\n"
 
+    def test_closed_form_overflow_names_the_family(self, capsys):
+        # the catalog's expectation overflows before any chart is walked
+        code, out, err = run(["analyze", "--family", "main1-4",
+                              "--param", "r=1e155"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("domain error: family 'main1-4'")
+
     def test_domain_error_at_a_later_sample(self, capsys, monkeypatch):
         # the third of four samples leaves the sphere chart's disc; each
         # sample is analyzed alone, so no stack index names it wrongly
@@ -302,3 +313,47 @@ class TestSeedHandling:
         run(["verify-all", "--samples", "5", "--seed", "3",
              "--json", str(a)], capsys)
         assert json.loads(a.read_text())["seed"] == 3
+
+
+def _jsonable_reference(x):
+    """The element-by-element conversion that `_jsonable` shortcuts."""
+    if isinstance(x, dict):
+        return {str(k): _jsonable_reference(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable_reference(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return [_jsonable_reference(v) for v in x.tolist()]
+    if isinstance(x, (np.floating, float)):
+        x = float(x)
+        return None if x != x else x
+    if isinstance(x, (np.integer,)):
+        return int(x)
+    if isinstance(x, (np.bool_,)):
+        return bool(x)
+    return x
+
+
+_special = st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+_shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+_arrays = (hnp.arrays(np.float64, _shapes, elements=st.floats() | _special)
+           | hnp.arrays(np.float32, _shapes,
+                        elements=st.floats(width=32) | _special)
+           | hnp.arrays(st.sampled_from([np.int64, np.bool_]), _shapes))
+_leaves = (_arrays | st.floats() | _special | st.integers() | st.booleans()
+           | st.none() | st.text(max_size=3)
+           | st.floats(width=32).map(np.float32) | st.floats().map(np.float64)
+           | st.integers(-2 ** 31, 2 ** 31).map(np.int64)
+           | st.booleans().map(np.bool_))
+_payloads = st.recursive(
+    _leaves, lambda inner: st.lists(inner, max_size=3)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3) | st.integers(), inner, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_payloads)
+def test_jsonable_keeps_the_bytes(payload):
+    def dump(f):
+        return json.dumps(f(payload), sort_keys=True, indent=2)
+    assert dump(_jsonable) == dump(_jsonable_reference)
