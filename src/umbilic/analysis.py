@@ -16,14 +16,13 @@ import numpy as np
 
 from . import bilinear as B
 from . import jets as J
-from .bilinear import Signature
+from .bilinear import DEFAULT_ZERO_TOL, Signature
 from .catalog import family_instance
 from .charts import (AmbientSpace, ImmersionChart, ambient_residual,
                      fd_jet_arrays)
 from .errors import DegenerateMetricError, DomainError, InputError
 
 DEFAULT_TOL = 1e-7
-DEFAULT_ZERO_TOL = 1e-8
 CONTROL_GAP = 1e-2
 H_NORM_TOL = 1e-6
 FD_TOL = 1e-5
@@ -59,8 +58,7 @@ class Frame:
     point: np.ndarray
     value: np.ndarray
     jac: np.ndarray          # (..., N, m): column i is the tangent vector d_i f
-    hess: np.ndarray         # (..., N, T2) as walked, T2 = m(m+1)/2
-    second: np.ndarray       # (..., T2, N)
+    second: np.ndarray       # (..., T2, N), T2 = m(m+1)/2
     walked_third: np.ndarray | None  # (..., N, T3), T3 = m(m+1)(m+2)/6
     metric: np.ndarray       # (..., m, m) induced first fundamental form
     scale: np.ndarray        # (...)
@@ -70,10 +68,6 @@ class Frame:
     @property
     def m(self) -> int:
         return self.jac.shape[-1]
-
-    @property
-    def ambient_metric(self) -> np.ndarray:
-        return self.ambient.metric()
 
     @functools.cached_property
     def third(self) -> np.ndarray | None:
@@ -111,7 +105,7 @@ class Frame:
     def _take(self, idx: list) -> "Frame":
         third = None if self.walked_third is None else self.walked_third[idx]
         return Frame(self.ambient, self.point[idx], self.value[idx],
-                     self.jac[idx], self.hess[idx], self.second[idx], third,
+                     self.jac[idx], self.second[idx], third,
                      self.metric[idx], self.scale[idx],
                      [self.signature[k] for k in idx])
 
@@ -162,7 +156,7 @@ def assemble_frame(ambient: AmbientSpace, points, arrays,
     scale = np.maximum(1.0, np.maximum(np.abs(D).max(axis=(-2, -1)),
                                        np.abs(g).max(axis=(-2, -1))))
     sig = B.signature_of(g, tol_zero)
-    return Frame(ambient, points, val, jac, hess, D, third, g, scale, sig)
+    return Frame(ambient, points, val, jac, D, third, g, scale, sig)
 
 
 def build_frame(chart: ImmersionChart, points, order: int = 3,
@@ -191,7 +185,7 @@ def _nondegenerate_tensors(fr: Frame):
     Needs a non-degenerate induced metric; computed once per frame.
     """
     if fr.tensors is None:
-        TG = np.swapaxes(fr.jac, -1, -2) @ fr.ambient_metric   # (..., m, N)
+        TG = np.swapaxes(fr.jac, -1, -2) @ fr.ambient.metric()   # (..., m, N)
         gamma = np.linalg.solve(
             fr.metric, np.einsum("...ln,...pn->...lp", TG, fr.second))
         h = fr.second - np.swapaxes(fr.jac @ gamma, -1, -2)
@@ -220,7 +214,7 @@ def parallelism_residual(fr: Frame):
     # the residual lies in the range of the normal projector I - P_tan, of
     # rank N - m: work in Euclidean-orthonormal coordinates Q of that range
     normal = np.eye(N) - (fr.jac @ fr.ginv @ np.swapaxes(fr.jac, -1, -2)
-                          @ fr.ambient_metric)
+                          @ fr.ambient.metric())
     Q = np.linalg.eigh(normal @ np.swapaxes(normal, -1, -2))[1][..., m:]
     k = N - m
     # C[ab, c] = sum_l gamma^l_ab h_cl, one row per (sorted pair ab, c)
@@ -249,7 +243,6 @@ class UmbilicityData:
     mean_curvature: np.ndarray | None   # ambient vector, None when degenerate
     h_norm: float | None
     first_normal_rank: int
-    totally_degenerate_metric: bool = False
 
 
 def umbilicity_data(fr: Frame) -> UmbilicityData:
@@ -269,9 +262,9 @@ def umbilicity_data(fr: Frame) -> UmbilicityData:
         _, h, H = _nondegenerate_tensors(fr)
         geo = _enorm(h, 1)
         umb = _enorm(h - g[..., None] * H[..., None, :], 1)
-        h_norm = np.sum((H @ fr.ambient_metric) * H, axis=-1)
+        h_norm = np.sum((H @ fr.ambient.metric()) * H, axis=-1)
         return UmbilicityData(umb / fr.scale, geo / fr.scale, H, h_norm,
-                              B.numerical_rank(h), np.zeros(lead, dtype=bool))
+                              B.numerical_rank(h))
 
     # rows span the tangent space
     basis = B.row_space_bases(np.swapaxes(fr.jac, -1, -2))
@@ -280,15 +273,13 @@ def umbilicity_data(fr: Frame) -> UmbilicityData:
     rank = B.numerical_rank(classes)
     if vanishes:
         # metric identically zero: umbilicity is vacuous
-        return UmbilicityData(np.zeros(lead), geo / fr.scale, None, None, rank,
-                              totally_degenerate_metric=np.ones(lead, dtype=bool))
+        return UmbilicityData(np.zeros(lead), geo / fr.scale, None, None, rank)
     # the first largest entry of a symmetric matrix is a sorted pair
     piv = np.argmax(np.abs(g), axis=-1)[..., None]
     ratios = g / np.take_along_axis(g, piv, -1)
     pivot_class = np.take_along_axis(classes, piv[..., None], -2)
     umb = _enorm(classes - ratios[..., None] * pivot_class, 1)
-    return UmbilicityData(umb / fr.scale, geo / fr.scale, None, None, rank,
-                          np.zeros(lead, dtype=bool))
+    return UmbilicityData(umb / fr.scale, geo / fr.scale, None, None, rank)
 
 
 def _radical_last_var(fr: Frame, tol_zero: float):
@@ -320,7 +311,6 @@ class PointReport:
     parallel_residual: float | None
     first_normal_rank: int
     radical_last_var_residual: float | None
-    totally_degenerate_metric: bool
 
     def flags(self, tol: float = DEFAULT_TOL) -> dict:
         mt = None
@@ -366,8 +356,7 @@ def point_reports(fr: Frame, tol_zero: float) -> list[PointReport]:
                 None if H is None else float(minimal[n]),
                 None if par is None else float(par[n]),
                 int(data.first_normal_rank[n]),
-                None if rad is None else float(rad[n]),
-                bool(data.totally_degenerate_metric[n]))
+                None if rad is None else float(rad[n]))
     return reports
 
 
@@ -402,7 +391,6 @@ class ReductionReport:
     direction_signature: Signature
     translation_class: str
     rho: float | None
-    offset_norm_sq: float
 
 
 def hull_sample(chart: ImmersionChart, seed: int = 42) -> np.ndarray:
@@ -430,9 +418,9 @@ def reduction_report(chart: ImmersionChart, seed: int = 42,
         for xi in B.radical_basis(gram, tol_zero):
             coeff = max(coeff, abs(float((xi @ W) @ G @ offset)))
         cls = "+N" if coeff > tol else "linear"
-        return ReductionReport(hull_dim, dir_sig, cls, None, float("nan"))
+        return ReductionReport(hull_dim, dir_sig, cls, None)
     if hull_dim == 0:
-        return ReductionReport(0, dir_sig, "linear", None, 0.0)
+        return ReductionReport(0, dir_sig, "linear", None)
     proj = W.T @ np.linalg.solve(gram, W @ G)
     v = base - proj @ base
     vv = float(v @ G @ v)
@@ -444,7 +432,7 @@ def reduction_report(chart: ImmersionChart, seed: int = 42,
         cls, rho = "v_T", math.sqrt(-vv)
     else:
         cls, rho = "v_L", None
-    return ReductionReport(hull_dim, dir_sig, cls, rho, vv)
+    return ReductionReport(hull_dim, dir_sig, cls, rho)
 
 
 def fullness(chart: ImmersionChart, seed: int = 42,
@@ -501,10 +489,8 @@ def non_finite(residuals: dict) -> list[str]:
     return [k for k, v in residuals.items() if not np.all(np.isfinite(v))]
 
 
-def _check_flag(verdict, name, computed, expected):
-    if expected is None or computed is None:
-        return
-    if bool(computed) != bool(expected):
+def _check_flag(verdict, name, computed, expected: bool):
+    if bool(computed) != expected:
         verdict.failures.append(
             f"{name}: computed {computed}, catalog asserts {expected}")
 
@@ -671,7 +657,7 @@ def _judge(family_id, params, chart, expected, points, arrays, reports, *,
         flags = [r.flags(tol)["marginally_trapped"] for r in nondegenerate]
         _check_flag(verdict, "marginally_trapped", all(flags),
                     expected.marginally_trapped)
-    elif expected.minimal is not None:
+    else:
         # degenerate metric: minimality only asserted through geodesy
         _check_flag(verdict, "minimal", geo <= tol, expected.minimal)
 

@@ -170,19 +170,17 @@ def null_space_basis(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL) -> np.nd
     return vh[_rank(s, tol):]
 
 
-def random_pseudo_orthogonal(sig: Signature, rng: np.random.Generator,
-                             rotations: int | None = None,
-                             max_boost: float = 0.4) -> np.ndarray:
-    """Random isometry of the indefinite form: circular rotations inside the
-    sign blocks, hyperbolic boosts across them.  Null coordinates are fixed.
+def random_pseudo_orthogonal(sig: Signature,
+                             rng: np.random.Generator) -> np.ndarray:
+    """Random isometry of the indefinite form: 2 (neg + pos) steps, each a
+    circular rotation inside a sign block or a hyperbolic boost of rapidity
+    at most 0.4 across them.  Null coordinates are fixed.
     """
     n = sig.dim
     L = np.eye(n)
     neg_idx = list(range(sig.neg))
     pos_idx = list(range(sig.neg, sig.neg + sig.pos))
-    if rotations is None:
-        rotations = 2 * (sig.neg + sig.pos)
-    for _ in range(rotations):
+    for _ in range(2 * (sig.neg + sig.pos)):
         kind = rng.integers(0, 3)
         step = np.eye(n)
         if kind == 0 and len(pos_idx) >= 2:
@@ -200,7 +198,7 @@ def random_pseudo_orthogonal(sig: Signature, rng: np.random.Generator,
         elif neg_idx and pos_idx:
             i = rng.choice(neg_idx)
             j = rng.choice(pos_idx)
-            t = rng.uniform(-max_boost, max_boost)
+            t = rng.uniform(-0.4, 0.4)
             step[i, i] = step[j, j] = np.cosh(t)
             step[i, j] = step[j, i] = np.sinh(t)
         L = step @ L

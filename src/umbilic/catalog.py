@@ -595,17 +595,15 @@ def family_instance(family_id: str, params: dict | None = None):
         raise DomainError(f"family {spec.id!r} at {merged}: {err}") from err
 
 
-def instantiate(family_id: str, params: dict | None = None, **kw) -> ExprChart:
+def instantiate(family_id: str, params: dict | None = None) -> ExprChart:
     """Build the chart of a catalog family with validated parameters."""
-    spec = get_family(family_id)
-    merged = resolve_params(family_id, {**(params or {}), **kw})
-    return spec.build(merged)
+    return get_family(family_id).build(resolve_params(family_id, params))
 
 
-def expected_report(family_id: str, params: dict | None = None, **kw) -> Expected:
+def expected_report(family_id: str, params: dict | None = None) -> Expected:
     """The catalog's asserted properties for a family at given parameters,
     which building its chart validates."""
-    return family_instance(family_id, {**(params or {}), **kw})[3]
+    return family_instance(family_id, params)[3]
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,7 @@ def compose(outer: ImmersionChart, inner: ImmersionChart) -> CompositeChart:
     return CompositeChart(outer, inner)
 
 
-def linear_chart(matrix: np.ndarray, ambient: AmbientSpace,
-                 name: str = "linear") -> ExprChart:
+def linear_chart(matrix: np.ndarray, ambient: AmbientSpace) -> ExprChart:
     """Chart u -> matrix @ u (rows of `matrix` give ambient coordinates)."""
     matrix = np.asarray(matrix, dtype=float)
     nvars = matrix.shape[1]
@@ -193,7 +192,7 @@ def linear_chart(matrix: np.ndarray, ambient: AmbientSpace,
             if c != 0.0:
                 acc = acc + J.Const(c) * v
         exprs.append(acc)
-    return ExprChart(exprs, nvars, ambient, name=name)
+    return ExprChart(exprs, nvars, ambient, name="linear")
 
 
 def transform_chart(chart: ImmersionChart, matrix: np.ndarray) -> ImmersionChart:

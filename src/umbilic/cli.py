@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification/runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -271,8 +272,6 @@ def cmd_moduli(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.action != "list":
-        raise UsageError(f"unknown catalog action {args.action!r}")
     for fid in catalog.family_ids():
         spec = catalog.get_family(fid)
         tag = "parametric" if spec.parametric else "fixed"
@@ -283,32 +282,37 @@ def cmd_catalog(args) -> int:
 
 def _add_common(sub, samples_default=DEFAULT_SAMPLES):
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    sub.add_argument("--tol-zero", type=float, default=DEFAULT_ZERO_TOL,
-                     dest="tol_zero")
     sub.add_argument("--samples", type=int, default=samples_default)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--order", type=int, choices=(2, 3), default=3)
     sub.add_argument("--json", metavar="PATH",
                      help="write a JSON report to PATH ('-' for stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="umbilic",
         description="Numerical verification of the totally umbilical "
                     "submanifold catalog in indefinite space forms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-all", help="run every catalog entry")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_all)
+    verify = sub.add_parser("verify-all", help="run every catalog entry")
+    _add_common(verify)
+    verify.set_defaults(func=cmd_verify_all)
 
-    p = sub.add_parser("analyze", help="report one family in detail")
-    p.add_argument("--family", required=True)
-    p.add_argument("--param", action="append", metavar="KEY=VALUE")
-    p.add_argument("--point", type=float, nargs="+", metavar="X")
-    _add_common(p, samples_default=4)
-    p.set_defaults(func=cmd_analyze)
+    analyze = sub.add_parser("analyze", help="report one family in detail")
+    analyze.add_argument("--family", required=True)
+    analyze.add_argument("--param", action="append", metavar="KEY=VALUE")
+    analyze.add_argument("--point", type=float, nargs="+", metavar="X")
+    _add_common(analyze, samples_default=4)
+    analyze.set_defaults(func=cmd_analyze)
+
+    # the jet walk's options: `moduli` reads neither
+    for p in (verify, analyze):
+        p.add_argument("--tol-zero", type=float, default=DEFAULT_ZERO_TOL,
+                       dest="tol_zero")
+        p.add_argument("--order", type=int, choices=(2, 3), default=3)
 
     p = sub.add_parser("moduli", help="walk the null-offset moduli family")
     p.add_argument("--a", required=True, metavar="LIST",
@@ -334,8 +338,8 @@ def main(argv=None) -> int:
     if hasattr(args, "samples") and args.samples < 4:
         print("error: --samples must be at least 4", file=sys.stderr)
         return 2
-    if hasattr(args, "tol") and not all(math.isfinite(t) and t > 0
-                                        for t in (args.tol, args.tol_zero)):
+    tols = [getattr(args, k) for k in ("tol", "tol_zero") if hasattr(args, k)]
+    if not all(math.isfinite(t) and t > 0 for t in tols):
         print("error: tolerances must be positive and finite", file=sys.stderr)
         return 2
     try:

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bilinear as B
-from .analysis import (DEFAULT_TOL, DEFAULT_ZERO_TOL, analyze_points,
-                       reduction_report)
+from .analysis import DEFAULT_TOL, analyze_points, reduction_report
 from .catalog import instantiate
 from .charts import ImmersionChart
 from .errors import InputError
@@ -34,9 +33,8 @@ class CongruenceVerdict:
 
 
 def congruence_test(chart_a: ImmersionChart, chart_b: ImmersionChart,
-                    count: int = 40, seed: int = 42,
-                    tol: float = DEFAULT_TOL) -> CongruenceVerdict:
-    """Numerical congruence of two immersions over paired samples.
+                    seed: int = 42) -> CongruenceVerdict:
+    """Numerical congruence of two immersions over 40 paired samples.
 
     Samples are drawn from the first chart's box; both charts must have
     the same number of variables.  Gram matrices are compared entrywise;
@@ -44,7 +42,7 @@ def congruence_test(chart_a: ImmersionChart, chart_b: ImmersionChart,
     """
     if chart_a.nvars != chart_b.nvars:
         raise InputError("charts must share a domain to be compared")
-    points = chart_a.sample_points(count, seed)
+    points = chart_a.sample_points(40, seed)
     Ya = chart_a.value(points)
     Yb = chart_b.value(points)
     Ga = B.gram_matrix(Ya, chart_a.ambient.signature)
@@ -53,7 +51,7 @@ def congruence_test(chart_a: ImmersionChart, chart_b: ImmersionChart,
     ra = B.numerical_rank(Ya)
     rb = B.numerical_rank(Yb)
     rj = B.numerical_rank(np.hstack([Ya, Yb]))
-    if gram_res > tol:
+    if gram_res > DEFAULT_TOL:
         return CongruenceVerdict(False, gram_res, ra, rb, rj,
                                  "Gram matrices differ")
     if not (ra == rb == rj):
@@ -69,7 +67,6 @@ def congruence_test(chart_a: ImmersionChart, chart_b: ImmersionChart,
 @dataclass
 class ClassificationResult:
     label: str | None
-    epsilon: int
     h_norm: float | None
     params: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
@@ -87,32 +84,31 @@ def _boundary_note(h: float, boundaries, tol: float, notes: list):
                 f"tolerance of the classification boundary {b:g}")
 
 
-def _geodesic_item(chart: ImmersionChart, seed: int) -> int:
+def _geodesic_item(chart: ImmersionChart) -> int:
     """Distinguish the two totally geodesic hypersurface inclusions.
 
     Item 1 keeps the full negative index of the embedding in the hull
     direction space (spacelike normal); item 2 drops one (timelike normal).
     """
-    red = reduction_report(chart, seed=seed)
+    red = reduction_report(chart, seed=42)
     return 1 if red.direction_signature.neg == chart.ambient.signature.neg else 2
 
 
-def classify(chart: ImmersionChart, samples: int = 5, seed: int = 42,
-             tol: float = DEFAULT_TOL,
-             tol_zero: float = DEFAULT_ZERO_TOL) -> ClassificationResult:
+def classify(chart: ImmersionChart) -> ClassificationResult:
     """Identify which classification item an umbilical chart realizes.
 
     Covers immersions with non-degenerate induced metric; the squared
     norm of the mean curvature and the sign pattern of the hull direction
     space determine the item, and the curvature radius parameter is
-    recovered from the norm where the item has one.
+    recovered from the norm where the item has one.  Five seeded sample
+    points are read at the default tolerances.
     """
     eps = chart.ambient.epsilon
-    reports = analyze_points(chart, chart.sample_points(samples, seed),
-                             order=2, tol_zero=tol_zero)
+    tol = DEFAULT_TOL
+    reports = analyze_points(chart, chart.sample_points(5, 42), order=2)
     # np.max keeps a NaN, and a NaN residual is not umbilical
     umb = float(np.max([r.umbilicity_residual for r in reports]))
-    result = ClassificationResult(None, eps, None)
+    result = ClassificationResult(None, None)
     if any(r.metric_signature.degenerate for r in reports):
         result.notes.append("induced metric is degenerate; outside the "
                             "non-degenerate classification")
@@ -125,37 +121,7 @@ def classify(chart: ImmersionChart, samples: int = 5, seed: int = 42,
     minimal = np.max([r.minimal_residual for r in reports]) <= tol
     result.h_norm = h
 
-    if eps == 1:
-        _boundary_note(h, (0.0, -1.0), tol, result.notes)
-        if minimal:
-            result.label = f"main1-{_geodesic_item(chart, seed)}"
-            result.params["r"] = 1.0
-        elif h > tol:
-            result.label, result.params["r"] = "main1-3", 1 / math.sqrt(1 + h)
-        elif _near(h, 0.0, tol):
-            result.label = "main1-5"
-        elif h > -1.0 + tol:
-            result.label, result.params["r"] = "main1-4", 1 / math.sqrt(1 + h)
-        elif _near(h, -1.0, tol):
-            result.label = "main1-7"
-        else:
-            result.label, result.params["r"] = "main1-6", 1 / math.sqrt(-1 - h)
-    elif eps == -1:
-        _boundary_note(h, (0.0, 1.0), tol, result.notes)
-        if minimal:
-            result.label = f"main2-{_geodesic_item(chart, seed)}"
-            result.params["r"] = 1.0
-        elif h < -tol:
-            result.label, result.params["r"] = "main2-3", 1 / math.sqrt(1 - h)
-        elif _near(h, 0.0, tol):
-            result.label = "main2-5"
-        elif h < 1.0 - tol:
-            result.label, result.params["r"] = "main2-4", 1 / math.sqrt(1 - h)
-        elif _near(h, 1.0, tol):
-            result.label = "main2-7"
-        else:
-            result.label, result.params["r"] = "main2-6", 1 / math.sqrt(h - 1)
-    else:
+    if eps == 0:
         _boundary_note(h, (0.0,), tol, result.notes)
         if minimal:
             result.label = "akk-1"
@@ -165,6 +131,25 @@ def classify(chart: ImmersionChart, samples: int = 5, seed: int = 42,
             result.label, result.params["r"] = "akk-3", 1 / math.sqrt(-h)
         else:
             result.label = "akk-4"
+        return result
+    # the items of eps = -1 mirror those of eps = +1 in k = eps * h; negation
+    # is exact, so each comparison and each radius is the mirrored one's
+    _boundary_note(h, (0.0, -eps), tol, result.notes)
+    item = "main1" if eps == 1 else "main2"
+    k = eps * h
+    if minimal:
+        result.label = f"{item}-{_geodesic_item(chart)}"
+        result.params["r"] = 1.0
+    elif k > tol:
+        result.label, result.params["r"] = f"{item}-3", 1 / math.sqrt(1 + k)
+    elif _near(k, 0.0, tol):
+        result.label = f"{item}-5"
+    elif k > -1.0 + tol:
+        result.label, result.params["r"] = f"{item}-4", 1 / math.sqrt(1 + k)
+    elif _near(k, -1.0, tol):
+        result.label = f"{item}-7"
+    else:
+        result.label, result.params["r"] = f"{item}-6", 1 / math.sqrt(-1 - k)
     return result
 
 
@@ -179,12 +164,11 @@ class ModuliRecord:
     a: float
     cls: str               # "u" (umbilical, not geodesic) or "g" (geodesic)
     distance: float        # sup Euclidean distance to the a=0 member
-    geodesic_residual: float
 
 
-def moduli_demo(a_values, m: int = 2, s: int = 0, samples: int = 25,
-                seed: int = 42, tol: float = DEFAULT_TOL) -> list[ModuliRecord]:
-    """Walk the null-offset family towards its geodesic limit.
+def moduli_demo(a_values, samples: int = 25, seed: int = 42,
+                tol: float = DEFAULT_TOL) -> list[ModuliRecord]:
+    """Walk the null-offset family (m=2, s=0) towards its geodesic limit.
 
     Each member with a != 0 is umbilical but not geodesic, yet its image
     converges uniformly to the geodesic member as a -> 0: the family
@@ -192,16 +176,16 @@ def moduli_demo(a_values, m: int = 2, s: int = 0, samples: int = 25,
     distance column (the "u" class degenerates onto "g" with no motion
     inside "g" reaching back).
     """
-    base = instantiate("psi-a", {"m": m, "s": s, "a": 0.0})
+    base = instantiate("psi-a", {"m": 2, "s": 0, "a": 0.0})
     points = base.sample_points(samples, seed)
     records = []
     for a in a_values:
-        chart = instantiate("psi-a", {"m": m, "s": s, "a": float(a)})
+        chart = instantiate("psi-a", {"m": 2, "s": 0, "a": float(a)})
         geo = float(np.max([r.geodesic_residual for r in
                             analyze_points(chart, chart.sample_points(3, seed),
                                            order=2)]))
         dist = float(np.max(np.linalg.norm(chart.value(points)
                                            - base.value(points), axis=-1)))
         records.append(ModuliRecord(float(a), "g" if geo <= tol else "u",
-                                    dist, geo))
+                                    dist))
     return records

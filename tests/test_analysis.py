@@ -146,7 +146,7 @@ class TestParallelism:
         gamma = J.unpack(gamma, 2)                # [l, i, j]
         h = J.unpack(h, 2, axis=-2)               # [i, j, n]
         third = J.unpack(fr.third, 3, axis=-2)    # [i, j, k, n]
-        G, eps = fr.ambient_metric, fr.ambient.epsilon
+        G, eps = fr.ambient.metric(), fr.ambient.epsilon
         P_tan = fr.jac @ np.linalg.inv(fr.metric) @ fr.jac.T @ G
         worst = 0.0
         for i, j, k in np.ndindex(third.shape[:3]):
@@ -233,6 +233,10 @@ class TestVerifyFamily:
         verdict = verify_family("S-example")
         assert verdict.ok
         assert any("radical_rank" in d for d in verdict.discrepancies)
+
+    def test_identically_zero_metric_verifies(self):
+        # plane-P at s = t = 0: the metric vanishes, umbilicity is vacuous
+        assert verify_family("plane-P", {"s": 0, "t": 0, "rad": 2}).ok
 
     def test_misannotation_is_caught(self):
         # verifying under a wrong expected parameterization must fail:
@@ -433,7 +437,6 @@ def _same_report(batch, single):
     assert batch.metric_signature == single.metric_signature
     assert batch.radical_rank == single.radical_rank
     assert batch.first_normal_rank == single.first_normal_rank
-    assert batch.totally_degenerate_metric == single.totally_degenerate_metric
     assert batch.flags() == single.flags()
     np.testing.assert_array_equal(batch.point, single.point)
     for name in ("umbilicity_residual", "geodesic_residual", "h_norm",

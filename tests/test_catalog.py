@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from umbilic import catalog, charts
+from umbilic.analysis import analyze_point
 from umbilic.catalog import (expected_report, family_ids, get_family,
                              instantiate, resolve_params)
 from umbilic.charts import ambient_residual
@@ -129,6 +131,20 @@ class TestChartConsistency:
         assert chart.ambient.epsilon == core.ambient.epsilon
         assert (sig.neg, sig.pos) == (base_sig.neg + 1, base_sig.pos + 1)
         assert np.array_equal(chart.box, np.vstack([core.box, [-0.7, 0.7]]))
+
+    @pytest.mark.parametrize("eps, fid, params", [
+        (1, "psi-a", {"a": 1.0}), (-1, "main2-5", {})])
+    def test_cone_composition_identity(self, eps, fid, params):
+        # the space form through the lightcone one flat dimension up, then
+        # back at unit offset, is the catalog's flat item of that space form
+        comp = charts.compose(catalog.cone_hypersurface_map(2, 0, eps),
+                              catalog.cone_embedding_chart(2, 0, eps))
+        direct = instantiate(fid, params)
+        assert comp.ambient == direct.ambient
+        for p in direct.sample_points(10, 9):
+            assert np.max(np.abs(comp.value(p) - direct.value(p))) <= 1e-12
+            assert (analyze_point(comp, p).flags()
+                    == analyze_point(direct, p).flags())
 
     def test_parameter_continuity(self):
         # nearby parameters give nearby images at a fixed chart point

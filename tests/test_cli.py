@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from umbilic import cli
 from umbilic.analysis import analyze_point
 from umbilic.catalog import instantiate
 from umbilic.charts import ImmersionChart
@@ -131,6 +132,18 @@ class TestAnalyze:
         assert all(p["radical_rank"] == 2 for p in report["points"])
         assert all(p["H_rel"] is None for p in report["points"])
 
+    def test_identically_zero_metric(self, capsys):
+        # plane-P at s = t = 0 is a null line: its metric vanishes
+        code, out, _ = run(["analyze", "--family", "plane-P", "--param", "s=0",
+                            "--param", "t=0", "--json", "-"], capsys)
+        assert code == 0
+        for p in json.loads(out)["points"]:
+            assert p["signature"] == [0, 0, 1]
+            assert p["radical_rank"] == 1
+            assert p["H_norm"] is None
+            assert p["flags"]["totally_umbilical"]
+            assert p["flags"]["totally_geodesic"]
+
     def test_discrepancy_note_for_s_example(self, capsys, tmp_path):
         out_path = tmp_path / "a.json"
         run(["analyze", "--family", "S-example", "--json", str(out_path)],
@@ -243,6 +256,21 @@ def test_verify_all_matches_reference(capsys, monkeypatch):
     assert workloads.compare_catalog(records, reference, 42) == []
 
 
+@pytest.mark.parametrize("workload", ["dim_sweep", "invariance"])
+def test_benchmark_workloads_pass(workload, monkeypatch):
+    # the benchmark's other two workloads, read-only: one pass at seed 42,
+    # so that an API change breaking a benchmark caller fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    failures = {}
+    for unit in workloads.build(workload, 42):
+        bad = unit.check(unit.run())
+        if bad:
+            failures[unit.name] = bad
+    assert failures == {}
+
+
 @pytest.mark.parametrize("argv, code", [
     (["analyze", "--family", "main1-3", "--param", "r=nan"], 2),
     (["analyze", "--family", "main1-3", "--param", "r=inf"], 2),
@@ -279,6 +307,19 @@ def test_bad_numbers_fail_closed(argv, code, capsys):
 
 
 class TestModuli:
+    @pytest.mark.parametrize("flag", [["--order", "2"], ["--tol-zero", "1e-9"]])
+    def test_jet_options_rejected(self, flag, capsys):
+        # the moduli walk reads neither, so it refuses them
+        code, _, err = run(["moduli", "--a", "0,1", *flag], capsys)
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+    def test_own_options_accepted(self, capsys):
+        code, out, _ = run(["moduli", "--a", "0,1", "--tol", "1e-7",
+                            "--samples", "25", "--seed", "3"], capsys)
+        assert code == 0
+        assert "closure(u)" in out
+
     def test_table_and_verdict(self, capsys):
         code, out, _ = run(["moduli", "--a", "0,0.001,0.1,1"], capsys)
         assert code == 0
@@ -298,6 +339,18 @@ class TestCatalogList:
         assert code == 0
         for fid in ("main1-7", "light2-6", "psi-a", "cv-parallel"):
             assert fid in out
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_share_no_state(self, capsys):
+        argv = ["analyze", "--family", "main1-3", "--json", "-"]
+        _, out, _ = run(argv[:3] + ["--param", "r=0.3"] + argv[3:], capsys)
+        assert json.loads(out)["params"]["r"] == 0.3
+        _, out, _ = run(argv, capsys)
+        assert json.loads(out)["params"]["r"] == 0.5
 
 
 class TestSeedHandling:

@@ -1,5 +1,7 @@
 """Tests for congruence detection, the item classifier, and the moduli walk."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,32 @@ class TestClassifier:
         assert res.label is None
         assert any("not totally umbilical" in n for n in res.notes)
 
+    @pytest.mark.parametrize("fid", ["main1-3", "main2-3", "akk-2"])
+    def test_folded_chain_matches_the_mirrored_chains(self, fid, monkeypatch):
+        # the chain runs once on k = eps * h; every label, radius and note
+        # must equal the two mirrored chains' at and next to each boundary
+        tol = congruence.DEFAULT_TOL
+        batch = congruence.analyze_points
+        h_norm = [0.0]
+
+        def with_h(*args, **kwargs):
+            reports = batch(*args, **kwargs)
+            for r in reports:
+                r.h_norm, r.minimal_residual = h_norm[0], 1.0
+            return reports
+
+        monkeypatch.setattr(congruence, "analyze_points", with_h)
+        chart = instantiate(fid)
+        grid = [-1e3, -5.0, 5.0, 1e3]
+        for b in (0.0, tol, -tol, 1.0, -1.0, 1.0 + tol, 1.0 - tol,
+                  -1.0 + tol, -1.0 - tol):
+            grid += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
+        for h in grid:
+            h_norm[0] = float(h)
+            res = classify(chart)
+            want = _mirrored_chains(chart.ambient.epsilon, float(h), tol)
+            assert (res.label, res.params, res.notes) == want, h
+
     def test_degenerate_input_refused(self):
         res = classify(instantiate("light1-5"))
         assert res.label is None
@@ -135,6 +163,46 @@ class TestClassifier:
         r = 1.0 / np.sqrt(1.0 + 5e-7)
         res = classify(instantiate("main1-3", {"r": r}))
         assert res.notes
+
+
+def _mirrored_chains(eps, h, tol):
+    """The classifier's chains for a non-minimal umbilical chart, written
+    out once per sign of eps."""
+    notes, params = [], {}
+    near = congruence._near
+    if eps == 1:
+        congruence._boundary_note(h, (0.0, -1.0), tol, notes)
+        if h > tol:
+            label, params["r"] = "main1-3", 1 / math.sqrt(1 + h)
+        elif near(h, 0.0, tol):
+            label = "main1-5"
+        elif h > -1.0 + tol:
+            label, params["r"] = "main1-4", 1 / math.sqrt(1 + h)
+        elif near(h, -1.0, tol):
+            label = "main1-7"
+        else:
+            label, params["r"] = "main1-6", 1 / math.sqrt(-1 - h)
+    elif eps == -1:
+        congruence._boundary_note(h, (0.0, 1.0), tol, notes)
+        if h < -tol:
+            label, params["r"] = "main2-3", 1 / math.sqrt(1 - h)
+        elif near(h, 0.0, tol):
+            label = "main2-5"
+        elif h < 1.0 - tol:
+            label, params["r"] = "main2-4", 1 / math.sqrt(1 - h)
+        elif near(h, 1.0, tol):
+            label = "main2-7"
+        else:
+            label, params["r"] = "main2-6", 1 / math.sqrt(h - 1)
+    else:
+        congruence._boundary_note(h, (0.0,), tol, notes)
+        if h > tol:
+            label, params["r"] = "akk-2", 1 / math.sqrt(h)
+        elif h < -tol:
+            label, params["r"] = "akk-3", 1 / math.sqrt(-h)
+        else:
+            label = "akk-4"
+    return label, params, notes
 
 
 class TestModuli:
