@@ -18,8 +18,7 @@ from . import bilinear as B
 from . import jets as J
 from .bilinear import DEFAULT_ZERO_TOL, Signature
 from .catalog import family_instance
-from .charts import (AmbientSpace, ImmersionChart, ambient_residual,
-                     fd_jet_arrays)
+from .charts import AmbientSpace, ImmersionChart, ambient_residual
 from .errors import DegenerateMetricError, DomainError, InputError
 
 DEFAULT_TOL = 1e-7
@@ -393,25 +392,46 @@ class ReductionReport:
     rho: float | None
 
 
+def hull_size(ambient: AmbientSpace) -> int:
+    """Rows of a hull sample: at least 40, and enough for a full hull."""
+    return max(40, ambient.flat_dim + 2)
+
+
 def hull_sample(chart: ImmersionChart, seed: int = 42) -> np.ndarray:
-    """The image points sampled for the hull and fullness: at least 40,
-    and enough to span an affine hull of the full embedding dimension."""
-    return chart.sample_values(max(40, chart.ambient.flat_dim + 2), seed)
+    """The image points sampled for the hull and fullness."""
+    return chart.sample_values(hull_size(chart.ambient), seed)
 
 
 def reduction_report(chart: ImmersionChart, seed: int = 42,
                      tol: float = DEFAULT_TOL,
                      tol_zero: float = DEFAULT_ZERO_TOL,
-                     sample: np.ndarray | None = None) -> ReductionReport:
+                     sample: np.ndarray | None = None):
     """Classify the affine hull of sampled image points; `sample` is
-    `hull_sample(chart, seed)` when the caller has drawn it already."""
+    `hull_sample(chart, seed)` when the caller has drawn it already, and a
+    (R, K, N) stack of samples gives a list with one report per sample."""
     Y = hull_sample(chart, seed) if sample is None else sample
-    base = Y[0]
-    W = B.row_space_basis(Y[1:] - base, tol_zero)
-    hull_dim = W.shape[0]
+    stack = Y if Y.ndim == 3 else Y[None]
+    Ws = B.row_space_basis(stack[:, 1:] - stack[:, :1], tol_zero)
     G = chart.ambient.metric()
-    gram = W @ G @ W.T
-    dir_sig = B.signature_of(gram, tol_zero)
+    out = [None] * len(Ws)
+    # the hulls of one dimension share one gram signature and one solve
+    for hull_dim in {len(W) for W in Ws}:
+        idx = [k for k, W in enumerate(Ws) if len(W) == hull_dim]
+        W = np.stack([Ws[k] for k in idx])
+        gram = W @ G @ np.swapaxes(W, -1, -2)
+        sigs = B.signature_of(gram, tol_zero)
+        live = [n for n, s in enumerate(sigs) if hull_dim and not s.degenerate]
+        proj = dict(zip(live, np.swapaxes(W[live], -1, -2) @ np.linalg.solve(
+            gram[live], W[live] @ G)))
+        for n, k in enumerate(idx):
+            out[k] = _translation(Ws[k], gram[n], sigs[n], stack[k, 0], G,
+                                  proj.get(n), tol, tol_zero)
+    return out if Y.ndim == 3 else out[0]
+
+
+def _translation(W, gram, dir_sig, base, G, proj, tol, tol_zero):
+    """The report on the hull through `base` spanned by the rows of W."""
+    hull_dim = W.shape[0]
     if dir_sig.degenerate:
         offset = base - W.T @ (W @ base)
         coeff = 0.0
@@ -421,7 +441,6 @@ def reduction_report(chart: ImmersionChart, seed: int = 42,
         return ReductionReport(hull_dim, dir_sig, cls, None)
     if hull_dim == 0:
         return ReductionReport(0, dir_sig, "linear", None)
-    proj = W.T @ np.linalg.solve(gram, W @ G)
     v = base - proj @ base
     vv = float(v @ G @ v)
     if _enorm(v) <= tol:
@@ -436,22 +455,22 @@ def reduction_report(chart: ImmersionChart, seed: int = 42,
 
 
 def fullness(chart: ImmersionChart, seed: int = 42,
-             tol: float = DEFAULT_TOL,
-             sample: np.ndarray | None = None) -> tuple[bool, float]:
+             tol: float = DEFAULT_TOL, sample: np.ndarray | None = None):
     """Whether the image lies in no proper non-degenerate subspace.
 
     The complement of the linear span of sampled image points carries the
     restricted ambient form; the immersion is full iff that restriction
     vanishes (the complement is totally degenerate or trivial).  `sample`
-    is `hull_sample(chart, seed)` when the caller has drawn it already.
+    is `hull_sample(chart, seed)` when the caller has drawn it already; a
+    (R, K, N) stack gives a list with one (full, residual) per sample.
     """
     Y = hull_sample(chart, seed) if sample is None else sample
-    C = B.null_space_basis(Y)
-    if C.shape[0] == 0:
-        return True, 0.0
     G = chart.ambient.metric()
-    residual = float(np.max(np.abs(C @ G @ C.T)))
-    return residual <= tol, residual
+    out = []
+    for C in B.null_space_basis(Y if Y.ndim == 3 else Y[None]):
+        residual = float(np.max(np.abs(C @ G @ C.T))) if len(C) else 0.0
+        out.append((not len(C) or residual <= tol, residual))
+    return out if Y.ndim == 3 else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -495,33 +514,33 @@ def _check_flag(verdict, name, computed, expected: bool):
             f"{name}: computed {computed}, catalog asserts {expected}")
 
 
-def _fd_cross_check(chart: ImmersionChart, point, jac, hess,
-                    sig_jet: Signature, tol_zero: float) -> list[str]:
-    """Independent finite-difference check of walked jets and their metric.
-
-    Compares the Jacobian and packed Hessian walked at `point` with the
-    central-difference oracle, and requires the induced-metric signature
-    computed from the oracle's jacobian to agree with the walked one's,
-    `sig_jet`, under the active zero tolerance.  An overtight tolerance
-    turns the oracle's O(step^2) truncation error into phantom metric rank,
-    which this check reports.
-    """
-    failures = []
-    _, fjac, fhess, _ = fd_jet_arrays(chart, point, FD_STEP, order=2)
-    d1 = float(np.max(np.abs(jac - fjac)))
-    d2 = float(np.max(np.abs(hess - fhess)))
-    if not (d1 <= FD_TOL and d2 <= FD_TOL):
-        failures.append(
-            f"finite-difference oracle disagrees with jets "
-            f"(jacobian {d1:.3e}, hessian {d2:.3e} > {FD_TOL})")
-    g_fd = fjac.T @ chart.ambient.metric() @ fjac
-    sig_fd = B.signature_of(0.5 * (g_fd + g_fd.T), tol_zero)
-    if sig_jet != sig_fd:
-        failures.append(
-            f"metric signature unstable under the oracle cross-check at "
-            f"tol_zero={tol_zero:g}: jets {sig_jet.as_tuple()} vs "
-            f"finite differences {sig_fd.as_tuple()}")
-    return failures
+def _fd_cross_check(ambient: AmbientSpace, values, jac, hess, sigs,
+                    tol_zero: float) -> list[list[str]]:
+    """Independent finite-difference check of walked jets and their metric,
+    one list of failures per record: its chart values (S, N) on the order-2
+    `jets.fd_stencil` around the point where `jac`, `hess` and the metric
+    signature in `sigs` were walked.  An overtight zero tolerance turns the
+    oracle's O(step^2) truncation error into phantom metric rank, which the
+    signature comparison reports."""
+    _, fjac, fhess, _ = J.fd_derivatives(values, jac.shape[-1], FD_STEP, 2)
+    d1 = np.max(np.abs(jac - fjac), axis=(-2, -1)).tolist()
+    d2 = np.max(np.abs(hess - fhess), axis=(-2, -1)).tolist()
+    g_fd = np.swapaxes(fjac, -1, -2) @ ambient.metric() @ fjac
+    sig_fd = B.signature_of(0.5 * (g_fd + np.swapaxes(g_fd, -1, -2)), tol_zero)
+    out = []
+    for a, b, sig_jet, sig in zip(d1, d2, sigs, sig_fd):
+        failures = []
+        if not (a <= FD_TOL and b <= FD_TOL):
+            failures.append(
+                f"finite-difference oracle disagrees with jets "
+                f"(jacobian {a:.3e}, hessian {b:.3e} > {FD_TOL})")
+        if sig_jet != sig:
+            failures.append(
+                f"metric signature unstable under the oracle cross-check at "
+                f"tol_zero={tol_zero:g}: jets {sig_jet.as_tuple()} vs "
+                f"finite differences {sig.as_tuple()}")
+        out.append(failures)
+    return out
 
 
 def verify_families(jobs, *, samples: int = 5, seed: int = 42,
@@ -531,40 +550,63 @@ def verify_families(jobs, *, samples: int = 5, seed: int = 42,
     """Check every asserted property of each (family id, params) job
     numerically; the verdicts come back in job order.
 
-    Each record's chart is walked once on `samples` seeded chart points.
+    Each record draws chart points once and walks the first `samples`.
     The records that share a chart dimension and an ambient space form are
-    stacked into one frame and reported on together, then each is judged
-    from its own rows; see `_judge`.
+    stacked into one frame, reported on and checked together, then each is
+    judged from its own rows; see `_judge`.
     """
     groups: dict = {}
     for n, (family_id, params) in enumerate(jobs):
         spec, merged, chart, expected = family_instance(family_id, params)
-        points = chart.sample_points(samples, seed)
-        arrays = walk_jets(chart, points, order)
+        drawn = chart.sample_points(max(samples, hull_size(chart.ambient)),
+                                    seed)
+        arrays = walk_jets(chart, drawn[:samples], order)
         groups.setdefault((chart.nvars, chart.ambient), []).append(
-            (n, (spec.id, merged, chart, expected, points, arrays)))
+            (n, (spec.id, merged, chart, expected, drawn, arrays)))
     verdicts = [None] * len(jobs)
     for key in list(groups):
         # a group's arrays and reports are dropped before the next is stacked
         idx, records = zip(*groups.pop(key))
-        for n, verdict in zip(idx, _verify_group(records, seed, tol, tol_zero)):
+        for n, verdict in zip(idx, _verify_group(records, samples, tol,
+                                                 tol_zero)):
             verdicts[n] = verdict
     return verdicts
 
 
-def _verify_group(records, seed, tol, tol_zero) -> list[FamilyVerdict]:
-    """One frame and one report pass for the walked records of one group,
-    then each record's verdict from its own rows."""
-    _, _, charts, _, points, walked = zip(*records)
+def _verify_group(records, samples, tol, tol_zero) -> list[FamilyVerdict]:
+    """One frame, one report pass and one tail pass for the walked records
+    of one group, then each record's verdict from its own rows."""
+    ids, params, charts, expected, drawn, walked = zip(*records)
+    ambient, R = charts[0].ambient, len(records)
     stack = [None if a[0] is None else np.concatenate(a) for a in zip(*walked)]
     # a residual that overflows is not finite, and fails when judged
     with np.errstate(over="ignore", invalid="ignore"):
-        fr = assemble_frame(charts[0].ambient, np.concatenate(points), stack,
-                            tol_zero)
+        fr = assemble_frame(ambient, np.concatenate(
+            [d[:samples] for d in drawn]), stack, tol_zero)
         reports = point_reports(fr, tol_zero)
-    n = len(points[0])
-    return [_judge(*rec, reports[k * n:(k + 1) * n], seed=seed, tol=tol,
-                   tol_zero=tol_zero) for k, rec in enumerate(records)]
+    reports = [reports[k * samples:(k + 1) * samples] for k in range(R)]
+    off = ambient_residual(ambient, stack[0].reshape(R, samples, -1))
+    # one value walk per record: its hull sample Y[k], when one is judged,
+    # then the FD stencil around its first point
+    K = hull_size(ambient)
+    full = [k for k, e in enumerate(expected) if e.full is not None]
+    hull = [k for k, e in enumerate(expected)
+            if e.hull_dim is not None or e.translation_class is not None]
+    Y, F = np.zeros((R, K, ambient.flat_dim)), []
+    for k, (chart, d) in enumerate(zip(charts, drawn)):
+        rows = K if k in full or k in hull else 0
+        v = chart.value(np.concatenate([d[:rows],
+                                        J.fd_stencil(d[0], FD_STEP, 2)]))
+        Y[k, :rows] = v[:rows]
+        F.append(v[rows:])
+    fd = _fd_cross_check(ambient, np.stack(F), stack[1][::samples],
+                         stack[2][::samples],
+                         [r[0].metric_signature for r in reports], tol_zero)
+    fulls = dict(zip(full, fullness(charts[0], tol=tol, sample=Y[full])))
+    reds = dict(zip(hull, reduction_report(charts[0], tol=tol,
+                                           tol_zero=tol_zero, sample=Y[hull])))
+    return [_judge(ids[k], params[k], expected[k], reports[k], off[k], fd[k],
+                   fulls.get(k), reds.get(k), tol=tol) for k in range(R)]
 
 
 def verify_family(family_id: str, params: dict | None = None, *,
@@ -577,22 +619,20 @@ def verify_family(family_id: str, params: dict | None = None, *,
                            tol=tol, tol_zero=tol_zero, order=order)[0]
 
 
-def _judge(family_id, params, chart, expected, points, arrays, reports, *,
-           seed, tol, tol_zero) -> FamilyVerdict:
-    """The verdict on one record from its point reports.
-
-    Pointwise residuals (worst case over the samples), the ambient check
-    and a finite-difference oracle of the first point's jets read the
-    record's one walk; hull reduction and fullness use a larger image
-    sample.  Expected-vs-computed disagreements listed in the entry's
-    discrepancy allowance are reported, not failed.
+def _judge(family_id, params, expected, reports, off, fd_failures, full,
+           red, *, tol) -> FamilyVerdict:
+    """The verdict on one record from its point reports and its checked
+    tail: the ambient residual `off` of its walked image points, the
+    failures of the finite-difference oracle at its first point, and the
+    fullness and hull reduction of its image sample (None when the catalog
+    asserts neither).  Expected-vs-computed disagreements listed in the
+    entry's discrepancy allowance are reported, not failed.
     """
     verdict = FamilyVerdict(family_id, params, True)
     residuals = residual_columns(reports)
     # np.max keeps a NaN wherever it occurs; any non-finite residual fails
     umb = float(np.max(residuals["umbilicity"]))
     geo = float(np.max(residuals["geodesic"]))
-    off = ambient_residual(chart.ambient, arrays[0])
     nondegenerate = [r for r in reports if r.h_norm is not None]
     bad = non_finite({**residuals, "ambient": off})
     if bad:
@@ -686,21 +726,13 @@ def _judge(family_id, params, chart, expected, points, arrays, reports, *,
                 f"last chart direction is not in the metric radical "
                 f"(residual {np.max(rads):.3e})")
 
-    # fullness and the hull reduction read one image sample
-    hull = expected.hull_dim is not None or expected.translation_class is not None
-    sample = (hull_sample(chart, seed) if hull or expected.full is not None
-              else None)
-
     # fullness
-    if expected.full is not None:
-        is_full, res = fullness(chart, seed=seed, tol=tol, sample=sample)
-        verdict.summary["full"] = is_full
-        _check_flag(verdict, "full", is_full, expected.full)
+    if full is not None:
+        verdict.summary["full"] = full[0]
+        _check_flag(verdict, "full", full[0], expected.full)
 
     # hull reduction
-    if hull:
-        red = reduction_report(chart, seed=seed, tol=tol, tol_zero=tol_zero,
-                               sample=sample)
+    if red is not None:
         verdict.summary.update({
             "hull_dim": red.hull_dim,
             "translation_class": red.translation_class,
@@ -721,8 +753,6 @@ def _judge(family_id, params, chart, expected, points, arrays, reports, *,
                     f"translation length: computed {red.rho!r}, catalog "
                     f"asserts {expected.rho!r}")
 
-    verdict.failures.extend(_fd_cross_check(
-        chart, points[0], arrays[1][0], arrays[2][0],
-        reports[0].metric_signature, tol_zero))
+    verdict.failures.extend(fd_failures)
     verdict.ok = not verdict.failures
     return verdict

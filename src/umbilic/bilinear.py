@@ -146,11 +146,13 @@ def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
     return int(r) if matrix.ndim == 2 else r
 
 
-def row_space_basis(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
-    """Euclidean-orthonormal basis (rows) of the row space of `matrix`."""
+def row_space_basis(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
+    """Euclidean-orthonormal basis (rows) of the row space of `matrix`; a
+    (R, a, n) stack gives a list with one basis per matrix."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     _, s, vh = np.linalg.svd(matrix)
-    return vh[:_rank(s, tol)]
+    r = _rank(s, tol)
+    return vh[:r] if matrix.ndim == 2 else [v[:k] for v, k in zip(vh, r)]
 
 
 def row_space_bases(matrices: np.ndarray,
@@ -163,11 +165,13 @@ def row_space_bases(matrices: np.ndarray,
     return vh * keep[..., None]
 
 
-def null_space_basis(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
-    """Euclidean-orthonormal basis (rows) of the right null space of `matrix`."""
+def null_space_basis(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
+    """Euclidean-orthonormal basis (rows) of the right null space of
+    `matrix`; a (R, a, n) stack gives a list with one basis per matrix."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     _, s, vh = np.linalg.svd(matrix, full_matrices=True)
-    return vh[_rank(s, tol):]
+    r = _rank(s, tol)
+    return vh[r:] if matrix.ndim == 2 else [v[k:] for v, k in zip(vh, r)]
 
 
 def random_pseudo_orthogonal(sig: Signature,

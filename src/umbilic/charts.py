@@ -212,11 +212,15 @@ def fd_jet_arrays(chart: ImmersionChart, point, step: float = 1e-4,
     return J.fd_arrays(chart.value, point, step, order)
 
 
-def ambient_residual(ambient: AmbientSpace, values) -> float:
+def ambient_residual(ambient: AmbientSpace, values):
     """Max deviation of <y,y> from epsilon over the image points y, one
-    (N,) or a (P, N) stack (NaN when an image is not finite)."""
+    (N,) or a (P, N) stack (NaN when an image is not finite); a
+    (..., P, N) stack gives one residual per leading index."""
+    values = np.asarray(values)
+    lead = values.shape[:-2]
     if ambient.epsilon == 0:
-        return 0.0
+        return np.zeros(lead) if lead else 0.0
     w = np.diagonal(ambient.metric())
-    return float(np.max(np.abs(np.einsum("...n,n,...n->...", values, w, values)
-                               - ambient.epsilon)))
+    dev = np.abs(np.einsum("...n,n,...n->...", values, w, values)
+                 - ambient.epsilon).reshape(lead + (-1,)).max(-1)
+    return dev if lead else float(dev)

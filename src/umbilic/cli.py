@@ -254,6 +254,8 @@ def cmd_moduli(args) -> int:
                          f"got {args.a!r}")
     if not a_values:
         raise UsageError("--a list is empty")
+    if not all(map(math.isfinite, a_values)):
+        raise UsageError(f"--a expects finite numbers, got {args.a!r}")
     records = moduli_demo(a_values, samples=args.samples, seed=args.seed,
                           tol=args.tol)
     rows = [{"a": r.a, "class": r.cls, "distance": r.distance} for r in records]
@@ -332,9 +334,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        env = os.environ.get("UMBILIC_SEED")
-        args.seed = int(env) if env else DEFAULT_SEED
+    if getattr(args, "seed", 0) is None:
+        try:
+            args.seed = int(os.environ.get("UMBILIC_SEED") or DEFAULT_SEED)
+        except ValueError:
+            args.seed = -1
+    if getattr(args, "seed", 0) < 0:
+        print("error: the seed (--seed or UMBILIC_SEED) must be a "
+              "non-negative integer", file=sys.stderr)
+        return 2
+    if not all(map(math.isfinite, getattr(args, "point", None) or ())):
+        print("error: --point coordinates must be finite", file=sys.stderr)
+        return 2
     if hasattr(args, "samples") and args.samples < 4:
         print("error: --samples must be at least 4", file=sys.stderr)
         return 2

@@ -495,25 +495,27 @@ def _fd_hessians(F, m: int, h: float) -> np.ndarray:
     return np.moveaxis(out, 1, -1)
 
 
-def fd_arrays(f, point, step: float = 1e-4, order: int = 3):
-    """Central finite differences of f (float or array valued) at a point.
-
-    f maps a (K, m) stack of points to a (K, ...) stack of values and is
-    called once, on the whole stencil.  Returns value, gradient, packed
-    Hessian and (order 3, else None) packed third-derivative arrays with
-    the variable axes last, O(step^2) truncation on every entry.  Only
-    values of f are used, so this is independent of the Taylor path.
-    """
+def fd_stencil(point, step: float = 1e-4, order: int = 3) -> np.ndarray:
+    """The (S, m) central-difference stencil around one point (m,), laid
+    out as in `_stencil_moves`; `fd_derivatives` reads values on it."""
     if order not in (2, 3):
         raise InputError("order must be 2 or 3")
     point = np.asarray(point, dtype=float)
-    m = point.shape[0]
-    h = step
-    nblocks, size, levels = _stencil_moves(m, order)
+    nblocks, size, levels = _stencil_moves(point.shape[0], order)
     Q = np.repeat(point[None], nblocks * size, axis=0)
     for rows, axes, signs in levels:
-        Q[rows, axes] += signs * h
-    F = np.asarray(f(Q), dtype=float)
+        Q[rows, axes] += signs * step
+    return Q
+
+
+def fd_derivatives(F, m: int, step: float = 1e-4, order: int = 3):
+    """Central finite differences from values F (..., S, N) of an N-vector
+    map on the `fd_stencil` of m variables, with any leading axes: value,
+    gradient, packed Hessian and (order 3, else None) packed third
+    derivatives, variable axes last, O(step^2) truncation on every entry."""
+    h = step
+    nblocks, size, _ = _stencil_moves(m, order)
+    F = np.moveaxis(np.asarray(F, dtype=float), -2, 0)
     F = F.reshape((nblocks, size) + F.shape[1:])
     value = F[0, 0]
     grad = np.moveaxis((F[0, 1:1 + m] - F[0, 1 + m:1 + 2 * m]) / (2 * h), 0, -1)
@@ -528,13 +530,21 @@ def fd_arrays(f, point, step: float = 1e-4, order: int = 3):
     return value, grad, hessians[0], np.moveaxis(third, 0, -1)
 
 
+def fd_arrays(f, point, step: float = 1e-4, order: int = 3):
+    """`fd_derivatives` of f on the `fd_stencil` at a point, where f maps
+    a (K, m) stack of points to (K, N) values and is called once.  Only
+    values of f are used, so this is independent of the Taylor path."""
+    Q = fd_stencil(point, step, order)
+    return fd_derivatives(f(Q), Q.shape[1], step, order)
+
+
 def fd_oracle(expr: Expr, point, step: float = 1e-4) -> Jet3:
     """Central finite-difference jet of one expression from value evaluation.
 
     Independent of the Taylor path; exists purely as a cross-check oracle.
     """
     def f(q):
-        return np.broadcast_to(expr.eval(coordinates(q)), q.shape[:1])
+        return np.broadcast_to(expr.eval(coordinates(q)), q.shape[:1])[:, None]
 
     value, grad, hess, third = fd_arrays(f, point, step)
-    return Jet3(float(value), grad, hess, third)
+    return Jet3(float(value[0]), grad[0], hess[0], third[0])

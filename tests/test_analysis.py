@@ -13,8 +13,10 @@ from umbilic.analysis import (_nondegenerate_tensors, analyze_point,
                               reduction_report, umbilicity_data,
                               verify_families, verify_family)
 from umbilic.bilinear import Signature
-from umbilic.catalog import family_ids, get_family, instantiate
-from umbilic.charts import ExprChart, ImmersionChart, transform_chart
+from umbilic.catalog import (family_ids, family_instance, get_family,
+                             instantiate)
+from umbilic.charts import (ExprChart, ImmersionChart, fd_jet_arrays,
+                            transform_chart)
 from umbilic.errors import DegenerateMetricError, DomainError, InputError
 
 TOL = 1e-7
@@ -273,27 +275,29 @@ class TestVerifyFamily:
         assert any("non-finite residuals" in f for f in verdict.failures)
 
     def test_hull_sample_is_drawn_once(self, monkeypatch):
-        # fullness and the hull reduction share one image sample
-        calls = []
-        sample_values = ImmersionChart.sample_values
-
-        def counted(self, *args, **kwargs):
-            calls.append(args)
-            return sample_values(self, *args, **kwargs)
-
-        monkeypatch.setattr(ImmersionChart, "sample_values", counted)
+        # fullness and the hull reduction share one image sample, the
+        # first rows of the record's one draw of chart points
+        samples = []
+        for name in ("fullness", "reduction_report"):
+            def counted(*args, _f=getattr(analysis, name), **kwargs):
+                samples.append(kwargs["sample"])
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(analysis, name, counted)
         verdict = verify_family("main1-3")
         assert verdict.ok
         assert verdict.summary["full"] and verdict.summary["hull_dim"] == 3
-        assert len(calls) == 1
+        want = analysis.hull_sample(instantiate("main1-3"), 42)
+        assert len(samples) == 2
+        for got in samples:
+            assert np.array_equal(got, want[None])
 
     @pytest.mark.parametrize("fid, hull", [("main1-3", True),
                                            ("light1-2", True),
                                            ("cubic-graph-control", False)])
     def test_one_walk_per_record(self, monkeypatch, fid, hull):
         # the residuals, the ambient check and the FD oracle read one frame:
-        # one jet walk and one draw of chart points, and image values only
-        # for the hull sample and the FD stencil
+        # one jet walk, one draw of chart points, and one value walk over
+        # the hull sample (when judged) and the 9-point FD stencil
         calls = {"jet_arrays": [], "sample_points": [], "value": []}
         for cls, name in ((ImmersionChart, "jet_arrays"),
                           (ImmersionChart, "sample_points"),
@@ -306,8 +310,8 @@ class TestVerifyFamily:
         verdict = verify_family(fid, samples=5)
         assert verdict.ok
         assert len(calls["jet_arrays"]) == 1
-        assert calls["sample_points"] == ([5, 40] if hull else [5])
-        assert len(calls["value"]) == (2 if hull else 1)
+        assert calls["sample_points"] == [40]
+        assert [len(q) for q in calls["value"]] == [40 + 9 if hull else 9]
 
     def test_order2_skips_parallelism(self):
         verdict = verify_family("main1-3", order=2)
@@ -425,6 +429,60 @@ class TestVerifyFamilies:
             ("main1-3", 0.3), ("main2-3", 0.4), ("main1-3", 0.6)]
         for (fid, params), got in zip(jobs, verdicts):
             assert got.summary == verify_family(fid, params).summary
+
+    def test_group_fd_arrays_are_the_single_point_oracle(self, monkeypatch):
+        jobs = _verify_all_jobs(42)
+        got = []
+        fd_derivatives = J.fd_derivatives
+
+        def captured(*args, **kwargs):
+            got.append(fd_derivatives(*args, **kwargs))
+            return got[-1]
+
+        monkeypatch.setattr(J, "fd_derivatives", captured)
+        verify_families(jobs, samples=16, seed=42)
+        monkeypatch.undo()
+        groups: dict = {}
+        for fid, params in jobs:
+            chart = family_instance(fid, params)[2]
+            groups.setdefault((chart.nvars, chart.ambient), []).append(chart)
+        assert len(got) == len(groups) == 16
+        for arrays, charts in zip(got, groups.values()):
+            for k, chart in enumerate(charts):
+                point = chart.sample_points(16, 42)[0]
+                want = fd_jet_arrays(chart, point, analysis.FD_STEP, order=2)
+                for a, b in zip(arrays[:3], want[:3]):
+                    assert np.array_equal(a[k], b), chart.name
+
+    def test_stacked_hull_checks_equal_one_sample_calls(self):
+        groups: dict = {}
+        for fid, params in _verify_all_jobs(42):
+            chart = family_instance(fid, params)[2]
+            groups.setdefault(chart.ambient, []).append(chart)
+        for charts in groups.values():
+            Y = np.stack([analysis.hull_sample(ch, 42) for ch in charts])
+            full = fullness(charts[0], sample=Y)
+            red = reduction_report(charts[0], sample=Y)
+            assert len(full) == len(red) == len(charts)
+            for k, ch in enumerate(charts):
+                assert full[k] == fullness(ch, seed=42)
+                want = reduction_report(ch, seed=42)
+                for f in dataclasses.fields(want):
+                    assert (getattr(red[k], f.name)
+                            == getattr(want, f.name)), (ch.name, f.name)
+
+    def test_one_draw_and_one_value_walk_per_record(self, monkeypatch):
+        jobs = _verify_all_jobs(42)
+        calls = {"sample_points": 0, "value": 0}
+        for cls, name in ((ImmersionChart, "sample_points"),
+                          (ExprChart, "value")):
+            def counted(self, *args, _name=name, _method=getattr(cls, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _method(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+        verify_families(jobs, samples=16, seed=42)
+        assert calls == {"sample_points": 92, "value": 92}
 
     @pytest.mark.parametrize("fid, r", [("main1-4", 1e155),
                                         ("main1-3", 1e-200)])

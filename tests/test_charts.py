@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbilic import jets as J
 from umbilic.bilinear import random_pseudo_orthogonal
@@ -83,6 +85,17 @@ class TestExprChart:
                                       ch.sample_points(5, 7))
         assert not np.array_equal(ch.sample_points(5, 7),
                                   ch.sample_points(5, 8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(fid=st.sampled_from(family_ids()), size=st.integers(1, 80),
+           seed=st.integers(0, 2**63), data=st.data())
+    def test_fewer_points_are_the_first_rows_of_more(self, fid, size, seed,
+                                                     data):
+        # the verifier's sample stack is the head of its hull draw
+        ch = instantiate(fid)
+        k = data.draw(st.integers(0, size))
+        assert np.array_equal(ch.sample_points(k, seed),
+                              ch.sample_points(size, seed)[:k])
 
     def test_box_respected(self):
         ch = _unit_sphere_chart()

@@ -299,6 +299,11 @@ def test_benchmark_workloads_pass(workload, monkeypatch):
     (["analyze", "--family", "light1-3", "--param", "r=1e100"], 0),
     # finite jets, but the parallelism residual overflows
     (["analyze", "--family", "main1-4", "--param", "r=1e100"], 1),
+    # non-finite numbers are rejected where they are parsed
+    (["moduli", "--a", "0,nan"], 2),
+    (["moduli", "--a", "inf"], 2),
+    (["analyze", "--family", "main1-3", "--point", "nan", "0"], 2),
+    (["analyze", "--family", "main1-3", "--point", "0", "-inf"], 2),
 ])
 def test_bad_numbers_fail_closed(argv, code, capsys):
     got, _, err = run(argv, capsys)
@@ -366,6 +371,23 @@ class TestSeedHandling:
         run(["verify-all", "--samples", "5", "--seed", "3",
              "--json", str(a)], capsys)
         assert json.loads(a.read_text())["seed"] == 3
+
+    @pytest.mark.parametrize("command", [
+        ["verify-all"], ["analyze", "--family", "main1-3"],
+        ["moduli", "--a", "0,1"]])
+    @pytest.mark.parametrize("seed, env", [
+        ("-1", None), (None, "abc"), (None, "-3"), (None, "1.5")])
+    def test_bad_seed_is_a_usage_error(self, capsys, monkeypatch, command,
+                                       seed, env):
+        if env is None:
+            monkeypatch.delenv("UMBILIC_SEED", raising=False)
+        else:
+            monkeypatch.setenv("UMBILIC_SEED", env)
+        argv = command + ([] if seed is None else ["--seed", seed])
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
 
 
 def _jsonable_reference(x):
