@@ -283,8 +283,7 @@ def umbilicity_data(fr: Frame) -> UmbilicityData:
 
 def _radical_last_var(fr: Frame, tol_zero: float):
     """Distance of the last chart direction from the metric radical."""
-    eig, vecs = np.linalg.eigh(fr.metric)
-    R = vecs * (np.abs(eig) <= tol_zero)[..., None, :]   # radical columns
+    R = B.radical(fr.metric, tol_zero)
     e_last = np.zeros(fr.m)
     e_last[-1] = 1.0
     return _enorm(e_last - np.einsum("...ij,...j->...i", R, R[..., -1, :]))
@@ -411,20 +410,21 @@ def reduction_report(chart: ImmersionChart, seed: int = 42,
     (R, K, N) stack of samples gives a list with one report per sample."""
     Y = hull_sample(chart, seed) if sample is None else sample
     stack = Y if Y.ndim == 3 else Y[None]
-    Ws = B.row_space_basis(stack[:, 1:] - stack[:, :1], tol_zero)
+    vh, ranks = B.svd_split(stack[:, 1:] - stack[:, :1], tol_zero)
+    ranks = ranks.tolist()
     G = chart.ambient.metric()
-    out = [None] * len(Ws)
+    out = [None] * len(stack)
     # the hulls of one dimension share one gram signature and one solve
-    for hull_dim in {len(W) for W in Ws}:
-        idx = [k for k, W in enumerate(Ws) if len(W) == hull_dim]
-        W = np.stack([Ws[k] for k in idx])
+    for hull_dim in set(ranks):
+        idx = [k for k, r in enumerate(ranks) if r == hull_dim]
+        W = vh[idx, :hull_dim]
         gram = W @ G @ np.swapaxes(W, -1, -2)
         sigs = B.signature_of(gram, tol_zero)
         live = [n for n, s in enumerate(sigs) if hull_dim and not s.degenerate]
         proj = dict(zip(live, np.swapaxes(W[live], -1, -2) @ np.linalg.solve(
             gram[live], W[live] @ G)))
         for n, k in enumerate(idx):
-            out[k] = _translation(Ws[k], gram[n], sigs[n], stack[k, 0], G,
+            out[k] = _translation(W[n], gram[n], sigs[n], stack[k, 0], G,
                                   proj.get(n), tol, tol_zero)
     return out if Y.ndim == 3 else out[0]
 
@@ -434,9 +434,8 @@ def _translation(W, gram, dir_sig, base, G, proj, tol, tol_zero):
     hull_dim = W.shape[0]
     if dir_sig.degenerate:
         offset = base - W.T @ (W @ base)
-        coeff = 0.0
-        for xi in B.radical_basis(gram, tol_zero):
-            coeff = max(coeff, abs(float((xi @ W) @ G @ offset)))
+        R = B.radical(gram, tol_zero)
+        coeff = float(np.max(np.abs(R.T @ W @ G @ offset), initial=0.0))
         cls = "+N" if coeff > tol else "linear"
         return ReductionReport(hull_dim, dir_sig, cls, None)
     if hull_dim == 0:
@@ -466,8 +465,9 @@ def fullness(chart: ImmersionChart, seed: int = 42,
     """
     Y = hull_sample(chart, seed) if sample is None else sample
     G = chart.ambient.metric()
+    vh, ranks = B.svd_split(Y if Y.ndim == 3 else Y[None])
     out = []
-    for C in B.null_space_basis(Y if Y.ndim == 3 else Y[None]):
+    for C in (v[r:] for v, r in zip(vh, ranks.tolist())):
         residual = float(np.max(np.abs(C @ G @ C.T))) if len(C) else 0.0
         out.append((not len(C) or residual <= tol, residual))
     return out if Y.ndim == 3 else out[0]

@@ -1,7 +1,7 @@
 """Indefinite-signature linear algebra on small dense matrices.
 
 Inner products with a (neg, pos, null) signature, numerical signature
-computation, radical extraction, row and null space bases, and random
+computation, radical extraction, row and null space splits, and random
 isometries.
 Coordinate convention everywhere: negative block first, then positive,
 then null.
@@ -108,26 +108,13 @@ def signature_of(form: SymmetricForm | np.ndarray,
     return [Signature(a, b, n - a - b) for a, b in zip(neg, pos)]
 
 
-def radical_basis(form: SymmetricForm | np.ndarray,
-                  tol_zero: float = DEFAULT_ZERO_TOL) -> list[np.ndarray]:
-    """Orthonormal (Euclidean) basis of the near-kernel of a symmetric form.
-
-    Ordered by ascending |eigenvalue|; each vector sign-normalized so its
-    first nonzero component is positive.
-    """
-    if not isinstance(form, SymmetricForm):
-        form = SymmetricForm(form)
-    eig, vecs = np.linalg.eigh(form.entries)
-    idx = [i for i in range(form.dim) if abs(eig[i]) <= tol_zero]
-    idx.sort(key=lambda i: abs(eig[i]))
-    out = []
-    for i in idx:
-        v = vecs[:, i].copy()
-        nz = np.nonzero(np.abs(v) > 1e-12)[0]
-        if nz.size and v[nz[0]] < 0:
-            v = -v
-        out.append(v)
-    return out
+def radical(forms: np.ndarray,
+            tol_zero: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """Near-kernel of each symmetric form of a (..., n, n) stack: its
+    Euclidean-orthonormal eigenvector columns with |eigenvalue| <= tol_zero,
+    every other column set to zero."""
+    eig, vecs = np.linalg.eigh(forms)
+    return vecs * (np.abs(eig) <= tol_zero)[..., None, :]
 
 
 def _rank(s: np.ndarray, tol: float):
@@ -146,13 +133,12 @@ def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
     return int(r) if matrix.ndim == 2 else r
 
 
-def row_space_basis(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
-    """Euclidean-orthonormal basis (rows) of the row space of `matrix`; a
-    (R, a, n) stack gives a list with one basis per matrix."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    _, s, vh = np.linalg.svd(matrix)
-    r = _rank(s, tol)
-    return vh[:r] if matrix.ndim == 2 else [v[:k] for v, k in zip(vh, r)]
+def svd_split(matrices: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
+    """Full right singular vectors `vh` and numerical ranks `r` of a
+    (..., a, n) stack: the rows vh[:r] are a Euclidean-orthonormal basis of
+    the row space, and vh[r:] of the right null space."""
+    _, s, vh = np.linalg.svd(matrices)
+    return vh, _rank(s, tol)
 
 
 def row_space_bases(matrices: np.ndarray,
@@ -163,15 +149,6 @@ def row_space_bases(matrices: np.ndarray,
     _, s, vh = np.linalg.svd(matrices, full_matrices=False)
     keep = np.arange(vh.shape[-2]) < _rank(s, tol)[..., None]
     return vh * keep[..., None]
-
-
-def null_space_basis(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
-    """Euclidean-orthonormal basis (rows) of the right null space of
-    `matrix`; a (R, a, n) stack gives a list with one basis per matrix."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    _, s, vh = np.linalg.svd(matrix, full_matrices=True)
-    r = _rank(s, tol)
-    return vh[r:] if matrix.ndim == 2 else [v[k:] for v, k in zip(vh, r)]
 
 
 def random_pseudo_orthogonal(sig: Signature,
@@ -187,14 +164,9 @@ def random_pseudo_orthogonal(sig: Signature,
     for _ in range(2 * (sig.neg + sig.pos)):
         kind = rng.integers(0, 3)
         step = np.eye(n)
-        if kind == 0 and len(pos_idx) >= 2:
-            i, j = rng.choice(pos_idx, size=2, replace=False)
-            a = rng.uniform(0, 2 * np.pi)
-            step[i, i] = step[j, j] = np.cos(a)
-            step[i, j] = -np.sin(a)
-            step[j, i] = np.sin(a)
-        elif kind == 1 and len(neg_idx) >= 2:
-            i, j = rng.choice(neg_idx, size=2, replace=False)
+        block = pos_idx if kind == 0 else neg_idx
+        if kind < 2 and len(block) >= 2:
+            i, j = rng.choice(block, size=2, replace=False)
             a = rng.uniform(0, 2 * np.pi)
             step[i, i] = step[j, j] = np.cos(a)
             step[i, j] = -np.sin(a)

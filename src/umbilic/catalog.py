@@ -597,7 +597,7 @@ def family_instance(family_id: str, params: dict | None = None):
 
 def instantiate(family_id: str, params: dict | None = None) -> ExprChart:
     """Build the chart of a catalog family with validated parameters."""
-    return get_family(family_id).build(resolve_params(family_id, params))
+    return family_instance(family_id, params)[2]
 
 
 def expected_report(family_id: str, params: dict | None = None) -> Expected:

@@ -267,7 +267,7 @@ def cmd_moduli(args) -> int:
             print(f"{r.a:>12.6g} {r.cls:>6} {r.distance:>14.6f}")
     nonzero = [r for r in records if r.a != 0]
     zero = [r for r in records if r.a == 0]
-    if (nonzero and all(r.cls == "u" for r in nonzero)
+    if (nonzero and zero and all(r.cls == "u" for r in nonzero)
             and all(r.cls == "g" for r in zero)):
         print("closure(u) ∋ g: demonstrated")
     return 0

@@ -17,7 +17,7 @@ from . import bilinear as B
 from .analysis import DEFAULT_TOL, analyze_points, reduction_report
 from .catalog import instantiate
 from .charts import ImmersionChart
-from .errors import InputError
+from .errors import DomainError, InputError
 
 AMBIGUITY_FACTOR = 10.0
 
@@ -181,11 +181,15 @@ def moduli_demo(a_values, samples: int = 25, seed: int = 42,
     records = []
     for a in a_values:
         chart = instantiate("psi-a", {"m": 2, "s": 0, "a": float(a)})
-        geo = float(np.max([r.geodesic_residual for r in
-                            analyze_points(chart, chart.sample_points(3, seed),
-                                           order=2)]))
-        dist = float(np.max(np.linalg.norm(chart.value(points)
-                                           - base.value(points), axis=-1)))
+        # an offset too large to square gives no finite residual
+        with np.errstate(over="ignore", invalid="ignore"):
+            geo = float(np.max([r.geodesic_residual for r in analyze_points(
+                chart, chart.sample_points(3, seed), order=2)]))
+            dist = float(np.max(np.linalg.norm(chart.value(points)
+                                               - base.value(points), axis=-1)))
+        if not (math.isfinite(geo) and math.isfinite(dist)):
+            raise DomainError(f"psi-a offset a={float(a)!r}: the geodesic "
+                              f"residual or the sup distance is not finite")
         records.append(ModuliRecord(float(a), "g" if geo <= tol else "u",
                                     dist))
     return records

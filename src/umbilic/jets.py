@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import DomainError, InputError
 
-DIV_EPS = 1e-12
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -225,12 +223,6 @@ class Expr:
     def __rmul__(self, other):
         return Mul(as_expr(other), self)
 
-    def __truediv__(self, other):
-        return Div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Div(as_expr(other), self)
-
     def __neg__(self):
         return Mul(Const(-1.0), self)
 
@@ -298,23 +290,12 @@ def _reject(bad, t, msg: str):
         raise DomainError(msg.format(float(np.ravel(t)[k])) + where)
 
 
-def _reciprocal_derivs(t):
-    _reject(abs(t) <= DIV_EPS, t, "division by value {!r} within 1e-12 of zero")
-    return 1.0 / t, -1.0 / t**2, 2.0 / t**3, -6.0 / t**4
-
-
 def _lift(derivs, x):
     """Apply a scalar function, given by its derivatives d0..d3, to a value
     or a jet."""
     if isinstance(x, Jet3):
         return x.apply(*derivs(x.value))
     return derivs(x)[0]
-
-
-class Div(_Binary):
-    def eval(self, args):
-        return self.left.eval(args) * _lift(_reciprocal_derivs,
-                                            self.right.eval(args))
 
 
 def _sqrt_derivs(t):
@@ -333,18 +314,7 @@ def _cos_derivs(t):
     return c, -s, -c, s
 
 
-def _sinh_derivs(t):
-    s, c = np.sinh(t), np.cosh(t)
-    return s, c, s, c
-
-
-def _cosh_derivs(t):
-    c, s = np.cosh(t), np.sinh(t)
-    return c, s, c, s
-
-
-_FUNCS = {"sqrt": _sqrt_derivs, "sin": _sin_derivs, "cos": _cos_derivs,
-          "sinh": _sinh_derivs, "cosh": _cosh_derivs}
+_FUNCS = {"sqrt": _sqrt_derivs, "sin": _sin_derivs, "cos": _cos_derivs}
 
 
 class Func(Expr):
@@ -371,14 +341,6 @@ def sin(x) -> Expr:
 
 def cos(x) -> Expr:
     return Func("cos", as_expr(x))
-
-
-def sinh(x) -> Expr:
-    return Func("sinh", as_expr(x))
-
-
-def cosh(x) -> Expr:
-    return Func("cosh", as_expr(x))
 
 
 def variables(n: int) -> list[Var]:

