@@ -483,10 +483,20 @@ class FamilyVerdict:
 
     family_id: str
     params: dict
-    ok: bool
     failures: list = field(default_factory=list)
     discrepancies: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    @property
+    def status(self) -> str:
+        """"fail", "discrepancy-noted" or "pass"."""
+        if self.failures:
+            return "fail"
+        return "discrepancy-noted" if self.discrepancies else "pass"
 
 
 # each residual of a point report, by the name a failure gives it
@@ -506,12 +516,6 @@ def residual_columns(reports: list[PointReport]) -> dict:
 def non_finite(residuals: dict) -> list[str]:
     """Names of the residuals with a value that is not finite (NaN too)."""
     return [k for k, v in residuals.items() if not np.all(np.isfinite(v))]
-
-
-def _check_flag(verdict, name, computed, expected: bool):
-    if bool(computed) != expected:
-        verdict.failures.append(
-            f"{name}: computed {computed}, catalog asserts {expected}")
 
 
 def _fd_cross_check(ambient: AmbientSpace, values, jac, hess, sigs,
@@ -619,6 +623,37 @@ def verify_family(family_id: str, params: dict | None = None, *,
                            tol=tol, tol_zero=tol_zero, order=order)[0]
 
 
+def _check(verdict, name, computed, asserted, allowed: bool = False):
+    """Fail a computed value the catalog contradicts (note it instead when
+    `allowed`); an assertion of None is not checked.  A computed float
+    agrees within H_NORM_TOL, so a NaN adds no line: the non-finite line
+    reports it."""
+    if asserted is None:
+        return
+    if isinstance(computed, float):
+        differs = abs(computed - asserted) > H_NORM_TOL
+    else:
+        differs = computed != asserted
+    if differs:
+        msg = f"{name}: computed {computed!r}, catalog asserts {asserted!r}"
+        if allowed:
+            verdict.discrepancies.append(msg + " (allowed discrepancy)")
+        else:
+            verdict.failures.append(msg)
+
+
+def _check_residual(verdict, name, value, vanishes: bool, tol: float):
+    """Fail a residual asserted to vanish that exceeds `tol`, or a negative
+    control's residual that falls below CONTROL_GAP."""
+    if vanishes:
+        if value > tol:
+            verdict.failures.append(f"{name} residual {value:.3e} > {tol}")
+    elif value < CONTROL_GAP:
+        verdict.failures.append(
+            f"negative control: {name} residual {value:.3e} below the "
+            f"required gap {CONTROL_GAP}")
+
+
 def _judge(family_id, params, expected, reports, off, fd_failures, full,
            red, *, tol) -> FamilyVerdict:
     """The verdict on one record from its point reports and its checked
@@ -628,20 +663,20 @@ def _judge(family_id, params, expected, reports, off, fd_failures, full,
     asserts neither).  Expected-vs-computed disagreements listed in the
     entry's discrepancy allowance are reported, not failed.
     """
-    verdict = FamilyVerdict(family_id, params, True)
+    verdict = FamilyVerdict(family_id, params)
     residuals = residual_columns(reports)
     # np.max keeps a NaN wherever it occurs; any non-finite residual fails
     umb = float(np.max(residuals["umbilicity"]))
     geo = float(np.max(residuals["geodesic"]))
-    nondegenerate = [r for r in reports if r.h_norm is not None]
     bad = non_finite({**residuals, "ambient": off})
     if bad:
         verdict.failures.append(f"non-finite residuals: {', '.join(bad)}")
     ranks = sorted({r.radical_rank for r in reports})
+    rank = ranks[-1]
     verdict.summary.update({
         "umbilicity_residual": umb,
         "geodesic_residual": geo,
-        "radical_rank": ranks[-1],
+        "radical_rank": rank,
         "metric_signature": reports[0].metric_signature.as_tuple(),
         "first_normal_rank": max(r.first_normal_rank for r in reports),
     })
@@ -650,30 +685,14 @@ def _judge(family_id, params, expected, reports, off, fd_failures, full,
     if off > tol:
         verdict.failures.append(
             f"image off its space form: ambient residual {off:.3e} > {tol}")
+    _check(verdict, "radical_rank", rank, expected.radical_rank,
+           expected.allows("radical_rank", rank))
+    _check_residual(verdict, "umbilicity", umb, expected.totally_umbilical,
+                    tol)
+    _check(verdict, "totally_geodesic", geo <= tol, expected.totally_geodesic)
 
-    # degeneracy
-    if ranks[-1] != expected.radical_rank:
-        allowed = expected.discrepancy_allowed.get("radical_rank", ())
-        msg = (f"radical_rank: computed {ranks[-1]}, catalog asserts "
-               f"{expected.radical_rank}")
-        if ranks[-1] in allowed:
-            verdict.discrepancies.append(msg + " (allowed discrepancy)")
-        else:
-            verdict.failures.append(msg)
-
-    # umbilicity / geodesy
-    if expected.totally_umbilical:
-        if umb > tol:
-            verdict.failures.append(f"umbilicity residual {umb:.3e} > {tol}")
-    else:
-        if umb < CONTROL_GAP:
-            verdict.failures.append(
-                f"negative control: umbilicity residual {umb:.3e} below "
-                f"the required gap {CONTROL_GAP}")
-    _check_flag(verdict, "totally_geodesic", geo <= tol,
-                expected.totally_geodesic)
-
-    # mean curvature invariants (points with a non-degenerate metric only)
+    # mean curvature invariants (points with a non-degenerate metric only);
+    # with none, minimality is asserted through geodesy
     h_norms = residuals["h_norm"]
     if h_norms.size:
         spread = float(np.max(h_norms) - np.min(h_norms))
@@ -682,39 +701,24 @@ def _judge(family_id, params, expected, reports, off, fd_failures, full,
         if expected.totally_umbilical and spread > H_NORM_TOL:
             verdict.failures.append(
                 f"mean curvature norm varies over samples by {spread:.3e}")
-        if expected.h_norm is not None:
-            if abs(h_norm - expected.h_norm) > H_NORM_TOL:
-                verdict.failures.append(
-                    f"h_norm: computed {h_norm!r}, catalog asserts "
-                    f"{expected.h_norm!r}")
+        _check(verdict, "h_norm", h_norm, expected.h_norm)
         if expected.h_norm_range is not None:
             lo, hi = expected.h_norm_range
             if not (lo < h_norm < hi):
                 verdict.failures.append(
                     f"h_norm {h_norm!r} outside the open range ({lo}, {hi})")
-        min_res = np.max(residuals["minimal"])
-        _check_flag(verdict, "minimal", min_res <= tol, expected.minimal)
-        flags = [r.flags(tol)["marginally_trapped"] for r in nondegenerate]
-        _check_flag(verdict, "marginally_trapped", all(flags),
-                    expected.marginally_trapped)
-    else:
-        # degenerate metric: minimality only asserted through geodesy
-        _check_flag(verdict, "minimal", geo <= tol, expected.minimal)
+    minimal = np.max(residuals["minimal"]) if h_norms.size else geo
+    _check(verdict, "minimal", bool(minimal <= tol), expected.minimal)
+    if h_norms.size:
+        _check(verdict, "marginally_trapped",
+               all(r.flags(tol)["marginally_trapped"] for r in reports
+                   if r.h_norm is not None), expected.marginally_trapped)
 
-    # parallelism
     if residuals["parallel"].size and expected.parallel is not None:
         par = float(np.max(residuals["parallel"]))
         verdict.summary["parallel_residual"] = par
-        if expected.parallel:
-            if par > tol:
-                verdict.failures.append(
-                    f"parallelism residual {par:.3e} > {tol}")
-        elif par < CONTROL_GAP:
-            verdict.failures.append(
-                f"negative control: parallelism residual {par:.3e} below "
-                f"the required gap {CONTROL_GAP}")
+        _check_residual(verdict, "parallelism", par, expected.parallel, tol)
 
-    # radical position
     if expected.radical_contains_last_var:
         rads = residuals["radical_last_var"]
         if not rads.size:
@@ -726,33 +730,20 @@ def _judge(family_id, params, expected, reports, off, fd_failures, full,
                 f"last chart direction is not in the metric radical "
                 f"(residual {np.max(rads):.3e})")
 
-    # fullness
     if full is not None:
         verdict.summary["full"] = full[0]
-        _check_flag(verdict, "full", full[0], expected.full)
+        _check(verdict, "full", full[0], expected.full)
 
-    # hull reduction
     if red is not None:
         verdict.summary.update({
             "hull_dim": red.hull_dim,
             "translation_class": red.translation_class,
             "rho": red.rho,
         })
-        if expected.hull_dim is not None and red.hull_dim != expected.hull_dim:
-            verdict.failures.append(
-                f"hull dimension: computed {red.hull_dim}, catalog asserts "
-                f"{expected.hull_dim}")
-        if (expected.translation_class is not None
-                and red.translation_class != expected.translation_class):
-            verdict.failures.append(
-                f"translation class: computed {red.translation_class!r}, "
-                f"catalog asserts {expected.translation_class!r}")
-        if expected.rho is not None:
-            if red.rho is None or abs(red.rho - expected.rho) > H_NORM_TOL:
-                verdict.failures.append(
-                    f"translation length: computed {red.rho!r}, catalog "
-                    f"asserts {expected.rho!r}")
+        _check(verdict, "hull dimension", red.hull_dim, expected.hull_dim)
+        _check(verdict, "translation class", red.translation_class,
+               expected.translation_class)
+        _check(verdict, "translation length", red.rho, expected.rho)
 
     verdict.failures.extend(fd_failures)
-    verdict.ok = not verdict.failures
     return verdict

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,6 +49,12 @@ class Expected:
     translation_class: str | None = None
     rho: float | None = None
     discrepancy_allowed: dict[str, tuple] = field(default_factory=dict)
+
+    def allows(self, name: str, computed) -> bool:
+        """Whether a computed `name` that disagrees with this record is an
+        allowed discrepancy."""
+        return (computed != getattr(self, name)
+                and computed in self.discrepancy_allowed.get(name, ()))
 
 
 @dataclass
@@ -560,6 +567,24 @@ _ALIASES = {
 
 def family_ids() -> list[str]:
     return sorted(_REGISTRY)
+
+
+RANDOM_DRAWS = 3
+
+
+def instances(seed: int) -> list[tuple[str, dict]]:
+    """The (family id, params) instances `verify-all` checks: each family
+    at its defaults, then RANDOM_DRAWS parameter draws of each parametric
+    one from a generator seeded by `seed` and the family id."""
+    jobs = []
+    for fid in family_ids():
+        spec = _REGISTRY[fid]
+        jobs.append((fid, dict(spec.defaults)))
+        if spec.parametric:
+            rng = np.random.default_rng([seed, zlib.crc32(fid.encode())])
+            jobs += [(fid, {**spec.defaults, **spec.draw_params(rng)})
+                     for _ in range(RANDOM_DRAWS)]
+    return jobs
 
 
 def get_family(family_id: str) -> FamilySpec:

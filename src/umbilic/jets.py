@@ -411,40 +411,29 @@ def eval_jets(exprs, seeds: list[Jet3], m: int, order: int) -> list[Jet3]:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _stencil_moves(m: int, order: int):
-    """The central-difference stencil over m variables, as moves of the
-    point: one (rows, axes, signs) triple per level of nested shifts.
+def _stencil_offsets(m: int, order: int):
+    """The central-difference stencil over m variables, as read-only unit
+    offsets: the centres (B, m) and one Hessian stencil (size, m) around
+    each.
 
-    The stencil is laid out in blocks of one Hessian stencil each: the
-    centre, +e_i, -e_i, then (+e_i+e_j, +e_i-e_j, -e_i+e_j, -e_i-e_j) for
-    i < j.  Order 3 appends the blocks centred at +e_i, then at -e_i, whose
-    centre shift is the first level, as in a Hessian of a shifted point.
+    The Hessian stencil is the centre, +e_i, -e_i, then (+e_i+e_j,
+    +e_i-e_j, -e_i+e_j, -e_i-e_j) for i < j.  Order 3 adds the centres
+    +e_i, then -e_i, after the point itself.
     """
-    block = ([()] + [((i, 1.0),) for i in range(m)]
-             + [((i, -1.0),) for i in range(m)]
-             + [((i, a), (j, b)) for i in range(m) for j in range(i + 1, m)
-                for a, b in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0),
-                             (-1.0, -1.0))])
-    centres = [()]
+    eye = np.eye(m)
+    pairs = [a * eye[i] + b * eye[j] for i in range(m) for j in range(i + 1, m)
+             for a, b in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
+    block = np.concatenate([np.zeros((1, m)), eye, -eye,
+                            np.reshape(pairs, (-1, m))])
+    centres = np.zeros((1, m))
     if order == 3:
-        centres += ([((i, 1.0),) for i in range(m)]
-                    + [((i, -1.0),) for i in range(m)])
-    moves = [c + mv for c in centres for mv in block]
-    levels = []
-    for level in range(3):
-        rows = [r for r, mv in enumerate(moves) if len(mv) > level]
-        arrays = (np.array(rows, dtype=int),
-                  np.array([moves[r][level][0] for r in rows], dtype=int),
-                  np.array([moves[r][level][1] for r in rows]))
-        for a in arrays:
-            a.setflags(write=False)
-        levels.append(arrays)
-    return len(centres), len(block), levels
+        centres = np.concatenate([centres, eye, -eye])
+    return _frozen(centres), _frozen(block)
 
 
 def _fd_hessians(F, m: int, h: float) -> np.ndarray:
     """Central-difference Hessians from values F (B, block, ...) laid out
-    as in `_stencil_moves`; returns them packed, (B, ..., T2)."""
+    as in `_stencil_offsets`; returns them packed, (B, ..., T2)."""
     f0, fp, fm = F[:, :1], F[:, 1:1 + m], F[:, 1 + m:1 + 2 * m]
     out = np.empty(F.shape[:1] + packed_indices(m, 2).shape[1:] + F.shape[2:])
     pos = _positions(m, 2)
@@ -459,15 +448,14 @@ def _fd_hessians(F, m: int, h: float) -> np.ndarray:
 
 def fd_stencil(point, step: float = 1e-4, order: int = 3) -> np.ndarray:
     """The (S, m) central-difference stencil around one point (m,), laid
-    out as in `_stencil_moves`; `fd_derivatives` reads values on it."""
+    out as in `_stencil_offsets`; `fd_derivatives` reads values on it."""
     if order not in (2, 3):
         raise InputError("order must be 2 or 3")
     point = np.asarray(point, dtype=float)
-    nblocks, size, levels = _stencil_moves(point.shape[0], order)
-    Q = np.repeat(point[None], nblocks * size, axis=0)
-    for rows, axes, signs in levels:
-        Q[rows, axes] += signs * step
-    return Q
+    centres, block = _stencil_offsets(point.shape[0], order)
+    # the centre shift is added first, as in a Hessian at a shifted point
+    Q = (point + step * centres)[:, None] + step * block
+    return Q.reshape(-1, point.shape[0])
 
 
 def fd_derivatives(F, m: int, step: float = 1e-4, order: int = 3):
@@ -476,9 +464,9 @@ def fd_derivatives(F, m: int, step: float = 1e-4, order: int = 3):
     gradient, packed Hessian and (order 3, else None) packed third
     derivatives, variable axes last, O(step^2) truncation on every entry."""
     h = step
-    nblocks, size, _ = _stencil_moves(m, order)
+    centres, block = _stencil_offsets(m, order)
     F = np.moveaxis(np.asarray(F, dtype=float), -2, 0)
-    F = F.reshape((nblocks, size) + F.shape[1:])
+    F = F.reshape((len(centres), len(block)) + F.shape[1:])
     value = F[0, 0]
     grad = np.moveaxis((F[0, 1:1 + m] - F[0, 1 + m:1 + 2 * m]) / (2 * h), 0, -1)
     hessians = _fd_hessians(F, m, h)

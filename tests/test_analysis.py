@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from umbilic import analysis, cli
+from umbilic import analysis
 from umbilic import jets as J
 from umbilic.analysis import (_nondegenerate_tensors, analyze_point,
                               analyze_points, build_frame, fullness,
@@ -14,7 +14,7 @@ from umbilic.analysis import (_nondegenerate_tensors, analyze_point,
                               verify_families, verify_family)
 from umbilic.bilinear import Signature
 from umbilic.catalog import (family_ids, family_instance, get_family,
-                             instantiate)
+                             instances, instantiate)
 from umbilic.charts import (ExprChart, ImmersionChart, fd_jet_arrays,
                             transform_chart)
 from umbilic.errors import DegenerateMetricError, DomainError, InputError
@@ -233,8 +233,10 @@ class TestVerifyFamily:
 
     def test_s_example_discrepancy_is_noted(self):
         verdict = verify_family("S-example")
-        assert verdict.ok
-        assert any("radical_rank" in d for d in verdict.discrepancies)
+        assert verdict.ok and verdict.status == "discrepancy-noted"
+        assert verdict.discrepancies == [
+            "radical_rank: computed 1, catalog asserts 2 "
+            "(allowed discrepancy)"]
 
     def test_identically_zero_metric_verifies(self):
         # plane-P at s = t = 0: the metric vanishes, umbilicity is vacuous
@@ -313,6 +315,14 @@ class TestVerifyFamily:
         assert calls["sample_points"] == [40]
         assert [len(q) for q in calls["value"]] == [40 + 9 if hull else 9]
 
+    def test_status_derives_from_the_lists(self):
+        verdict = analysis.FamilyVerdict("main1-3", {})
+        assert (verdict.ok, verdict.status) == (True, "pass")
+        verdict.discrepancies.append("noted")
+        assert (verdict.ok, verdict.status) == (True, "discrepancy-noted")
+        verdict.failures.append("failed")
+        assert (verdict.ok, verdict.status) == (False, "fail")
+
     def test_order2_skips_parallelism(self):
         verdict = verify_family("main1-3", order=2)
         assert verdict.ok
@@ -344,17 +354,138 @@ class TestVerifyFamily:
         assert any("non-finite residuals" in f for f in verdict.failures)
 
 
-def _verify_all_jobs(seed):
-    """The (family id, params) jobs of `umbilic verify-all --seed seed`."""
-    jobs = []
-    for fid in family_ids():
-        spec = get_family(fid)
-        jobs.append((fid, dict(spec.defaults)))
-        if spec.parametric:
-            rng = cli._entry_rng(seed, fid)
-            jobs += [(fid, {**spec.defaults, **spec.draw_params(rng)})
-                     for _ in range(cli.RANDOM_DRAWS)]
-    return jobs
+def _judged(monkeypatch, fid, **changes):
+    """`verify_family(fid)` against the catalog's expectation with `changes`
+    made, and the point reports it judged."""
+    spec = get_family(fid)
+    expect = spec.expect
+    monkeypatch.setattr(spec, "expect",
+                        lambda p: dataclasses.replace(expect(p), **changes))
+    seen = []
+    batch = analysis.point_reports
+
+    def captured(*args, **kwargs):
+        seen.append(batch(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(analysis, "point_reports", captured)
+    verdict = verify_family(fid)
+    (reports,) = seen
+    return verdict, reports
+
+
+class TestJudge:
+    """The exact failure lines of a real family under a contradicting
+    catalog expectation, in order."""
+
+    @pytest.mark.parametrize("name, change", [
+        ("umbilicity", {"totally_umbilical": False}),
+        ("parallelism", {"parallel": False})])
+    def test_negative_control(self, monkeypatch, name, change):
+        verdict, _ = _judged(monkeypatch, "main1-3", **change)
+        key = {"umbilicity": "umbilicity_residual",
+               "parallelism": "parallel_residual"}[name]
+        assert verdict.failures == [
+            f"negative control: {name} residual "
+            f"{verdict.summary[key]:.3e} below the required gap 0.01"]
+
+    def test_h_norm_value_and_range(self, monkeypatch):
+        verdict, _ = _judged(monkeypatch, "main1-3", h_norm=2.0,
+                             h_norm_range=(-1.0, 0.0))
+        h = verdict.summary["h_norm"]
+        assert h == pytest.approx(3.0, abs=1e-9)
+        assert verdict.failures == [
+            f"h_norm: computed {h!r}, catalog asserts 2.0",
+            f"h_norm {h!r} outside the open range (-1.0, 0.0)"]
+
+    @pytest.mark.parametrize("fid, asserted", [("main1-3", True),
+                                               ("main1-5", False)])
+    def test_marginally_trapped(self, monkeypatch, fid, asserted):
+        verdict, _ = _judged(monkeypatch, fid, marginally_trapped=asserted)
+        assert verdict.failures == [
+            f"marginally_trapped: computed {not asserted}, "
+            f"catalog asserts {asserted}"]
+
+    @pytest.mark.parametrize("fid", ["main1-3", "main1-5"])
+    def test_translation_length(self, monkeypatch, fid):
+        # main1-5 is a lightlike translation: no length is computed
+        verdict, _ = _judged(monkeypatch, fid, rho=1.0)
+        rho = verdict.summary["rho"]
+        assert (rho is None) == (fid == "main1-5")
+        assert verdict.failures == [
+            f"translation length: computed {rho!r}, catalog asserts 1.0"]
+
+    def test_radical_on_a_nondegenerate_metric(self, monkeypatch):
+        verdict, _ = _judged(monkeypatch, "main1-3",
+                             radical_contains_last_var=True)
+        assert verdict.failures == [
+            "radical asserted to contain the last chart direction but the "
+            "metric is non-degenerate"]
+
+    def test_last_direction_off_the_radical(self, monkeypatch):
+        # the lightcone's radical is its radial direction
+        verdict, reports = _judged(monkeypatch, "light1-5",
+                                   radical_contains_last_var=True)
+        worst = max(r.radical_last_var_residual for r in reports)
+        assert worst > 0.9
+        assert verdict.failures == [
+            f"last chart direction is not in the metric radical "
+            f"(residual {worst:.3e})"]
+
+    def test_mean_curvature_spread(self, monkeypatch):
+        verdict, reports = _judged(monkeypatch, "cubic-graph-control",
+                                   totally_umbilical=True)
+        h = [r.h_norm for r in reports]
+        assert verdict.failures == [
+            f"umbilicity residual "
+            f"{verdict.summary['umbilicity_residual']:.3e} > 1e-07",
+            f"mean curvature norm varies over samples by "
+            f"{max(h) - min(h):.3e}"]
+
+    @pytest.mark.parametrize("field, value, failures", [
+        ("umbilicity_residual", float("nan"),
+         ["non-finite residuals: umbilicity"]),
+        ("parallel_residual", float("inf"),
+         ["non-finite residuals: parallel",
+          "parallelism residual inf > 1e-07"]),
+        # a NaN h_norm fails the range, but no value comparison
+        ("h_norm", float("nan"),
+         ["non-finite residuals: h_norm",
+          "h_norm nan outside the open range (0.0, inf)"])])
+    def test_non_finite_residual(self, monkeypatch, field, value, failures):
+        batch = analysis.point_reports
+
+        def with_value(*args, **kwargs):
+            reports = batch(*args, **kwargs)
+            setattr(reports[2], field, value)
+            return reports
+
+        monkeypatch.setattr(analysis, "point_reports", with_value)
+        assert verify_family("main1-3").failures == failures
+
+    def test_fd_disagreement(self, monkeypatch):
+        # below the oracle's own truncation error every record disagrees
+        walked, fd = [], []
+        walk, derivatives = analysis.walk_jets, J.fd_derivatives
+
+        def walk_captured(*args, **kwargs):
+            walked.append(walk(*args, **kwargs))
+            return walked[-1]
+
+        def fd_captured(*args, **kwargs):
+            fd.append(derivatives(*args, **kwargs))
+            return fd[-1]
+
+        monkeypatch.setattr(analysis, "walk_jets", walk_captured)
+        monkeypatch.setattr(J, "fd_derivatives", fd_captured)
+        monkeypatch.setattr(analysis, "FD_TOL", 1e-12)
+        verdict = verify_family("main1-3")
+        ((_, jac, hess, _),), ((_, fjac, fhess, _),) = walked, fd
+        a = np.max(np.abs(jac[0] - fjac[0]))
+        b = np.max(np.abs(hess[0] - fhess[0]))
+        assert verdict.failures == [
+            f"finite-difference oracle disagrees with jets "
+            f"(jacobian {a:.3e}, hessian {b:.3e} > 1e-12)"]
 
 
 class TestVerifyFamilies:
@@ -362,7 +493,7 @@ class TestVerifyFamilies:
 
     @pytest.mark.parametrize("kw", [{}, {"order": 2}, {"tol_zero": 1e-15}])
     def test_stacked_equals_one_at_a_time(self, kw):
-        jobs = _verify_all_jobs(42)
+        jobs = instances(42)
         assert len(jobs) == 92
         stacked = verify_families(jobs, samples=16, seed=42, **kw)
         for (fid, params), got in zip(jobs, stacked):
@@ -379,7 +510,7 @@ class TestVerifyFamilies:
         assert bool(unstable) == ("tol_zero" in kw)
 
     def test_one_report_pass_per_group(self, monkeypatch):
-        jobs = _verify_all_jobs(42)
+        jobs = instances(42)
         shapes = set()
         for fid, params in jobs:
             ch = get_family(fid).build(params)
@@ -431,7 +562,7 @@ class TestVerifyFamilies:
             assert got.summary == verify_family(fid, params).summary
 
     def test_group_fd_arrays_are_the_single_point_oracle(self, monkeypatch):
-        jobs = _verify_all_jobs(42)
+        jobs = instances(42)
         got = []
         fd_derivatives = J.fd_derivatives
 
@@ -456,7 +587,7 @@ class TestVerifyFamilies:
 
     def test_stacked_hull_checks_equal_one_sample_calls(self):
         groups: dict = {}
-        for fid, params in _verify_all_jobs(42):
+        for fid, params in instances(42):
             chart = family_instance(fid, params)[2]
             groups.setdefault(chart.ambient, []).append(chart)
         for charts in groups.values():
@@ -472,7 +603,7 @@ class TestVerifyFamilies:
                             == getattr(want, f.name)), (ch.name, f.name)
 
     def test_one_draw_and_one_value_walk_per_record(self, monkeypatch):
-        jobs = _verify_all_jobs(42)
+        jobs = instances(42)
         calls = {"sample_points": 0, "value": 0}
         for cls, name in ((ImmersionChart, "sample_points"),
                           (ExprChart, "value")):

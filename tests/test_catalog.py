@@ -187,3 +187,24 @@ class TestExpectations:
             for _ in range(5):
                 params = {**spec.defaults, **spec.draw_params(rng)}
                 instantiate(fid, params)  # must validate
+
+
+def test_instances_are_the_defaults_then_seeded_draws():
+    jobs = catalog.instances(42)
+    assert jobs == catalog.instances(42) != catalog.instances(43)
+    fids = [fid for fid, _ in jobs]
+    assert fids == sorted(fids) and set(fids) == set(family_ids())
+    for fid in family_ids():
+        spec = get_family(fid)
+        own = [params for f, params in jobs if f == fid]
+        assert own[0] == spec.defaults
+        assert len(own) == 1 + catalog.RANDOM_DRAWS * spec.parametric
+        assert all(params.keys() == spec.defaults.keys() for params in own)
+
+
+def test_allowed_discrepancy_needs_a_disagreement():
+    e = expected_report("S-example")
+    assert e.allows("radical_rank", 1)
+    assert not e.allows("radical_rank", 2)   # agrees: nothing to allow
+    assert not e.allows("radical_rank", 0)   # disagrees, not allowed
+    assert not expected_report("main1-3").allows("radical_rank", 1)

@@ -7,15 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from umbilic import cli
+from umbilic import analysis, cli
 from umbilic.analysis import analyze_point
 from umbilic.catalog import instantiate
 from umbilic.charts import ImmersionChart
-from umbilic.cli import _jsonable, main
+from umbilic.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -95,6 +92,33 @@ class TestVerifyAll:
             ["verify-all", "--samples", "5", "--tol-zero", "1e-15"], capsys)
         assert code == 1
         assert "failure" in out
+
+    def test_non_finite_summary_is_null(self, capsys, monkeypatch):
+        # inf in one group's first record, NaN in the next: both must be
+        # null, since JSON has no Infinity or NaN
+        batch = analysis.point_reports
+        values = [float("inf"), float("nan")]
+
+        def with_non_finite(*args, **kwargs):
+            reports = batch(*args, **kwargs)
+            if values:
+                reports[0].umbilicity_residual = values.pop(0)
+            return reports
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        monkeypatch.setattr(analysis, "point_reports", with_non_finite)
+        code, out, _ = run(["verify-all", "--json", "-"], capsys)
+        assert code == 1
+        records = json.loads(out[out.index("\n{") + 1:],
+                             parse_constant=no_constant)["records"]
+        bad = [r for r in records
+               if r["summary"]["umbilicity_residual"] is None]
+        assert len(bad) == 2
+        for r in bad:
+            assert r["status"] == "fail"
+            assert "non-finite residuals: umbilicity" in r["failures"]
 
     def test_unwritable_output_path(self, capsys):
         code, _, err = run(
@@ -347,6 +371,15 @@ class TestModuli:
             "domain error: psi-a offset a=1e+155: the geodesic residual "
             "or the sup distance is not finite"]
 
+    def test_large_offset_keeps_the_column(self, capsys):
+        code, out, _ = run(["moduli", "--a", "0,1e6,1e100"], capsys)
+        assert code == 0
+        header, *rows, verdict = out.splitlines()
+        assert [len(line) for line in rows] == [len(header)] * 3
+        assert rows[1].endswith(" 1414213.562373")
+        assert rows[2].endswith(" 1.414214e+100")
+        assert verdict.startswith("closure(u)")
+
     def test_json_rows(self, capsys, tmp_path):
         out_path = tmp_path / "m.json"
         run(["moduli", "--a", "0,1", "--json", str(out_path)], capsys)
@@ -405,47 +438,3 @@ class TestSeedHandling:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
         assert out == ""
-
-
-def _jsonable_reference(x):
-    """The element-by-element conversion that `_jsonable` shortcuts."""
-    if isinstance(x, dict):
-        return {str(k): _jsonable_reference(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable_reference(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_jsonable_reference(v) for v in x.tolist()]
-    if isinstance(x, (np.floating, float)):
-        x = float(x)
-        return None if x != x else x
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
-    return x
-
-
-_special = st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
-_shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
-_arrays = (hnp.arrays(np.float64, _shapes, elements=st.floats() | _special)
-           | hnp.arrays(np.float32, _shapes,
-                        elements=st.floats(width=32) | _special)
-           | hnp.arrays(st.sampled_from([np.int64, np.bool_]), _shapes))
-_leaves = (_arrays | st.floats() | _special | st.integers() | st.booleans()
-           | st.none() | st.text(max_size=3)
-           | st.floats(width=32).map(np.float32) | st.floats().map(np.float64)
-           | st.integers(-2 ** 31, 2 ** 31).map(np.int64)
-           | st.booleans().map(np.bool_))
-_payloads = st.recursive(
-    _leaves, lambda inner: st.lists(inner, max_size=3)
-    | st.tuples(inner, inner)
-    | st.dictionaries(st.text(max_size=3) | st.integers(), inner, max_size=3),
-    max_leaves=12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_payloads)
-def test_jsonable_keeps_the_bytes(payload):
-    def dump(f):
-        return json.dumps(f(payload), sort_keys=True, indent=2)
-    assert dump(_jsonable) == dump(_jsonable_reference)

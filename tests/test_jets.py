@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from umbilic import jets as J
 from umbilic.errors import DomainError, InputError
@@ -65,6 +66,29 @@ def _fd_loop(f, point, step):
     i, j = J.packed_indices(m, 2)
     return (value, grad, fd_hess(point)[..., i, j],
             d[(...,) + tuple(J.packed_indices(m, 3))])
+
+
+def _stencil_by_levels(point, step, order):
+    """Reference stencil, laid out as `fd_stencil`: a copy of the point per
+    row, moved one nested shift (level) at a time, the centre's shift
+    first."""
+    m = point.shape[0]
+    block = ([()] + [((i, 1.0),) for i in range(m)]
+             + [((i, -1.0),) for i in range(m)]
+             + [((i, a), (j, b)) for i in range(m) for j in range(i + 1, m)
+                for a, b in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0),
+                             (-1.0, -1.0))])
+    centres = [()]
+    if order == 3:
+        centres += ([((i, 1.0),) for i in range(m)]
+                    + [((i, -1.0),) for i in range(m)])
+    moves = [c + mv for c in centres for mv in block]
+    Q = np.repeat(point[None], len(moves), axis=0)
+    for level in range(3):
+        rows = [r for r, mv in enumerate(moves) if len(mv) > level]
+        axes = [moves[r][level][0] for r in rows]
+        Q[rows, axes] += np.array([moves[r][level][1] for r in rows]) * step
+    return Q
 
 
 class TestJetArithmetic:
@@ -218,6 +242,26 @@ class TestFiniteDifferenceOracle:
                 assert np.array_equal(got[3], want[3])
             else:
                 assert got[3] is None
+
+    @given(hnp.arrays(np.float64, st.integers(1, 4),
+                      elements=st.floats(-10.0, 10.0)),
+           st.sampled_from([1e-4, 1e-3, 0.37]), st.sampled_from([2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_stencil_matches_the_levels(self, point, step, order):
+        # equal values; a -0.0 coordinate may come back as +0.0
+        assert np.array_equal(J.fd_stencil(point, step, order),
+                              _stencil_by_levels(point, step, order))
+
+    def test_stencil_is_bit_identical_to_the_levels(self):
+        rng = np.random.default_rng(7)
+        for m in range(1, 9):
+            for point in rng.normal(scale=3.0, size=(20, m)):
+                for order in (2, 3):
+                    for step in (1e-4, 1e-3, 1e-2, 0.5):
+                        got = J.fd_stencil(point, step, order)
+                        want = _stencil_by_levels(point, step, order)
+                        assert np.array_equal(got.view(np.int64),
+                                              want.view(np.int64))
 
     def test_third_is_symmetric(self):
         u, v, w = J.variables(3)

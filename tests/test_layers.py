@@ -38,3 +38,28 @@ def test_imports_run_one_way(module):
 
 def test_package_imports_only_its_modules():
     assert relative_imports(PACKAGE / "__init__.py") <= set(ORDER)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads; a name listed in `__all__`
+    is read as an export."""
+    tree = ast.parse(path.read_text())
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__"
+                      for t in node.targets)):
+            used.update(e.value for e in node.value.elts)
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("module", ORDER + ["__init__"])
+def test_no_unused_imports(module):
+    assert unused_imports(PACKAGE / f"{module}.py") == []
