@@ -549,12 +549,12 @@ def _fd_cross_check(ambient: AmbientSpace, values, jac, hess, sigs,
 
 def verify_families(jobs, *, samples: int = 5, seed: int = 42,
                     tol: float = DEFAULT_TOL,
-                    tol_zero: float = DEFAULT_ZERO_TOL,
-                    order: int = 3) -> list[FamilyVerdict]:
+                    tol_zero: float = DEFAULT_ZERO_TOL) -> list[FamilyVerdict]:
     """Check every asserted property of each (family id, params) job
     numerically; the verdicts come back in job order.
 
-    Each record draws chart points once and walks the first `samples`.
+    Each record draws chart points once and walks the first `samples` at
+    order 3, so that every asserted `parallel` is checked.
     The records that share a chart dimension and an ambient space form are
     stacked into one frame, reported on and checked together, then each is
     judged from its own rows; see `_judge`.
@@ -564,7 +564,7 @@ def verify_families(jobs, *, samples: int = 5, seed: int = 42,
         spec, merged, chart, expected = family_instance(family_id, params)
         drawn = chart.sample_points(max(samples, hull_size(chart.ambient)),
                                     seed)
-        arrays = walk_jets(chart, drawn[:samples], order)
+        arrays = walk_jets(chart, drawn[:samples])
         groups.setdefault((chart.nvars, chart.ambient), []).append(
             (n, (spec.id, merged, chart, expected, drawn, arrays)))
     verdicts = [None] * len(jobs)
@@ -615,12 +615,11 @@ def _verify_group(records, samples, tol, tol_zero) -> list[FamilyVerdict]:
 
 def verify_family(family_id: str, params: dict | None = None, *,
                   samples: int = 5, seed: int = 42, tol: float = DEFAULT_TOL,
-                  tol_zero: float = DEFAULT_ZERO_TOL,
-                  order: int = 3) -> FamilyVerdict:
+                  tol_zero: float = DEFAULT_ZERO_TOL) -> FamilyVerdict:
     """Check every asserted property of a catalog family numerically: a
     one-job `verify_families`."""
     return verify_families([(family_id, params)], samples=samples, seed=seed,
-                           tol=tol, tol_zero=tol_zero, order=order)[0]
+                           tol=tol, tol_zero=tol_zero)[0]
 
 
 def _check(verdict, name, computed, asserted, allowed: bool = False):
@@ -704,7 +703,8 @@ def _judge(family_id, params, expected, reports, off, fd_failures, full,
         _check(verdict, "h_norm", h_norm, expected.h_norm)
         if expected.h_norm_range is not None:
             lo, hi = expected.h_norm_range
-            if not (lo < h_norm < hi):
+            # a NaN fails neither test: the non-finite line reports it
+            if h_norm <= lo or h_norm >= hi:
                 verdict.failures.append(
                     f"h_norm {h_norm!r} outside the open range ({lo}, {hi})")
     minimal = np.max(residuals["minimal"]) if h_norms.size else geo

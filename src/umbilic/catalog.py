@@ -2,11 +2,15 @@
 
 Each entry couples a chart constructor (graph charts for curved factors,
 polynomial charts for flat ones) with its parameter domain, flat embedding
-signature and the properties the classification asserts for it.  Chart
-coordinates follow the canonical order: negative block first, then
-positive; degenerate chart factors always contribute the last chart
-variable.  The graph families are rows of one table, and each lightlike
-product is a null pair (t, base(u), t) over its base family at m-1.
+signature and the properties the classification asserts for it.  A
+chart's coordinates are one function of its walk arguments, with its
+constants as plain floats; it calls the module's `sqrt`, `sin` and `cos`,
+so replacing them gives the closed form on other arguments, such as
+symbols.  Chart coordinates follow the canonical order: negative block
+first, then positive; degenerate chart factors always contribute the last
+chart variable.  The graph families are rows of one table, and each
+lightlike product is a null pair (t, base(u), t) over its base family at
+m-1, whose function calls the base's on the first m-1 arguments.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import numpy as np
 from .bilinear import Signature
 from .charts import AmbientSpace, ExprChart
 from .errors import DomainError, InputError
-from .jets import Const, indefinite_square, sqrt, sin, cos, variables
+from .jets import cos, indefinite_square, sin, sqrt
 
 
 @dataclass
@@ -100,28 +104,28 @@ def _cone_box(k: int, s: int) -> list:
     return box
 
 
-def _sphere_exprs(vs, s: int, r2: float):
+def _sphere(u, s: int, r2: float):
     """Graph chart of a pseudo-sphere of squared radius r2 and index s."""
-    q = indefinite_square(vs, s)
-    return [*vs, sqrt(Const(r2) - q)]
+    q = indefinite_square(u, s)
+    return [*u, sqrt(r2 - q)]
 
 
-def _hyper_exprs(vs, s: int, r2: float):
+def _hyper(u, s: int, r2: float):
     """Graph chart of a pseudo-hyperbolic space of curvature -1/r2, index s."""
-    q = indefinite_square(vs, s)
-    return [sqrt(Const(r2) + q), *vs]
+    q = indefinite_square(u, s)
+    return [sqrt(r2 + q), *u]
 
 
-def _cone_exprs(vs, s: int):
+def _cone(u, s: int):
     """Graph chart of the lightcone over a k-variable base of index s."""
-    q = indefinite_square(vs, s)
-    return [sqrt(q), *vs]
+    q = indefinite_square(u, s)
+    return [sqrt(q), *u]
 
 
-def _null_graph_exprs(vs, s: int, a: float, b: float):
+def _null_graph(u, s: int, a: float, b: float):
     """Flat null graph (q + a, u, q + b) with q the indefinite square of u."""
-    q = indefinite_square(vs, s)
-    return [q + Const(a), *vs, q + Const(b)]
+    q = indefinite_square(u, s)
+    return [q + a, *u, q + b]
 
 
 def _ms(params, lift: int = 0, cone: bool = False) -> tuple[int, int]:
@@ -187,7 +191,7 @@ def _graph_chart(g: _Graph, params: dict, name: str,
         box = [_FLAT_BOX] * k
     else:
         box = _cone_box(k, s)
-    return ExprChart(g.coords(variables(k), s, r), k,
+    return ExprChart(lambda u: g.coords(u, s, r), k,
                      g.space(k + g.dn, s + g.dp), box, name)
 
 
@@ -196,46 +200,46 @@ _S, _H, _E = AmbientSpace.sphere, AmbientSpace.hyperbolic, AmbientSpace.flat
 _GRAPHS: dict[str, _Graph] = {
     # sphere-target families (curvature +1)
     "main1-1": _Graph(_S, 1, 0, lambda u, s, r:
-                      _sphere_exprs(u, s, 1.0) + [Const(0.0)]),
+                      _sphere(u, s, 1.0) + [0.0]),
     "main1-2": _Graph(_S, 1, 1, lambda u, s, r:
-                      [Const(0.0)] + _sphere_exprs(u, s, 1.0)),
-    "main1-3": _Graph(_S, 1, 0, lambda u, s, r: _sphere_exprs(u, s, r * r)
-                      + [Const(math.sqrt(1 - r * r))], (0.0, 1.0)),
-    "main1-4": _Graph(_S, 1, 1, lambda u, s, r: [Const(math.sqrt(r * r - 1))]
-                      + _sphere_exprs(u, s, r * r), (1.0, math.inf)),
+                      [0.0] + _sphere(u, s, 1.0)),
+    "main1-3": _Graph(_S, 1, 0, lambda u, s, r: _sphere(u, s, r * r)
+                      + [math.sqrt(1 - r * r)], (0.0, 1.0)),
+    "main1-4": _Graph(_S, 1, 1, lambda u, s, r: [math.sqrt(r * r - 1)]
+                      + _sphere(u, s, r * r), (1.0, math.inf)),
     "main1-5": _Graph(_S, 2, 1, lambda u, s, r:
-                      [Const(1.0)] + _sphere_exprs(u, s, 1.0) + [Const(1.0)]),
-    "main1-6": _Graph(_S, 1, 1, lambda u, s, r: _hyper_exprs(u, s, r * r)
-                      + [Const(math.sqrt(1 + r * r))], (0.0, math.inf)),
+                      [1.0] + _sphere(u, s, 1.0) + [1.0]),
+    "main1-6": _Graph(_S, 1, 1, lambda u, s, r: _hyper(u, s, r * r)
+                      + [math.sqrt(1 + r * r)], (0.0, math.inf)),
     "main1-7": _Graph(_S, 1, 1, lambda u, s, r:
-                      _null_graph_exprs(u, s, -0.75, -1.25), box="flat"),
+                      _null_graph(u, s, -0.75, -1.25), box="flat"),
     "light1-5": _Graph(_S, 1, 1, lambda u, s, r:
-                       _cone_exprs(u, s) + [Const(1.0)], box="cone"),
+                       _cone(u, s) + [1.0], box="cone"),
     # hyperbolic-target families (curvature -1)
     "main2-1": _Graph(_H, 1, 0, lambda u, s, r:
-                      _hyper_exprs(u, s, 1.0) + [Const(0.0)]),
+                      _hyper(u, s, 1.0) + [0.0]),
     "main2-2": _Graph(_H, 1, 1, lambda u, s, r:
-                      [Const(0.0)] + _hyper_exprs(u, s, 1.0)),
-    "main2-3": _Graph(_H, 1, 1, lambda u, s, r: [Const(math.sqrt(1 - r * r))]
-                      + _hyper_exprs(u, s, r * r), (0.0, 1.0)),
-    "main2-4": _Graph(_H, 1, 0, lambda u, s, r: _hyper_exprs(u, s, r * r)
-                      + [Const(math.sqrt(r * r - 1))], (1.0, math.inf)),
+                      [0.0] + _hyper(u, s, 1.0)),
+    "main2-3": _Graph(_H, 1, 1, lambda u, s, r: [math.sqrt(1 - r * r)]
+                      + _hyper(u, s, r * r), (0.0, 1.0)),
+    "main2-4": _Graph(_H, 1, 0, lambda u, s, r: _hyper(u, s, r * r)
+                      + [math.sqrt(r * r - 1)], (1.0, math.inf)),
     "main2-5": _Graph(_H, 2, 1, lambda u, s, r:
-                      [Const(1.0)] + _hyper_exprs(u, s, 1.0) + [Const(1.0)]),
-    "main2-6": _Graph(_H, 1, 0, lambda u, s, r: [Const(math.sqrt(1 + r * r))]
-                      + _sphere_exprs(u, s, r * r), (0.0, math.inf)),
+                      [1.0] + _hyper(u, s, 1.0) + [1.0]),
+    "main2-6": _Graph(_H, 1, 0, lambda u, s, r: [math.sqrt(1 + r * r)]
+                      + _sphere(u, s, r * r), (0.0, math.inf)),
     "main2-7": _Graph(_H, 1, 0, lambda u, s, r:
-                      _null_graph_exprs(u, s, 1.25, 0.75), box="flat"),
+                      _null_graph(u, s, 1.25, 0.75), box="flat"),
     "light2-5": _Graph(_H, 1, 1, lambda u, s, r:
-                       [Const(1.0)] + _cone_exprs(u, s), box="cone"),
+                       [1.0] + _cone(u, s), box="cone"),
     # flat-target families
-    "akk-1": _Graph(_E, 1, 0, lambda u, s, r: [*u, Const(0.0)], box="flat"),
-    "akk-2": _Graph(_E, 1, 0, lambda u, s, r: _sphere_exprs(u, s, r * r),
+    "akk-1": _Graph(_E, 1, 0, lambda u, s, r: [*u, 0.0], box="flat"),
+    "akk-2": _Graph(_E, 1, 0, lambda u, s, r: _sphere(u, s, r * r),
                     (0.0, math.inf)),
-    "akk-3": _Graph(_E, 1, 1, lambda u, s, r: _hyper_exprs(u, s, r * r),
+    "akk-3": _Graph(_E, 1, 1, lambda u, s, r: _hyper(u, s, r * r),
                     (0.0, math.inf)),
     "akk-4": _Graph(_E, 2, 1, lambda u, s, r:
-                    _null_graph_exprs(u, s, 0.25, -0.25), box="flat"),
+                    _null_graph(u, s, 0.25, -0.25), box="flat"),
 }
 _GRAPHS["U-flat"] = _GRAPHS["akk-4"]  # a named instance of akk-4
 
@@ -255,23 +259,22 @@ def _null_pair(base: _Graph, params: dict, name: str) -> ExprChart:
     # over one variable a cone is a line, not a genuinely curved factor
     _require(base.box != "cone" or m >= 3, f"m={m}: need m >= 3")
     core = _graph_chart(base, params, name, lift=1)
-    t = variables(m)[-1]
     amb, sig = core.ambient, core.ambient.signature
     ambient = AmbientSpace(amb.epsilon, amb.n + 2, amb.p + 1,
                            Signature(sig.neg + 1, sig.pos + 1))
-    return ExprChart([t, *core.exprs, t], m, ambient,
-                     [*core.box.tolist(), _T_BOX], name)
+    return ExprChart(lambda u: [u[-1], *core.coords(u[:-1]), u[-1]], m,
+                     ambient, [*core.box.tolist(), _T_BOX], name)
 
 
 # lightlike product -> its base (light1-1 and light2-1: the unit S and H)
 _NULL_PAIRS: dict[str, _Graph] = {
-    "light1-1": _Graph(_S, 0, 0, lambda u, s, r: _sphere_exprs(u, s, 1.0)),
+    "light1-1": _Graph(_S, 0, 0, lambda u, s, r: _sphere(u, s, 1.0)),
     "light1-2": _GRAPHS["main1-3"],
     "light1-3": _GRAPHS["main1-4"],
     "light1-4": _GRAPHS["main1-6"],
     "light1-6": _GRAPHS["light1-5"],
     "light1-7": _GRAPHS["main1-5"],
-    "light2-1": _Graph(_H, 0, 0, lambda u, s, r: _hyper_exprs(u, s, 1.0)),
+    "light2-1": _Graph(_H, 0, 0, lambda u, s, r: _hyper(u, s, 1.0)),
     "light2-2": _GRAPHS["main2-3"],
     "light2-3": _GRAPHS["main2-4"],
     "light2-4": _GRAPHS["main2-6"],
@@ -294,21 +297,21 @@ def _table(fid: str) -> Callable[[dict], ExprChart]:
 def _psi_a(p):
     m, s = _ms(p)
     a = float(p["a"])
-    vs = variables(m)
-    exprs = [Const(a)] + _sphere_exprs(vs, s, 1.0) + [Const(a)]
-    return ExprChart(exprs, m, AmbientSpace.sphere(m + 2, s + 1),
-                     _ball_box(m, 1.0), "psi-a")
+    return ExprChart(lambda u: [a, *_sphere(u, s, 1.0), a], m,
+                     AmbientSpace.sphere(m + 2, s + 1), _ball_box(m, 1.0),
+                     "psi-a")
 
 
 def _s_example(p):
     m, s = _ms(p)
-    vs = variables(m + 1)
-    t = vs[0]
-    mids = vs[1:]
-    q = indefinite_square(mids, s)
-    exprs = [Const(-0.5) * q, t, *mids, t, Const(1.0) - Const(0.5) * q]
+
+    def coords(u):
+        t, mids = u[0], u[1:]
+        q = indefinite_square(mids, s)
+        return [-0.5 * q, t, *mids, t, 1.0 - 0.5 * q]
+
     box = [_T_BOX] + [_FLAT_BOX] * m
-    return ExprChart(exprs, m + 1, AmbientSpace.sphere(m + 3, s + 2),
+    return ExprChart(coords, m + 1, AmbientSpace.sphere(m + 3, s + 2),
                      box, "S-example")
 
 
@@ -317,66 +320,65 @@ def _s_theta(p):
     _require(m >= 1, "m must be >= 1")
     theta = float(p["theta"])
     ct, st = math.cos(theta), math.sin(theta)
-    vs = variables(m + 1)
-    xs, rr = vs[:-1], vs[-1]
-    q = indefinite_square(xs, 0)
-    rho = rr - Const(theta)
-    exprs = [
-        Const(-0.5 * ct) * q - Const(st) * rho,
-        Const(-0.5 * st) * q + Const(ct) * rho,
-        *xs,
-        Const(0.5 * st) * (Const(2.0) - q) + Const(ct) * rho,
-        Const(0.5 * ct) * (Const(2.0) - q) - Const(st) * rho,
-    ]
+
+    def coords(u):
+        xs = u[:-1]
+        q = indefinite_square(xs, 0)
+        rho = u[-1] - theta
+        return [(-0.5 * ct) * q - st * rho, (-0.5 * st) * q + ct * rho, *xs,
+                (0.5 * st) * (2.0 - q) + ct * rho,
+                (0.5 * ct) * (2.0 - q) - st * rho]
+
     box = [_FLAT_BOX] * m + [[theta - 0.7, theta + 0.7]]
-    return ExprChart(exprs, m + 1, AmbientSpace.sphere(m + 3, 2),
+    return ExprChart(coords, m + 1, AmbientSpace.sphere(m + 3, 2),
                      box, "S-theta")
 
 
 def _flat_lightcone(p):
     n, s = _integer(p, "n"), _integer(p, "s")
     _require(n >= 2 and 0 <= s <= n - 1, "need n >= 2 and 0 <= s <= n-1")
-    vs = variables(n)
-    return ExprChart(_cone_exprs(vs, s), n, AmbientSpace.flat(n + 1, s + 1),
+    return ExprChart(lambda u: _cone(u, s), n, AmbientSpace.flat(n + 1, s + 1),
                      _cone_box(n, s), "lightcone-L")
 
 
 def _plane(p):
     s, t, r = _integer(p, "s"), _integer(p, "t"), _integer(p, "rad")
     _require(s >= 0 and t >= 0 and r >= 1, "need s,t >= 0 and rad >= 1")
-    vs = variables(s + t + r)
-    xs, ys, zs = vs[:s], vs[s:s + t], vs[s + t:]
-    exprs = [*zs, *xs, *ys, *zs]
-    n = s + t + 2 * r
-    return ExprChart(exprs, s + t + r, AmbientSpace.flat(n, r + s),
-                     [_FLAT_BOX] * (s + t + r), "plane-P")
+    k = s + t  # the chart variables are the x's and y's, then the z's
+    return ExprChart(lambda u: [*u[k:], *u[:k], *u[k:]], k + r,
+                     AmbientSpace.flat(k + 2 * r, r + s),
+                     [_FLAT_BOX] * (k + r), "plane-P")
 
 
 def _cv_parallel(p):
     a = float(p["a"])
     _require(a > 0, "a must be positive")
-    u, v = variables(2)
-    w = v * v + Const(a * a)
-    exprs = [w - Const(0.75), Const(a) * cos(u), Const(a) * sin(u),
-             v, w - Const(1.25)]
-    return ExprChart(exprs, 2, AmbientSpace.sphere(4, 1),
+    a2 = a * a
+
+    def coords(uv):
+        u, v = uv
+        w = v * v + a2
+        return [w - 0.75, a * cos(u), a * sin(u), v, w - 1.25]
+
+    return ExprChart(coords, 2, AmbientSpace.sphere(4, 1),
                      [[-2.0, 2.0], [-1.0, 1.0]], "cv-parallel")
 
 
 def _clifford(p):
-    u, v = variables(2)
     c = 1.0 / math.sqrt(2.0)
-    exprs = [Const(c) * cos(u), Const(c) * sin(u),
-             Const(c) * cos(v), Const(c) * sin(v)]
-    return ExprChart(exprs, 2, AmbientSpace.sphere(3, 0),
+
+    def coords(uv):
+        u, v = uv
+        return [c * cos(u), c * sin(u), c * cos(v), c * sin(v)]
+
+    return ExprChart(coords, 2, AmbientSpace.sphere(3, 0),
                      [[-2.0, 2.0], [-2.0, 2.0]], "clifford-control")
 
 
 def _cubic(p):
-    u, v = variables(2)
-    exprs = [u, v, u * u * u]
-    return ExprChart(exprs, 2, AmbientSpace.flat(3, 0),
-                     [[0.3, 1.0], [-1.0, 1.0]], "cubic-graph-control")
+    return ExprChart(lambda u: [u[0], u[1], u[0] * u[0] * u[0]], 2,
+                     AmbientSpace.flat(3, 0), [[0.3, 1.0], [-1.0, 1.0]],
+                     "cubic-graph-control")
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +639,9 @@ def expected_report(family_id: str, params: dict | None = None) -> Expected:
 
 _CONE_EMBEDDINGS = {
     1: _Graph(_E, 2, 1, lambda u, s, r:
-              [Const(1.0)] + _sphere_exprs(u, s, 1.0)),
+              [1.0] + _sphere(u, s, 1.0)),
     -1: _Graph(_E, 2, 1, lambda u, s, r:
-               _hyper_exprs(u, s, 1.0) + [Const(1.0)]),
+               _hyper(u, s, 1.0) + [1.0]),
 }
 
 
@@ -651,21 +653,17 @@ def cone_embedding_chart(m: int, s: int, epsilon: int) -> ExprChart:
 
 def cone_hypersurface_map(m: int, s: int, epsilon: int) -> ExprChart:
     """The lightcone of E^{m+2} mapped at unit offset into the space form."""
-    vs = variables(m + 2)
     if epsilon == 1:
-        exprs = [*vs, Const(1.0)]
-        ambient = AmbientSpace.sphere(m + 2, s + 1)
-    elif epsilon == -1:
-        exprs = [Const(1.0), *vs]
-        ambient = AmbientSpace.hyperbolic(m + 2, s + 1)
-    else:
-        raise InputError("epsilon must be +1 or -1")
-    return ExprChart(exprs, m + 2, ambient, name="chi")
+        return ExprChart(lambda u: [*u, 1.0], m + 2,
+                         AmbientSpace.sphere(m + 2, s + 1), name="chi")
+    if epsilon == -1:
+        return ExprChart(lambda u: [1.0, *u], m + 2,
+                         AmbientSpace.hyperbolic(m + 2, s + 1), name="chi")
+    raise InputError("epsilon must be +1 or -1")
 
 
 def cylinder_chart(a: float) -> ExprChart:
     """Flat cylinder of radius a in Euclidean 3-space."""
-    u, v = variables(2)
-    exprs = [Const(a) * cos(u), Const(a) * sin(u), v]
-    return ExprChart(exprs, 2, AmbientSpace.flat(3, 0),
-                     [[-2.0, 2.0], [-1.0, 1.0]], "cylinder")
+    return ExprChart(lambda u: [a * cos(u[0]), a * sin(u[0]), u[1]], 2,
+                     AmbientSpace.flat(3, 0), [[-2.0, 2.0], [-1.0, 1.0]],
+                     "cylinder")

@@ -2,10 +2,11 @@
 
 A chart is a jet-evaluable map from an open box of chart coordinates into
 the flat embedding space of an ambient space form (flat space itself, a
-unit pseudo-sphere, or a unit pseudo-hyperbolic space).  Charts may be
-expression-backed or compositions of other charts; in a composition the
-inner chart's jets seed the walk of the outer chart's expressions, and an
-isometric image is the composition with a linear chart.
+unit pseudo-sphere, or a unit pseudo-hyperbolic space).  A chart is either
+one coordinate function of its walk arguments or a composition of other
+charts; in a composition the inner chart's jets seed the outer chart's
+coordinate function, and an isometric image is the composition with a
+linear chart.
 """
 from __future__ import annotations
 
@@ -121,37 +122,44 @@ class ImmersionChart:
 
 
 class ExprChart(ImmersionChart):
-    """Chart backed by one expression tree per ambient coordinate."""
+    """Chart given by one function of the walk arguments: `coords(u)` maps
+    a list u of nvars arguments (arrays of point values or `Jet3`s) to the
+    list of ambient coordinates, a float for a constant one."""
 
-    def __init__(self, exprs, nvars: int, ambient: AmbientSpace,
+    def __init__(self, coords, nvars: int, ambient: AmbientSpace,
                  box=None, name: str = ""):
         super().__init__(nvars, ambient, box, name)
-        self.exprs = [J.as_expr(e) for e in exprs]
-        if len(self.exprs) != ambient.flat_dim:
-            raise InputError(
-                f"{len(self.exprs)} coordinate expressions for flat dimension "
-                f"{ambient.flat_dim}")
+        self.coords = coords
+
+    def walk(self, args) -> list:
+        """The coordinates on walk arguments, one per flat dimension."""
+        out = self.coords(args)
+        if len(out) != self.ambient.flat_dim:
+            raise InputError(f"{len(out)} coordinates for flat dimension "
+                             f"{self.ambient.flat_dim}")
+        return out
 
     def jet_list(self, points, order: int = 3):
-        return J.evaluate(self.exprs, points, order)
+        return J.evaluate(self.walk, points, order)
 
     def value(self, points):
         points = np.asarray(points, dtype=float)
         args = J.coordinates(points)
-        out = np.empty((len(args[0]), len(self.exprs)))
         # an overflow gives inf or nan without a warning, as floats do
         with np.errstate(all="ignore"):
-            for k, e in enumerate(self.exprs):
-                out[:, k] = e.eval(args)
+            coords = self.walk(args)
+        out = np.empty((len(args[0]), len(coords)))
+        for k, c in enumerate(coords):
+            out[:, k] = c
         return out.reshape(points.shape[:-1] + out.shape[1:])
 
 
 class CompositeChart(ImmersionChart):
     """Pointwise composition outer(inner(u)).
 
-    The inner chart's jets seed the walk of the outer chart's expressions.
-    A composite outer is re-associated, outer.outer(outer.inner(inner(u))),
-    so the outer chart is always expression-backed.
+    The inner chart's jets seed the outer chart's coordinate function.  A
+    composite outer is re-associated, outer.outer(outer.inner(inner(u))),
+    so the outer chart is always an `ExprChart`.
     """
 
     def __init__(self, outer: ImmersionChart, inner: ImmersionChart,
@@ -171,7 +179,7 @@ class CompositeChart(ImmersionChart):
         return self.outer.value(self.inner.value(points))
 
     def jet_list(self, points, order: int = 3):
-        return J.eval_jets(self.outer.exprs, self.inner.jet_list(points, order),
+        return J.eval_jets(self.outer.walk, self.inner.jet_list(points, order),
                            self.nvars, order)
 
 
@@ -181,18 +189,15 @@ def compose(outer: ImmersionChart, inner: ImmersionChart) -> CompositeChart:
 
 
 def linear_chart(matrix: np.ndarray, ambient: AmbientSpace) -> ExprChart:
-    """Chart u -> matrix @ u (rows of `matrix` give ambient coordinates)."""
+    """Chart u -> matrix @ u (rows of `matrix` give ambient coordinates):
+    each coordinate adds c * u[i] to 0.0 over the nonzero c of its row."""
     matrix = np.asarray(matrix, dtype=float)
-    nvars = matrix.shape[1]
-    vs = J.variables(nvars)
-    exprs = []
-    for row in matrix:
-        acc = J.as_expr(0.0)
-        for c, v in zip(row, vs):
-            if c != 0.0:
-                acc = acc + J.Const(c) * v
-        exprs.append(acc)
-    return ExprChart(exprs, nvars, ambient, name="linear")
+    rows = [[(i, float(c)) for i, c in enumerate(row) if c != 0.0]
+            for row in matrix]
+    # the terms are arrays or jets, never floats, so `sum` adds in order
+    return ExprChart(lambda u: [sum((c * u[i] for i, c in row), 0.0)
+                                for row in rows],
+                     matrix.shape[1], ambient, name="linear")
 
 
 def transform_chart(chart: ImmersionChart, matrix: np.ndarray) -> ImmersionChart:

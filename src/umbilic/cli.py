@@ -55,15 +55,14 @@ def _record(verdict, args) -> dict:
         "seed": args.seed,
         "tol": args.tol,
         "tol_zero": args.tol_zero,
-        "order": args.order,
+        "order": 3,
     }
 
 
 def cmd_verify_all(args) -> int:
     verdicts = verify_families(catalog.instances(args.seed),
                                samples=args.samples, seed=args.seed,
-                               tol=args.tol, tol_zero=args.tol_zero,
-                               order=args.order)
+                               tol=args.tol, tol_zero=args.tol_zero)
     records = [_record(v, args) for v in verdicts]
     records.sort(key=lambda r: (r["family"],
                                 json.dumps(r["params"], sort_keys=True)))
@@ -78,7 +77,7 @@ def cmd_verify_all(args) -> int:
     print(f"{len(records)} records, {len(failures)} failures")
     if args.json:
         _dump_json({"seed": args.seed, "tol": args.tol,
-                    "tol_zero": args.tol_zero, "order": args.order,
+                    "tol_zero": args.tol_zero, "order": 3,
                     "samples": args.samples, "records": records}, args.json)
     return 1 if failures else 0
 
@@ -277,11 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(analyze, samples_default=4)
     analyze.set_defaults(func=cmd_analyze)
 
-    # the jet walk's options: `moduli` reads neither
+    # the jet walk's options: `moduli` reads neither, and only `analyze`
+    # takes an order, since the verifier always walks order 3
     for p in (verify, analyze):
         p.add_argument("--tol-zero", type=float, default=DEFAULT_ZERO_TOL,
                        dest="tol_zero")
-        p.add_argument("--order", type=int, choices=(2, 3), default=3)
+    analyze.add_argument("--order", type=int, choices=(2, 3), default=3)
 
     p = sub.add_parser("moduli", help="walk the null-offset moduli family")
     p.add_argument("--a", required=True, metavar="LIST",

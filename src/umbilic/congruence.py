@@ -38,16 +38,22 @@ def congruence_test(chart_a: ImmersionChart, chart_b: ImmersionChart,
 
     Samples are drawn from the first chart's box; both charts must have
     the same number of variables.  Gram matrices are compared entrywise;
-    kernels are compared through rank(A) = rank(B) = rank([A | B]).
+    kernels are compared through rank(A) = rank(B) = rank([A | B]).  A
+    Gram residual that is not finite raises DomainError.
     """
     if chart_a.nvars != chart_b.nvars:
         raise InputError("charts must share a domain to be compared")
     points = chart_a.sample_points(40, seed)
     Ya = chart_a.value(points)
     Yb = chart_b.value(points)
-    Ga = B.gram_matrix(Ya, chart_a.ambient.signature)
-    Gb = B.gram_matrix(Yb, chart_b.ambient.signature)
-    gram_res = float(np.max(np.abs(Ga - Gb)))
+    # images too large to square give no finite residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ga = B.gram_matrix(Ya, chart_a.ambient.signature)
+        Gb = B.gram_matrix(Yb, chart_b.ambient.signature)
+        gram_res = float(np.max(np.abs(Ga - Gb)))
+    if not math.isfinite(gram_res):
+        raise DomainError(f"charts {chart_a.name!r} and {chart_b.name!r}: "
+                          f"the Gram residual is not finite")
     ra = B.numerical_rank(Ya)
     rb = B.numerical_rank(Yb)
     rj = B.numerical_rank(np.hstack([Ya, Yb]))

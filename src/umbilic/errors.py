@@ -6,7 +6,7 @@ class InputError(ValueError):
 
 
 class DomainError(ValueError):
-    """Evaluation outside the declared open domain of a chart expression."""
+    """Evaluation outside the open domain of a chart's coordinate function."""
 
 
 class DegenerateMetricError(RuntimeError):

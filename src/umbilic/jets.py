@@ -2,17 +2,19 @@
 
 A Jet3 carries the value, gradient, Hessian and (optionally) the symmetric
 third-derivative tensor of a scalar quantity.  Arithmetic implements the
-exact sum/product/chain rules, so derivatives of expression trees are exact
-up to rounding.  The symmetric tensors are stored packed: one entry per
-sorted multi-index (`packed_indices`), m(m+1)/2 for the Hessian and
+exact sum/product/chain rules, so derivatives of coordinate functions are
+exact up to rounding.  The symmetric tensors are stored packed: one entry
+per sorted multi-index (`packed_indices`), m(m+1)/2 for the Hessian and
 m(m+1)(m+2)/6 for the third derivatives, and `unpack` gives the full
-tensor.  One walk, `Expr.eval`, serves every use: point values in give the
-values, jets in give the jet, and jets of an inner map in give the jets of
-a composition.  The walk takes arrays of point values, so one walk covers
-a whole stack of points and every jet carries a leading point axis; a
-single point is walked as a stack of one.  A central finite-difference
-oracle, which uses only value evaluation, is provided as an independent
-cross-check.
+tensor.  A chart's coordinates are one Python function of its walk
+arguments, written with `+`, `-`, `*` and the `sqrt`, `sin` and `cos`
+below, and that one function serves every use: point values in give the
+values, jets in give the jets, and jets of an inner map in give the jets
+of a composition.  The walk takes arrays of point values, so one call
+covers a whole stack of points and every jet carries a leading point
+axis; a single point is walked as a stack of one.  A central
+finite-difference oracle, which uses only value evaluation, is provided
+as an independent cross-check.
 """
 from __future__ import annotations
 
@@ -186,99 +188,8 @@ class Jet3:
 
 
 # ---------------------------------------------------------------------------
-# Expression trees
+# Coordinate functions
 # ---------------------------------------------------------------------------
-
-class Expr:
-    """Immutable expression tree over chart variables u_0..u_{m-1}."""
-
-    def eval(self, args):
-        """Walk the tree with args[i] in place of u_i.
-
-        Arrays of point values in give an array of values; Jet3s in give a
-        Jet3.  A subtree that reads no variable gives a scalar.  Seeding
-        with the jets of an inner map gives the jets of the composition.
-        """
-        raise NotImplementedError
-
-    def substitute(self, replacements: list["Expr"]) -> "Expr":
-        """Replace Var(i) by replacements[i], returning a new tree."""
-        raise NotImplementedError
-
-    def __add__(self, other):
-        return Add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return Add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return Sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul(as_expr(other), self)
-
-    def __neg__(self):
-        return Mul(Const(-1.0), self)
-
-
-def as_expr(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    return Const(float(x))
-
-
-class Const(Expr):
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def eval(self, args):
-        return self.value
-
-    def substitute(self, replacements):
-        return self
-
-
-class Var(Expr):
-    def __init__(self, index: int):
-        self.index = index
-
-    def eval(self, args):
-        return args[self.index]
-
-    def substitute(self, replacements):
-        return replacements[self.index]
-
-
-class _Binary(Expr):
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
-
-    def substitute(self, replacements):
-        return type(self)(self.left.substitute(replacements),
-                          self.right.substitute(replacements))
-
-
-class Add(_Binary):
-    def eval(self, args):
-        return self.left.eval(args) + self.right.eval(args)
-
-
-class Sub(_Binary):
-    def eval(self, args):
-        return self.left.eval(args) - self.right.eval(args)
-
-
-class Mul(_Binary):
-    def eval(self, args):
-        return self.left.eval(args) * self.right.eval(args)
-
 
 def _reject(bad, t, msg: str):
     """Raise DomainError with msg (formatting the argument) where `bad`
@@ -314,44 +225,23 @@ def _cos_derivs(t):
     return c, -s, -c, s
 
 
-_FUNCS = {"sqrt": _sqrt_derivs, "sin": _sin_derivs, "cos": _cos_derivs}
+def sqrt(x):
+    return _lift(_sqrt_derivs, x)
 
 
-class Func(Expr):
-    def __init__(self, name: str, arg: Expr):
-        if name not in _FUNCS:
-            raise InputError(f"unknown function {name!r}")
-        self.name = name
-        self.arg = arg
-
-    def eval(self, args):
-        return _lift(_FUNCS[self.name], self.arg.eval(args))
-
-    def substitute(self, replacements):
-        return Func(self.name, self.arg.substitute(replacements))
+def sin(x):
+    return _lift(_sin_derivs, x)
 
 
-def sqrt(x) -> Expr:
-    return Func("sqrt", as_expr(x))
+def cos(x):
+    return _lift(_cos_derivs, x)
 
 
-def sin(x) -> Expr:
-    return Func("sin", as_expr(x))
-
-
-def cos(x) -> Expr:
-    return Func("cos", as_expr(x))
-
-
-def variables(n: int) -> list[Var]:
-    return [Var(i) for i in range(n)]
-
-
-def indefinite_square(exprs: list[Expr], neg: int) -> Expr:
+def indefinite_square(xs, neg: int):
     """-sum of first `neg` squares + sum of the rest."""
-    acc: Expr = Const(0.0)
-    for i, e in enumerate(exprs):
-        term = e * e
+    acc = 0.0
+    for i, x in enumerate(xs):
+        term = x * x
         acc = acc - term if i < neg else acc + term
     return acc
 
@@ -363,47 +253,37 @@ def coordinates(points) -> list:
     return list(np.ascontiguousarray(points.reshape(-1, points.shape[-1]).T))
 
 
-def evaluate(exprs, points, order: int = 3) -> list[Jet3]:
-    """Jets of one or several expressions at a point or a (P, m) stack.
+def evaluate(f, points, order: int = 3) -> list[Jet3]:
+    """Jets of each coordinate of f at a point or a (P, m) stack.
 
-    A stack is walked once, every jet carrying a leading point axis; one
-    point (m,) is walked as a stack of one and gives jets without it.
+    f maps a list of m walk arguments to a list of coordinates.  A stack
+    is walked once, every jet carrying a leading point axis; one point
+    (m,) is walked as a stack of one and gives jets without it.
     Derivatives are exact Taylor arithmetic, no truncation error.  Raises
-    DomainError naming the offending output coordinate (and, for a stack,
-    point) when a point falls outside an expression's domain.
+    DomainError (naming, for a stack, the first offending point) when a
+    point falls outside the domain of f.
     """
-    single = isinstance(exprs, Expr)
-    expr_list = [exprs] if single else list(exprs)
     points = np.asarray(points, dtype=float)
     args = coordinates(points)
     m = len(args)
     if order not in (2, 3):
         raise InputError("order must be 2 or 3")
-    var_jets = [Jet3.variable(i, args[i], m, order) for i in range(m)]
-    out = eval_jets(expr_list, var_jets, m, order)
-    if points.ndim == 1:
-        out = [j[0] for j in out]
-    return out[0] if single else out
+    out = eval_jets(f, [Jet3.variable(i, args[i], m, order) for i in range(m)],
+                    m, order)
+    return [j[0] for j in out] if points.ndim == 1 else out
 
 
-def eval_jets(exprs, seeds: list[Jet3], m: int, order: int) -> list[Jet3]:
-    """Jets of each expression walked on seed jets over m chart variables.
+def eval_jets(f, seeds: list[Jet3], m: int, order: int) -> list[Jet3]:
+    """Jets of each coordinate of f walked on seed jets over m chart
+    variables.
 
     Seeds are the variables' own jets (see `evaluate`) or the jets of an
     inner map, which gives the jets of the composition.  A coordinate that
     reads no variable becomes a constant jet with the seeds' point axis.
-    Raises DomainError naming the offending coordinate.
     """
     lead = seeds[0].value.shape
-    out = []
-    for k, e in enumerate(exprs):
-        try:
-            j = e.eval(seeds)
-        except DomainError as err:
-            raise DomainError(f"coordinate {k}: {err}") from err
-        out.append(j if isinstance(j, Jet3)
-                   else Jet3.constant(j, m, order, lead))
-    return out
+    return [j if isinstance(j, Jet3) else Jet3.constant(j, m, order, lead)
+            for j in f(seeds)]
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +368,14 @@ def fd_arrays(f, point, step: float = 1e-4, order: int = 3):
     return fd_derivatives(f(Q), Q.shape[1], step, order)
 
 
-def fd_oracle(expr: Expr, point, step: float = 1e-4) -> Jet3:
-    """Central finite-difference jet of one expression from value evaluation.
+def fd_oracle(f, point, step: float = 1e-4) -> Jet3:
+    """Central finite-difference jet of a scalar function f of the walk
+    arguments, from its values alone.
 
     Independent of the Taylor path; exists purely as a cross-check oracle.
     """
-    def f(q):
-        return np.broadcast_to(expr.eval(coordinates(q)), q.shape[:1])[:, None]
+    def values(q):
+        return np.broadcast_to(f(coordinates(q)), q.shape[:1])[:, None]
 
-    value, grad, hess, third = fd_arrays(f, point, step)
+    value, grad, hess, third = fd_arrays(values, point, step)
     return Jet3(float(value[0]), grad[0], hess[0], third[0])

@@ -323,11 +323,6 @@ class TestVerifyFamily:
         verdict.failures.append("failed")
         assert (verdict.ok, verdict.status) == (False, "fail")
 
-    def test_order2_skips_parallelism(self):
-        verdict = verify_family("main1-3", order=2)
-        assert verdict.ok
-        assert "parallel_residual" not in verdict.summary
-
     @pytest.mark.parametrize("fid, field", [
         ("main1-3", "umbilicity_residual"),
         ("main1-3", "geodesic_residual"),
@@ -448,10 +443,8 @@ class TestJudge:
         ("parallel_residual", float("inf"),
          ["non-finite residuals: parallel",
           "parallelism residual inf > 1e-07"]),
-        # a NaN h_norm fails the range, but no value comparison
-        ("h_norm", float("nan"),
-         ["non-finite residuals: h_norm",
-          "h_norm nan outside the open range (0.0, inf)"])])
+        # a NaN h_norm adds no range or value line of its own
+        ("h_norm", float("nan"), ["non-finite residuals: h_norm"])])
     def test_non_finite_residual(self, monkeypatch, field, value, failures):
         batch = analysis.point_reports
 
@@ -491,7 +484,8 @@ class TestJudge:
 class TestVerifyFamilies:
     """Records stacked by (m, ambient) give the one-at-a-time verdicts."""
 
-    @pytest.mark.parametrize("kw", [{}, {"order": 2}, {"tol_zero": 1e-15}])
+    # at tol=1e-15, 29 of the 92 records fail
+    @pytest.mark.parametrize("kw", [{}, {"tol": 1e-15}, {"tol_zero": 1e-15}])
     def test_stacked_equals_one_at_a_time(self, kw):
         jobs = instances(42)
         assert len(jobs) == 92
@@ -667,7 +661,8 @@ class TestAnalyzePoints:
     def test_domain_error_names_coordinate_and_first_point(self):
         ch = instantiate("main1-3", {"r": 0.5})
         points = np.array([[0.0, 0.0], [0.1, 0.0], [2.0, 2.0], [3.0, 3.0]])
-        with pytest.raises(DomainError, match=r"coordinate \d+: .* at point 2$"):
+        with pytest.raises(DomainError, match=r"^sqrt argument -[\d.]+ is not "
+                           r"strictly positive at point 2$"):
             analyze_points(ch, points)
         # a point analyzed alone is named by no stack index
         with pytest.raises(DomainError, match=r"not strictly positive$"):

@@ -14,25 +14,44 @@ from umbilic.charts import (AmbientSpace, ExprChart, ambient_residual,
 from umbilic.errors import DomainError, InputError
 
 
-def _unit_sphere_chart(m=2):
-    vs = J.variables(m)
-    q = J.Const(0.0)
-    for v in vs:
+def _unit_sphere(u):
+    q = 0.0
+    for v in u:
         q = q + v * v
-    exprs = [*vs, J.sqrt(1.0 - q)]
-    return ExprChart(exprs, m, AmbientSpace.sphere(m, 0),
+    return [*u, J.sqrt(1.0 - q)]
+
+
+def _unit_sphere_chart(m=2):
+    return ExprChart(_unit_sphere, m, AmbientSpace.sphere(m, 0),
                      [[-0.4, 0.4]] * m, "sphere")
 
 
+def _g(uv):
+    u, v = uv
+    return [u + 0.2 * v * v, u * v, J.sin(u)]
+
+
+def _f(abc):
+    a, b, c = abc
+    return [J.sqrt(2.0 + a * b), a - c, b * b, a + b + c]
+
+
 def _curved_pair():
-    # nonlinear inner (2 -> 3) and outer (3 -> 4) expression charts
-    u, v = J.variables(2)
-    inner = ExprChart([u + 0.2 * v * v, u * v, J.sin(u)], 2,
-                      AmbientSpace.flat(3, 1), [[-0.5, 0.5]] * 2, "g")
-    a, b, c = J.variables(3)
-    outer = ExprChart([J.sqrt(2.0 + a * b), a - c, b * b, a + b + c], 3,
-                      AmbientSpace.flat(4, 1), name="f")
+    # nonlinear inner (2 -> 3) and outer (3 -> 4) charts
+    inner = ExprChart(_g, 2, AmbientSpace.flat(3, 1), [[-0.5, 0.5]] * 2, "g")
+    outer = ExprChart(_f, 3, AmbientSpace.flat(4, 1), name="f")
     return outer, inner
+
+
+def _assert_same_jets(comp, direct, p):
+    """A composite's jets at p equal the composed function's bit for bit,
+    and its Jacobian and Hessian agree with the FD oracle."""
+    got = comp.jet_arrays(p)
+    for g, w in zip(got, direct.jet_arrays(p)):
+        np.testing.assert_array_equal(g, w)
+    _, fjac, fhess, _ = fd_jet_arrays(direct, p, 1e-4)
+    assert np.max(np.abs(got[1] - fjac)) < 1e-6
+    assert np.max(np.abs(got[2] - fhess)) < 1e-6
 
 
 class TestAmbientSpace:
@@ -75,9 +94,12 @@ class TestExprChart:
                                 ch.value(ch.sample_points(30, 0))) < 1e-12
 
     def test_wrong_coordinate_count(self):
-        u, = J.variables(1)
-        with pytest.raises(InputError):
-            ExprChart([u], 1, AmbientSpace.flat(2, 0))
+        # the count is checked where the function is walked
+        ch = ExprChart(lambda u: [u[0]], 1, AmbientSpace.flat(2, 0))
+        for walk in (ch.value, ch.jet_arrays):
+            with pytest.raises(InputError, match="^1 coordinates for flat "
+                               "dimension 2$"):
+                walk([0.0])
 
     def test_sampling_is_seeded(self):
         ch = _unit_sphere_chart()
@@ -114,41 +136,32 @@ class TestComposition:
                                        atol=1e-14)
 
     def test_jets_match_substitution_route(self):
-        # chain rule through CompositeChart vs. one big expression tree
-        u, v = J.variables(2)
-        inner_exprs = [u + 0.2 * v * v, u * v, J.sin(u)]
-        inner = ExprChart(inner_exprs, 2, AmbientSpace.flat(3, 1),
-                          [[-0.5, 0.5]] * 2)
-        a, b, c = J.variables(3)
-        outer_exprs = [J.sqrt(2.0 + a * b), a - c, b * b, a + b + c]
-        outer = ExprChart(outer_exprs, 3, AmbientSpace.flat(4, 1))
+        # chain rule through CompositeChart vs. the composed function f(g(u))
+        # and its FD oracle
+        outer, inner = _curved_pair()
         comp = compose(outer, inner)
-        direct = ExprChart([e.substitute(inner_exprs) for e in outer_exprs],
-                           2, AmbientSpace.flat(4, 1), inner.box)
+        direct = ExprChart(lambda u: _f(_g(u)), 2, AmbientSpace.flat(4, 1),
+                           inner.box)
         for p in inner.sample_points(6, 2):
-            val1, jac1, hess1, third1 = comp.jet_arrays(p)
-            val2, jac2, hess2, third2 = direct.jet_arrays(p)
-            np.testing.assert_allclose(val1, val2, atol=1e-13)
-            np.testing.assert_allclose(jac1, jac2, atol=1e-13)
-            np.testing.assert_allclose(hess1, hess2, atol=1e-12)
-            np.testing.assert_allclose(third1, third2, atol=1e-12)
+            _assert_same_jets(comp, direct, p)
 
     def test_nested_composition_matches_substitution(self):
-        # compose(compose(a, b), c) against one tree a(b(c(u)))
+        # compose(compose(a, b), c) against the composed function a(b(c(u)))
+        # and its FD oracle
         b, c = _curved_pair()
-        x, y, z, w = J.variables(4)
-        a = ExprChart([x * J.cos(y) - z * J.sqrt(3.0 + w), x * y * w], 4,
-                      AmbientSpace.flat(2, 0), name="a")
-        comp = compose(compose(a, b), c)
-        bc = [e.substitute(c.exprs) for e in b.exprs]
-        direct = ExprChart([e.substitute(bc) for e in a.exprs], 2,
-                           AmbientSpace.flat(2, 0), c.box)
+
+        def a(xyzw):
+            x, y, z, w = xyzw
+            return [x * J.cos(y) - z * J.sqrt(3.0 + w), x * y * w]
+
+        comp = compose(compose(ExprChart(a, 4, AmbientSpace.flat(2, 0),
+                                         name="a"), b), c)
+        direct = ExprChart(lambda u: a(_f(_g(u))), 2, AmbientSpace.flat(2, 0),
+                           c.box)
         assert comp.name == "a*f*g"
         for p in c.sample_points(6, 3):
-            for got, want in zip(comp.jet_arrays(p), direct.jet_arrays(p)):
-                np.testing.assert_allclose(got, want, atol=1e-12)
-            np.testing.assert_allclose(comp.value(p), direct.value(p),
-                                       atol=1e-14)
+            _assert_same_jets(comp, direct, p)
+            np.testing.assert_array_equal(comp.value(p), direct.value(p))
 
     def test_identity_composition(self):
         ch = _unit_sphere_chart()
@@ -242,8 +255,8 @@ class TestPointStacks:
         assert ch.value(p[None]).shape == (1, 4)
 
     def test_constant_coordinate_gets_the_point_axis(self):
-        u, v = J.variables(2)
-        ch = ExprChart([u, J.Const(2.0), u * v], 2, AmbientSpace.flat(3, 0))
+        ch = ExprChart(lambda u: [u[0], 2.0, u[0] * u[1]], 2,
+                       AmbientSpace.flat(3, 0))
         points = np.array([[0.1, 0.2], [0.3, -0.4], [0.0, 0.5]])
         val, jac, _, third = ch.jet_arrays(points)
         np.testing.assert_array_equal(val[:, 1], 2.0)
@@ -252,17 +265,19 @@ class TestPointStacks:
         np.testing.assert_array_equal(ch.value(points)[:, 1], 2.0)
 
     def test_domain_error_names_coordinate_and_first_point(self):
-        # coordinate 1 leaves its domain at points 2 and 3, not at 0 or 1
-        u, v = J.variables(2)
-        ch = ExprChart([u, J.sqrt(1.0 - u * u - v * v)], 2,
+        # coordinate 1 leaves its domain at points 2 and 3, not at 0 or 1;
+        # the message names the argument and the first offending point
+        ch = ExprChart(lambda u: [u[0], J.sqrt(1.0 - u[0] * u[0]
+                                               - u[1] * u[1])], 2,
                        AmbientSpace.flat(2, 0))
         points = np.array([[0.1, 0.1], [0.2, 0.0], [1.5, 0.0], [2.0, 0.0]])
-        with pytest.raises(DomainError, match=r"coordinate 1: .* at point 2$"):
+        with pytest.raises(DomainError, match=r"^sqrt argument -1\.25 is not "
+                           r"strictly positive at point 2$"):
             ch.jet_arrays(points)
         with pytest.raises(DomainError, match=r"at point 2$"):
             ch.value(points)
-        with pytest.raises(DomainError, match=r"coordinate 1: sqrt argument "
-                           r"-1\.25 is not strictly positive$"):
+        with pytest.raises(DomainError, match=r"^sqrt argument -1\.25 is not "
+                           r"strictly positive$"):
             ch.jet_arrays(points[2])
 
     def test_ambient_residual_propagates_nan(self):

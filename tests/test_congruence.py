@@ -10,7 +10,7 @@ from umbilic.bilinear import random_pseudo_orthogonal
 from umbilic.catalog import get_family, instantiate
 from umbilic.charts import transform_chart
 from umbilic.congruence import (classify, congruence_test, moduli_demo)
-from umbilic.errors import InputError
+from umbilic.errors import DomainError, InputError
 
 
 class TestCongruence:
@@ -57,6 +57,14 @@ class TestCongruence:
         with pytest.raises(InputError):
             congruence_test(instantiate("main1-3"),
                             instantiate("light1-6"))
+
+    def test_overflowing_gram_is_not_congruent(self):
+        # the Gram matrices overflow to inf and their difference to nan,
+        # which no tolerance comparison may read as a match
+        big = instantiate("psi-a", {"a": 1e155})
+        with pytest.raises(DomainError, match="^charts 'psi-a' and 'psi-a': "
+                           "the Gram residual is not finite$"):
+            congruence_test(big, big)
 
 
 class TestClassifier:

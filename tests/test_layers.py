@@ -1,6 +1,8 @@
-"""The package's modules import one another in one direction only."""
+"""The package's modules import one another in one direction only, and
+something reads every function, class and method they define."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,49 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("module", ORDER + ["__init__"])
 def test_no_unused_imports(module):
     assert unused_imports(PACKAGE / f"{module}.py") == []
+
+
+# every module, test and benchmark file that may read a definition
+READERS = [p for d in ("src", "tests", "perfbench")
+           for p in (PACKAGE.parent.parent / d).rglob("*.py")]
+
+
+def definitions(path: Path) -> list[str]:
+    """A module's top-level functions and classes, and the methods of its
+    classes other than dunders."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f.name for f in node.body
+                      if isinstance(f, ast.FunctionDef)
+                      and not (f.name.startswith("__")
+                               and f.name.endswith("__"))]
+    return names
+
+
+@functools.cache
+def names_read() -> set[str]:
+    """Every name read in READERS: a Name, an Attribute, an imported name
+    or a string constant, so that a table of names to look up counts."""
+    names = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                names.add(node.value)
+    return names
+
+
+@pytest.mark.parametrize("module", ORDER)
+def test_every_definition_is_read(module):
+    # code that nothing reads is dead, and stays deleted
+    assert sorted(set(definitions(PACKAGE / f"{module}.py"))
+                  - names_read()) == []

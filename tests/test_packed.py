@@ -108,21 +108,18 @@ class FullJet(J.Jet3):
 def _full_jets(chart, points, order):
     """The full-tensor jets of every ambient coordinate of a chart, walked
     as the chart walks its packed jets."""
+    m = chart.nvars
     if isinstance(chart, CompositeChart):
         seeds = _full_jets(chart.inner, points, order)
-        exprs = chart.outer.exprs
+        chart = chart.outer
     else:
         args = J.coordinates(points)
         seeds = [FullJet.variable(i, a, len(args), order)
                  for i, a in enumerate(args)]
-        exprs = chart.exprs
     lead = seeds[0].value.shape
-    out = []
-    for e in exprs:
-        j = e.eval(seeds)
-        out.append(j if isinstance(j, J.Jet3)
-                   else FullJet.constant(j, chart.nvars, order, lead))
-    return out
+    return [j if isinstance(j, J.Jet3)
+            else FullJet.constant(j, m, order, lead)
+            for j in chart.coords(seeds)]
 
 
 @pytest.mark.parametrize("fid", family_ids())
