@@ -43,14 +43,14 @@ class Frame:
 
     `second` holds the ambient second derivatives with the space-form
     position component already removed, one row per sorted pair i <= j
-    (`jets.packed_indices`); `third` (when walked) holds the third
-    derivatives, with the same component removed, one row per sorted
-    triple i <= j <= k, and is projected on first read.  A frame built on
-    a (P, m) stack carries a leading point axis on every array and on
-    `scale`, and `signature` is then a list with one entry per point.  The
-    induced metric's signature is decided once, at the `tol_zero` given to
-    `assemble_frame`; every pointwise computation on the frame branches on
-    it, so a stack must be split by `branches` before that.
+    (`jets.packed_indices`); `third` holds the third derivatives, with the
+    same component removed, one row per sorted triple i <= j <= k, and is
+    projected on first read.  A frame built on a (P, m) stack carries a
+    leading point axis on every array and on `scale`, and `signature` is
+    then a list with one entry per point.  The induced metric's signature
+    is decided once, at the `tol_zero` given to `assemble_frame`; every
+    pointwise computation on the frame branches on it, so a stack must be
+    split by `branches` before that.
     """
 
     ambient: AmbientSpace
@@ -58,21 +58,18 @@ class Frame:
     value: np.ndarray
     jac: np.ndarray          # (..., N, m): column i is the tangent vector d_i f
     second: np.ndarray       # (..., T2, N), T2 = m(m+1)/2
-    walked_third: np.ndarray | None  # (..., N, T3), T3 = m(m+1)(m+2)/6
+    walked_third: np.ndarray  # (..., N, T3), T3 = m(m+1)(m+2)/6
     metric: np.ndarray       # (..., m, m) induced first fundamental form
     scale: np.ndarray        # (...)
     signature: Signature | list
-    tensors: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def m(self) -> int:
         return self.jac.shape[-1]
 
     @functools.cached_property
-    def third(self) -> np.ndarray | None:
-        """(..., T3, N) off the position; None when walked at order 2."""
-        if self.walked_third is None:
-            return None
+    def third(self) -> np.ndarray:
+        """(..., T3, N) off the position."""
         return _off_position(self.ambient, self.value,
                              np.swapaxes(self.walked_third, -1, -2))
 
@@ -80,6 +77,22 @@ class Frame:
     def ginv(self) -> np.ndarray:
         """Inverse induced metric; needs a non-degenerate metric."""
         return np.linalg.inv(self.metric)
+
+    @functools.cached_property
+    def tensors(self) -> tuple:
+        """Christoffel coefficients gamma (..., m, T2), indexed [l, ij],
+        second fundamental form h (..., T2, N) and mean curvature H
+        (..., N); needs a non-degenerate metric."""
+        # (..., m, N)
+        TG = np.swapaxes(self.jac, -1, -2) @ self.ambient.metric()
+        gamma = np.linalg.solve(
+            self.metric, np.einsum("...ln,...pn->...lp", TG, self.second))
+        h = self.second - np.swapaxes(self.jac @ gamma, -1, -2)
+        # each off-diagonal row stands for both h_ij and h_ji
+        i, j = J.packed_indices(self.m, 2)
+        weights = self.ginv[..., i, j] * np.where(i == j, 1.0, 2.0)
+        H = np.einsum("...p,...pn->...n", weights, h) / self.m
+        return gamma, h, H
 
     @functools.cached_property
     def branch(self) -> tuple[bool, bool]:
@@ -102,9 +115,8 @@ class Frame:
         return [(idx, self._take(idx)) for idx in groups.values()]
 
     def _take(self, idx: list) -> "Frame":
-        third = None if self.walked_third is None else self.walked_third[idx]
         return Frame(self.ambient, self.point[idx], self.value[idx],
-                     self.jac[idx], self.second[idx], third,
+                     self.jac[idx], self.second[idx], self.walked_third[idx],
                      self.metric[idx], self.scale[idx],
                      [self.signature[k] for k in idx])
 
@@ -113,7 +125,7 @@ def _branch(sig: Signature) -> tuple[bool, bool]:
     return sig.degenerate, sig.null == sig.dim
 
 
-def walk_jets(chart: ImmersionChart, points, order: int = 3) -> tuple:
+def walk_jets(chart: ImmersionChart, points) -> tuple:
     """`chart.jet_arrays` at one point (m,) or a (P, m) stack, one walk.
 
     Raises DomainError when a jet is not finite (a closed form overflowed
@@ -121,12 +133,11 @@ def walk_jets(chart: ImmersionChart, points, order: int = 3) -> tuple:
     """
     points = np.asarray(points, dtype=float)
     with np.errstate(all="ignore"):  # checked just below
-        arrays = chart.jet_arrays(points, order)
-    if not all(a is None or np.isfinite(a).all() for a in arrays):
+        arrays = chart.jet_arrays(points)
+    if not all(np.isfinite(a).all() for a in arrays):
         finite = np.ones(points.shape[:-1], dtype=bool)
         for a in arrays:
-            if a is not None:
-                finite &= np.isfinite(a).reshape(finite.shape + (-1,)).all(-1)
+            finite &= np.isfinite(a).reshape(finite.shape + (-1,)).all(-1)
         bad = points[np.unravel_index(np.argmin(finite), finite.shape)]
         raise DomainError(
             f"jets of {chart.name!r} are not finite at u={bad.tolist()}")
@@ -158,18 +169,18 @@ def assemble_frame(ambient: AmbientSpace, points, arrays,
     return Frame(ambient, points, val, jac, D, third, g, scale, sig)
 
 
-def build_frame(chart: ImmersionChart, points, order: int = 3,
+def build_frame(chart: ImmersionChart, points, *,
                 tol_zero: float = DEFAULT_ZERO_TOL) -> Frame:
     """Evaluate jets and assemble the pointwise curvature data at one
     point (m,) or, in one walk, at a (P, m) stack of points."""
     points = np.asarray(points, dtype=float)
-    return assemble_frame(chart.ambient, points,
-                          walk_jets(chart, points, order), tol_zero)
+    return assemble_frame(chart.ambient, points, walk_jets(chart, points),
+                          tol_zero)
 
 
 def induced_metric(chart: ImmersionChart, point) -> tuple[np.ndarray, Signature]:
     """First fundamental form and its numerical signature at a point."""
-    fr = build_frame(chart, point, order=2)
+    fr = build_frame(chart, point)
     return fr.metric, fr.signature
 
 
@@ -177,37 +188,16 @@ def induced_metric(chart: ImmersionChart, point) -> tuple[np.ndarray, Signature]
 # Non-degenerate branch
 # ---------------------------------------------------------------------------
 
-def _nondegenerate_tensors(fr: Frame):
-    """Christoffel coefficients gamma (..., m, T2), indexed [l, ij], second
-    fundamental form h (..., T2, N) and mean curvature H (..., N).
-
-    Needs a non-degenerate induced metric; computed once per frame.
-    """
-    if fr.tensors is None:
-        TG = np.swapaxes(fr.jac, -1, -2) @ fr.ambient.metric()   # (..., m, N)
-        gamma = np.linalg.solve(
-            fr.metric, np.einsum("...ln,...pn->...lp", TG, fr.second))
-        h = fr.second - np.swapaxes(fr.jac @ gamma, -1, -2)
-        # each off-diagonal row stands for both h_ij and h_ji
-        i, j = J.packed_indices(fr.m, 2)
-        weights = fr.ginv[..., i, j] * np.where(i == j, 1.0, 2.0)
-        H = np.einsum("...p,...pn->...n", weights, h) / fr.m
-        fr.tensors = gamma, h, H
-    return fr.tensors
-
-
 def parallelism_residual(fr: Frame):
     """Max norm of the normal covariant derivative of the shape tensor,
     per point of a stacked frame.
 
-    Requires a non-degenerate induced metric and order-3 jets.
+    Requires a non-degenerate induced metric.
     """
-    if fr.third is None:
-        raise InputError("parallelism needs order-3 jets")
     if fr.branch[0]:
         raise DegenerateMetricError(
             "normal covariant derivative needs a non-degenerate induced metric")
-    gamma, h, _ = _nondegenerate_tensors(fr)
+    gamma, h, _ = fr.tensors
     m, N = fr.m, fr.jac.shape[-2]
     lead = fr.metric.shape[:-2]
     # the residual lies in the range of the normal projector I - P_tan, of
@@ -258,7 +248,7 @@ def umbilicity_data(fr: Frame) -> UmbilicityData:
     g = fr.metric[..., i, j]
     degenerate, vanishes = fr.branch
     if not degenerate:
-        _, h, H = _nondegenerate_tensors(fr)
+        _, h, H = fr.tensors
         geo = _enorm(h, 1)
         umb = _enorm(h - g[..., None] * H[..., None, :], 1)
         h_norm = np.sum((H @ fr.ambient.metric()) * H, axis=-1)
@@ -339,9 +329,7 @@ def point_reports(fr: Frame, tol_zero: float) -> list[PointReport]:
         data = umbilicity_data(sub)
         H = data.mean_curvature
         minimal = None if H is None else _enorm(H)
-        par = None
-        if not degenerate and sub.walked_third is not None:
-            par = parallelism_residual(sub)
+        par = None if degenerate else parallelism_residual(sub)
         rad = _radical_last_var(sub, tol_zero) if degenerate else None
         for n, k in enumerate(idx):
             sig = sub.signature[n]
@@ -358,17 +346,18 @@ def point_reports(fr: Frame, tol_zero: float) -> list[PointReport]:
     return reports
 
 
-def analyze_points(chart: ImmersionChart, points, order: int = 3,
+def analyze_points(chart: ImmersionChart, points, *,
                    tol_zero: float = DEFAULT_ZERO_TOL) -> list[PointReport]:
     """Full pointwise reports at a (P, m) stack of points, from one frame."""
-    return point_reports(build_frame(chart, points, order, tol_zero), tol_zero)
+    return point_reports(build_frame(chart, points, tol_zero=tol_zero),
+                         tol_zero)
 
 
-def analyze_point(chart: ImmersionChart, point, order: int = 3,
+def analyze_point(chart: ImmersionChart, point, *,
                   tol_zero: float = DEFAULT_ZERO_TOL) -> PointReport:
     """Full pointwise report: metric, residuals, curvature invariants."""
     point = np.asarray(point, dtype=float)
-    return analyze_points(chart, point[None], order, tol_zero)[0]
+    return analyze_points(chart, point[None], tol_zero=tol_zero)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +542,7 @@ def verify_families(jobs, *, samples: int = 5, seed: int = 42,
     """Check every asserted property of each (family id, params) job
     numerically; the verdicts come back in job order.
 
-    Each record draws chart points once and walks the first `samples` at
-    order 3, so that every asserted `parallel` is checked.
+    Each record draws chart points once and walks the first `samples`.
     The records that share a chart dimension and an ambient space form are
     stacked into one frame, reported on and checked together, then each is
     judged from its own rows; see `_judge`.
@@ -582,7 +570,7 @@ def _verify_group(records, samples, tol, tol_zero) -> list[FamilyVerdict]:
     of one group, then each record's verdict from its own rows."""
     ids, params, charts, expected, drawn, walked = zip(*records)
     ambient, R = charts[0].ambient, len(records)
-    stack = [None if a[0] is None else np.concatenate(a) for a in zip(*walked)]
+    stack = [np.concatenate(a) for a in zip(*walked)]
     # a residual that overflows is not finite, and fails when judged
     with np.errstate(over="ignore", invalid="ignore"):
         fr = assemble_frame(ambient, np.concatenate(

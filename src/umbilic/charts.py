@@ -2,11 +2,10 @@
 
 A chart is a jet-evaluable map from an open box of chart coordinates into
 the flat embedding space of an ambient space form (flat space itself, a
-unit pseudo-sphere, or a unit pseudo-hyperbolic space).  A chart is either
-one coordinate function of its walk arguments or a composition of other
-charts; in a composition the inner chart's jets seed the outer chart's
-coordinate function, and an isometric image is the composition with a
-linear chart.
+unit pseudo-sphere, or a unit pseudo-hyperbolic space).  A chart is one
+coordinate function of its walk arguments, walked at order 3 for every
+use.  A composition of charts is the composed function, and an isometric
+image is the composition with a linear chart.
 """
 from __future__ import annotations
 
@@ -87,25 +86,26 @@ class ImmersionChart:
     # Every evaluation takes one point (m,) or a (P, m) stack of points,
     # walked once; results of a stack carry its leading point axis, and
     # one point is walked as a stack of one.
-    def jet_list(self, points, order: int = 3) -> list[J.Jet3]:
-        """Jets of each ambient coordinate at a (P, m) stack of points."""
+    def jet_list(self, points) -> list[J.Jet3]:
+        """Order-3 jets of each ambient coordinate at a (P, m) stack of
+        points."""
         raise NotImplementedError
 
     def jet_arrays(self, points, order: int = 3):
-        """(values (N,), jac (N,m), hess (N,T2), third (N,T3) or None), each
-        with a leading (P,) axis for a (P, m) stack of points; hess and
-        third are packed by sorted multi-index (see `jets.packed_indices`)."""
+        """(values (N,), jac (N,m), hess (N,T2), third (N,T3)), each with a
+        leading (P,) axis for a (P, m) stack of points; hess and third are
+        packed by sorted multi-index (see `jets.packed_indices`).  The walk
+        is always order 3; `order=2` returns None for third."""
+        if order not in (2, 3):
+            raise InputError("order must be 2 or 3")
         points = np.asarray(points, dtype=float)
-        js = self.jet_list(points.reshape(-1, points.shape[-1]), order)
+        js = self.jet_list(points.reshape(-1, points.shape[-1]))
         out = []
-        for name in ("value", "grad", "hess", "third"):
-            if getattr(js[0], name) is None:
-                out.append(None)
-                continue
+        for name in ("value", "grad", "hess", "third")[:order + 1]:
             # (N, P, ...) with the coordinates first, then (P, N, ...)
             a = np.array([getattr(j, name) for j in js]).swapaxes(0, 1)
             out.append(a.reshape(points.shape[:-1] + a.shape[1:]))
-        return tuple(out)
+        return tuple(out) + (None,) * (3 - order)
 
     def value(self, points) -> np.ndarray:
         """Image (N,) of one point, or (P, N) of a stack."""
@@ -139,8 +139,8 @@ class ExprChart(ImmersionChart):
                              f"{self.ambient.flat_dim}")
         return out
 
-    def jet_list(self, points, order: int = 3):
-        return J.evaluate(self.walk, points, order)
+    def jet_list(self, points):
+        return J.evaluate(self.walk, points)
 
     def value(self, points):
         points = np.asarray(points, dtype=float)
@@ -154,36 +154,26 @@ class ExprChart(ImmersionChart):
         return out.reshape(points.shape[:-1] + out.shape[1:])
 
 
-class CompositeChart(ImmersionChart):
-    """Pointwise composition outer(inner(u)).
+class CompositeChart(ExprChart):
+    """Pointwise composition outer(inner(u)): the outer chart's coordinate
+    function walked on the inner chart's, so values and jets come from the
+    one walk like any other chart's."""
 
-    The inner chart's jets seed the outer chart's coordinate function.  A
-    composite outer is re-associated, outer.outer(outer.inner(inner(u))),
-    so the outer chart is always an `ExprChart`.
-    """
-
-    def __init__(self, outer: ImmersionChart, inner: ImmersionChart,
-                 name: str = ""):
+    def __init__(self, outer: ExprChart, inner: ExprChart, name: str = ""):
         if inner.ambient.flat_dim != outer.nvars:
             raise InputError(
                 f"inner produces {inner.ambient.flat_dim} coordinates but the "
                 f"outer chart has {outer.nvars} variables")
-        super().__init__(inner.nvars, outer.ambient, inner.box,
+        super().__init__(lambda u: outer.walk(inner.walk(u)), inner.nvars,
+                         outer.ambient, inner.box,
                          name or f"{outer.name}*{inner.name}")
-        if isinstance(outer, CompositeChart):
-            outer, inner = outer.outer, CompositeChart(outer.inner, inner)
-        self.outer = outer
-        self.inner = inner
 
-    def value(self, points):
-        return self.outer.value(self.inner.value(points))
-
-    def jet_list(self, points, order: int = 3):
-        return J.eval_jets(self.outer.walk, self.inner.jet_list(points, order),
-                           self.nvars, order)
+    # the inherited walk, bound here too: perfbench/tracing.py times
+    # composite walks apart by wrapping vars(CompositeChart)["jet_list"]
+    jet_list = ExprChart.jet_list
 
 
-def compose(outer: ImmersionChart, inner: ImmersionChart) -> CompositeChart:
+def compose(outer: ExprChart, inner: ExprChart) -> CompositeChart:
     """Chart composition; the inner image must stay inside the outer domain."""
     return CompositeChart(outer, inner)
 
@@ -194,13 +184,14 @@ def linear_chart(matrix: np.ndarray, ambient: AmbientSpace) -> ExprChart:
     matrix = np.asarray(matrix, dtype=float)
     rows = [[(i, float(c)) for i, c in enumerate(row) if c != 0.0]
             for row in matrix]
-    # the terms are arrays or jets, never floats, so `sum` adds in order
+    # `sum` adds the terms in order; a term is an array or a jet, or a float
+    # where an inner chart's coordinate is constant
     return ExprChart(lambda u: [sum((c * u[i] for i, c in row), 0.0)
                                 for row in rows],
                      matrix.shape[1], ambient, name="linear")
 
 
-def transform_chart(chart: ImmersionChart, matrix: np.ndarray) -> ImmersionChart:
+def transform_chart(chart: ExprChart, matrix: np.ndarray) -> CompositeChart:
     """Post-compose a chart with a linear map of its flat embedding space."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (chart.ambient.flat_dim,) * 2:

@@ -121,12 +121,12 @@ def cmd_analyze(args) -> int:
     # a residual that overflows is not finite, and fails below
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            reports = analyze_points(chart, points, args.order, args.tol_zero)
+            reports = analyze_points(chart, points, tol_zero=args.tol_zero)
         except DomainError:
             # report the first offending sample as it reads alone, with no
             # index into a stack the user never sees
             for p in points:
-                analyze_point(chart, p, args.order, args.tol_zero)
+                analyze_point(chart, p, tol_zero=args.tol_zero)
             raise
     bad = non_finite(residual_columns(reports))
     if bad:
@@ -276,12 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(analyze, samples_default=4)
     analyze.set_defaults(func=cmd_analyze)
 
-    # the jet walk's options: `moduli` reads neither, and only `analyze`
-    # takes an order, since the verifier always walks order 3
+    # the jet walk's option, which `moduli` does not read
     for p in (verify, analyze):
         p.add_argument("--tol-zero", type=float, default=DEFAULT_ZERO_TOL,
                        dest="tol_zero")
-    analyze.add_argument("--order", type=int, choices=(2, 3), default=3)
 
     p = sub.add_parser("moduli", help="walk the null-offset moduli family")
     p.add_argument("--a", required=True, metavar="LIST",

@@ -111,7 +111,7 @@ def classify(chart: ImmersionChart) -> ClassificationResult:
     """
     eps = chart.ambient.epsilon
     tol = DEFAULT_TOL
-    reports = analyze_points(chart, chart.sample_points(5, 42), order=2)
+    reports = analyze_points(chart, chart.sample_points(5, 42))
     # np.max keeps a NaN, and a NaN residual is not umbilical
     umb = float(np.max([r.umbilicity_residual for r in reports]))
     result = ClassificationResult(None, None)
@@ -190,7 +190,7 @@ def moduli_demo(a_values, samples: int = 25, seed: int = 42,
         # an offset too large to square gives no finite residual
         with np.errstate(over="ignore", invalid="ignore"):
             geo = float(np.max([r.geodesic_residual for r in analyze_points(
-                chart, chart.sample_points(3, seed), order=2)]))
+                chart, chart.sample_points(3, seed))]))
             dist = float(np.max(np.linalg.norm(chart.value(points)
                                                - base.value(points), axis=-1)))
         if not (math.isfinite(geo) and math.isfinite(dist)):

@@ -1,20 +1,20 @@
 """Order-3 truncated Taylor arithmetic in the chart variables.
 
-A Jet3 carries the value, gradient, Hessian and (optionally) the symmetric
-third-derivative tensor of a scalar quantity.  Arithmetic implements the
-exact sum/product/chain rules, so derivatives of coordinate functions are
-exact up to rounding.  The symmetric tensors are stored packed: one entry
-per sorted multi-index (`packed_indices`), m(m+1)/2 for the Hessian and
+A Jet3 carries the value, gradient, Hessian and symmetric third-derivative
+tensor of a scalar quantity.  Arithmetic implements the exact
+sum/product/chain rules, so derivatives of coordinate functions are exact
+up to rounding.  The symmetric tensors are stored packed: one entry per
+sorted multi-index (`packed_indices`), m(m+1)/2 for the Hessian and
 m(m+1)(m+2)/6 for the third derivatives, and `unpack` gives the full
 tensor.  A chart's coordinates are one Python function of its walk
 arguments, written with `+`, `-`, `*` and the `sqrt`, `sin` and `cos`
 below, and that one function serves every use: point values in give the
-values, jets in give the jets, and jets of an inner map in give the jets
-of a composition.  The walk takes arrays of point values, so one call
-covers a whole stack of points and every jet carries a leading point
-axis; a single point is walked as a stack of one.  A central
-finite-difference oracle, which uses only value evaluation, is provided
-as an independent cross-check.
+values and the variables' jets in give the jets.  A composition is just
+the composed function, so its jets come from the same walk.  The walk
+takes arrays of point values, so one call covers a whole stack of points
+and every jet carries a leading point axis; a single point is walked as a
+stack of one.  A central finite-difference oracle, which uses only value
+evaluation, is provided as an independent cross-check.
 """
 from __future__ import annotations
 
@@ -93,56 +93,47 @@ class Jet3:
     hess and third are packed by sorted multi-index (T2 = m(m+1)/2,
     T3 = m(m+1)(m+2)/6, see `packed_indices`).  A jet of P points at once
     carries a leading point axis: value (P,), grad (P, m), hess (P, T2),
-    third (P, T3); `jet[k]` is the jet of point k alone.  `third` is None
-    when the jet was built at order 2.
+    third (P, T3); `jet[k]` is the jet of point k alone.
     """
 
     __slots__ = ("value", "grad", "hess", "third")
 
-    def __init__(self, value, grad, hess, third=None):
+    def __init__(self, value, grad, hess, third):
         self.value = value
         self.grad = grad
         self.hess = hess
         self.third = third
 
-    @property
-    def order(self) -> int:
-        return 2 if self.third is None else 3
-
     def __getitem__(self, k) -> "Jet3":
-        third = None if self.third is None else self.third[k]
-        return Jet3(self.value[k], self.grad[k], self.hess[k], third)
+        return Jet3(self.value[k], self.grad[k], self.hess[k], self.third[k])
 
     @classmethod
-    def _zeros(cls, value, m: int, order: int) -> "Jet3":
+    def _zeros(cls, value, m: int) -> "Jet3":
         lead = np.shape(value)
-        third = (np.zeros(lead + packed_indices(m, 3).shape[1:])
-                 if order == 3 else None)
         return cls(value, np.zeros(lead + (m,)),
-                   np.zeros(lead + packed_indices(m, 2).shape[1:]), third)
+                   np.zeros(lead + packed_indices(m, 2).shape[1:]),
+                   np.zeros(lead + packed_indices(m, 3).shape[1:]))
 
     @classmethod
-    def constant(cls, c: float, m: int, order: int, lead: tuple) -> "Jet3":
-        return cls._zeros(np.full(lead, c), m, order)
+    def constant(cls, c: float, m: int, lead: tuple) -> "Jet3":
+        return cls._zeros(np.full(lead, c), m)
 
     @classmethod
-    def variable(cls, index: int, value, m: int, order: int = 3) -> "Jet3":
-        jet = cls._zeros(value, m, order)
+    def variable(cls, index: int, value, m: int) -> "Jet3":
+        jet = cls._zeros(value, m)
         jet.grad[..., index] = 1.0
         return jet
 
     def __add__(self, other):
         if not isinstance(other, Jet3):
             return Jet3(self.value + other, self.grad, self.hess, self.third)
-        third = None if self.third is None else self.third + other.third
         return Jet3(self.value + other.value, self.grad + other.grad,
-                    self.hess + other.hess, third)
+                    self.hess + other.hess, self.third + other.third)
 
     __radd__ = __add__
 
     def __neg__(self):
-        third = None if self.third is None else -self.third
-        return Jet3(-self.value, -self.grad, -self.hess, third)
+        return Jet3(-self.value, -self.grad, -self.hess, -self.third)
 
     def __sub__(self, other):
         return self + (-other)
@@ -152,19 +143,17 @@ class Jet3:
 
     def __mul__(self, o):
         if not isinstance(o, Jet3):
-            third = None if self.third is None else o * self.third
-            return Jet3(self.value * o, o * self.grad, o * self.hess, third)
+            return Jet3(self.value * o, o * self.grad, o * self.hess,
+                        o * self.third)
         a, b = self.value[..., None], o.value[..., None]
         i, j = packed_indices(self.grad.shape[-1], 2)
         grad = a * o.grad + b * self.grad
         hess = (a * o.hess + b * self.hess + self.grad[..., i] * o.grad[..., j]
                 + o.grad[..., i] * self.grad[..., j])
-        third = None
-        if self.third is not None:
-            third = a * o.third + b * self.third
-            for h, g in ((self.hess, o.grad), (o.hess, self.grad)):
-                if h.any():   # a zero Hessian, as of a variable, adds nothing
-                    third = third + _hess_grad(h, g)
+        third = a * o.third + b * self.third
+        for h, g in ((self.hess, o.grad), (o.hess, self.grad)):
+            if h.any():   # a zero Hessian, as of a variable, adds nothing
+                third = third + _hess_grad(h, g)
         return Jet3(self.value * o.value, grad, hess, third)
 
     __rmul__ = __mul__
@@ -177,13 +166,11 @@ class Jet3:
         d1, d2 = d1[..., None], d2[..., None]
         grad = d1 * g
         hess = d2 * gg + d1 * self.hess
-        third = None
-        if self.third is not None:
-            # (g_i g_j) g_k at each sorted triple, split as (ij, k)
-            ggg = np.take(_pair_var(gg, g), split_triples(g.shape[-1])[0],
-                          axis=-1)
-            third = (d3[..., None] * ggg + d2 * _hess_grad(self.hess, g)
-                     + d1 * self.third)
+        # (g_i g_j) g_k at each sorted triple, split as (ij, k)
+        ggg = np.take(_pair_var(gg, g), split_triples(g.shape[-1])[0],
+                      axis=-1)
+        third = (d3[..., None] * ggg + d2 * _hess_grad(self.hess, g)
+                 + d1 * self.third)
         return Jet3(d0, grad, hess, third)
 
 
@@ -253,37 +240,23 @@ def coordinates(points) -> list:
     return list(np.ascontiguousarray(points.reshape(-1, points.shape[-1]).T))
 
 
-def evaluate(f, points, order: int = 3) -> list[Jet3]:
+def evaluate(f, points) -> list[Jet3]:
     """Jets of each coordinate of f at a point or a (P, m) stack.
 
     f maps a list of m walk arguments to a list of coordinates.  A stack
     is walked once, every jet carrying a leading point axis; one point
-    (m,) is walked as a stack of one and gives jets without it.
-    Derivatives are exact Taylor arithmetic, no truncation error.  Raises
-    DomainError (naming, for a stack, the first offending point) when a
-    point falls outside the domain of f.
+    (m,) is walked as a stack of one and gives jets without it.  A
+    coordinate that reads no variable becomes a constant jet.  Derivatives
+    are exact Taylor arithmetic, no truncation error.  Raises DomainError
+    (naming, for a stack, the first offending point) when a point falls
+    outside the domain of f.
     """
     points = np.asarray(points, dtype=float)
     args = coordinates(points)
     m = len(args)
-    if order not in (2, 3):
-        raise InputError("order must be 2 or 3")
-    out = eval_jets(f, [Jet3.variable(i, args[i], m, order) for i in range(m)],
-                    m, order)
+    out = [j if isinstance(j, Jet3) else Jet3.constant(j, m, args[0].shape)
+           for j in f([Jet3.variable(i, args[i], m) for i in range(m)])]
     return [j[0] for j in out] if points.ndim == 1 else out
-
-
-def eval_jets(f, seeds: list[Jet3], m: int, order: int) -> list[Jet3]:
-    """Jets of each coordinate of f walked on seed jets over m chart
-    variables.
-
-    Seeds are the variables' own jets (see `evaluate`) or the jets of an
-    inner map, which gives the jets of the composition.  A coordinate that
-    reads no variable becomes a constant jet with the seeds' point axis.
-    """
-    lead = seeds[0].value.shape
-    return [j if isinstance(j, Jet3) else Jet3.constant(j, m, order, lead)
-            for j in f(seeds)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from umbilic.analysis import (analyze_point, build_frame, fullness,
-                              _nondegenerate_tensors, reduction_report,
-                              verify_family)
+                              reduction_report, verify_family)
 from umbilic.bilinear import random_pseudo_orthogonal
 from umbilic.catalog import (cone_embedding_chart, cone_hypersurface_map,
                              cylinder_chart, family_ids, get_family,
@@ -86,7 +85,7 @@ def test_criterion_03_flat_classification(_report):
     ok = all(verify_family(f"akk-{k}", tol=PASS_TOL).ok for k in range(1, 5))
     ch = instantiate("akk-4")
     fr = build_frame(ch, ch.sample_points(1, 6)[0])
-    _, h, H = _nondegenerate_tensors(fr)
+    _, h, H = fr.tensors
     flat = h.reshape(-1, h.shape[-1])
     s, vh = np.linalg.svd(flat, full_matrices=False)[1:]
     ok &= int(np.sum(s > ZERO_TOL * s[0])) == 1

@@ -7,9 +7,8 @@ import pytest
 
 from umbilic import analysis
 from umbilic import jets as J
-from umbilic.analysis import (_nondegenerate_tensors, analyze_point,
-                              analyze_points, build_frame, fullness,
-                              induced_metric, parallelism_residual,
+from umbilic.analysis import (analyze_point, analyze_points, build_frame,
+                              fullness, induced_metric, parallelism_residual,
                               reduction_report, umbilicity_data,
                               verify_families, verify_family)
 from umbilic.bilinear import Signature
@@ -144,7 +143,7 @@ class TestParallelism:
         # full tensors at a time
         ch = instantiate(fid)
         fr = build_frame(ch, ch.sample_points(1, 30)[0])
-        gamma, h, _ = _nondegenerate_tensors(fr)
+        gamma, h, _ = fr.tensors
         gamma = J.unpack(gamma, 2)                # [l, i, j]
         h = J.unpack(h, 2, axis=-2)               # [i, j, n]
         third = J.unpack(fr.third, 3, axis=-2)    # [i, j, k, n]
@@ -166,7 +165,7 @@ class TestParallelism:
     def test_third_is_projected_on_first_read(self, fid, read):
         # the degenerate branch never reads the order-3 data
         ch = instantiate(fid)
-        fr = build_frame(ch, ch.sample_points(4, 31), order=3)
+        fr = build_frame(ch, ch.sample_points(4, 31))
         analysis.point_reports(fr, analysis.DEFAULT_ZERO_TOL)
         assert ("third" in vars(fr)) is read
 
@@ -640,21 +639,28 @@ class TestAnalyzePoints:
     def test_stack_matches_single_points(self, fid):
         ch = instantiate(fid)
         points = ch.sample_points(5, 73)
-        for order in (2, 3):
-            reports = analyze_points(ch, points, order)
-            assert len(reports) == 5
-            for p, rep in zip(points, reports):
-                _same_report(rep, analyze_point(ch, p, order))
+        reports = analyze_points(ch, points)
+        assert len(reports) == 5
+        for p, rep in zip(points, reports):
+            _same_report(rep, analyze_point(ch, p))
+
+    @pytest.mark.parametrize("call", [analyze_points, analyze_point,
+                                      build_frame])
+    def test_tol_zero_is_keyword_only(self, call):
+        # a positional third argument is refused, never read as tol_zero
+        ch = instantiate("main1-3")
+        with pytest.raises(TypeError):
+            call(ch, ch.sample_points(1, 73)[0], 2)
 
     def test_mixed_branches_split_by_signature(self):
         # at tol_zero=1e-16 some S-theta samples read degenerate, some not
         ch = instantiate("S-theta")
         points = ch.sample_points(5, 42)
-        reports = analyze_points(ch, points, order=2, tol_zero=1e-16)
+        reports = analyze_points(ch, points, tol_zero=1e-16)
         assert {r.radical_rank for r in reports} == {0, 1}
         for p, rep in zip(points, reports):
-            _same_report(rep, analyze_point(ch, p, 2, 1e-16))
-        fr = build_frame(ch, points, 2, 1e-16)
+            _same_report(rep, analyze_point(ch, p, tol_zero=1e-16))
+        fr = build_frame(ch, points, tol_zero=1e-16)
         with pytest.raises(InputError, match="mixes metric branches"):
             umbilicity_data(fr)
 

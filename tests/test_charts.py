@@ -36,6 +36,11 @@ def _f(abc):
     return [J.sqrt(2.0 + a * b), a - c, b * b, a + b + c]
 
 
+def _a(xyzw):
+    x, y, z, w = xyzw
+    return [x * J.cos(y) - z * J.sqrt(3.0 + w), x * y * w]
+
+
 def _curved_pair():
     # nonlinear inner (2 -> 3) and outer (3 -> 4) charts
     inner = ExprChart(_g, 2, AmbientSpace.flat(3, 1), [[-0.5, 0.5]] * 2, "g")
@@ -149,19 +154,32 @@ class TestComposition:
         # compose(compose(a, b), c) against the composed function a(b(c(u)))
         # and its FD oracle
         b, c = _curved_pair()
-
-        def a(xyzw):
-            x, y, z, w = xyzw
-            return [x * J.cos(y) - z * J.sqrt(3.0 + w), x * y * w]
-
-        comp = compose(compose(ExprChart(a, 4, AmbientSpace.flat(2, 0),
+        comp = compose(compose(ExprChart(_a, 4, AmbientSpace.flat(2, 0),
                                          name="a"), b), c)
-        direct = ExprChart(lambda u: a(_f(_g(u))), 2, AmbientSpace.flat(2, 0),
+        direct = ExprChart(lambda u: _a(_f(_g(u))), 2, AmbientSpace.flat(2, 0),
                            c.box)
         assert comp.name == "a*f*g"
         for p in c.sample_points(6, 3):
             _assert_same_jets(comp, direct, p)
             np.testing.assert_array_equal(comp.value(p), direct.value(p))
+
+    def test_composition_is_associative(self):
+        # (a*b)*c and a*(b*c) both walk a(b(c(u))): values and jets equal
+        # bit for bit, and both agree with the FD oracle
+        b, c = _curved_pair()
+        a = ExprChart(_a, 4, AmbientSpace.flat(2, 0), name="a")
+        left, right = compose(compose(a, b), c), compose(a, compose(b, c))
+        for p in c.sample_points(6, 4):
+            np.testing.assert_array_equal(left.value(p), right.value(p))
+            got = left.jet_arrays(p)
+            for x, y in zip(got, right.jet_arrays(p)):
+                np.testing.assert_array_equal(x, y)
+            for chart in (left, right):
+                _, fjac, fhess, _ = fd_jet_arrays(chart, p, 1e-4)
+                assert np.max(np.abs(got[1] - fjac)) < 1e-6
+                assert np.max(np.abs(got[2] - fhess)) < 1e-6
+                third = fd_jet_arrays(chart, p, 1e-3)[3]
+                assert np.max(np.abs(got[3] - third)) < 1e-4
 
     def test_identity_composition(self):
         ch = _unit_sphere_chart()

@@ -330,8 +330,10 @@ def test_benchmark_workloads_pass(workload, monkeypatch):
     (["analyze", "--family", "main1-3", "--point", "0", "-inf"], 2),
     # finite, but the offset's image is too large to square
     (["moduli", "--a", "1e155"], 1),
-    # the verifier always walks order 3, so every asserted parallel is checked
+    # every walk is order 3, so every asserted parallel is checked: neither
+    # command takes an order
     (["verify-all", "--order", "2"], 2),
+    (["analyze", "--family", "main1-3", "--order", "2"], 2),
 ])
 def test_bad_numbers_fail_closed(argv, code, capsys):
     got, _, err = run(argv, capsys)
