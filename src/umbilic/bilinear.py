@@ -95,8 +95,8 @@ def signature_of(form: SymmetricForm | np.ndarray,
 
     A (P, n, n) stack gives a list with one Signature per matrix.
     """
-    if tol_zero <= 0:
-        raise InputError("tol_zero must be positive")
+    if not 0 < tol_zero < np.inf:
+        raise InputError("tol_zero must be positive and finite")
     if not isinstance(form, SymmetricForm):
         form = SymmetricForm(form)
     eig = np.linalg.eigvalsh(form.entries)

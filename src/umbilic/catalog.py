@@ -164,7 +164,10 @@ class _Graph:
 
     `coords(u, s, r)` gives the flat coordinates (r is None for a family
     without a radius); `r_range` is the radius's open range; `box` is
-    "ball" (of radius r, or 1), "flat" or "cone".
+    "ball" (of radius r, or 1), "flat" or "cone".  A row with a sign
+    `sigma` has squared mean curvature norm h(r) = sigma / r**2 - eps at
+    radius r; a totally geodesic row in a curved space form has radius 1,
+    with sigma = eps and h(1) = 0.
     """
 
     space: Callable[[int, int], AmbientSpace]
@@ -173,6 +176,27 @@ class _Graph:
     coords: Callable[[list, int, float | None], list]
     r_range: tuple[float, float] | None = None
     box: str = "ball"
+    sigma: int | None = None
+
+    @functools.cached_property
+    def epsilon(self) -> int:
+        return self.space(1, 0).epsilon
+
+    def h_norm(self, r: float) -> float:
+        """h(r); -eps comes first so that h(inf) is +0.0, not -0.0, in flat
+        space.  `** 2` overflows with an error where `r * r` gives inf."""
+        return -self.epsilon + self.sigma / r ** 2
+
+    @functools.cached_property
+    def h_norm_range(self) -> tuple[float, float]:
+        """The image of `r_range` under h, which tends to sigma * inf at
+        r = 0."""
+        return tuple(sorted(self.sigma * math.inf if r == 0
+                            else self.h_norm(r) for r in self.r_range))
+
+    def radius(self, h: float) -> float:
+        """The radius r at which h(r) = h: 1 / sqrt(sigma * (h + eps))."""
+        return 1 / math.sqrt(self.sigma * (h + self.epsilon))
 
 
 def _graph_chart(g: _Graph, params: dict, name: str,
@@ -200,34 +224,34 @@ _S, _H, _E = AmbientSpace.sphere, AmbientSpace.hyperbolic, AmbientSpace.flat
 _GRAPHS: dict[str, _Graph] = {
     # sphere-target families (curvature +1)
     "main1-1": _Graph(_S, 1, 0, lambda u, s, r:
-                      _sphere(u, s, 1.0) + [0.0]),
+                      _sphere(u, s, 1.0) + [0.0], sigma=1),
     "main1-2": _Graph(_S, 1, 1, lambda u, s, r:
-                      [0.0] + _sphere(u, s, 1.0)),
+                      [0.0] + _sphere(u, s, 1.0), sigma=1),
     "main1-3": _Graph(_S, 1, 0, lambda u, s, r: _sphere(u, s, r * r)
-                      + [math.sqrt(1 - r * r)], (0.0, 1.0)),
+                      + [math.sqrt(1 - r * r)], (0.0, 1.0), sigma=1),
     "main1-4": _Graph(_S, 1, 1, lambda u, s, r: [math.sqrt(r * r - 1)]
-                      + _sphere(u, s, r * r), (1.0, math.inf)),
+                      + _sphere(u, s, r * r), (1.0, math.inf), sigma=1),
     "main1-5": _Graph(_S, 2, 1, lambda u, s, r:
                       [1.0] + _sphere(u, s, 1.0) + [1.0]),
     "main1-6": _Graph(_S, 1, 1, lambda u, s, r: _hyper(u, s, r * r)
-                      + [math.sqrt(1 + r * r)], (0.0, math.inf)),
+                      + [math.sqrt(1 + r * r)], (0.0, math.inf), sigma=-1),
     "main1-7": _Graph(_S, 1, 1, lambda u, s, r:
                       _null_graph(u, s, -0.75, -1.25), box="flat"),
     "light1-5": _Graph(_S, 1, 1, lambda u, s, r:
                        _cone(u, s) + [1.0], box="cone"),
     # hyperbolic-target families (curvature -1)
     "main2-1": _Graph(_H, 1, 0, lambda u, s, r:
-                      _hyper(u, s, 1.0) + [0.0]),
+                      _hyper(u, s, 1.0) + [0.0], sigma=-1),
     "main2-2": _Graph(_H, 1, 1, lambda u, s, r:
-                      [0.0] + _hyper(u, s, 1.0)),
+                      [0.0] + _hyper(u, s, 1.0), sigma=-1),
     "main2-3": _Graph(_H, 1, 1, lambda u, s, r: [math.sqrt(1 - r * r)]
-                      + _hyper(u, s, r * r), (0.0, 1.0)),
+                      + _hyper(u, s, r * r), (0.0, 1.0), sigma=-1),
     "main2-4": _Graph(_H, 1, 0, lambda u, s, r: _hyper(u, s, r * r)
-                      + [math.sqrt(r * r - 1)], (1.0, math.inf)),
+                      + [math.sqrt(r * r - 1)], (1.0, math.inf), sigma=-1),
     "main2-5": _Graph(_H, 2, 1, lambda u, s, r:
                       [1.0] + _hyper(u, s, 1.0) + [1.0]),
     "main2-6": _Graph(_H, 1, 0, lambda u, s, r: [math.sqrt(1 + r * r)]
-                      + _sphere(u, s, r * r), (0.0, math.inf)),
+                      + _sphere(u, s, r * r), (0.0, math.inf), sigma=1),
     "main2-7": _Graph(_H, 1, 0, lambda u, s, r:
                       _null_graph(u, s, 1.25, 0.75), box="flat"),
     "light2-5": _Graph(_H, 1, 1, lambda u, s, r:
@@ -235,13 +259,12 @@ _GRAPHS: dict[str, _Graph] = {
     # flat-target families
     "akk-1": _Graph(_E, 1, 0, lambda u, s, r: [*u, 0.0], box="flat"),
     "akk-2": _Graph(_E, 1, 0, lambda u, s, r: _sphere(u, s, r * r),
-                    (0.0, math.inf)),
+                    (0.0, math.inf), sigma=1),
     "akk-3": _Graph(_E, 1, 1, lambda u, s, r: _hyper(u, s, r * r),
-                    (0.0, math.inf)),
+                    (0.0, math.inf), sigma=-1),
     "akk-4": _Graph(_E, 2, 1, lambda u, s, r:
                     _null_graph(u, s, 0.25, -0.25), box="flat"),
 }
-_GRAPHS["U-flat"] = _GRAPHS["akk-4"]  # a named instance of akk-4
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +408,7 @@ def _cubic(p):
 # Expectation records
 # ---------------------------------------------------------------------------
 
-def _geodesic_expected(p, hull_dim):
+def _geodesic_expected(hull_dim):
     return Expected(totally_geodesic=True, totally_umbilical=True,
                     minimal=True, h_norm=0.0, parallel=True, full=False,
                     hull_dim=hull_dim, translation_class="linear")
@@ -414,78 +437,63 @@ def _add(id, description, defaults, expect, draw=None, build=None):
                                build or _table(id), expect, draw)
 
 
+def _add_radius(id, description, r, cls, rho, draw):
+    """Register a radius row of the table at default radius r: its h_norm
+    is the row's h(r) and its h_norm_range the image of its r_range."""
+    g = _GRAPHS[id]
+    _add(id, description, {**_MS, "r": r},
+         lambda p: _umbilical_expected(g.h_norm(p["r"]), g.h_norm_range, cls,
+                                       rho(p["r"]), p["m"] + 1),
+         _draw_r(*draw))
+
+
 _MS = {"m": 2, "s": 0}
 
 
 _add("main1-1", "totally geodesic sphere, spacelike normal", dict(_MS),
-     lambda p: _geodesic_expected(p, p["m"] + 1))
+     lambda p: _geodesic_expected(p["m"] + 1))
 _add("main1-2", "totally geodesic sphere, timelike normal", dict(_MS),
-     lambda p: _geodesic_expected(p, p["m"] + 1))
-_add("main1-3", "small sphere at spacelike height", {**_MS, "r": 0.5},
-     lambda p: _umbilical_expected((1 - p["r"] ** 2) / p["r"] ** 2,
-                                   (0.0, math.inf), "v_S",
-                                   math.sqrt(1 - p["r"] ** 2), p["m"] + 1),
-     _draw_r(0.15, 0.85))
-_add("main1-4", "large sphere at timelike height", {**_MS, "r": 2.0},
-     lambda p: _umbilical_expected((1 - p["r"] ** 2) / p["r"] ** 2,
-                                   (-1.0, 0.0), "v_T",
-                                   math.sqrt(p["r"] ** 2 - 1), p["m"] + 1),
-     _draw_r(1.2, 3.0))
+     lambda p: _geodesic_expected(p["m"] + 1))
+_add_radius("main1-3", "small sphere at spacelike height", 0.5, "v_S",
+            lambda r: math.sqrt(1 - r ** 2), (0.15, 0.85))
+_add_radius("main1-4", "large sphere at timelike height", 2.0, "v_T",
+            lambda r: math.sqrt(r ** 2 - 1), (1.2, 3.0))
 _add("main1-5", "null-offset sphere, codimension two", dict(_MS),
      lambda p: _umbilical_expected(0.0, None, "v_L", None, p["m"] + 1,
                                    marginally_trapped=True))
-_add("main1-6", "hyperbolic slice of the sphere", {**_MS, "r": 1.0},
-     lambda p: _umbilical_expected(-(1 + p["r"] ** 2) / p["r"] ** 2,
-                                   (-math.inf, -1.0), "v_S",
-                                   math.sqrt(1 + p["r"] ** 2), p["m"] + 1),
-     _draw_r(0.3, 2.0))
+_add_radius("main1-6", "hyperbolic slice of the sphere", 1.0, "v_S",
+            lambda r: math.sqrt(1 + r ** 2), (0.3, 2.0))
 _add("main1-7", "flat null graph inside the sphere", dict(_MS),
      lambda p: _umbilical_expected(-1.0, None, "+N", None, p["m"] + 1))
 
 _add("main2-1", "totally geodesic hyperbolic slice, spacelike normal",
-     dict(_MS), lambda p: _geodesic_expected(p, p["m"] + 1))
+     dict(_MS), lambda p: _geodesic_expected(p["m"] + 1))
 _add("main2-2", "totally geodesic hyperbolic slice, timelike normal",
-     dict(_MS), lambda p: _geodesic_expected(p, p["m"] + 1))
-_add("main2-3", "small hyperbolic slice at timelike height", {**_MS, "r": 0.5},
-     lambda p: _umbilical_expected(-(1 - p["r"] ** 2) / p["r"] ** 2,
-                                   (-math.inf, 0.0), "v_T",
-                                   math.sqrt(1 - p["r"] ** 2), p["m"] + 1),
-     _draw_r(0.15, 0.85))
-_add("main2-4", "large hyperbolic slice at spacelike height", {**_MS, "r": 2.0},
-     lambda p: _umbilical_expected((p["r"] ** 2 - 1) / p["r"] ** 2,
-                                   (0.0, 1.0), "v_S",
-                                   math.sqrt(p["r"] ** 2 - 1), p["m"] + 1),
-     _draw_r(1.2, 3.0))
+     dict(_MS), lambda p: _geodesic_expected(p["m"] + 1))
+_add_radius("main2-3", "small hyperbolic slice at timelike height", 0.5,
+            "v_T", lambda r: math.sqrt(1 - r ** 2), (0.15, 0.85))
+_add_radius("main2-4", "large hyperbolic slice at spacelike height", 2.0,
+            "v_S", lambda r: math.sqrt(r ** 2 - 1), (1.2, 3.0))
 _add("main2-5", "null-offset hyperbolic slice, codimension two", dict(_MS),
      lambda p: _umbilical_expected(0.0, None, "v_L", None, p["m"] + 1,
                                    marginally_trapped=True))
-_add("main2-6", "spherical slice of the hyperbolic space", {**_MS, "r": 1.0},
-     lambda p: _umbilical_expected((1 + p["r"] ** 2) / p["r"] ** 2,
-                                   (1.0, math.inf), "v_T",
-                                   math.sqrt(1 + p["r"] ** 2), p["m"] + 1),
-     _draw_r(0.3, 2.0))
+_add_radius("main2-6", "spherical slice of the hyperbolic space", 1.0,
+            "v_T", lambda r: math.sqrt(1 + r ** 2), (0.3, 2.0))
 _add("main2-7", "flat null graph inside the hyperbolic space", dict(_MS),
      lambda p: _umbilical_expected(1.0, None, "+N", None, p["m"] + 1))
 
 _add("akk-1", "flat totally geodesic subspace", dict(_MS),
-     lambda p: Expected(totally_geodesic=True, totally_umbilical=True,
-                        minimal=True, h_norm=0.0, parallel=True, full=False,
-                        hull_dim=p["m"], translation_class="linear"))
-_add("akk-2", "round pseudo-sphere in flat space", {**_MS, "r": 1.0},
-     lambda p: _umbilical_expected(1.0 / p["r"] ** 2, (0.0, math.inf),
-                                   "linear", None, p["m"] + 1),
-     _draw_r(0.5, 2.0))
-_add("akk-3", "pseudo-hyperbolic space in flat space", {**_MS, "r": 1.0},
-     lambda p: _umbilical_expected(-1.0 / p["r"] ** 2, (-math.inf, 0.0),
-                                   "linear", None, p["m"] + 1),
-     _draw_r(0.5, 2.0))
+     lambda p: _geodesic_expected(p["m"]))
+_add_radius("akk-2", "round pseudo-sphere in flat space", 1.0, "linear",
+            lambda r: None, (0.5, 2.0))
+_add_radius("akk-3", "pseudo-hyperbolic space in flat space", 1.0, "linear",
+            lambda r: None, (0.5, 2.0))
 _add("akk-4", "flat marginally trapped null graph", dict(_MS),
      lambda p: _umbilical_expected(0.0, None, "+N", None, p["m"] + 1,
                                    marginally_trapped=True))
 _add("U-flat", "flat marginally trapped null graph (named instance)",
-     dict(_MS),
-     lambda p: _umbilical_expected(0.0, None, "+N", None, p["m"] + 1,
-                                   marginally_trapped=True))
+     dict(_MS), _REGISTRY["akk-4"].expect,
+     build=functools.partial(_graph_chart, _GRAPHS["akk-4"], name="U-flat"))
 
 _add("light1-1", "degenerate product over a sphere, totally geodesic",
      dict(_MS), lambda p: _degenerate_expected(1, geodesic=True))
@@ -520,17 +528,10 @@ _add("light2-7", "doubly offset degenerate product (hyperbolic target)",
      dict(_MS), lambda p: _degenerate_expected(1))
 
 
-def _psi_expected(p):
-    if p["a"] == 0:
-        e = _geodesic_expected(p, p["m"] + 1)
-        e.full = False
-        return e
-    return _umbilical_expected(0.0, None, "v_L", None, p["m"] + 1,
-                               marginally_trapped=True)
-
-
 _add("psi-a", "constant-null-offset family through the geodesic inclusion",
-     {**_MS, "a": 1.0}, _psi_expected,
+     {**_MS, "a": 1.0},
+     # the geodesic inclusion at a = 0, a null offset of it otherwise
+     lambda p: _REGISTRY["main1-1" if p["a"] == 0 else "main1-5"].expect(p),
      lambda rng: {"a": float(rng.uniform(0.2, 2.0))}, build=_psi_a)
 
 _add("S-example", "flat degenerate slice by an offset null plane",
@@ -587,6 +588,16 @@ def instances(seed: int) -> list[tuple[str, dict]]:
             jobs += [(fid, {**spec.defaults, **spec.draw_params(rng)})
                      for _ in range(RANDOM_DRAWS)]
     return jobs
+
+
+def umbilical_items(epsilon: int) -> list[tuple[str, _Graph, Expected]]:
+    """The non-degenerate items of the classification in the space form of
+    curvature `epsilon`: (id, table row, expectations at the defaults) of
+    each graph table row there whose chart has a non-degenerate metric."""
+    rows = [(fid, g, _REGISTRY[fid]) for fid, g in _GRAPHS.items()
+            if g.epsilon == epsilon]
+    rows = [(fid, g, spec.expect(spec.defaults)) for fid, g, spec in rows]
+    return [row for row in rows if row[2].radical_rank == 0]
 
 
 def get_family(family_id: str) -> FamilySpec:

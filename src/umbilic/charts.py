@@ -71,7 +71,9 @@ class AmbientSpace:
 
 
 class ImmersionChart:
-    """Base class: a map from an nvars-dimensional box into flat coordinates."""
+    """Base class: a map from an nvars-dimensional box into flat coordinates;
+    a subclass supplies `jet_list` (the order-3 jets of each coordinate at
+    a (P, m) stack of points) and `value`."""
 
     def __init__(self, nvars: int, ambient: AmbientSpace,
                  box: np.ndarray | None = None, name: str = ""):
@@ -86,11 +88,6 @@ class ImmersionChart:
     # Every evaluation takes one point (m,) or a (P, m) stack of points,
     # walked once; results of a stack carry its leading point axis, and
     # one point is walked as a stack of one.
-    def jet_list(self, points) -> list[J.Jet3]:
-        """Order-3 jets of each ambient coordinate at a (P, m) stack of
-        points."""
-        raise NotImplementedError
-
     def jet_arrays(self, points, order: int = 3):
         """(values (N,), jac (N,m), hess (N,T2), third (N,T3)), each with a
         leading (P,) axis for a (P, m) stack of points; hess and third are
@@ -106,10 +103,6 @@ class ImmersionChart:
             a = np.array([getattr(j, name) for j in js]).swapaxes(0, 1)
             out.append(a.reshape(points.shape[:-1] + a.shape[1:]))
         return tuple(out) + (None,) * (3 - order)
-
-    def value(self, points) -> np.ndarray:
-        """Image (N,) of one point, or (P, N) of a stack."""
-        raise NotImplementedError
 
     def sample_points(self, count: int, seed: int = 42) -> np.ndarray:
         """Seeded uniform draws in the chart box (rows are points)."""

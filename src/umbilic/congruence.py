@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bilinear as B
 from .analysis import DEFAULT_TOL, analyze_points, reduction_report
-from .catalog import instantiate
+from .catalog import instantiate, umbilical_items
 from .charts import ImmersionChart
 from .errors import DomainError, InputError
 
@@ -78,38 +78,26 @@ class ClassificationResult:
     notes: list = field(default_factory=list)
 
 
-def _near(x: float, value: float, tol: float) -> bool:
-    return abs(x - value) <= tol
-
-
-def _boundary_note(h: float, boundaries, tol: float, notes: list):
-    for b in boundaries:
-        if tol < abs(h - b) <= AMBIGUITY_FACTOR * tol:
-            notes.append(
-                f"mean curvature norm {h!r} is within {AMBIGUITY_FACTOR:g}x "
-                f"tolerance of the classification boundary {b:g}")
-
-
-def _geodesic_item(chart: ImmersionChart) -> int:
-    """Distinguish the two totally geodesic hypersurface inclusions.
-
-    Item 1 keeps the full negative index of the embedding in the hull
-    direction space (spacelike normal); item 2 drops one (timelike normal).
-    """
-    red = reduction_report(chart, seed=42)
-    return 1 if red.direction_signature.neg == chart.ambient.signature.neg else 2
+def _in_row(h: float, expected, tol: float) -> bool:
+    """Whether h matches an item row: within tol of its pinned h_norm, or
+    inside its open h_norm_range and more than tol from either end."""
+    if expected.h_norm_range is None:
+        return abs(h - expected.h_norm) <= tol
+    lo, hi = expected.h_norm_range
+    return lo < h < hi and min(h - lo, hi - h) > tol
 
 
 def classify(chart: ImmersionChart) -> ClassificationResult:
     """Identify which classification item an umbilical chart realizes.
 
     Covers immersions with non-degenerate induced metric; the squared
-    norm of the mean curvature and the sign pattern of the hull direction
-    space determine the item, and the curvature radius parameter is
-    recovered from the norm where the item has one.  Five seeded sample
-    points are read at the default tolerances.
+    norm of the mean curvature and minimality pick the catalog's item rows
+    of the chart's space form (`catalog.umbilical_items`) that match, the
+    sign pattern of the hull direction space breaks a tie between the two
+    totally geodesic rows, and the curvature radius is recovered from the
+    norm where the item has one.  Five seeded sample points are read at
+    the default tolerances.
     """
-    eps = chart.ambient.epsilon
     tol = DEFAULT_TOL
     reports = analyze_points(chart, chart.sample_points(5, 42))
     # np.max keeps a NaN, and a NaN residual is not umbilical
@@ -127,35 +115,32 @@ def classify(chart: ImmersionChart) -> ClassificationResult:
     minimal = np.max([r.minimal_residual for r in reports]) <= tol
     result.h_norm = h
 
-    if eps == 0:
-        _boundary_note(h, (0.0,), tol, result.notes)
-        if minimal:
-            result.label = "akk-1"
-        elif h > tol:
-            result.label, result.params["r"] = "akk-2", 1 / math.sqrt(h)
-        elif h < -tol:
-            result.label, result.params["r"] = "akk-3", 1 / math.sqrt(-h)
-        else:
-            result.label = "akk-4"
+    rows = umbilical_items(chart.ambient.epsilon)
+    # the classification boundaries: the finite ends of the rows' ranges
+    for b in dict.fromkeys(end for _, _, e in rows
+                           for end in e.h_norm_range or ()
+                           if math.isfinite(end)):
+        if tol < abs(h - b) <= AMBIGUITY_FACTOR * tol:
+            result.notes.append(
+                f"mean curvature norm {h!r} is within {AMBIGUITY_FACTOR:g}x "
+                f"tolerance of the classification boundary {b:g}")
+    found = [(fid, g, e) for fid, g, e in rows
+             if e.minimal == minimal and _in_row(h, e, tol)]
+    if len(found) > 1:
+        # the totally geodesic rows differ in the negative directions their
+        # hull drops from the embedding: none (spacelike normal) or one
+        red = reduction_report(chart, seed=42)
+        drop = chart.ambient.signature.neg - red.direction_signature.neg
+        found = [(fid, g, e) for fid, g, e in found if g.dp == drop]
+    if len(found) != 1:
+        result.notes.append(f"mean curvature norm {h!r} matches "
+                            f"{len(found)} classification items")
         return result
-    # the items of eps = -1 mirror those of eps = +1 in k = eps * h; negation
-    # is exact, so each comparison and each radius is the mirrored one's
-    _boundary_note(h, (0.0, -eps), tol, result.notes)
-    item = "main1" if eps == 1 else "main2"
-    k = eps * h
-    if minimal:
-        result.label = f"{item}-{_geodesic_item(chart)}"
-        result.params["r"] = 1.0
-    elif k > tol:
-        result.label, result.params["r"] = f"{item}-3", 1 / math.sqrt(1 + k)
-    elif _near(k, 0.0, tol):
-        result.label = f"{item}-5"
-    elif k > -1.0 + tol:
-        result.label, result.params["r"] = f"{item}-4", 1 / math.sqrt(1 + k)
-    elif _near(k, -1.0, tol):
-        result.label = f"{item}-7"
-    else:
-        result.label, result.params["r"] = f"{item}-6", 1 / math.sqrt(-1 - k)
+    result.label, g, expected = found[0]
+    if g.sigma is not None:
+        # at a pinned h_norm the radius is the row's own
+        at = h if expected.h_norm_range else expected.h_norm
+        result.params["r"] = g.radius(at)
     return result
 
 

@@ -652,6 +652,14 @@ class TestAnalyzePoints:
         with pytest.raises(TypeError):
             call(ch, ch.sample_points(1, 73)[0], 2)
 
+    @pytest.mark.parametrize("tol_zero", [float("nan"), float("inf")])
+    def test_non_finite_tol_zero_fails_closed(self, tol_zero):
+        # a NaN tol_zero once counted every eigenvalue as null, so the
+        # non-umbilical cubic graph read totally umbilical
+        ch = instantiate("cubic-graph-control")
+        with pytest.raises(InputError, match="positive and finite"):
+            analyze_point(ch, ch.sample_points(1, 73)[0], tol_zero=tol_zero)
+
     def test_mixed_branches_split_by_signature(self):
         # at tol_zero=1e-16 some S-theta samples read degenerate, some not
         ch = instantiate("S-theta")

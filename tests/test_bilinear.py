@@ -157,6 +157,11 @@ class TestSignatureOf:
         with pytest.raises(InputError):
             signature_of(np.eye(2), tol_zero=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_is_rejected(self, tol):
+        with pytest.raises(InputError):
+            signature_of(np.eye(2), tol_zero=tol)
+
 
 class TestRadical:
     def test_lightcone_metric(self):

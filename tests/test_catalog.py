@@ -178,6 +178,28 @@ class TestExpectations:
         assert not expected_report("psi-a", {"a": 1.0}).totally_geodesic
         assert expected_report("psi-a", {"a": 0.0}).totally_geodesic
 
+    def test_umbilical_items_are_the_non_degenerate_graph_rows(self):
+        ids = {eps: [row[0] for row in catalog.umbilical_items(eps)]
+               for eps in (1, -1, 0)}
+        assert ids == {1: [f"main1-{k}" for k in range(1, 8)],
+                       -1: [f"main2-{k}" for k in range(1, 8)],
+                       0: [f"akk-{k}" for k in range(1, 5)]}
+
+    def test_radius_rows_invert_h(self):
+        # r = 1 / sqrt(sigma (h + eps)) undoes h(r) = sigma / r**2 - eps,
+        # and h maps the radius range onto the h_norm range
+        for eps in (1, -1, 0):
+            for fid, g, e in catalog.umbilical_items(eps):
+                if e.h_norm_range is None:
+                    continue
+                lo, hi = e.h_norm_range
+                for params in [d[1] for d in catalog.instances(3)
+                               if d[0] == fid]:
+                    h = expected_report(fid, params).h_norm
+                    assert lo < h < hi
+                    assert g.radius(h) == pytest.approx(params["r"],
+                                                        rel=1e-14)
+
     def test_random_draws_stay_in_range(self):
         rng = np.random.default_rng(5)
         for fid in family_ids():

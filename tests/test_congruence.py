@@ -9,7 +9,8 @@ from umbilic import congruence
 from umbilic.bilinear import random_pseudo_orthogonal
 from umbilic.catalog import get_family, instantiate
 from umbilic.charts import transform_chart
-from umbilic.congruence import (classify, congruence_test, moduli_demo)
+from umbilic.congruence import (AMBIGUITY_FACTOR, classify, congruence_test,
+                                moduli_demo)
 from umbilic.errors import DomainError, InputError
 
 
@@ -173,13 +174,25 @@ class TestClassifier:
         assert res.notes
 
 
+def _near(x: float, value: float, tol: float) -> bool:
+    return abs(x - value) <= tol
+
+
+def _boundary_note(h: float, boundaries, tol: float, notes: list):
+    for b in boundaries:
+        if tol < abs(h - b) <= AMBIGUITY_FACTOR * tol:
+            notes.append(
+                f"mean curvature norm {h!r} is within {AMBIGUITY_FACTOR:g}x "
+                f"tolerance of the classification boundary {b:g}")
+
+
 def _mirrored_chains(eps, h, tol):
     """The classifier's chains for a non-minimal umbilical chart, written
     out once per sign of eps."""
     notes, params = [], {}
-    near = congruence._near
+    near = _near
     if eps == 1:
-        congruence._boundary_note(h, (0.0, -1.0), tol, notes)
+        _boundary_note(h, (0.0, -1.0), tol, notes)
         if h > tol:
             label, params["r"] = "main1-3", 1 / math.sqrt(1 + h)
         elif near(h, 0.0, tol):
@@ -191,7 +204,7 @@ def _mirrored_chains(eps, h, tol):
         else:
             label, params["r"] = "main1-6", 1 / math.sqrt(-1 - h)
     elif eps == -1:
-        congruence._boundary_note(h, (0.0, 1.0), tol, notes)
+        _boundary_note(h, (0.0, 1.0), tol, notes)
         if h < -tol:
             label, params["r"] = "main2-3", 1 / math.sqrt(1 - h)
         elif near(h, 0.0, tol):
@@ -203,7 +216,7 @@ def _mirrored_chains(eps, h, tol):
         else:
             label, params["r"] = "main2-6", 1 / math.sqrt(h - 1)
     else:
-        congruence._boundary_note(h, (0.0,), tol, notes)
+        _boundary_note(h, (0.0,), tol, notes)
         if h > tol:
             label, params["r"] = "akk-2", 1 / math.sqrt(h)
         elif h < -tol:
