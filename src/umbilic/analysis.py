@@ -31,7 +31,7 @@ FD_STEP = 1e-4
 def _enorm(v, axes: int = 0):
     """Euclidean norm along the last axis, maximized over the `axes` axes
     before it; any leading point axes are kept."""
-    n = np.sqrt(np.sum(v * v, axis=-1))
+    n = np.sqrt((v * v).sum(-1))
     return n.max(axis=tuple(range(-axes, 0))) if axes else n
 
 
@@ -46,11 +46,11 @@ class Frame:
     (`jets.packed_indices`); `third` holds the third derivatives, with the
     same component removed, one row per sorted triple i <= j <= k, and is
     projected on first read.  A frame built on a (P, m) stack carries a
-    leading point axis on every array and on `scale`, and `signature` is
-    then a list with one entry per point.  The induced metric's signature
-    is decided once, at the `tol_zero` given to `assemble_frame`; every
-    pointwise computation on the frame branches on it, so a stack must be
-    split by `branches` before that.
+    leading point axis on every array, on `scale` and on the signature
+    `counts`.  The induced metric's signature is decided once, at the
+    `tol_zero` given to `assemble_frame`; every pointwise computation on
+    the frame branches on it, so a stack must be split by `branches` before
+    that.
     """
 
     ambient: AmbientSpace
@@ -61,7 +61,7 @@ class Frame:
     walked_third: np.ndarray  # (..., N, T3), T3 = m(m+1)(m+2)/6
     metric: np.ndarray       # (..., m, m) induced first fundamental form
     scale: np.ndarray        # (...)
-    signature: Signature | list
+    counts: tuple            # metric signature (neg, pos, null), each (...)
 
     @property
     def m(self) -> int:
@@ -94,35 +94,32 @@ class Frame:
         H = np.einsum("...p,...pn->...n", weights, h) / self.m
         return gamma, h, H
 
+    @property
+    def signature(self) -> Signature | list:
+        """The metric's Signature, or a list of one per point of a stack."""
+        return B.signatures(self.counts)
+
     @functools.cached_property
+    def branches(self) -> dict:
+        """The indices of the points on each branch (degenerate, metric
+        vanishes) of a stack; None for the one branch all points share."""
+        null = np.ravel(self.counts[2])
+        kinds = {(n > 0, n == self.m) for n in set(null.tolist())}
+        return {(d, v): None if len(kinds) == 1 else np.flatnonzero(
+            ((null > 0) == d) & ((null == self.m) == v)) for d, v in kinds}
+
+    @property
     def branch(self) -> tuple[bool, bool]:
         """(degenerate, metric vanishes), shared by every point."""
-        sigs = self.signature if isinstance(self.signature, list) \
-            else [self.signature]
-        kinds = {_branch(s) for s in sigs}
-        if len(kinds) != 1:
+        if len(self.branches) != 1:
             raise InputError("frame mixes metric branches; split it first")
-        return kinds.pop()
+        return next(iter(self.branches))
 
-    def branches(self) -> list:
-        """(indices, frame) for each branch among the points of a stacked
-        frame; the frame itself when every point shares one."""
-        groups: dict = {}
-        for k, sig in enumerate(self.signature):
-            groups.setdefault(_branch(sig), []).append(k)
-        if len(groups) == 1:
-            return [(list(range(len(self.signature))), self)]
-        return [(idx, self._take(idx)) for idx in groups.values()]
-
-    def _take(self, idx: list) -> "Frame":
+    def take(self, idx: np.ndarray) -> "Frame":
         return Frame(self.ambient, self.point[idx], self.value[idx],
                      self.jac[idx], self.second[idx], self.walked_third[idx],
                      self.metric[idx], self.scale[idx],
-                     [self.signature[k] for k in idx])
-
-
-def _branch(sig: Signature) -> tuple[bool, bool]:
-    return sig.degenerate, sig.null == sig.dim
+                     tuple(c[idx] for c in self.counts))
 
 
 def walk_jets(chart: ImmersionChart, points) -> tuple:
@@ -165,8 +162,8 @@ def assemble_frame(ambient: AmbientSpace, points, arrays,
     D = _off_position(ambient, val, np.swapaxes(hess, -1, -2))
     scale = np.maximum(1.0, np.maximum(np.abs(D).max(axis=(-2, -1)),
                                        np.abs(g).max(axis=(-2, -1))))
-    sig = B.signature_of(g, tol_zero)
-    return Frame(ambient, points, val, jac, D, third, g, scale, sig)
+    counts = B.signature_counts(g, tol_zero)
+    return Frame(ambient, points, val, jac, D, third, g, scale, counts)
 
 
 def build_frame(chart: ImmersionChart, points, *,
@@ -251,7 +248,7 @@ def umbilicity_data(fr: Frame) -> UmbilicityData:
         _, h, H = fr.tensors
         geo = _enorm(h, 1)
         umb = _enorm(h - g[..., None] * H[..., None, :], 1)
-        h_norm = np.sum((H @ fr.ambient.metric()) * H, axis=-1)
+        h_norm = ((H @ fr.ambient.metric()) * H).sum(-1)
         return UmbilicityData(umb / fr.scale, geo / fr.scale, H, h_norm,
                               B.numerical_rank(h))
 
@@ -317,32 +314,53 @@ class PointReport:
         }
 
 
-def point_reports(fr: Frame, tol_zero: float) -> list[PointReport]:
-    """Full pointwise reports from a stacked frame built at `tol_zero`.
-
-    The points are split by the branch of their own metric signature, and
-    each branch is computed for all of its points at once.
-    """
-    reports: list = [None] * len(fr.signature)
-    for idx, sub in fr.branches():
-        degenerate = sub.branch[0]
+def point_table(fr: Frame, tol_zero: float) -> dict:
+    """The pointwise results on a stacked frame built at `tol_zero`, as
+    columns named and ordered as the `PointReport` fields they fill: each
+    residual (P,) and the mean curvature (P, N), NaN where a point's
+    branch leaves them undefined, and the first normal ranks (P,).  Each
+    branch is computed for all of its points at once; a one-branch frame
+    gives its own arrays."""
+    table: dict = {}
+    for (degenerate, _), idx in fr.branches.items():
+        sub = fr if idx is None else fr.take(idx)
         data = umbilicity_data(sub)
         H = data.mean_curvature
-        minimal = None if H is None else _enorm(H)
-        par = None if degenerate else parallelism_residual(sub)
-        rad = _radical_last_var(sub, tol_zero) if degenerate else None
-        for n, k in enumerate(idx):
-            sig = sub.signature[n]
-            reports[k] = PointReport(
-                sub.point[n], sub.metric[n], sig, sig.null,
-                float(data.umbilicity_residual[n]),
-                float(data.geodesic_residual[n]),
-                None if H is None else H[n],
-                None if H is None else float(data.h_norm[n]),
-                None if H is None else float(minimal[n]),
-                None if par is None else float(par[n]),
-                int(data.first_normal_rank[n]),
-                None if rad is None else float(rad[n]))
+        # one read-only column for the residuals the branch leaves undefined
+        nan = np.full(sub.scale.shape, np.nan)
+        nan.setflags(write=False)
+        rad = _radical_last_var(sub, tol_zero) if degenerate else nan
+        cols = dict(
+            umbilicity_residual=data.umbilicity_residual,
+            geodesic_residual=data.geodesic_residual,
+            mean_curvature=(np.full(sub.value.shape, np.nan) if H is None
+                            else H),
+            h_norm=nan if H is None else data.h_norm,
+            minimal_residual=nan if H is None else _enorm(H),
+            parallel_residual=nan if degenerate else parallelism_residual(sub),
+            first_normal_rank=data.first_normal_rank,
+            radical_last_var_residual=rad)
+        if idx is None:
+            return cols
+        for name, col in cols.items():
+            table.setdefault(name, np.empty(
+                (len(fr.point),) + col.shape[1:], col.dtype))[idx] = col
+    return table
+
+
+def point_reports(fr: Frame, tol_zero: float) -> list[PointReport]:
+    """The rows of `point_table(fr, tol_zero)`, None where undefined."""
+    table = point_table(fr, tol_zero)
+    H = table.pop("mean_curvature")
+    umb, geo, h, minimal, par, rank, rad = (v.tolist() for v in table.values())
+    reports = []
+    for k, sig in enumerate(fr.signature):
+        nondeg = not sig.degenerate
+        reports.append(PointReport(
+            fr.point[k], fr.metric[k], sig, sig.null, umb[k], geo[k],
+            H[k] if nondeg else None, h[k] if nondeg else None,
+            minimal[k] if nondeg else None, par[k] if nondeg else None,
+            rank[k], None if nondeg else rad[k]))
     return reports
 
 
@@ -387,7 +405,7 @@ def hull_size(ambient: AmbientSpace) -> int:
 
 def hull_sample(chart: ImmersionChart, seed: int = 42) -> np.ndarray:
     """The image points sampled for the hull and fullness."""
-    return chart.sample_values(hull_size(chart.ambient), seed)
+    return chart.value(chart.sample_points(hull_size(chart.ambient), seed))
 
 
 def reduction_report(chart: ImmersionChart, seed: int = 42,
@@ -488,23 +506,17 @@ class FamilyVerdict:
         return "discrepancy-noted" if self.discrepancies else "pass"
 
 
-# each residual of a point report, by the name a failure gives it
+# each residual column of a point table, by the name a failure gives it
 _RESIDUALS = {"umbilicity": "umbilicity_residual",
               "geodesic": "geodesic_residual", "h_norm": "h_norm",
               "minimal": "minimal_residual", "parallel": "parallel_residual",
               "radical_last_var": "radical_last_var_residual"}
 
 
-def residual_columns(reports: list[PointReport]) -> dict:
-    """Each residual over the reports that define it, as a float array."""
-    return {name: np.array([getattr(r, a) for r in reports
-                            if getattr(r, a) is not None], dtype=float)
-            for name, a in _RESIDUALS.items()}
-
-
-def non_finite(residuals: dict) -> list[str]:
+def non_finite(reports: list[PointReport]) -> list[str]:
     """Names of the residuals with a value that is not finite (NaN too)."""
-    return [k for k, v in residuals.items() if not np.all(np.isfinite(v))]
+    return [k for k, a in _RESIDUALS.items() if not all(
+        math.isfinite(v) for r in reports if (v := getattr(r, a)) is not None)]
 
 
 def _fd_cross_check(ambient: AmbientSpace, values, jac, hess, sigs,
@@ -519,7 +531,8 @@ def _fd_cross_check(ambient: AmbientSpace, values, jac, hess, sigs,
     d1 = np.max(np.abs(jac - fjac), axis=(-2, -1)).tolist()
     d2 = np.max(np.abs(hess - fhess), axis=(-2, -1)).tolist()
     g_fd = np.swapaxes(fjac, -1, -2) @ ambient.metric() @ fjac
-    sig_fd = B.signature_of(0.5 * (g_fd + np.swapaxes(g_fd, -1, -2)), tol_zero)
+    sig_fd = np.stack(B.signature_counts(
+        0.5 * (g_fd + np.swapaxes(g_fd, -1, -2)), tol_zero), -1).tolist()
     out = []
     for a, b, sig_jet, sig in zip(d1, d2, sigs, sig_fd):
         failures = []
@@ -530,8 +543,8 @@ def _fd_cross_check(ambient: AmbientSpace, values, jac, hess, sigs,
         if sig_jet != sig:
             failures.append(
                 f"metric signature unstable under the oracle cross-check at "
-                f"tol_zero={tol_zero:g}: jets {sig_jet.as_tuple()} vs "
-                f"finite differences {sig.as_tuple()}")
+                f"tol_zero={tol_zero:g}: jets {tuple(sig_jet)} vs "
+                f"finite differences {tuple(sig)}")
         out.append(failures)
     return out
 
@@ -566,18 +579,46 @@ def verify_families(jobs, *, samples: int = 5, seed: int = 42,
 
 
 def _verify_group(records, samples, tol, tol_zero) -> list[FamilyVerdict]:
-    """One frame, one report pass and one tail pass for the walked records
+    """One frame, one point table and one tail pass for the walked records
     of one group, then each record's verdict from its own rows."""
     ids, params, charts, expected, drawn, walked = zip(*records)
     ambient, R = charts[0].ambient, len(records)
     stack = [np.concatenate(a) for a in zip(*walked)]
+    off = ambient_residual(ambient, stack[0].reshape(R, samples, -1))
     # a residual that overflows is not finite, and fails when judged
     with np.errstate(over="ignore", invalid="ignore"):
         fr = assemble_frame(ambient, np.concatenate(
             [d[:samples] for d in drawn]), stack, tol_zero)
-        reports = point_reports(fr, tol_zero)
-    reports = [reports[k * samples:(k + 1) * samples] for k in range(R)]
-    off = ambient_residual(ambient, stack[0].reshape(R, samples, -1))
+        table = point_table(fr, tol_zero)
+        # what `_judge` reads, one reduction per field over the (R, S) table;
+        # a max keeps a NaN; h_norm, minimal and parallel are defined where
+        # the metric is non-degenerate, radical_last_var elsewhere
+        col = {k: table[a].reshape(R, -1) for k, a in _RESIDUALS.items()}
+        neg, pos, null = (c.reshape(R, -1) for c in fr.counts)
+        nondeg = null == 0
+        where = dict(umbilicity=np.True_, geodesic=np.True_, h_norm=nondeg,
+                     minimal=nondeg, parallel=nondeg, radical_last_var=~nondeg)
+        st = {k: c.max(1, where=where[k], initial=-np.inf)
+              for k, c in col.items()}
+        h = col["h_norm"]
+        median = np.median(h, axis=1)
+        for k in np.flatnonzero(nondeg.any(1) & ~nondeg.all(1)):
+            median[k] = np.median(h[k][nondeg[k]])
+        st.update(
+            non_finite=np.stack([~(np.isfinite(c) | ~where[k]).all(1)
+                                 for k, c in col.items()]
+                                + [~np.isfinite(off)], 1),
+            h_median=median,
+            h_spread=st["h_norm"] - h.min(1, where=nondeg, initial=np.inf),
+            marginally_trapped=np.all(
+                ~nondeg | ((col["minimal"] > tol) & (np.abs(h) <= tol)), 1),
+            ranks=(null[..., None] == np.arange(null.max() + 1)).any(1),
+            first_normal_rank=table["first_normal_rank"].reshape(R, -1).max(1),
+            metric_signature=np.stack([neg[:, 0], pos[:, 0], null[:, 0]], 1),
+            off=off)
+    fd_sigs = st["metric_signature"].tolist()
+    stats = [dict(zip(st, row)) for row in zip(*(v.tolist()
+                                                 for v in st.values()))]
     # one value walk per record: its hull sample Y[k], when one is judged,
     # then the FD stencil around its first point
     K = hull_size(ambient)
@@ -592,12 +633,11 @@ def _verify_group(records, samples, tol, tol_zero) -> list[FamilyVerdict]:
         Y[k, :rows] = v[:rows]
         F.append(v[rows:])
     fd = _fd_cross_check(ambient, np.stack(F), stack[1][::samples],
-                         stack[2][::samples],
-                         [r[0].metric_signature for r in reports], tol_zero)
+                         stack[2][::samples], fd_sigs, tol_zero)
     fulls = dict(zip(full, fullness(charts[0], tol=tol, sample=Y[full])))
     reds = dict(zip(hull, reduction_report(charts[0], tol=tol,
                                            tol_zero=tol_zero, sample=Y[hull])))
-    return [_judge(ids[k], params[k], expected[k], reports[k], off[k], fd[k],
+    return [_judge(ids[k], params[k], expected[k], stats[k], fd[k],
                    fulls.get(k), reds.get(k), tol=tol) for k in range(R)]
 
 
@@ -641,37 +681,35 @@ def _check_residual(verdict, name, value, vanishes: bool, tol: float):
             f"required gap {CONTROL_GAP}")
 
 
-def _judge(family_id, params, expected, reports, off, fd_failures, full,
-           red, *, tol) -> FamilyVerdict:
-    """The verdict on one record from its point reports and its checked
-    tail: the ambient residual `off` of its walked image points, the
+def _judge(family_id, params, expected, st, fd_failures, full, red, *,
+           tol) -> FamilyVerdict:
+    """The verdict on one record from the reductions `st` of its rows of
+    its group's point table (see `_verify_group`) and its checked tail: the
     failures of the finite-difference oracle at its first point, and the
     fullness and hull reduction of its image sample (None when the catalog
     asserts neither).  Expected-vs-computed disagreements listed in the
     entry's discrepancy allowance are reported, not failed.
     """
     verdict = FamilyVerdict(family_id, params)
-    residuals = residual_columns(reports)
-    # np.max keeps a NaN wherever it occurs; any non-finite residual fails
-    umb = float(np.max(residuals["umbilicity"]))
-    geo = float(np.max(residuals["geodesic"]))
-    bad = non_finite({**residuals, "ambient": off})
+    umb, geo = st["umbilicity"], st["geodesic"]
+    bad = [name for name, b in zip([*_RESIDUALS, "ambient"],
+                                   st["non_finite"]) if b]
     if bad:
         verdict.failures.append(f"non-finite residuals: {', '.join(bad)}")
-    ranks = sorted({r.radical_rank for r in reports})
-    rank = ranks[-1]
+    ranks = [r for r, seen in enumerate(st["ranks"]) if seen]
+    rank, nondeg = ranks[-1], ranks[0] == 0
     verdict.summary.update({
         "umbilicity_residual": umb,
         "geodesic_residual": geo,
         "radical_rank": rank,
-        "metric_signature": reports[0].metric_signature.as_tuple(),
-        "first_normal_rank": max(r.first_normal_rank for r in reports),
+        "metric_signature": tuple(st["metric_signature"]),
+        "first_normal_rank": st["first_normal_rank"],
     })
     if len(ranks) > 1:
         verdict.failures.append(f"radical rank varies over samples: {ranks}")
-    if off > tol:
-        verdict.failures.append(
-            f"image off its space form: ambient residual {off:.3e} > {tol}")
+    if st["off"] > tol:
+        verdict.failures.append(f"image off its space form: ambient "
+                                f"residual {st['off']:.3e} > {tol}")
     _check(verdict, "radical_rank", rank, expected.radical_rank,
            expected.allows("radical_rank", rank))
     _check_residual(verdict, "umbilicity", umb, expected.totally_umbilical,
@@ -680,14 +718,12 @@ def _judge(family_id, params, expected, reports, off, fd_failures, full,
 
     # mean curvature invariants (points with a non-degenerate metric only);
     # with none, minimality is asserted through geodesy
-    h_norms = residuals["h_norm"]
-    if h_norms.size:
-        spread = float(np.max(h_norms) - np.min(h_norms))
-        h_norm = float(np.median(h_norms))
+    if nondeg:
+        h_norm = st["h_median"]
         verdict.summary["h_norm"] = h_norm
-        if expected.totally_umbilical and spread > H_NORM_TOL:
-            verdict.failures.append(
-                f"mean curvature norm varies over samples by {spread:.3e}")
+        if expected.totally_umbilical and st["h_spread"] > H_NORM_TOL:
+            verdict.failures.append(f"mean curvature norm varies over "
+                                    f"samples by {st['h_spread']:.3e}")
         _check(verdict, "h_norm", h_norm, expected.h_norm)
         if expected.h_norm_range is not None:
             lo, hi = expected.h_norm_range
@@ -695,28 +731,26 @@ def _judge(family_id, params, expected, reports, off, fd_failures, full,
             if h_norm <= lo or h_norm >= hi:
                 verdict.failures.append(
                     f"h_norm {h_norm!r} outside the open range ({lo}, {hi})")
-    minimal = np.max(residuals["minimal"]) if h_norms.size else geo
-    _check(verdict, "minimal", bool(minimal <= tol), expected.minimal)
-    if h_norms.size:
-        _check(verdict, "marginally_trapped",
-               all(r.flags(tol)["marginally_trapped"] for r in reports
-                   if r.h_norm is not None), expected.marginally_trapped)
+    minimal = st["minimal"] if nondeg else geo
+    _check(verdict, "minimal", minimal <= tol, expected.minimal)
+    if nondeg:
+        _check(verdict, "marginally_trapped", st["marginally_trapped"],
+               expected.marginally_trapped)
 
-    if residuals["parallel"].size and expected.parallel is not None:
-        par = float(np.max(residuals["parallel"]))
-        verdict.summary["parallel_residual"] = par
-        _check_residual(verdict, "parallelism", par, expected.parallel, tol)
+    if nondeg and expected.parallel is not None:
+        verdict.summary["parallel_residual"] = st["parallel"]
+        _check_residual(verdict, "parallelism", st["parallel"],
+                        expected.parallel, tol)
 
     if expected.radical_contains_last_var:
-        rads = residuals["radical_last_var"]
-        if not rads.size:
+        if not rank:
             verdict.failures.append(
                 "radical asserted to contain the last chart direction but "
                 "the metric is non-degenerate")
-        elif np.max(rads) > tol:
+        elif st["radical_last_var"] > tol:
             verdict.failures.append(
                 f"last chart direction is not in the metric radical "
-                f"(residual {np.max(rads):.3e})")
+                f"(residual {st['radical_last_var']:.3e})")
 
     if full is not None:
         verdict.summary["full"] = full[0]

@@ -61,8 +61,8 @@ class SymmetricForm:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
             raise InputError(f"form must be square, got shape {a.shape}")
-        if np.max(np.abs(a - np.swapaxes(a, -1, -2)),
-                  initial=0.0) > SYMMETRY_TOL:
+        if np.abs(a - np.swapaxes(a, -1, -2)).max(
+                initial=0.0) > SYMMETRY_TOL:
             raise InputError("form is not symmetric to within 1e-14")
         object.__setattr__(self, "entries", a)
 
@@ -89,23 +89,31 @@ def gram_matrix(vectors: np.ndarray, sig: Signature) -> np.ndarray:
     return (vectors * sig.weights()) @ vectors.T
 
 
-def signature_of(form: SymmetricForm | np.ndarray,
-                 tol_zero: float = DEFAULT_ZERO_TOL):
-    """Count eigenvalues below -tol_zero / above +tol_zero / in between.
-
-    A (P, n, n) stack gives a list with one Signature per matrix.
-    """
+def signature_counts(form: SymmetricForm | np.ndarray,
+                     tol_zero: float = DEFAULT_ZERO_TOL) -> tuple:
+    """Counts (neg, pos, null) of eigenvalues below -tol_zero / above
+    +tol_zero / in between, integer arrays over a (..., n, n) stack."""
     if not 0 < tol_zero < np.inf:
         raise InputError("tol_zero must be positive and finite")
     if not isinstance(form, SymmetricForm):
         form = SymmetricForm(form)
     eig = np.linalg.eigvalsh(form.entries)
-    neg = np.sum(eig < -tol_zero, axis=-1).tolist()
-    pos = np.sum(eig > tol_zero, axis=-1).tolist()
-    n = form.dim
-    if eig.ndim == 1:
-        return Signature(neg, pos, n - neg - pos)
-    return [Signature(a, b, n - a - b) for a, b in zip(neg, pos)]
+    neg = (eig < -tol_zero).sum(-1)
+    pos = (eig > tol_zero).sum(-1)
+    return neg, pos, form.dim - neg - pos
+
+
+def signatures(counts: tuple):
+    """The Signature of (neg, pos, null) counts; a list over a stack."""
+    neg, pos, null = (c.tolist() for c in counts)
+    return (Signature(neg, pos, null) if isinstance(neg, int)
+            else list(map(Signature, neg, pos, null)))
+
+
+def signature_of(form: SymmetricForm | np.ndarray,
+                 tol_zero: float = DEFAULT_ZERO_TOL):
+    """Signature by `signature_counts`; a list over a (P, n, n) stack."""
+    return signatures(signature_counts(form, tol_zero))
 
 
 def radical(forms: np.ndarray,
@@ -120,7 +128,7 @@ def radical(forms: np.ndarray,
 def _rank(s: np.ndarray, tol: float):
     """Count of singular values (descending, along the last axis) above
     tol * max(1, s_max); 0 when they all vanish."""
-    return np.sum(s > tol * np.maximum(1.0, s[..., :1]), axis=-1)
+    return (s > tol * np.maximum(1.0, s[..., :1])).sum(-1)
 
 
 def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL):

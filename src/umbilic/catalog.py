@@ -89,6 +89,19 @@ def _integer(params: dict, key: str) -> int:
     return int(value)
 
 
+# the most order-3 jet entries a chart may need at one point: its flat
+# dimension (at least m + 1) times m(m+1)(m+2)/6; m = 64 needs about 3.0M
+MAX_JET_ENTRIES = 4_000_000
+
+
+def _dimension(params: dict, key: str) -> int:
+    """An integer chart dimension, refused above MAX_JET_ENTRIES."""
+    m = _integer(params, key)
+    _require(m < 1 or (m + 1) ** 2 * m * (m + 2) <= 6 * MAX_JET_ENTRIES,
+             f"{key}={m}: jets beyond {MAX_JET_ENTRIES} entries per point")
+    return m
+
+
 def _ball_box(k: int, radius: float) -> list:
     hw = radius / (2.0 * math.sqrt(k))
     return [[-hw, hw]] * k
@@ -134,7 +147,7 @@ def _ms(params, lift: int = 0, cone: bool = False) -> tuple[int, int]:
     A cone factor needs a positive direction, so its index stays below its
     dimension.  Messages name the m and s that were passed.
     """
-    m, s = _integer(params, "m"), _integer(params, "s")
+    m, s = _dimension(params, "m"), _integer(params, "s")
     k = m - lift
     _require(k >= 1, f"m={m}: need m >= {1 + lift}")
     _require(0 <= s <= k - cone,
@@ -339,7 +352,7 @@ def _s_example(p):
 
 
 def _s_theta(p):
-    m = _integer(p, "m")
+    m = _dimension(p, "m")
     _require(m >= 1, "m must be >= 1")
     theta = float(p["theta"])
     ct, st = math.cos(theta), math.sin(theta)
@@ -358,7 +371,7 @@ def _s_theta(p):
 
 
 def _flat_lightcone(p):
-    n, s = _integer(p, "n"), _integer(p, "s")
+    n, s = _dimension(p, "n"), _integer(p, "s")
     _require(n >= 2 and 0 <= s <= n - 1, "need n >= 2 and 0 <= s <= n-1")
     return ExprChart(lambda u: _cone(u, s), n, AmbientSpace.flat(n + 1, s + 1),
                      _cone_box(n, s), "lightcone-L")

@@ -105,13 +105,17 @@ class ImmersionChart:
         return tuple(out) + (None,) * (3 - order)
 
     def sample_points(self, count: int, seed: int = 42) -> np.ndarray:
-        """Seeded uniform draws in the chart box (rows are points)."""
-        rng = np.random.default_rng(seed)
+        """Seeded draws lo + (hi - lo) U in the chart box, U a `unit_draw`."""
         lo, hi = self.box[:, 0], self.box[:, 1]
-        return rng.uniform(lo, hi, size=(count, self.nvars))
+        return lo + (hi - lo) * unit_draw(seed, count, self.nvars)
 
-    def sample_values(self, count: int, seed: int = 42) -> np.ndarray:
-        return self.value(self.sample_points(count, seed))
+
+@functools.lru_cache(maxsize=32)
+def unit_draw(seed: int, count: int, m: int) -> np.ndarray:
+    """`default_rng(seed).random((count, m))`, kept read-only for reuse."""
+    U = np.random.default_rng(seed).random((count, m))
+    U.setflags(write=False)
+    return U
 
 
 class ExprChart(ImmersionChart):

@@ -17,7 +17,7 @@ import numpy as np
 from . import catalog
 from .analysis import (DEFAULT_TOL, DEFAULT_ZERO_TOL, analyze_point,
                        analyze_points, fullness, hull_sample, non_finite,
-                       reduction_report, residual_columns, verify_families)
+                       reduction_report, verify_families)
 from .congruence import moduli_demo
 from .errors import DomainError, InputError
 
@@ -128,7 +128,7 @@ def cmd_analyze(args) -> int:
             for p in points:
                 analyze_point(chart, p, tol_zero=args.tol_zero)
             raise
-    bad = non_finite(residual_columns(reports))
+    bad = non_finite(reports)
     if bad:
         raise DomainError(f"non-finite residuals: {', '.join(bad)}")
     point_payloads = []
@@ -320,7 +320,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (UsageError, InputError) as err:
+    # MemoryError: numpy refuses an out-of-range request, e.g. 10**15 samples
+    except (UsageError, InputError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (DomainError, ArithmeticError) as err:

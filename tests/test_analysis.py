@@ -335,14 +335,14 @@ class TestVerifyFamily:
     def test_nan_residual_fails(self, monkeypatch, fid, field):
         # a NaN in the middle of the sample must not be dropped by max()
         # nor pass a comparison
-        batch = analysis.point_reports
+        batch = analysis.point_table
 
         def with_nan(*args, **kwargs):
-            reports = batch(*args, **kwargs)
-            setattr(reports[2], field, float("nan"))
-            return reports
+            table = batch(*args, **kwargs)
+            table[field][2] = float("nan")
+            return table
 
-        monkeypatch.setattr(analysis, "point_reports", with_nan)
+        monkeypatch.setattr(analysis, "point_table", with_nan)
         verdict = verify_family(fid)
         assert verdict.ok is False
         assert any("non-finite residuals" in f for f in verdict.failures)
@@ -350,22 +350,22 @@ class TestVerifyFamily:
 
 def _judged(monkeypatch, fid, **changes):
     """`verify_family(fid)` against the catalog's expectation with `changes`
-    made, and the point reports it judged."""
+    made, and the point table it judged."""
     spec = get_family(fid)
     expect = spec.expect
     monkeypatch.setattr(spec, "expect",
                         lambda p: dataclasses.replace(expect(p), **changes))
     seen = []
-    batch = analysis.point_reports
+    batch = analysis.point_table
 
     def captured(*args, **kwargs):
         seen.append(batch(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(analysis, "point_reports", captured)
+    monkeypatch.setattr(analysis, "point_table", captured)
     verdict = verify_family(fid)
-    (reports,) = seen
-    return verdict, reports
+    (table,) = seen
+    return verdict, table
 
 
 class TestJudge:
@@ -418,18 +418,18 @@ class TestJudge:
 
     def test_last_direction_off_the_radical(self, monkeypatch):
         # the lightcone's radical is its radial direction
-        verdict, reports = _judged(monkeypatch, "light1-5",
-                                   radical_contains_last_var=True)
-        worst = max(r.radical_last_var_residual for r in reports)
+        verdict, table = _judged(monkeypatch, "light1-5",
+                                 radical_contains_last_var=True)
+        worst = max(table["radical_last_var_residual"])
         assert worst > 0.9
         assert verdict.failures == [
             f"last chart direction is not in the metric radical "
             f"(residual {worst:.3e})"]
 
     def test_mean_curvature_spread(self, monkeypatch):
-        verdict, reports = _judged(monkeypatch, "cubic-graph-control",
-                                   totally_umbilical=True)
-        h = [r.h_norm for r in reports]
+        verdict, table = _judged(monkeypatch, "cubic-graph-control",
+                                 totally_umbilical=True)
+        h = table["h_norm"]
         assert verdict.failures == [
             f"umbilicity residual "
             f"{verdict.summary['umbilicity_residual']:.3e} > 1e-07",
@@ -445,14 +445,14 @@ class TestJudge:
         # a NaN h_norm adds no range or value line of its own
         ("h_norm", float("nan"), ["non-finite residuals: h_norm"])])
     def test_non_finite_residual(self, monkeypatch, field, value, failures):
-        batch = analysis.point_reports
+        batch = analysis.point_table
 
         def with_value(*args, **kwargs):
-            reports = batch(*args, **kwargs)
-            setattr(reports[2], field, value)
-            return reports
+            table = batch(*args, **kwargs)
+            table[field][2] = value
+            return table
 
-        monkeypatch.setattr(analysis, "point_reports", with_value)
+        monkeypatch.setattr(analysis, "point_table", with_value)
         assert verify_family("main1-3").failures == failures
 
     def test_fd_disagreement(self, monkeypatch):
@@ -509,22 +509,42 @@ class TestVerifyFamilies:
             ch = get_family(fid).build(params)
             shapes.add((ch.nvars, ch.ambient))
         assert len(shapes) == 16
-        calls = {"point_reports": 0, "jet_arrays": 0}
-        point_reports = analysis.point_reports
+        calls = {"point_table": 0, "jet_arrays": 0}
+        point_table = analysis.point_table
         jet_arrays = ImmersionChart.jet_arrays
 
-        def reports(*args, **kwargs):
-            calls["point_reports"] += 1
-            return point_reports(*args, **kwargs)
+        def table(*args, **kwargs):
+            calls["point_table"] += 1
+            return point_table(*args, **kwargs)
 
         def walk(self, *args, **kwargs):
             calls["jet_arrays"] += 1
             return jet_arrays(self, *args, **kwargs)
 
-        monkeypatch.setattr(analysis, "point_reports", reports)
+        monkeypatch.setattr(analysis, "point_table", table)
         monkeypatch.setattr(ImmersionChart, "jet_arrays", walk)
         verify_families(jobs, samples=16, seed=42)
-        assert calls == {"point_reports": 16, "jet_arrays": 92}
+        assert calls == {"point_table": 16, "jet_arrays": 92}
+
+    def test_no_object_per_point(self, monkeypatch):
+        # the verifier judges columns: no PointReport, and the Signatures
+        # it makes do not grow with the number of sample points
+        made = {"PointReport": 0, "Signature": 0}
+        for cls in (analysis.PointReport, Signature):
+            def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                made[_cls.__name__] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        jobs = instances(42)
+        verify_families(jobs, samples=5, seed=42)  # fills the lazy caches
+        counts = []
+        for samples in (5, 16):
+            made.update(PointReport=0, Signature=0)
+            verify_families(jobs, samples=samples, seed=42)
+            counts.append(dict(made))
+        assert counts[0] == counts[1]
+        assert counts[1]["PointReport"] == 0
+        assert counts[1]["Signature"] < 16 * len(jobs)
 
     def test_walk_error_is_the_single_record_error(self, monkeypatch):
         # the chart box leaves the sphere chart's disc, so the walk fails

@@ -95,6 +95,26 @@ class TestParameterValidation:
         with pytest.raises(DomainError, match="family 'main1-4'"):
             instantiate("main1-4", {"r": 1e155})
 
+    @pytest.mark.parametrize("fid, key, m", [
+        ("main1-3", "m", 400), ("main1-3", "m", 10**9), ("light1-2", "m", 400),
+        ("S-theta", "m", 10**9), ("lightcone-L", "n", 400)])
+    def test_oversize_dimension_refused_before_anything_is_built(
+            self, monkeypatch, fid, key, m):
+        # an m = 400 walk would need about 138 GB; the guard comes first
+        def built(*args, **kwargs):
+            raise AssertionError("built before the guard")
+
+        for name in ("_ball_box", "_cone_box", "ExprChart"):
+            monkeypatch.setattr(catalog, name, built)
+        with pytest.raises(InputError, match=f"^{key}={m}: jets beyond"):
+            instantiate(fid, {key: m})
+
+    def test_largest_dimensions_accepted(self):
+        assert instantiate("main1-3", {"m": 64}).nvars == 64
+        assert instantiate("main1-3", {"m": 68}).nvars == 68
+        with pytest.raises(InputError, match="^m=69: "):
+            instantiate("main1-3", {"m": 69})
+
     def test_interior_values_accepted(self):
         instantiate("main1-3", {"r": 0.999})
         instantiate("main1-4", {"r": 1.001})

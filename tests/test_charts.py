@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from umbilic import jets as J
 from umbilic.bilinear import random_pseudo_orthogonal
-from umbilic.catalog import family_ids, instantiate
+from umbilic.catalog import family_ids, instances, instantiate
 from umbilic.charts import (AmbientSpace, ExprChart, ambient_residual,
                             compose, fd_jet_arrays, linear_chart,
-                            transform_chart)
+                            transform_chart, unit_draw)
 from umbilic.errors import DomainError, InputError
 
 
@@ -123,6 +123,21 @@ class TestExprChart:
         k = data.draw(st.integers(0, size))
         assert np.array_equal(ch.sample_points(k, seed),
                               ch.sample_points(size, seed)[:k])
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_draw_is_numpys_uniform_on_a_shared_unit_draw(self, seed):
+        # every record verify-all checks draws as uniform(lo, hi) would,
+        # from one read-only draw per (seed, count, m)
+        for fid, params in instances(seed):
+            chart = instantiate(fid, params)
+            lo, hi = chart.box[:, 0], chart.box[:, 1]
+            for count in (16, 40):
+                want = np.random.default_rng(seed).uniform(
+                    lo, hi, (count, chart.nvars))
+                assert np.array_equal(chart.sample_points(count, seed), want)
+                U = unit_draw(seed, count, chart.nvars)
+                assert not U.flags.writeable
+                assert unit_draw(seed, count, chart.nvars) is U
 
     def test_box_respected(self):
         ch = _unit_sphere_chart()

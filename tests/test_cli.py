@@ -51,6 +51,23 @@ class TestUsageErrors:
         code, _, err = run(["verify-all", "--tol", "0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--family", "main1-3"], ["verify-all"]])
+    def test_request_beyond_memory(self, capsys, command):
+        # 10**15 points are beyond the address space: numpy refuses the
+        # allocation at once, and nothing is allocated
+        code, out, err = run(command + ["--samples", str(10**15)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("m", [400, 10**9])
+    def test_oversize_dimension(self, capsys, m):
+        code, out, err = run(["analyze", "--family", "main1-3",
+                              "--param", f"m={m}"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: m={m}: ")
+
     def test_wrong_point_arity(self, capsys):
         code, _, err = run(
             ["analyze", "--family", "main1-5", "--point", "0"], capsys)
@@ -96,19 +113,19 @@ class TestVerifyAll:
     def test_non_finite_summary_is_null(self, capsys, monkeypatch):
         # inf in one group's first record, NaN in the next: both must be
         # null, since JSON has no Infinity or NaN
-        batch = analysis.point_reports
+        batch = analysis.point_table
         values = [float("inf"), float("nan")]
 
         def with_non_finite(*args, **kwargs):
-            reports = batch(*args, **kwargs)
+            table = batch(*args, **kwargs)
             if values:
-                reports[0].umbilicity_residual = values.pop(0)
-            return reports
+                table["umbilicity_residual"][0] = values.pop(0)
+            return table
 
         def no_constant(name):
             raise ValueError(f"{name} is not JSON")
 
-        monkeypatch.setattr(analysis, "point_reports", with_non_finite)
+        monkeypatch.setattr(analysis, "point_table", with_non_finite)
         code, out, _ = run(["verify-all", "--json", "-"], capsys)
         assert code == 1
         records = json.loads(out[out.index("\n{") + 1:],
