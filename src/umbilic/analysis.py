@@ -220,19 +220,10 @@ def parallelism_residual(fr: Frame):
 # Degenerate (quotient) branch
 # ---------------------------------------------------------------------------
 
-@dataclass
-class UmbilicityData:
-    """Pointwise residuals; arrays with a leading point axis for a stack."""
-
-    umbilicity_residual: float
-    geodesic_residual: float
-    mean_curvature: np.ndarray | None   # ambient vector, None when degenerate
-    h_norm: float | None
-    first_normal_rank: int
-
-
-def umbilicity_data(fr: Frame) -> UmbilicityData:
-    """Umbilicity and geodesy residuals, mean curvature when defined.
+def umbilicity_data(fr: Frame) -> dict:
+    """Umbilicity and geodesy residuals and first normal ranks, as point
+    table columns; on a non-degenerate metric also the mean curvature H,
+    its squared norm h_norm and its minimality residual |H|.
 
     Non-degenerate metric: residuals of h_ij - g_ij H and of h_ij itself.
     Degenerate metric: the same residuals for the classes of the second
@@ -240,7 +231,6 @@ def umbilicity_data(fr: Frame) -> UmbilicityData:
     pivot; each class is represented by its part off the tangent span, so
     no choice of representative enters.
     """
-    lead = fr.metric.shape[:-2]
     i, j = J.packed_indices(fr.m, 2)
     g = fr.metric[..., i, j]
     degenerate, vanishes = fr.branch
@@ -248,24 +238,27 @@ def umbilicity_data(fr: Frame) -> UmbilicityData:
         _, h, H = fr.tensors
         geo = _enorm(h, 1)
         umb = _enorm(h - g[..., None] * H[..., None, :], 1)
-        h_norm = ((H @ fr.ambient.metric()) * H).sum(-1)
-        return UmbilicityData(umb / fr.scale, geo / fr.scale, H, h_norm,
-                              B.numerical_rank(h))
+        return dict(umbilicity_residual=umb / fr.scale,
+                    geodesic_residual=geo / fr.scale, mean_curvature=H,
+                    h_norm=((H @ fr.ambient.metric()) * H).sum(-1),
+                    minimal_residual=_enorm(H),
+                    first_normal_rank=B.numerical_rank(h))
 
     # rows span the tangent space
     basis = B.row_space_bases(np.swapaxes(fr.jac, -1, -2))
     classes = fr.second - (fr.second @ np.swapaxes(basis, -1, -2)) @ basis
     geo = _enorm(classes, 1)
-    rank = B.numerical_rank(classes)
     if vanishes:
         # metric identically zero: umbilicity is vacuous
-        return UmbilicityData(np.zeros(lead), geo / fr.scale, None, None, rank)
-    # the first largest entry of a symmetric matrix is a sorted pair
-    piv = np.argmax(np.abs(g), axis=-1)[..., None]
-    ratios = g / np.take_along_axis(g, piv, -1)
-    pivot_class = np.take_along_axis(classes, piv[..., None], -2)
-    umb = _enorm(classes - ratios[..., None] * pivot_class, 1)
-    return UmbilicityData(umb / fr.scale, geo / fr.scale, None, None, rank)
+        umb = np.zeros_like(fr.scale)
+    else:
+        # the first largest entry of a symmetric matrix is a sorted pair
+        piv = np.argmax(np.abs(g), axis=-1)[..., None]
+        ratios = g / np.take_along_axis(g, piv, -1)
+        pivot_class = np.take_along_axis(classes, piv[..., None], -2)
+        umb = _enorm(classes - ratios[..., None] * pivot_class, 1) / fr.scale
+    return dict(umbilicity_residual=umb, geodesic_residual=geo / fr.scale,
+                first_normal_rank=B.numerical_rank(classes))
 
 
 def _radical_last_var(fr: Frame, tol_zero: float):
@@ -298,84 +291,104 @@ class PointReport:
     radical_last_var_residual: float | None
 
     def flags(self, tol: float = DEFAULT_TOL) -> dict:
-        mt = None
-        if self.h_norm is not None and self.minimal_residual is not None:
-            mt = self.minimal_residual > tol and abs(self.h_norm) <= tol
+        # with no mean curvature, minimality is asserted through geodesy
+        minimal = (self.geodesic_residual if self.minimal_residual is None
+                   else self.minimal_residual)
         return {
             "totally_geodesic": self.geodesic_residual <= tol,
             "totally_umbilical": self.umbilicity_residual <= tol,
-            "minimal": (self.minimal_residual is not None
-                        and self.minimal_residual <= tol)
-                       or (self.minimal_residual is None
-                           and self.geodesic_residual <= tol),
-            "marginally_trapped": mt,
+            "minimal": minimal <= tol,
+            "marginally_trapped": None if self.h_norm is None else (
+                minimal > tol and abs(self.h_norm) <= tol),
             "parallel": None if self.parallel_residual is None
                         else self.parallel_residual <= tol,
         }
 
 
+# each residual column of a point table by the name a failure gives it, and
+# whether it is defined on a non-degenerate and on a degenerate metric
+_RESIDUALS = {"umbilicity": ("umbilicity_residual", (True, True)),
+              "geodesic": ("geodesic_residual", (True, True)),
+              "h_norm": ("h_norm", (True, False)),
+              "minimal": ("minimal_residual", (True, False)),
+              "parallel": ("parallel_residual", (True, False)),
+              "radical_last_var": ("radical_last_var_residual", (False, True))}
+
+
+def _residuals(table: dict, records: int = 1) -> tuple:
+    """The residuals of a point table in `_RESIDUALS` order, and where each
+    is defined, as (records, S, K) over `records` equal blocks of rows."""
+    cols, on = zip(*_RESIDUALS.values())
+    degenerate = (table["metric_signature"][:, 2] > 0).astype(int)
+    return tuple(a.reshape(records, -1, len(cols)) for a in (
+        np.stack([table[c] for c in cols], -1), np.array(on).T[degenerate]))
+
+
 def point_table(fr: Frame, tol_zero: float) -> dict:
     """The pointwise results on a stacked frame built at `tol_zero`, as
-    columns named and ordered as the `PointReport` fields they fill: each
-    residual (P,) and the mean curvature (P, N), NaN where a point's
-    branch leaves them undefined, and the first normal ranks (P,).  Each
+    columns named as the `PointReport` fields they fill: points, metrics,
+    signature counts (P, 3), first normal ranks, the residuals of
+    `_RESIDUALS` and the mean curvature (P, N), each NaN where a point's
+    branch leaves it undefined (the mean curvature with h_norm).  Each
     branch is computed for all of its points at once; a one-branch frame
     gives its own arrays."""
-    table: dict = {}
+    table = dict(point=fr.point, metric=fr.metric,
+                 metric_signature=np.stack(fr.counts, -1))
     for (degenerate, _), idx in fr.branches.items():
         sub = fr if idx is None else fr.take(idx)
-        data = umbilicity_data(sub)
-        H = data.mean_curvature
+        cols = umbilicity_data(sub)
+        if degenerate:
+            cols["radical_last_var_residual"] = _radical_last_var(sub, tol_zero)
+        else:
+            cols["parallel_residual"] = parallelism_residual(sub)
         # one read-only column for the residuals the branch leaves undefined
         nan = np.full(sub.scale.shape, np.nan)
         nan.setflags(write=False)
-        rad = _radical_last_var(sub, tol_zero) if degenerate else nan
-        cols = dict(
-            umbilicity_residual=data.umbilicity_residual,
-            geodesic_residual=data.geodesic_residual,
-            mean_curvature=(np.full(sub.value.shape, np.nan) if H is None
-                            else H),
-            h_norm=nan if H is None else data.h_norm,
-            minimal_residual=nan if H is None else _enorm(H),
-            parallel_residual=nan if degenerate else parallelism_residual(sub),
-            first_normal_rank=data.first_normal_rank,
-            radical_last_var_residual=rad)
+        cols.setdefault("mean_curvature", np.full(sub.value.shape, np.nan))
+        for name, _ in _RESIDUALS.values():
+            cols.setdefault(name, nan)
         if idx is None:
-            return cols
+            return table | cols
         for name, col in cols.items():
             table.setdefault(name, np.empty(
                 (len(fr.point),) + col.shape[1:], col.dtype))[idx] = col
     return table
 
 
-def point_reports(fr: Frame, tol_zero: float) -> list[PointReport]:
-    """The rows of `point_table(fr, tol_zero)`, None where undefined."""
-    table = point_table(fr, tol_zero)
-    H = table.pop("mean_curvature")
-    umb, geo, h, minimal, par, rank, rad = (v.tolist() for v in table.values())
-    reports = []
-    for k, sig in enumerate(fr.signature):
-        nondeg = not sig.degenerate
-        reports.append(PointReport(
-            fr.point[k], fr.metric[k], sig, sig.null, umb[k], geo[k],
-            H[k] if nondeg else None, h[k] if nondeg else None,
-            minimal[k] if nondeg else None, par[k] if nondeg else None,
-            rank[k], None if nondeg else rad[k]))
-    return reports
+def non_finite(table: dict, records: int = 1) -> list[list[str]]:
+    """For each of `records` equal blocks of rows of a point table, the
+    names of the residuals with a defined value that is not finite."""
+    values, defined = _residuals(table, records)
+    bad = (~np.isfinite(values) & defined).any(1).tolist()
+    return [[k for k, b in zip(_RESIDUALS, row) if b] for row in bad]
+
+
+def point_report(table: dict, k: int) -> PointReport:
+    """Row k of a point table, None where the row's branch leaves a value
+    undefined."""
+    sig = Signature(*table["metric_signature"][k].tolist())
+    row = {col: table[col][k].item() if on[sig.degenerate] else None
+           for col, on in _RESIDUALS.values()}
+    return PointReport(
+        table["point"][k], table["metric"][k], sig, sig.null,
+        mean_curvature=None if row["h_norm"] is None
+        else table["mean_curvature"][k],
+        first_normal_rank=table["first_normal_rank"][k].item(), **row)
 
 
 def analyze_points(chart: ImmersionChart, points, *,
-                   tol_zero: float = DEFAULT_ZERO_TOL) -> list[PointReport]:
-    """Full pointwise reports at a (P, m) stack of points, from one frame."""
-    return point_reports(build_frame(chart, points, tol_zero=tol_zero),
-                         tol_zero)
+                   tol_zero: float = DEFAULT_ZERO_TOL) -> dict:
+    """The `point_table` of a (P, m) stack of points, from one frame."""
+    return point_table(build_frame(chart, points, tol_zero=tol_zero),
+                       tol_zero)
 
 
 def analyze_point(chart: ImmersionChart, point, *,
                   tol_zero: float = DEFAULT_ZERO_TOL) -> PointReport:
     """Full pointwise report: metric, residuals, curvature invariants."""
     point = np.asarray(point, dtype=float)
-    return analyze_points(chart, point[None], tol_zero=tol_zero)[0]
+    return point_report(analyze_points(chart, point[None],
+                                       tol_zero=tol_zero), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,19 +519,6 @@ class FamilyVerdict:
         return "discrepancy-noted" if self.discrepancies else "pass"
 
 
-# each residual column of a point table, by the name a failure gives it
-_RESIDUALS = {"umbilicity": "umbilicity_residual",
-              "geodesic": "geodesic_residual", "h_norm": "h_norm",
-              "minimal": "minimal_residual", "parallel": "parallel_residual",
-              "radical_last_var": "radical_last_var_residual"}
-
-
-def non_finite(reports: list[PointReport]) -> list[str]:
-    """Names of the residuals with a value that is not finite (NaN too)."""
-    return [k for k, a in _RESIDUALS.items() if not all(
-        math.isfinite(v) for r in reports if (v := getattr(r, a)) is not None)]
-
-
 def _fd_cross_check(ambient: AmbientSpace, values, jac, hess, sigs,
                     tol_zero: float) -> list[list[str]]:
     """Independent finite-difference check of walked jets and their metric,
@@ -591,34 +591,29 @@ def _verify_group(records, samples, tol, tol_zero) -> list[FamilyVerdict]:
             [d[:samples] for d in drawn]), stack, tol_zero)
         table = point_table(fr, tol_zero)
         # what `_judge` reads, one reduction per field over the (R, S) table;
-        # a max keeps a NaN; h_norm, minimal and parallel are defined where
-        # the metric is non-degenerate, radical_last_var elsewhere
-        col = {k: table[a].reshape(R, -1) for k, a in _RESIDUALS.items()}
-        neg, pos, null = (c.reshape(R, -1) for c in fr.counts)
-        nondeg = null == 0
-        where = dict(umbilicity=np.True_, geodesic=np.True_, h_norm=nondeg,
-                     minimal=nondeg, parallel=nondeg, radical_last_var=~nondeg)
-        st = {k: c.max(1, where=where[k], initial=-np.inf)
-              for k, c in col.items()}
-        h = col["h_norm"]
+        # a max keeps a NaN, and reduces a residual over its branch's rows
+        values, defined = _residuals(table, R)
+        st = dict(zip(_RESIDUALS, values.max(1, where=defined,
+                                             initial=-np.inf).T))
+        h, minimal = (table[c].reshape(R, -1)
+                      for c in ("h_norm", "minimal_residual"))
+        nondeg = defined[..., list(_RESIDUALS).index("h_norm")]
+        null = table["metric_signature"][:, 2].reshape(R, -1)
         median = np.median(h, axis=1)
         for k in np.flatnonzero(nondeg.any(1) & ~nondeg.all(1)):
             median[k] = np.median(h[k][nondeg[k]])
         st.update(
-            non_finite=np.stack([~(np.isfinite(c) | ~where[k]).all(1)
-                                 for k, c in col.items()]
-                                + [~np.isfinite(off)], 1),
             h_median=median,
             h_spread=st["h_norm"] - h.min(1, where=nondeg, initial=np.inf),
             marginally_trapped=np.all(
-                ~nondeg | ((col["minimal"] > tol) & (np.abs(h) <= tol)), 1),
+                ~nondeg | ((minimal > tol) & (np.abs(h) <= tol)), 1),
             ranks=(null[..., None] == np.arange(null.max() + 1)).any(1),
             first_normal_rank=table["first_normal_rank"].reshape(R, -1).max(1),
-            metric_signature=np.stack([neg[:, 0], pos[:, 0], null[:, 0]], 1),
+            metric_signature=table["metric_signature"][::samples],
             off=off)
     fd_sigs = st["metric_signature"].tolist()
-    stats = [dict(zip(st, row)) for row in zip(*(v.tolist()
-                                                 for v in st.values()))]
+    stats = [dict(zip(st, row), non_finite=bad) for row, bad in zip(
+        zip(*(v.tolist() for v in st.values())), non_finite(table, R))]
     # one value walk per record: its hull sample Y[k], when one is judged,
     # then the FD stencil around its first point
     K = hull_size(ambient)
@@ -692,8 +687,7 @@ def _judge(family_id, params, expected, st, fd_failures, full, red, *,
     """
     verdict = FamilyVerdict(family_id, params)
     umb, geo = st["umbilicity"], st["geodesic"]
-    bad = [name for name, b in zip([*_RESIDUALS, "ambient"],
-                                   st["non_finite"]) if b]
+    bad = st["non_finite"] + ["ambient"] * (not math.isfinite(st["off"]))
     if bad:
         verdict.failures.append(f"non-finite residuals: {', '.join(bad)}")
     ranks = [r for r, seen in enumerate(st["ranks"]) if seen]

@@ -90,16 +90,16 @@ def _integer(params: dict, key: str) -> int:
 
 
 # the most order-3 jet entries a chart may need at one point: its flat
-# dimension (at least m + 1) times m(m+1)(m+2)/6; m = 64 needs about 3.0M
+# dimension times k(k+1)(k+2)/6 over k variables; main1-3 at m = 64: 3.0M
 MAX_JET_ENTRIES = 4_000_000
 
 
-def _dimension(params: dict, key: str) -> int:
-    """An integer chart dimension, refused above MAX_JET_ENTRIES."""
-    m = _integer(params, key)
-    _require(m < 1 or (m + 1) ** 2 * m * (m + 2) <= 6 * MAX_JET_ENTRIES,
-             f"{key}={m}: jets beyond {MAX_JET_ENTRIES} entries per point")
-    return m
+def _fits(label: str, nvars: int, flat_dim: int):
+    """Refuse, before anything is built, a chart of `nvars` variables and
+    `flat_dim` flat coordinates whose jets exceed MAX_JET_ENTRIES."""
+    _require(nvars < 1 or flat_dim * nvars * (nvars + 1) * (nvars + 2)
+             <= 6 * MAX_JET_ENTRIES,
+             f"{label}: jets beyond {MAX_JET_ENTRIES} entries per point")
 
 
 def _ball_box(k: int, radius: float) -> list:
@@ -141,13 +141,15 @@ def _null_graph(u, s: int, a: float, b: float):
     return [q + a, *u, q + b]
 
 
-def _ms(params, lift: int = 0, cone: bool = False) -> tuple[int, int]:
-    """Validated (m, s) of a chart whose curved factor has m - lift variables.
+def _ms(params, dv: int, dn: int, lift: int = 0, cone: bool = False):
+    """Validated (m, s) of a chart of m + dv variables and m + dn flat
+    coordinates whose curved factor has m - lift variables.
 
     A cone factor needs a positive direction, so its index stays below its
     dimension.  Messages name the m and s that were passed.
     """
-    m, s = _dimension(params, "m"), _integer(params, "s")
+    m, s = _integer(params, "m"), _integer(params, "s")
+    _fits(f"m={m}", m + dv, m + dn)
     k = m - lift
     _require(k >= 1, f"m={m}: need m >= {1 + lift}")
     _require(0 <= s <= k - cone,
@@ -219,7 +221,9 @@ def _graph_chart(g: _Graph, params: dict, name: str,
     `lift` is the number of chart variables a lightlike product adds
     around it; parameters are validated as passed.
     """
-    m, s = _ms(params, lift, cone=g.box == "cone")
+    # a curved space form has one flat coordinate more than its dimension
+    m, s = _ms(params, 0, g.dn + abs(g.epsilon) + lift, lift,
+               cone=g.box == "cone")
     r = None if g.r_range is None else _r(params, *g.r_range)
     k = m - lift
     if g.box == "ball":
@@ -331,7 +335,7 @@ def _table(fid: str) -> Callable[[dict], ExprChart]:
 # ---------------------------------------------------------------------------
 
 def _psi_a(p):
-    m, s = _ms(p)
+    m, s = _ms(p, 0, 3)
     a = float(p["a"])
     return ExprChart(lambda u: [a, *_sphere(u, s, 1.0), a], m,
                      AmbientSpace.sphere(m + 2, s + 1), _ball_box(m, 1.0),
@@ -339,7 +343,7 @@ def _psi_a(p):
 
 
 def _s_example(p):
-    m, s = _ms(p)
+    m, s = _ms(p, 1, 4)
 
     def coords(u):
         t, mids = u[0], u[1:]
@@ -352,7 +356,8 @@ def _s_example(p):
 
 
 def _s_theta(p):
-    m = _dimension(p, "m")
+    m = _integer(p, "m")
+    _fits(f"m={m}", m + 1, m + 4)
     _require(m >= 1, "m must be >= 1")
     theta = float(p["theta"])
     ct, st = math.cos(theta), math.sin(theta)
@@ -371,7 +376,8 @@ def _s_theta(p):
 
 
 def _flat_lightcone(p):
-    n, s = _dimension(p, "n"), _integer(p, "s")
+    n, s = _integer(p, "n"), _integer(p, "s")
+    _fits(f"n={n}", n, n + 1)
     _require(n >= 2 and 0 <= s <= n - 1, "need n >= 2 and 0 <= s <= n-1")
     return ExprChart(lambda u: _cone(u, s), n, AmbientSpace.flat(n + 1, s + 1),
                      _cone_box(n, s), "lightcone-L")
@@ -381,6 +387,7 @@ def _plane(p):
     s, t, r = _integer(p, "s"), _integer(p, "t"), _integer(p, "rad")
     _require(s >= 0 and t >= 0 and r >= 1, "need s,t >= 0 and rad >= 1")
     k = s + t  # the chart variables are the x's and y's, then the z's
+    _fits(f"s={s} t={t} rad={r}", k + r, k + 2 * r)
     return ExprChart(lambda u: [*u[k:], *u[:k], *u[k:]], k + r,
                      AmbientSpace.flat(k + 2 * r, r + s),
                      [_FLAT_BOX] * (k + r), "plane-P")

@@ -17,7 +17,7 @@ import numpy as np
 from . import catalog
 from .analysis import (DEFAULT_TOL, DEFAULT_ZERO_TOL, analyze_point,
                        analyze_points, fullness, hull_sample, non_finite,
-                       reduction_report, verify_families)
+                       point_report, reduction_report, verify_families)
 from .congruence import moduli_demo
 from .errors import DomainError, InputError
 
@@ -121,20 +121,19 @@ def cmd_analyze(args) -> int:
     # a residual that overflows is not finite, and fails below
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            reports = analyze_points(chart, points, tol_zero=args.tol_zero)
+            table = analyze_points(chart, points, tol_zero=args.tol_zero)
         except DomainError:
             # report the first offending sample as it reads alone, with no
             # index into a stack the user never sees
             for p in points:
                 analyze_point(chart, p, tol_zero=args.tol_zero)
             raise
-    bad = non_finite(reports)
+    (bad,) = non_finite(table)
     if bad:
         raise DomainError(f"non-finite residuals: {', '.join(bad)}")
     point_payloads = []
-    for rep in reports:
-        flags = rep.flags(args.tol)
-        payload = {
+    for rep in (point_report(table, k) for k in range(len(points))):
+        point_payloads.append({
             "u": rep.point.tolist(),
             "g": rep.metric.tolist(),
             "signature": rep.metric_signature.as_tuple(),
@@ -142,15 +141,14 @@ def cmd_analyze(args) -> int:
             "H_rel": None if rep.mean_curvature is None
                      else rep.mean_curvature.tolist(),
             "H_norm": rep.h_norm,
-            "flags": flags,
+            "flags": rep.flags(args.tol),
             "residuals": {
                 "umbilical": rep.umbilicity_residual,
                 "geodesic": rep.geodesic_residual,
                 "minimal": rep.minimal_residual,
                 "parallel": rep.parallel_residual,
             },
-        }
-        point_payloads.append(payload)
+        })
 
     sample = hull_sample(chart, args.seed)
     red = reduction_report(chart, seed=args.seed, tol=args.tol,

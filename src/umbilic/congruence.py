@@ -99,11 +99,11 @@ def classify(chart: ImmersionChart) -> ClassificationResult:
     the default tolerances.
     """
     tol = DEFAULT_TOL
-    reports = analyze_points(chart, chart.sample_points(5, 42))
+    table = analyze_points(chart, chart.sample_points(5, 42))
     # np.max keeps a NaN, and a NaN residual is not umbilical
-    umb = float(np.max([r.umbilicity_residual for r in reports]))
+    umb = float(np.max(table["umbilicity_residual"]))
     result = ClassificationResult(None, None)
-    if any(r.metric_signature.degenerate for r in reports):
+    if table["metric_signature"][:, 2].any():
         result.notes.append("induced metric is degenerate; outside the "
                             "non-degenerate classification")
         return result
@@ -111,8 +111,8 @@ def classify(chart: ImmersionChart) -> ClassificationResult:
         result.notes.append(
             f"not totally umbilical (residual {umb:.3e}); no item applies")
         return result
-    h = float(np.median([r.h_norm for r in reports]))
-    minimal = np.max([r.minimal_residual for r in reports]) <= tol
+    h = float(np.median(table["h_norm"]))
+    minimal = np.max(table["minimal_residual"]) <= tol
     result.h_norm = h
 
     rows = umbilical_items(chart.ambient.epsilon)
@@ -174,8 +174,8 @@ def moduli_demo(a_values, samples: int = 25, seed: int = 42,
         chart = instantiate("psi-a", {"m": 2, "s": 0, "a": float(a)})
         # an offset too large to square gives no finite residual
         with np.errstate(over="ignore", invalid="ignore"):
-            geo = float(np.max([r.geodesic_residual for r in analyze_points(
-                chart, chart.sample_points(3, seed))]))
+            geo = float(np.max(analyze_points(
+                chart, chart.sample_points(3, seed))["geodesic_residual"]))
             dist = float(np.max(np.linalg.norm(chart.value(points)
                                                - base.value(points), axis=-1)))
         if not (math.isfinite(geo) and math.isfinite(dist)):

@@ -9,7 +9,7 @@ from umbilic import analysis
 from umbilic import jets as J
 from umbilic.analysis import (analyze_point, analyze_points, build_frame,
                               fullness, induced_metric, parallelism_residual,
-                              reduction_report, umbilicity_data,
+                              point_report, reduction_report, umbilicity_data,
                               verify_families, verify_family)
 from umbilic.bilinear import Signature
 from umbilic.catalog import (family_ids, family_instance, get_family,
@@ -107,10 +107,8 @@ class TestUmbilicity:
             shift = np.einsum("ijl,nl->ijn", c, fr.jac)[i, j]   # packed rows
             moved = dataclasses.replace(fr, second=fr.second + shift)
             data = umbilicity_data(moved)
-            assert data.umbilicity_residual == pytest.approx(
-                base.umbilicity_residual, abs=1e-10)
-            assert data.geodesic_residual == pytest.approx(
-                base.geodesic_residual, abs=1e-10)
+            for key in ("umbilicity_residual", "geodesic_residual"):
+                assert data[key] == pytest.approx(base[key], abs=1e-10)
 
     def test_degenerate_product_is_geodesic(self):
         ch = instantiate("light1-1")
@@ -166,7 +164,7 @@ class TestParallelism:
         # the degenerate branch never reads the order-3 data
         ch = instantiate(fid)
         fr = build_frame(ch, ch.sample_points(4, 31))
-        analysis.point_reports(fr, analysis.DEFAULT_ZERO_TOL)
+        analysis.point_table(fr, analysis.DEFAULT_ZERO_TOL)
         assert ("third" in vars(fr)) is read
 
     def test_degenerate_metric_rejected(self):
@@ -659,10 +657,10 @@ class TestAnalyzePoints:
     def test_stack_matches_single_points(self, fid):
         ch = instantiate(fid)
         points = ch.sample_points(5, 73)
-        reports = analyze_points(ch, points)
-        assert len(reports) == 5
-        for p, rep in zip(points, reports):
-            _same_report(rep, analyze_point(ch, p))
+        table = analyze_points(ch, points)
+        assert len(table["point"]) == 5
+        for k, p in enumerate(points):
+            _same_report(point_report(table, k), analyze_point(ch, p))
 
     @pytest.mark.parametrize("call", [analyze_points, analyze_point,
                                       build_frame])
@@ -684,13 +682,35 @@ class TestAnalyzePoints:
         # at tol_zero=1e-16 some S-theta samples read degenerate, some not
         ch = instantiate("S-theta")
         points = ch.sample_points(5, 42)
-        reports = analyze_points(ch, points, tol_zero=1e-16)
-        assert {r.radical_rank for r in reports} == {0, 1}
-        for p, rep in zip(points, reports):
-            _same_report(rep, analyze_point(ch, p, tol_zero=1e-16))
+        table = analyze_points(ch, points, tol_zero=1e-16)
+        assert set(table["metric_signature"][:, 2].tolist()) == {0, 1}
+        for k, p in enumerate(points):
+            _same_report(point_report(table, k),
+                         analyze_point(ch, p, tol_zero=1e-16))
         fr = build_frame(ch, points, tol_zero=1e-16)
         with pytest.raises(InputError, match="mixes metric branches"):
             umbilicity_data(fr)
+
+    def test_branch_rule_is_stated_once(self):
+        # at tol_zero=1e-16 S-theta's samples 0, 2 and 3 read degenerate
+        # and sample 1 does not: every column is NaN, and every report
+        # field None, exactly where `_RESIDUALS` leaves it undefined
+        ch = instantiate("S-theta")
+        table = analyze_points(ch, ch.sample_points(4, 42), tol_zero=1e-16)
+        degenerate = table["metric_signature"][:, 2] > 0
+        assert degenerate.tolist() == [True, False, True, True]
+        undefined = {col: ~np.where(degenerate, on[1], on[0])
+                     for col, on in analysis._RESIDUALS.values()}
+        # the mean curvature is defined with h_norm, and the rest everywhere
+        undefined["mean_curvature"] = undefined["h_norm"]
+        for col, values in table.items():
+            nan = np.isnan(values).reshape(4, -1)
+            want = undefined.get(col, np.zeros(4, bool))
+            assert (nan.all(1) == want).all() and (nan.any(1) == want).all()
+        for k in range(4):
+            rep = point_report(table, k)
+            for col, where in undefined.items():
+                assert (getattr(rep, col) is None) == where[k], (col, k)
 
     def test_domain_error_names_coordinate_and_first_point(self):
         ch = instantiate("main1-3", {"r": 0.5})
@@ -714,8 +734,8 @@ class TestAnalyzePoints:
         assert isinstance(fr.signature, Signature)
         assert np.ndim(fr.scale) == 0
         data = umbilicity_data(fr)
-        assert np.ndim(data.umbilicity_residual) == 0
-        assert data.mean_curvature.shape == (5,)
+        assert np.ndim(data["umbilicity_residual"]) == 0
+        assert data["mean_curvature"].shape == (5,)
         assert np.ndim(parallelism_residual(fr)) == 0
         stacked = build_frame(ch, p[None])
         assert stacked.second.shape == (1, 6, 5)

@@ -20,6 +20,15 @@ EXPECTED_IDS = (
        "cv-parallel", "clifford-control", "cubic-graph-control"]
 )
 
+# every integer parameter of every family at 10**9, and oversize charts
+# whose size is not m + 1 coordinates over m variables
+OVERSIZE = sorted(
+    {(fid, key, 10**9) for fid in EXPECTED_IDS
+     for key, v in get_family(fid).defaults.items() if isinstance(v, int)}
+    | {("main1-3", "m", 400), ("light1-2", "m", 400),
+       ("lightcone-L", "n", 400), ("plane-P", "rad", 400),
+       ("S-example", "m", 68)})
+
 # (lightlike product family, the registered family it is built over)
 NULL_PAIRS = [
     ("light1-2", "main1-3"), ("light1-3", "main1-4"), ("light1-4", "main1-6"),
@@ -95,9 +104,7 @@ class TestParameterValidation:
         with pytest.raises(DomainError, match="family 'main1-4'"):
             instantiate("main1-4", {"r": 1e155})
 
-    @pytest.mark.parametrize("fid, key, m", [
-        ("main1-3", "m", 400), ("main1-3", "m", 10**9), ("light1-2", "m", 400),
-        ("S-theta", "m", 10**9), ("lightcone-L", "n", 400)])
+    @pytest.mark.parametrize("fid, key, m", OVERSIZE)
     def test_oversize_dimension_refused_before_anything_is_built(
             self, monkeypatch, fid, key, m):
         # an m = 400 walk would need about 138 GB; the guard comes first
@@ -106,14 +113,24 @@ class TestParameterValidation:
 
         for name in ("_ball_box", "_cone_box", "ExprChart"):
             monkeypatch.setattr(catalog, name, built)
-        with pytest.raises(InputError, match=f"^{key}={m}: jets beyond"):
+        with pytest.raises(InputError) as err:
             instantiate(fid, {key: m})
+        # an index s is refused by its range, unless it sizes the chart;
+        # the message names what sizes it
+        if key != "s" or fid == "plane-P":
+            label = (f"{key}={m}" if fid != "plane-P" else
+                     "s={s} t={t} rad={rad}".format(**{"s": 1, "t": 1,
+                                                        "rad": 1, key: m}))
+            assert str(err.value) == (f"{label}: jets beyond 4000000 "
+                                      f"entries per point")
 
     def test_largest_dimensions_accepted(self):
         assert instantiate("main1-3", {"m": 64}).nvars == 64
         assert instantiate("main1-3", {"m": 68}).nvars == 68
         with pytest.raises(InputError, match="^m=69: "):
             instantiate("main1-3", {"m": 69})
+        # S-example's chart has m + 1 variables and m + 4 coordinates
+        assert instantiate("S-example", {"m": 67}).nvars == 68
 
     def test_interior_values_accepted(self):
         instantiate("main1-3", {"r": 0.999})

@@ -185,6 +185,24 @@ class TestAnalyze:
             assert p["flags"]["totally_umbilical"]
             assert p["flags"]["totally_geodesic"]
 
+    def test_mixed_branch_report_is_null_where_undefined(self, capsys):
+        # at tol_zero=1e-16 S-theta's samples 0, 2 and 3 read degenerate and
+        # sample 1 does not; a degenerate row has no mean curvature, no
+        # minimality residual and no parallelism
+        code, out, _ = run(["analyze", "--family", "S-theta",
+                            "--tol-zero", "1e-16", "--json", "-"], capsys)
+        assert code == 0
+        undefined = {"H_norm", "H_rel", "residuals.minimal",
+                     "residuals.parallel", "flags.marginally_trapped",
+                     "flags.parallel"}
+        for p, degenerate in zip(json.loads(out)["points"],
+                                 [True, False, True, True]):
+            assert p["radical_rank"] == degenerate
+            nulls = {k for k, v in p.items() if v is None}
+            nulls |= {f"{k}.{key}" for k in ("residuals", "flags")
+                      for key, v in p[k].items() if v is None}
+            assert nulls == (undefined if degenerate else set())
+
     def test_discrepancy_note_for_s_example(self, capsys, tmp_path):
         out_path = tmp_path / "a.json"
         run(["analyze", "--family", "S-example", "--json", str(out_path)],

@@ -128,9 +128,9 @@ class TestClassifier:
         batch = congruence.analyze_points
 
         def with_nan(*args, **kwargs):
-            reports = batch(*args, **kwargs)
-            reports[2].umbilicity_residual = float("nan")
-            return reports
+            table = batch(*args, **kwargs)
+            table["umbilicity_residual"][2] = float("nan")
+            return table
 
         monkeypatch.setattr(congruence, "analyze_points", with_nan)
         res = classify(instantiate("main1-3"))
@@ -146,10 +146,9 @@ class TestClassifier:
         h_norm = [0.0]
 
         def with_h(*args, **kwargs):
-            reports = batch(*args, **kwargs)
-            for r in reports:
-                r.h_norm, r.minimal_residual = h_norm[0], 1.0
-            return reports
+            table = batch(*args, **kwargs)
+            table["h_norm"][:], table["minimal_residual"][:] = h_norm[0], 1.0
+            return table
 
         monkeypatch.setattr(congruence, "analyze_points", with_h)
         chart = instantiate(fid)
