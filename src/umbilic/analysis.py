@@ -43,9 +43,10 @@ class Frame:
 
     `second` holds the ambient second derivatives with the space-form
     position component already removed, one row per sorted pair i <= j
-    (`jets.packed_indices`); `third` holds the third derivatives, with the
-    same component removed, one row per sorted triple i <= j <= k, and is
-    projected on first read.  A frame built on a (P, m) stack carries a
+    (`jets.packed_indices`); `walked_third` holds the walked third
+    derivatives, one column per sorted triple i <= j <= k, which only
+    `parallelism_residual` reads, in one product with a projection on
+    their small (N, k) side.  A frame built on a (P, m) stack carries a
     leading point axis on every array, on `scale` and on the signature
     `counts`.  The induced metric's signature is decided once, at the
     `tol_zero` given to `assemble_frame`; every pointwise computation on
@@ -66,12 +67,6 @@ class Frame:
     @property
     def m(self) -> int:
         return self.jac.shape[-1]
-
-    @functools.cached_property
-    def third(self) -> np.ndarray:
-        """(..., T3, N) off the position."""
-        return _off_position(self.ambient, self.value,
-                             np.swapaxes(self.walked_third, -1, -2))
 
     @functools.cached_property
     def ginv(self) -> np.ndarray:
@@ -203,13 +198,21 @@ def parallelism_residual(fr: Frame):
                           @ fr.ambient.metric())
     Q = np.linalg.eigh(normal @ np.swapaxes(normal, -1, -2))[1][..., m:]
     k = N - m
+    # the position removal I - eps (G y) y^T, then the normal projection,
+    # applied to the (N, k) side before the one product with the third
+    # derivatives (T3, N)
+    K = np.swapaxes(normal, -1, -2) @ Q
+    if fr.ambient.epsilon:
+        Gy = fr.value @ fr.ambient.metric()
+        K = K - fr.ambient.epsilon * Gy[..., :, None] * (
+            fr.value[..., None, :] @ K)
     # C[ab, c] = sum_l gamma^l_ab h_cl, one row per (sorted pair ab, c)
     h_lc = J.unpack(h @ Q, 2, axis=-2)    # (..., m, m, k)
     C = (np.swapaxes(gamma, -1, -2) @ h_lc.reshape(lead + (m, m * k))
          ).reshape(lead + (-1, k))
     # at each sorted triple ijk: C[ij, k], C[jk, i] and C[ik, j]
-    c = C[..., J.split_triples(m), :]
-    v = fr.third @ (np.swapaxes(normal, -1, -2) @ Q)
+    c = np.take(C, J.split_triples(m), axis=-2)
+    v = np.swapaxes(fr.walked_third, -1, -2) @ K
     v -= c[..., 0, :, :]
     v -= c[..., 1, :, :]
     v -= c[..., 2, :, :]

@@ -144,8 +144,10 @@ def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
 def svd_split(matrices: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
     """Full right singular vectors `vh` and numerical ranks `r` of a
     (..., a, n) stack: the rows vh[:r] are a Euclidean-orthonormal basis of
-    the row space, and vh[r:] of the right null space."""
-    _, s, vh = np.linalg.svd(matrices)
+    the row space, and vh[r:] of the right null space.  With a >= n, as in
+    every hull sample, the reduced SVD already gives all n rows of vh."""
+    full = matrices.shape[-2] < matrices.shape[-1]
+    _, s, vh = np.linalg.svd(matrices, full_matrices=full)
     return vh, _rank(s, tol)
 
 

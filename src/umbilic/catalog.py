@@ -108,7 +108,11 @@ def _ball_box(k: int, radius: float) -> list:
 
 
 _T_BOX = [-0.7, 0.7]
-_FLAT_BOX = [-0.8, 0.8]
+
+
+def _flat_box(k: int) -> list:
+    """Box of the flat charts: [-0.8, 0.8] in each of k variables."""
+    return [[-0.8, 0.8]] * k
 
 
 def _cone_box(k: int, s: int) -> list:
@@ -229,7 +233,7 @@ def _graph_chart(g: _Graph, params: dict, name: str,
     if g.box == "ball":
         box = _ball_box(k, 1.0 if r is None else r)
     elif g.box == "flat":
-        box = [_FLAT_BOX] * k
+        box = _flat_box(k)
     else:
         box = _cone_box(k, s)
     return ExprChart(lambda u: g.coords(u, s, r), k,
@@ -350,7 +354,7 @@ def _s_example(p):
         q = indefinite_square(mids, s)
         return [-0.5 * q, t, *mids, t, 1.0 - 0.5 * q]
 
-    box = [_T_BOX] + [_FLAT_BOX] * m
+    box = [_T_BOX] + _flat_box(m)
     return ExprChart(coords, m + 1, AmbientSpace.sphere(m + 3, s + 2),
                      box, "S-example")
 
@@ -370,7 +374,7 @@ def _s_theta(p):
                 (0.5 * st) * (2.0 - q) + ct * rho,
                 (0.5 * ct) * (2.0 - q) - st * rho]
 
-    box = [_FLAT_BOX] * m + [[theta - 0.7, theta + 0.7]]
+    box = _flat_box(m) + [[theta - 0.7, theta + 0.7]]
     return ExprChart(coords, m + 1, AmbientSpace.sphere(m + 3, 2),
                      box, "S-theta")
 
@@ -390,7 +394,7 @@ def _plane(p):
     _fits(f"s={s} t={t} rad={r}", k + r, k + 2 * r)
     return ExprChart(lambda u: [*u[k:], *u[:k], *u[k:]], k + r,
                      AmbientSpace.flat(k + 2 * r, r + s),
-                     [_FLAT_BOX] * (k + r), "plane-P")
+                     _flat_box(k + r), "plane-P")
 
 
 def _cv_parallel(p):

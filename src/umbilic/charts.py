@@ -99,8 +99,13 @@ class ImmersionChart:
         js = self.jet_list(points.reshape(-1, points.shape[-1]))
         out = []
         for name in ("value", "grad", "hess", "third")[:order + 1]:
-            # (N, P, ...) with the coordinates first, then (P, N, ...)
-            a = np.array([getattr(j, name) for j in js]).swapaxes(0, 1)
+            # one C-contiguous (P, N, ...) layout for every stack, so that
+            # the matrix products on a point's rows, and so its numbers, do
+            # not depend on the rest of its stack
+            rows = [getattr(j, name) for j in js]
+            a = np.empty(rows[0].shape[:1] + (len(rows),) + rows[0].shape[1:])
+            for k, row in enumerate(rows):
+                a[:, k] = row
             out.append(a.reshape(points.shape[:-1] + a.shape[1:]))
         return tuple(out) + (None,) * (3 - order)
 

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -25,8 +26,52 @@ DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 16
 
 
+def _json_text(x, indent: str = "") -> str:
+    """The bytes of `json.dumps(x, sort_keys=True, indent=2)`, for dicts
+    with str keys; a list of finite floats is one join of their reprs."""
+    if isinstance(x, str):
+        return _json_string(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _json_float(x)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        if (all(type(v) is float for v in x)
+                and all(map(math.isfinite, x))):
+            body = sep.join(map(float.__repr__, x))
+        else:
+            body = sep.join([_json_text(v, inner) for v in x])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        body = sep.join([f"{_json_string(k)}: {_json_text(v, inner)}"
+                         for k, v in sorted(x.items())])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {type(x).__name__} "
+                    f"is not JSON serializable")
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
 def _dump_json(payload, path):
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = _json_text(payload)
     if path == "-":
         print(text)
         return

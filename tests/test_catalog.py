@@ -111,7 +111,7 @@ class TestParameterValidation:
         def built(*args, **kwargs):
             raise AssertionError("built before the guard")
 
-        for name in ("_ball_box", "_cone_box", "ExprChart"):
+        for name in ("_ball_box", "_cone_box", "_flat_box", "ExprChart"):
             monkeypatch.setattr(catalog, name, built)
         with pytest.raises(InputError) as err:
             instantiate(fid, {key: m})

@@ -2,11 +2,14 @@
 
 import importlib
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from umbilic import analysis, cli
 from umbilic.analysis import analyze_point
@@ -425,6 +428,61 @@ class TestModuli:
         rows = json.loads(out_path.read_text())["rows"]
         assert [r["class"] for r in rows] == ["g", "u"]
         assert rows[1]["distance"] == pytest.approx(2 ** 0.5, abs=1e-12)
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e308, -1e308, math.inf,
+                     -math.inf, math.nan]),
+    st.floats().map(np.float64))
+_TEXT = st.one_of(st.text(max_size=6), st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\n\t\x7f", "é ü ß", "日本語", "\ud800",
+     "\U0001f600"]))
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.integers(-2 ** 300, 2 ** 300), _TEXT, _FLOATS)
+_VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple), st.lists(_FLOATS),
+    st.dictionaries(_TEXT, inner, max_size=4)), max_leaves=20)
+
+
+def _dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+class TestJsonWriter:
+    """`cli._json_text` against the `json` module it replaces."""
+
+    @seed(2005)
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(_TEXT, _VALUES, max_size=4))
+    def test_bytes_equal_json_dumps(self, payload):
+        assert cli._json_text(payload) == _dumps(payload)
+
+    @pytest.mark.parametrize("bad", [{1, 2}, np.int64(3), np.float32(0.5)])
+    def test_unserializable_raises_as_json_does(self, bad):
+        for payload in (bad, {"a": [1.0, bad]}, [{"b": (bad,)}]):
+            with pytest.raises(TypeError):
+                _dumps(payload)
+            with pytest.raises(TypeError):
+                cli._json_text(payload)
+
+    def test_reports_equal_json_dumps(self, capsys, monkeypatch):
+        payloads = []
+        dump = cli._dump_json
+
+        def captured(payload, path):
+            payloads.append(payload)
+            dump(payload, path)
+
+        monkeypatch.setattr(cli, "_dump_json", captured)
+        for argv in (["analyze", "--family", "main1-3", "--param", "m=4"],
+                     ["analyze", "--family", "light1-2", "--param", "m=4"],
+                     ["analyze", "--family", "S-theta", "--tol-zero", "1e-16"],
+                     ["moduli", "--a", "0,0.001,0.1,1"]):
+            code, out, _ = run(argv + ["--json", "-"], capsys)
+            assert code == 0
+            assert out.startswith(_dumps(payloads[-1]) + "\n")
+        assert len(payloads) == 4
 
 
 class TestCatalogList:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from umbilic import jets as J
+from umbilic.catalog import cone_embedding_chart
 from umbilic.charts import AmbientSpace, ExprChart
 from umbilic.errors import DomainError, InputError
 
@@ -148,6 +149,44 @@ class TestJetArithmetic:
         np.testing.assert_allclose(lhs.grad, rhs.grad, atol=1e-9)
         np.testing.assert_allclose(lhs.hess, rhs.hess, atol=1e-9)
         np.testing.assert_allclose(lhs.third, rhs.third, atol=1e-9)
+
+
+def _square_loop(xs, neg):
+    """The reference `indefinite_square` stacks: one jet product per term,
+    summed from 0.0 in order."""
+    acc = 0.0
+    for i, x in enumerate(xs):
+        term = x * x
+        acc = acc - term if i < neg else acc + term
+    return acc
+
+
+def _same_jet(got, want):
+    return all(np.array_equal(getattr(got, k), getattr(want, k))
+               for k in ("value", "grad", "hess", "third"))
+
+
+class TestIndefiniteSquare:
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_stacked_equals_the_loop_on_curved_jets(self, eps):
+        # the cone composition's inner jets: a constant, chart variables and
+        # a square root, whose Hessian and third derivatives are non-zero
+        inner = cone_embedding_chart(2, 0, eps)
+        xs = inner.jet_list(inner.sample_points(5, 3))
+        assert any(x.hess.any() for x in xs) and any(x.third.any() for x in xs)
+        for neg in range(len(xs) + 1):
+            got = J.indefinite_square(xs, neg)
+            assert type(got) is J.Jet3
+            assert _same_jet(got, _square_loop(xs, neg))
+
+    @pytest.mark.parametrize("m", [1, 3, 16])
+    def test_variables_skip_the_curved_products(self, m):
+        args = J.coordinates(np.random.default_rng(m).uniform(-1, 1, (4, m)))
+        xs = [J.Jet3.variable(i, a, m) for i, a in enumerate(args)]
+        for neg in (0, m // 2, m):
+            got = J.indefinite_square(xs, neg)
+            assert _same_jet(got, _square_loop(xs, neg))
+            assert not got.third.any()
 
 
 class TestChainRule:
