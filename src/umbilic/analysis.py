@@ -26,6 +26,8 @@ CONTROL_GAP = 1e-2
 H_NORM_TOL = 1e-6
 FD_TOL = 1e-5
 FD_STEP = 1e-4
+# an overflow gives a non-finite value, not a warning: `untrusted` refuses it
+NON_FINITE_POLICY = np.errstate(over="ignore", invalid="ignore")
 
 
 def _enorm(v, axes: int = 0):
@@ -137,15 +139,16 @@ def walk_jets(chart: ImmersionChart, points) -> tuple:
 
 
 def _off_position(ambient: AmbientSpace, val, D):
-    """Rows of D with their space-form position component
-    eps <D, G y> y removed, y the image point."""
+    """Rows of D less their position part eps <D, G y> y, y the image point;
+    always a fresh C-contiguous array, so no product depends on the stack."""
     if ambient.epsilon == 0:
-        return D
+        return np.ascontiguousarray(D)
     Gy = val @ ambient.metric()
     return D - ambient.epsilon * np.einsum(
         "...pn,...n->...p", D, Gy)[..., None] * val[..., None, :]
 
 
+@NON_FINITE_POLICY
 def assemble_frame(ambient: AmbientSpace, points, arrays,
                    tol_zero: float = DEFAULT_ZERO_TOL) -> Frame:
     """The pointwise curvature data of walked jet arrays at one point or a
@@ -292,6 +295,7 @@ class PointReport:
     parallel_residual: float | None
     first_normal_rank: int
     radical_last_var_residual: float | None
+    ambient_residual: float
 
     def flags(self, tol: float = DEFAULT_TOL) -> dict:
         # with no mean curvature, minimality is asserted through geodesy
@@ -315,7 +319,8 @@ _RESIDUALS = {"umbilicity": ("umbilicity_residual", (True, True)),
               "h_norm": ("h_norm", (True, False)),
               "minimal": ("minimal_residual", (True, False)),
               "parallel": ("parallel_residual", (True, False)),
-              "radical_last_var": ("radical_last_var_residual", (False, True))}
+              "radical_last_var": ("radical_last_var_residual", (False, True)),
+              "ambient": ("ambient_residual", (True, True))}
 
 
 def _residuals(table: dict, records: int = 1) -> tuple:
@@ -327,6 +332,7 @@ def _residuals(table: dict, records: int = 1) -> tuple:
         np.stack([table[c] for c in cols], -1), np.array(on).T[degenerate]))
 
 
+@NON_FINITE_POLICY
 def point_table(fr: Frame, tol_zero: float) -> dict:
     """The pointwise results on a stacked frame built at `tol_zero`, as
     columns named as the `PointReport` fields they fill: points, metrics,
@@ -340,6 +346,7 @@ def point_table(fr: Frame, tol_zero: float) -> dict:
     for (degenerate, _), idx in fr.branches.items():
         sub = fr if idx is None else fr.take(idx)
         cols = umbilicity_data(sub)
+        cols["ambient_residual"] = ambient_residual(fr.ambient, sub.value)
         if degenerate:
             cols["radical_last_var_residual"] = _radical_last_var(sub, tol_zero)
         else:
@@ -358,12 +365,20 @@ def point_table(fr: Frame, tol_zero: float) -> dict:
     return table
 
 
-def non_finite(table: dict, records: int = 1) -> list[list[str]]:
-    """For each of `records` equal blocks of rows of a point table, the
-    names of the residuals with a defined value that is not finite."""
+def untrusted(table: dict, tol: float, records: int = 1) -> list[list[str]]:
+    """For each of `records` equal blocks of rows of a point table, the lines
+    that refuse its samples: residuals with a defined value that is not
+    finite, and an image off its space form by more than `tol`."""
     values, defined = _residuals(table, records)
     bad = (~np.isfinite(values) & defined).any(1).tolist()
-    return [[k for k, b in zip(_RESIDUALS, row) if b] for row in bad]
+    off = table["ambient_residual"].reshape(records, -1).max(1).tolist()
+    out = []
+    for row, worst in zip(bad, off):
+        names = ", ".join(k for k, b in zip(_RESIDUALS, row) if b)
+        out.append([f"non-finite residuals: {names}"] * bool(names)
+                   + [f"image off its space form: ambient residual "
+                      f"{worst:.3e} > {tol}"] * (worst > tol))
+    return out
 
 
 def point_report(table: dict, k: int) -> PointReport:
@@ -424,6 +439,7 @@ def hull_sample(chart: ImmersionChart, seed: int = 42) -> np.ndarray:
     return chart.value(chart.sample_points(hull_size(chart.ambient), seed))
 
 
+@NON_FINITE_POLICY
 def reduction_report(chart: ImmersionChart, seed: int = 42,
                      tol: float = DEFAULT_TOL,
                      tol_zero: float = DEFAULT_ZERO_TOL,
@@ -587,36 +603,32 @@ def _verify_group(records, samples, tol, tol_zero) -> list[FamilyVerdict]:
     ids, params, charts, expected, drawn, walked = zip(*records)
     ambient, R = charts[0].ambient, len(records)
     stack = [np.concatenate(a) for a in zip(*walked)]
-    off = ambient_residual(ambient, stack[0].reshape(R, samples, -1))
-    # a residual that overflows is not finite, and fails when judged
-    with np.errstate(over="ignore", invalid="ignore"):
-        fr = assemble_frame(ambient, np.concatenate(
-            [d[:samples] for d in drawn]), stack, tol_zero)
-        table = point_table(fr, tol_zero)
-        # what `_judge` reads, one reduction per field over the (R, S) table;
-        # a max keeps a NaN, and reduces a residual over its branch's rows
-        values, defined = _residuals(table, R)
-        st = dict(zip(_RESIDUALS, values.max(1, where=defined,
-                                             initial=-np.inf).T))
-        h, minimal = (table[c].reshape(R, -1)
-                      for c in ("h_norm", "minimal_residual"))
-        nondeg = defined[..., list(_RESIDUALS).index("h_norm")]
-        null = table["metric_signature"][:, 2].reshape(R, -1)
-        median = np.median(h, axis=1)
-        for k in np.flatnonzero(nondeg.any(1) & ~nondeg.all(1)):
-            median[k] = np.median(h[k][nondeg[k]])
-        st.update(
-            h_median=median,
-            h_spread=st["h_norm"] - h.min(1, where=nondeg, initial=np.inf),
-            marginally_trapped=np.all(
-                ~nondeg | ((minimal > tol) & (np.abs(h) <= tol)), 1),
-            ranks=(null[..., None] == np.arange(null.max() + 1)).any(1),
-            first_normal_rank=table["first_normal_rank"].reshape(R, -1).max(1),
-            metric_signature=table["metric_signature"][::samples],
-            off=off)
+    fr = assemble_frame(ambient, np.concatenate(
+        [d[:samples] for d in drawn]), stack, tol_zero)
+    table = point_table(fr, tol_zero)
+    # what `_judge` reads, one reduction per field over the (R, S) table;
+    # a max keeps a NaN, and reduces a residual over its branch's rows
+    values, defined = _residuals(table, R)
+    st = dict(zip(_RESIDUALS, values.max(1, where=defined,
+                                         initial=-np.inf).T))
+    h, minimal = (table[c].reshape(R, -1)
+                  for c in ("h_norm", "minimal_residual"))
+    nondeg = defined[..., list(_RESIDUALS).index("h_norm")]
+    null = table["metric_signature"][:, 2].reshape(R, -1)
+    median = np.median(h, axis=1)
+    for k in np.flatnonzero(nondeg.any(1) & ~nondeg.all(1)):
+        median[k] = np.median(h[k][nondeg[k]])
+    st.update(
+        h_median=median,
+        h_spread=st["h_norm"] - h.min(1, where=nondeg, initial=np.inf),
+        marginally_trapped=np.all(
+            ~nondeg | ((minimal > tol) & (np.abs(h) <= tol)), 1),
+        ranks=(null[..., None] == np.arange(null.max() + 1)).any(1),
+        first_normal_rank=table["first_normal_rank"].reshape(R, -1).max(1),
+        metric_signature=table["metric_signature"][::samples])
     fd_sigs = st["metric_signature"].tolist()
-    stats = [dict(zip(st, row), non_finite=bad) for row, bad in zip(
-        zip(*(v.tolist() for v in st.values())), non_finite(table, R))]
+    stats = [dict(zip(st, row), untrusted=lines) for row, lines in zip(
+        zip(*(v.tolist() for v in st.values())), untrusted(table, tol, R))]
     # one value walk per record: its hull sample Y[k], when one is judged,
     # then the FD stencil around its first point
     K = hull_size(ambient)
@@ -685,14 +697,11 @@ def _judge(family_id, params, expected, st, fd_failures, full, red, *,
     its group's point table (see `_verify_group`) and its checked tail: the
     failures of the finite-difference oracle at its first point, and the
     fullness and hull reduction of its image sample (None when the catalog
-    asserts neither).  Expected-vs-computed disagreements listed in the
-    entry's discrepancy allowance are reported, not failed.
+    asserts neither); its `untrusted` lines fail it first.  Disagreements
+    listed in the entry's discrepancy allowance are noted, not failed.
     """
-    verdict = FamilyVerdict(family_id, params)
+    verdict = FamilyVerdict(family_id, params, list(st["untrusted"]))
     umb, geo = st["umbilicity"], st["geodesic"]
-    bad = st["non_finite"] + ["ambient"] * (not math.isfinite(st["off"]))
-    if bad:
-        verdict.failures.append(f"non-finite residuals: {', '.join(bad)}")
     ranks = [r for r, seen in enumerate(st["ranks"]) if seen]
     rank, nondeg = ranks[-1], ranks[0] == 0
     verdict.summary.update({
@@ -704,9 +713,6 @@ def _judge(family_id, params, expected, st, fd_failures, full, red, *,
     })
     if len(ranks) > 1:
         verdict.failures.append(f"radical rank varies over samples: {ranks}")
-    if st["off"] > tol:
-        verdict.failures.append(f"image off its space form: ambient "
-                                f"residual {st['off']:.3e} > {tol}")
     _check(verdict, "radical_rank", rank, expected.radical_rank,
            expected.allows("radical_rank", rank))
     _check_residual(verdict, "umbilicity", umb, expected.totally_umbilical,

@@ -471,6 +471,13 @@ def _add_radius(id, description, r, cls, rho, draw):
          _draw_r(*draw))
 
 
+def _add_product(id, base, factor):
+    """Register a lightlike product at its base row's radius and draws."""
+    row = _REGISTRY[base]
+    _add(id, f"degenerate product, {factor} factor", dict(row.defaults),
+         lambda p: _degenerate_expected(1), row.draw_params)
+
+
 _MS = {"m": 2, "s": 0}
 
 
@@ -521,12 +528,9 @@ _add("U-flat", "flat marginally trapped null graph (named instance)",
 
 _add("light1-1", "degenerate product over a sphere, totally geodesic",
      dict(_MS), lambda p: _degenerate_expected(1, geodesic=True))
-_add("light1-2", "degenerate product, small sphere factor", {**_MS, "r": 0.5},
-     lambda p: _degenerate_expected(1), _draw_r(0.15, 0.85))
-_add("light1-3", "degenerate product, large sphere factor", {**_MS, "r": 2.0},
-     lambda p: _degenerate_expected(1), _draw_r(1.2, 3.0))
-_add("light1-4", "degenerate product, hyperbolic factor", {**_MS, "r": 1.0},
-     lambda p: _degenerate_expected(1), _draw_r(0.3, 2.0))
+_add_product("light1-2", "main1-3", "small sphere")
+_add_product("light1-3", "main1-4", "large sphere")
+_add_product("light1-4", "main1-6", "hyperbolic")
 _add("light1-5", "lightcone as hypersurface of the sphere", dict(_MS),
      lambda p: _degenerate_expected(1, has_t=False))
 _add("light1-6", "degenerate product over the lightcone", {"m": 3, "s": 0},
@@ -536,14 +540,9 @@ _add("light1-7", "doubly offset degenerate product", dict(_MS),
 
 _add("light2-1", "degenerate product over a hyperbolic slice, geodesic",
      dict(_MS), lambda p: _degenerate_expected(1, geodesic=True))
-_add("light2-2", "degenerate product, small hyperbolic factor",
-     {**_MS, "r": 0.5}, lambda p: _degenerate_expected(1),
-     _draw_r(0.15, 0.85))
-_add("light2-3", "degenerate product, large hyperbolic factor",
-     {**_MS, "r": 2.0}, lambda p: _degenerate_expected(1),
-     _draw_r(1.2, 3.0))
-_add("light2-4", "degenerate product, spherical factor", {**_MS, "r": 1.0},
-     lambda p: _degenerate_expected(1), _draw_r(0.3, 2.0))
+_add_product("light2-2", "main2-3", "small hyperbolic")
+_add_product("light2-3", "main2-4", "large hyperbolic")
+_add_product("light2-4", "main2-6", "spherical")
 _add("light2-5", "lightcone as hypersurface of the hyperbolic space",
      dict(_MS), lambda p: _degenerate_expected(1, has_t=False))
 _add("light2-6", "degenerate product over the lightcone (hyperbolic target)",

@@ -211,14 +211,11 @@ def fd_jet_arrays(chart: ImmersionChart, point, step: float = 1e-4,
 
 
 def ambient_residual(ambient: AmbientSpace, values):
-    """Max deviation of <y,y> from epsilon over the image points y, one
-    (N,) or a (P, N) stack (NaN when an image is not finite); a
-    (..., P, N) stack gives one residual per leading index."""
+    """|<y,y> - epsilon| at each image point y of (..., N) values, NaN where
+    an image is not finite."""
     values = np.asarray(values)
-    lead = values.shape[:-2]
     if ambient.epsilon == 0:
-        return np.zeros(lead) if lead else 0.0
+        return np.zeros(values.shape[:-1])
     w = np.diagonal(ambient.metric())
-    dev = np.abs(np.einsum("...n,n,...n->...", values, w, values)
-                 - ambient.epsilon).reshape(lead + (-1,)).max(-1)
-    return dev if lead else float(dev)
+    return np.abs(np.einsum("...n,n,...n->...", values, w, values)
+                  - ambient.epsilon)

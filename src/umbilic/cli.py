@@ -17,9 +17,9 @@ import numpy as np
 
 from . import catalog
 from .analysis import (DEFAULT_TOL, DEFAULT_ZERO_TOL, analyze_point,
-                       analyze_points, fullness, hull_sample, non_finite,
-                       point_report, reduction_report, verify_families)
-from .congruence import moduli_demo
+                       analyze_points, fullness, hull_sample, point_report,
+                       reduction_report, untrusted, verify_families)
+from .congruence import closure_demonstrated, moduli_demo
 from .errors import DomainError, InputError
 
 DEFAULT_SEED = 42
@@ -163,19 +163,17 @@ def cmd_analyze(args) -> int:
     else:
         points = chart.sample_points(args.samples, args.seed)
 
-    # a residual that overflows is not finite, and fails below
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            table = analyze_points(chart, points, tol_zero=args.tol_zero)
-        except DomainError:
-            # report the first offending sample as it reads alone, with no
-            # index into a stack the user never sees
-            for p in points:
-                analyze_point(chart, p, tol_zero=args.tol_zero)
-            raise
-    (bad,) = non_finite(table)
-    if bad:
-        raise DomainError(f"non-finite residuals: {', '.join(bad)}")
+    try:
+        table = analyze_points(chart, points, tol_zero=args.tol_zero)
+    except DomainError:
+        # report the first offending sample as it reads alone, with no
+        # index into a stack the user never sees
+        for p in points:
+            analyze_point(chart, p, tol_zero=args.tol_zero)
+        raise
+    (lines,) = untrusted(table, args.tol)
+    if lines:
+        raise DomainError("; ".join(lines))
     point_payloads = []
     for rep in (point_report(table, k) for k in range(len(points))):
         point_payloads.append({
@@ -270,14 +268,8 @@ def cmd_moduli(args) -> int:
     else:
         print(f"{'a':>12} {'class':>6} {'sup distance':>14}")
         for r in records:
-            dist = f"{r.distance:.6f}"
-            if len(dist) > 14:
-                dist = f"{r.distance:.6e}"
-            print(f"{r.a:>12.6g} {r.cls:>6} {dist:>14}")
-    nonzero = [r for r in records if r.a != 0]
-    zero = [r for r in records if r.a == 0]
-    if (nonzero and zero and all(r.cls == "u" for r in nonzero)
-            and all(r.cls == "g" for r in zero)):
+            print(f"{r.a:>12.6g} {r.cls:>6} {r.distance:>14.6f}")
+    if closure_demonstrated(records):
         print("closure(u) ∋ g: demonstrated")
     return 0
 

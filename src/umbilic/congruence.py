@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bilinear as B
-from .analysis import DEFAULT_TOL, analyze_points, reduction_report
+from .analysis import DEFAULT_TOL, analyze_points, reduction_report, untrusted
 from .catalog import instantiate, umbilical_items
 from .charts import ImmersionChart
 from .errors import DomainError, InputError
@@ -96,7 +96,7 @@ def classify(chart: ImmersionChart) -> ClassificationResult:
     sign pattern of the hull direction space breaks a tie between the two
     totally geodesic rows, and the curvature radius is recovered from the
     norm where the item has one.  Five seeded sample points are read at
-    the default tolerances.
+    the default tolerances; `untrusted` samples get its lines as notes.
     """
     tol = DEFAULT_TOL
     table = analyze_points(chart, chart.sample_points(5, 42))
@@ -110,6 +110,9 @@ def classify(chart: ImmersionChart) -> ClassificationResult:
     if not umb <= tol:
         result.notes.append(
             f"not totally umbilical (residual {umb:.3e}); no item applies")
+        return result
+    (result.notes,) = untrusted(table, tol)
+    if result.notes:
         return result
     h = float(np.median(table["h_norm"]))
     minimal = np.max(table["minimal_residual"]) <= tol
@@ -170,17 +173,20 @@ def moduli_demo(a_values, samples: int = 25, seed: int = 42,
     base = instantiate("psi-a", {"m": 2, "s": 0, "a": 0.0})
     points = base.sample_points(samples, seed)
     records = []
-    for a in a_values:
-        chart = instantiate("psi-a", {"m": 2, "s": 0, "a": float(a)})
-        # an offset too large to square gives no finite residual
-        with np.errstate(over="ignore", invalid="ignore"):
-            geo = float(np.max(analyze_points(
-                chart, chart.sample_points(3, seed))["geodesic_residual"]))
-            dist = float(np.max(np.linalg.norm(chart.value(points)
-                                               - base.value(points), axis=-1)))
-        if not (math.isfinite(geo) and math.isfinite(dist)):
-            raise DomainError(f"psi-a offset a={float(a)!r}: the geodesic "
-                              f"residual or the sup distance is not finite")
-        records.append(ModuliRecord(float(a), "g" if geo <= tol else "u",
-                                    dist))
+    for a in map(float, a_values):
+        chart = instantiate("psi-a", {"m": 2, "s": 0, "a": a})
+        table = analyze_points(chart, chart.sample_points(3, seed))
+        (lines,) = untrusted(table, tol)
+        if lines:
+            raise DomainError(f"psi-a offset a={a!r}: {'; '.join(lines)}")
+        geo = float(np.max(table["geodesic_residual"]))
+        dist = float(np.max(np.linalg.norm(chart.value(points)
+                                           - base.value(points), axis=-1)))
+        records.append(ModuliRecord(a, "g" if geo <= tol else "u", dist))
     return records
+
+
+def closure_demonstrated(records: list[ModuliRecord]) -> bool:
+    """Whether g is in closure(u): every a = 0 record g, every other u."""
+    return ({r.cls for r in records if r.a == 0} == {"g"}
+            and {r.cls for r in records if r.a != 0} == {"u"})

@@ -11,12 +11,12 @@ from umbilic import jets as J
 from umbilic.analysis import (analyze_point, analyze_points, build_frame,
                               fullness, induced_metric, parallelism_residual,
                               point_report, reduction_report, umbilicity_data,
-                              verify_families, verify_family)
+                              untrusted, verify_families, verify_family)
 from umbilic.bilinear import Signature
 from umbilic.catalog import (family_ids, family_instance, get_family,
                              instances, instantiate)
-from umbilic.charts import (ExprChart, ImmersionChart, fd_jet_arrays,
-                            transform_chart)
+from umbilic.charts import (ExprChart, ImmersionChart, ambient_residual,
+                            fd_jet_arrays, transform_chart)
 from umbilic.errors import DegenerateMetricError, DomainError, InputError
 
 TOL = 1e-7
@@ -281,6 +281,12 @@ class TestVerifyFamily:
         assert verdict.ok is False
         assert any("non-finite residuals" in f for f in verdict.failures)
 
+    @pytest.mark.parametrize("a", [1e154, 1e160])
+    def test_overflowing_offset_fails_closed_without_warnings(self, a):
+        # the hull reduction of so large an image overflows too
+        verdict = verify_family("psi-a", {"a": a})
+        assert verdict.failures[0].startswith("non-finite residuals: ")
+
     def test_hull_sample_is_drawn_once(self, monkeypatch):
         # fullness and the hull reduction share one image sample, the
         # first rows of the record's one draw of chart points
@@ -449,7 +455,11 @@ class TestJudge:
          ["non-finite residuals: parallel",
           "parallelism residual inf > 1e-07"]),
         # a NaN h_norm adds no range or value line of its own
-        ("h_norm", float("nan"), ["non-finite residuals: h_norm"])])
+        ("h_norm", float("nan"), ["non-finite residuals: h_norm"]),
+        ("ambient_residual", float("nan"), ["non-finite residuals: ambient"]),
+        ("ambient_residual", float("inf"),
+         ["non-finite residuals: ambient",
+          "image off its space form: ambient residual inf > 1e-07"])])
     def test_non_finite_residual(self, monkeypatch, field, value, failures):
         batch = analysis.point_table
 
@@ -649,17 +659,26 @@ def _same_report(batch, single):
     np.testing.assert_array_equal(batch.point, single.point)
     for name in ("umbilicity_residual", "geodesic_residual", "h_norm",
                  "minimal_residual", "parallel_residual",
-                 "radical_last_var_residual", "mean_curvature", "metric"):
+                 "radical_last_var_residual", "ambient_residual",
+                 "mean_curvature", "metric"):
         got, want = getattr(batch, name), getattr(single, name)
         if want is None:
             assert got is None, name
         else:
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15,
-                                       err_msg=name)
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 class TestAnalyzePoints:
     """One frame on a (P, m) stack gives the single-point reports."""
+
+    @pytest.mark.parametrize("fid", sorted(family_ids()))
+    def test_catalog_samples_are_trusted(self, fid):
+        ch = instantiate(fid)
+        table = analyze_points(ch, ch.sample_points(5, 42))
+        assert untrusted(table, analysis.DEFAULT_TOL) == [[]]
+        np.testing.assert_array_equal(
+            table["ambient_residual"],
+            ambient_residual(ch.ambient, ch.value(table["point"])))
 
     @pytest.mark.parametrize("fid", sorted(family_ids()))
     def test_stack_matches_single_points(self, fid):

@@ -12,10 +12,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from umbilic import analysis, cli
-from umbilic.analysis import analyze_point
+from umbilic.analysis import analyze_point, verify_family
 from umbilic.catalog import instantiate
 from umbilic.charts import ImmersionChart
 from umbilic.cli import main
+from umbilic.congruence import classify
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -230,12 +231,15 @@ class TestAnalyze:
                        "positive\n")
 
     def test_non_finite_residual_fails_closed(self, capsys):
-        # the jets are finite, but the parallelism residual overflows
+        # the jets are finite, but the parallelism residual overflows and
+        # the image is off its space form
         code, out, err = run(["analyze", "--family", "main1-4",
                               "--param", "r=1e100"], capsys)
         assert code == 1
         assert out == ""
-        assert err == "domain error: non-finite residuals: parallel\n"
+        assert err == ("domain error: non-finite residuals: parallel; image "
+                       "off its space form: ambient residual 3.399e+184 > "
+                       "1e-07\n")
 
     def test_closed_form_overflow_names_the_family(self, capsys):
         # the catalog's expectation overflows before any chart is walked
@@ -285,6 +289,40 @@ class TestAnalyze:
                 else:
                     np.testing.assert_allclose(got, want, rtol=1e-12,
                                                atol=1e-15)
+
+
+def _trust_lines(verdict) -> list[str]:
+    """The failures of a verdict that refuse its samples."""
+    return [f for f in verdict.failures if f.startswith(
+        ("non-finite residuals: ", "image off its space form: "))]
+
+
+# charts whose images leave their space form at a large radius
+_UNTRUSTED = [("main1-4", 1e6), ("main1-4", 1e8), ("main1-4", 1e100),
+              ("main1-6", 1e6), ("main2-4", 1e8)]
+
+
+class TestTrustRule:
+    """`analyze` and `classify` refuse a chart's samples with the lines
+    the verifier fails them with, read from the same seed-42 points."""
+
+    @pytest.mark.parametrize("fid, r", _UNTRUSTED)
+    def test_analyze_fails_as_the_verifier_does(self, capsys, fid, r):
+        want = _trust_lines(verify_family(fid, {"r": r}, samples=4))
+        assert want
+        code, out, err = run(["analyze", "--family", fid, "--param", f"r={r}",
+                              "--samples", "4"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"domain error: {'; '.join(want)}\n"
+
+    @pytest.mark.parametrize("fid, r", _UNTRUSTED)
+    def test_classify_gives_no_label(self, fid, r):
+        # at r = 1e100 a RuntimeWarning once escaped (filterwarnings = error)
+        res = classify(instantiate(fid, {"r": r}))
+        assert (res.label, res.h_norm, res.params) == (None, None, {})
+        assert res.notes == _trust_lines(verify_family(fid, {"r": r}))
+        assert res.notes
 
 
 def test_trace_targets_resolve(monkeypatch):
@@ -358,7 +396,13 @@ def test_benchmark_workloads_pass(workload, monkeypatch):
     # in the jets (a domain error) and in the sampled image values
     (["analyze", "--family", "main1-3", "--param", "m=3", "--param", "r=1e-100"],
      1),
-    (["analyze", "--family", "light1-3", "--param", "r=1e100"], 0),
+    # the image is off its space form, by 1.7e+184
+    (["analyze", "--family", "light1-3", "--param", "r=1e100"], 1),
+    # finite residuals, but the image is off its space form
+    (["analyze", "--family", "main1-4", "--param", "r=1e8"], 1),
+    (["analyze", "--family", "main2-4", "--param", "r=1e6"], 1),
+    (["moduli", "--a", "0,1e6"], 1),
+    (["moduli", "--a", "0,1e4"], 0),
     # finite jets, but the parallelism residual overflows
     (["analyze", "--family", "main1-4", "--param", "r=1e100"], 1),
     # non-finite numbers are rejected where they are parsed
@@ -410,16 +454,21 @@ class TestModuli:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [
-            "domain error: psi-a offset a=1e+155: the geodesic residual "
-            "or the sup distance is not finite"]
+            "domain error: psi-a offset a=1e+155: non-finite residuals: "
+            "geodesic, h_norm, minimal, parallel, ambient"]
 
     def test_large_offset_keeps_the_column(self, capsys):
-        code, out, _ = run(["moduli", "--a", "0,1e6,1e100"], capsys)
+        # a member off its space form is refused, named by its offset
+        code, out, err = run(["moduli", "--a", "0,1e6,1e100"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == ("domain error: psi-a offset a=1000000.0: image off its "
+                       "space form: ambient residual 1.221e-04 > 1e-07\n")
+        code, out, _ = run(["moduli", "--a", "0,1e4"], capsys)
         assert code == 0
         header, *rows, verdict = out.splitlines()
-        assert [len(line) for line in rows] == [len(header)] * 3
-        assert rows[1].endswith(" 1414213.562373")
-        assert rows[2].endswith(" 1.414214e+100")
+        assert [len(line) for line in rows] == [len(header)] * 2
+        assert rows[1].endswith(" 14142.135624")
         assert verdict.startswith("closure(u)")
 
     def test_json_rows(self, capsys, tmp_path):

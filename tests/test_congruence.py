@@ -9,7 +9,8 @@ from umbilic import congruence
 from umbilic.bilinear import random_pseudo_orthogonal
 from umbilic.catalog import get_family, instantiate
 from umbilic.charts import transform_chart
-from umbilic.congruence import (AMBIGUITY_FACTOR, classify, congruence_test,
+from umbilic.congruence import (AMBIGUITY_FACTOR, ModuliRecord, classify,
+                                closure_demonstrated, congruence_test,
                                 moduli_demo)
 from umbilic.errors import DomainError, InputError
 
@@ -237,6 +238,25 @@ class TestModuli:
     def test_single_geodesic_row(self):
         records = moduli_demo([0.0])
         assert len(records) == 1 and records[0].cls == "g"
+        assert not closure_demonstrated(records)
+
+    @pytest.mark.parametrize("rows, shown", [
+        ([(0.0, "g"), (0.1, "u"), (1.0, "u")], True),
+        ([(0.1, "u"), (1.0, "u")], False),
+        ([(0.0, "g"), (0.1, "g")], False),
+        ([(0.0, "u"), (0.1, "u")], False),
+        ([], False)])
+    def test_closure_verdict(self, rows, shown):
+        # g lies in the closure of u only when every a = 0 member is "g",
+        # every other member is "u", and both kinds occur
+        records = [ModuliRecord(a, cls, abs(a)) for a, cls in rows]
+        assert closure_demonstrated(records) is shown
+
+    def test_member_off_its_space_form_refused(self):
+        # from a ~ 3e4 the null offset's image leaves its space form
+        with pytest.raises(DomainError, match=r"^psi-a offset a=30000\.0: "
+                           r"image off its space form: ambient residual "):
+            moduli_demo([0.0, 3e4])
 
     def test_distance_shrinks_while_class_stays(self):
         # the non-Hausdorff phenomenon: u-members approach g uniformly
