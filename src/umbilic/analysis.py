@@ -18,7 +18,8 @@ from . import bilinear as B
 from . import jets as J
 from .bilinear import DEFAULT_ZERO_TOL, Signature
 from .catalog import family_instance
-from .charts import AmbientSpace, ImmersionChart, ambient_residual
+from .charts import (AmbientSpace, ImmersionChart, quadric_residual,
+                     stack_charts, stack_key)
 from .errors import DegenerateMetricError, DomainError, InputError
 
 DEFAULT_TOL = 1e-7
@@ -39,9 +40,13 @@ def _enorm(v, axes: int = 0):
 
 @dataclass
 class Frame:
-    """All jet data at one point or a stack of points of one ambient space
-    form, arranged for tensor work; the points of a stack may come from
-    several charts of the same dimension.
+    """All jet data at one point or a stack of points, arranged for tensor
+    work; the points of a stack may come from several charts of the same
+    dimension m and flat dimension N, in different space forms.
+
+    A point's space form enters only through the diagonal flat metric `G`
+    and the curvature sign `eps`: one (N, N) metric and one int shared by
+    every point, or a (P, N, N) and a (P,) stack of one per point.
 
     `second` holds the ambient second derivatives with the space-form
     position component already removed, one row per sorted pair i <= j
@@ -56,7 +61,8 @@ class Frame:
     that.
     """
 
-    ambient: AmbientSpace
+    G: np.ndarray            # (N, N) or (P, N, N) flat metric
+    eps: int | np.ndarray    # curvature sign, shared or (P,)
     point: np.ndarray
     value: np.ndarray
     jac: np.ndarray          # (..., N, m): column i is the tangent vector d_i f
@@ -81,7 +87,7 @@ class Frame:
         second fundamental form h (..., T2, N) and mean curvature H
         (..., N); needs a non-degenerate metric."""
         # (..., m, N)
-        TG = np.swapaxes(self.jac, -1, -2) @ self.ambient.metric()
+        TG = np.swapaxes(self.jac, -1, -2) @ self.G
         gamma = np.linalg.solve(
             self.metric, np.einsum("...ln,...pn->...lp", TG, self.second))
         h = self.second - np.swapaxes(self.jac @ gamma, -1, -2)
@@ -113,10 +119,35 @@ class Frame:
         return next(iter(self.branches))
 
     def take(self, idx: np.ndarray) -> "Frame":
-        return Frame(self.ambient, self.point[idx], self.value[idx],
+        return Frame(_pick(self.G, idx),
+                     self.eps[idx] if isinstance(self.eps, np.ndarray) else self.eps,
+                     self.point[idx], self.value[idx],
                      self.jac[idx], self.second[idx], self.walked_third[idx],
                      self.metric[idx], self.scale[idx],
                      tuple(c[idx] for c in self.counts))
+
+
+def _pick(G: np.ndarray, idx) -> np.ndarray:
+    """The flat metric of the points or samples `idx`: G itself when they
+    all share it."""
+    return G if G.ndim == 2 else G[idx]
+
+
+def _times(y: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """y G for each row y of (..., N), with the metric of its point."""
+    return y @ G if G.ndim == 2 else (y[..., None, :] @ G)[..., 0, :]
+
+
+def _less_position(eps, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X - eps Y point by point, as a fresh C-contiguous array; a flat
+    point keeps X itself, since 0 Y would flip the sign of a zero.  The
+    callers skip it when every point is flat."""
+    if not isinstance(eps, np.ndarray):
+        return X - eps * Y
+    out = X - eps.reshape(eps.shape + (1,) * (X.ndim - eps.ndim)) * Y
+    flat = eps == 0
+    out[flat] = X[flat]
+    return out
 
 
 def walk_jets(chart: ImmersionChart, points) -> tuple:
@@ -138,30 +169,31 @@ def walk_jets(chart: ImmersionChart, points) -> tuple:
     return arrays
 
 
-def _off_position(ambient: AmbientSpace, val, D):
+def _off_position(G, eps, val, D):
     """Rows of D less their position part eps <D, G y> y, y the image point;
     always a fresh C-contiguous array, so no product depends on the stack."""
-    if ambient.epsilon == 0:
+    if not isinstance(eps, np.ndarray) and not eps:
         return np.ascontiguousarray(D)
-    Gy = val @ ambient.metric()
-    return D - ambient.epsilon * np.einsum(
-        "...pn,...n->...p", D, Gy)[..., None] * val[..., None, :]
+    return _less_position(eps, D, np.einsum(
+        "...pn,...n->...p", D, _times(val, G))[..., None] * val[..., None, :])
 
 
 @NON_FINITE_POLICY
-def assemble_frame(ambient: AmbientSpace, points, arrays,
+def assemble_frame(G: np.ndarray, eps, points, arrays,
                    tol_zero: float = DEFAULT_ZERO_TOL) -> Frame:
     """The pointwise curvature data of walked jet arrays at one point or a
-    stack of points in `ambient`; every result is computed point by point,
-    so a point's data do not depend on the rest of its stack."""
+    stack of points, in the space forms of flat metric G and curvature
+    sign eps (shared, or one per point, see `Frame`); every result is
+    computed point by point, so a point's data do not depend on the rest
+    of its stack."""
     val, jac, hess, third = arrays
-    g = np.swapaxes(jac, -1, -2) @ ambient.metric() @ jac
+    g = np.swapaxes(jac, -1, -2) @ G @ jac
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    D = _off_position(ambient, val, np.swapaxes(hess, -1, -2))
+    D = _off_position(G, eps, val, np.swapaxes(hess, -1, -2))
     scale = np.maximum(1.0, np.maximum(np.abs(D).max(axis=(-2, -1)),
                                        np.abs(g).max(axis=(-2, -1))))
     counts = B.signature_counts(g, tol_zero)
-    return Frame(ambient, points, val, jac, D, third, g, scale, counts)
+    return Frame(G, eps, points, val, jac, D, third, g, scale, counts)
 
 
 def build_frame(chart: ImmersionChart, points, *,
@@ -169,8 +201,8 @@ def build_frame(chart: ImmersionChart, points, *,
     """Evaluate jets and assemble the pointwise curvature data at one
     point (m,) or, in one walk, at a (P, m) stack of points."""
     points = np.asarray(points, dtype=float)
-    return assemble_frame(chart.ambient, points, walk_jets(chart, points),
-                          tol_zero)
+    return assemble_frame(chart.ambient.metric(), chart.ambient.epsilon,
+                          points, walk_jets(chart, points), tol_zero)
 
 
 def induced_metric(chart: ImmersionChart, point) -> tuple[np.ndarray, Signature]:
@@ -198,17 +230,16 @@ def parallelism_residual(fr: Frame):
     # the residual lies in the range of the normal projector I - P_tan, of
     # rank N - m: work in Euclidean-orthonormal coordinates Q of that range
     normal = np.eye(N) - (fr.jac @ fr.ginv @ np.swapaxes(fr.jac, -1, -2)
-                          @ fr.ambient.metric())
+                          @ fr.G)
     Q = np.linalg.eigh(normal @ np.swapaxes(normal, -1, -2))[1][..., m:]
     k = N - m
     # the position removal I - eps (G y) y^T, then the normal projection,
     # applied to the (N, k) side before the one product with the third
     # derivatives (T3, N)
     K = np.swapaxes(normal, -1, -2) @ Q
-    if fr.ambient.epsilon:
-        Gy = fr.value @ fr.ambient.metric()
-        K = K - fr.ambient.epsilon * Gy[..., :, None] * (
-            fr.value[..., None, :] @ K)
+    if isinstance(fr.eps, np.ndarray) or fr.eps:
+        K = _less_position(fr.eps, K, _times(fr.value, fr.G)[..., :, None]
+                           * (fr.value[..., None, :] @ K))
     # C[ab, c] = sum_l gamma^l_ab h_cl, one row per (sorted pair ab, c)
     h_lc = J.unpack(h @ Q, 2, axis=-2)    # (..., m, m, k)
     C = (np.swapaxes(gamma, -1, -2) @ h_lc.reshape(lead + (m, m * k))
@@ -246,7 +277,7 @@ def umbilicity_data(fr: Frame) -> dict:
         umb = _enorm(h - g[..., None] * H[..., None, :], 1)
         return dict(umbilicity_residual=umb / fr.scale,
                     geodesic_residual=geo / fr.scale, mean_curvature=H,
-                    h_norm=((H @ fr.ambient.metric()) * H).sum(-1),
+                    h_norm=(_times(H, fr.G) * H).sum(-1),
                     minimal_residual=_enorm(H),
                     first_normal_rank=B.numerical_rank(h))
 
@@ -346,7 +377,8 @@ def point_table(fr: Frame, tol_zero: float) -> dict:
     for (degenerate, _), idx in fr.branches.items():
         sub = fr if idx is None else fr.take(idx)
         cols = umbilicity_data(sub)
-        cols["ambient_residual"] = ambient_residual(fr.ambient, sub.value)
+        cols["ambient_residual"] = quadric_residual(sub.G, sub.eps,
+                                                    sub.value)
         if degenerate:
             cols["radical_last_var_residual"] = _radical_last_var(sub, tol_zero)
         else:
@@ -443,28 +475,31 @@ def hull_sample(chart: ImmersionChart, seed: int = 42) -> np.ndarray:
 def reduction_report(chart: ImmersionChart, seed: int = 42,
                      tol: float = DEFAULT_TOL,
                      tol_zero: float = DEFAULT_ZERO_TOL,
-                     sample: np.ndarray | None = None):
+                     sample: np.ndarray | None = None,
+                     metric: np.ndarray | None = None):
     """Classify the affine hull of sampled image points; `sample` is
     `hull_sample(chart, seed)` when the caller has drawn it already, and a
-    (R, K, N) stack of samples gives a list with one report per sample."""
+    (R, K, N) stack of samples gives a list with one report per sample.
+    `metric` is the flat metric of the samples, the chart's when None, or
+    a (R, N, N) stack of one per sample."""
     Y = hull_sample(chart, seed) if sample is None else sample
     stack = Y if Y.ndim == 3 else Y[None]
     vh, ranks = B.svd_split(stack[:, 1:] - stack[:, :1], tol_zero)
     ranks = ranks.tolist()
-    G = chart.ambient.metric()
+    G = chart.ambient.metric() if metric is None else metric
     out = [None] * len(stack)
     # the hulls of one dimension share one gram signature and one solve
     for hull_dim in set(ranks):
         idx = [k for k, r in enumerate(ranks) if r == hull_dim]
-        W = vh[idx, :hull_dim]
-        gram = W @ G @ np.swapaxes(W, -1, -2)
+        W, Gi = vh[idx, :hull_dim], _pick(G, idx)
+        gram = W @ Gi @ np.swapaxes(W, -1, -2)
         sigs = B.signature_of(gram, tol_zero)
         live = [n for n, s in enumerate(sigs) if hull_dim and not s.degenerate]
         proj = dict(zip(live, np.swapaxes(W[live], -1, -2) @ np.linalg.solve(
-            gram[live], W[live] @ G)))
+            gram[live], W[live] @ _pick(Gi, live))))
         for n, k in enumerate(idx):
-            out[k] = _translation(W[n], gram[n], sigs[n], stack[k, 0], G,
-                                  proj.get(n), tol, tol_zero)
+            out[k] = _translation(W[n], gram[n], sigs[n], stack[k, 0],
+                                  _pick(G, k), proj.get(n), tol, tol_zero)
     return out if Y.ndim == 3 else out[0]
 
 
@@ -493,7 +528,8 @@ def _translation(W, gram, dir_sig, base, G, proj, tol, tol_zero):
 
 
 def fullness(chart: ImmersionChart, seed: int = 42,
-             tol: float = DEFAULT_TOL, sample: np.ndarray | None = None):
+             tol: float = DEFAULT_TOL, sample: np.ndarray | None = None,
+             metric: np.ndarray | None = None):
     """Whether the image lies in no proper non-degenerate subspace.
 
     The complement of the linear span of sampled image points carries the
@@ -501,13 +537,16 @@ def fullness(chart: ImmersionChart, seed: int = 42,
     vanishes (the complement is totally degenerate or trivial).  `sample`
     is `hull_sample(chart, seed)` when the caller has drawn it already; a
     (R, K, N) stack gives a list with one (full, residual) per sample.
+    `metric` is as for `reduction_report`.
     """
     Y = hull_sample(chart, seed) if sample is None else sample
-    G = chart.ambient.metric()
+    G = chart.ambient.metric() if metric is None else metric
     vh, ranks = B.svd_split(Y if Y.ndim == 3 else Y[None])
     out = []
-    for C in (v[r:] for v, r in zip(vh, ranks.tolist())):
-        residual = float(np.max(np.abs(C @ G @ C.T))) if len(C) else 0.0
+    for k, (v, r) in enumerate(zip(vh, ranks.tolist())):
+        C = v[r:]
+        residual = (float(np.max(np.abs(C @ _pick(G, k) @ C.T))) if len(C)
+                    else 0.0)
         out.append((not len(C) or residual <= tol, residual))
     return out if Y.ndim == 3 else out[0]
 
@@ -538,10 +577,12 @@ class FamilyVerdict:
         return "discrepancy-noted" if self.discrepancies else "pass"
 
 
-def _fd_cross_check(ambient: AmbientSpace, values, jac, hess, sigs,
+@NON_FINITE_POLICY
+def _fd_cross_check(G: np.ndarray, values, jac, hess, sigs,
                     tol_zero: float) -> list[list[str]]:
     """Independent finite-difference check of walked jets and their metric,
-    one list of failures per record: its chart values (S, N) on the order-2
+    one list of failures per record, each with its flat metric (G shared or
+    one per record): its chart values (S, N) on the order-2
     `jets.fd_stencil` around the point where `jac`, `hess` and the metric
     signature in `sigs` were walked.  An overtight zero tolerance turns the
     oracle's O(step^2) truncation error into phantom metric rank, which the
@@ -549,7 +590,7 @@ def _fd_cross_check(ambient: AmbientSpace, values, jac, hess, sigs,
     _, fjac, fhess, _ = J.fd_derivatives(values, jac.shape[-1], FD_STEP, 2)
     d1 = np.max(np.abs(jac - fjac), axis=(-2, -1)).tolist()
     d2 = np.max(np.abs(hess - fhess), axis=(-2, -1)).tolist()
-    g_fd = np.swapaxes(fjac, -1, -2) @ ambient.metric() @ fjac
+    g_fd = np.swapaxes(fjac, -1, -2) @ G @ fjac
     sig_fd = np.stack(B.signature_counts(
         0.5 * (g_fd + np.swapaxes(g_fd, -1, -2)), tol_zero), -1).tolist()
     out = []
@@ -574,36 +615,93 @@ def verify_families(jobs, *, samples: int = 5, seed: int = 42,
     """Check every asserted property of each (family id, params) job
     numerically; the verdicts come back in job order.
 
-    Each record draws chart points once and walks the first `samples`.
-    The records that share a chart dimension and an ambient space form are
-    stacked into one frame, reported on and checked together, then each is
-    judged from its own rows; see `_judge`.
+    Each record draws chart points once.  The records whose charts differ
+    only in float constants, as a family's defaults and draws do, are
+    walked together (`charts.stack_charts`): once for the jets of their
+    first `samples` points, and once for the values on their hull samples
+    and finite-difference stencils.  The records that share a chart
+    dimension m and a flat dimension N are stacked into one frame, each
+    point with its own space form, reported on and checked together, then
+    each is judged from its own rows; see `_judge`.  Every job is built
+    before any is walked; a walk that fails raises the error that the
+    first failing record, in job order, raises alone.
     """
-    groups: dict = {}
-    for n, (family_id, params) in enumerate(jobs):
+    records = []
+    for family_id, params in jobs:
         spec, merged, chart, expected = family_instance(family_id, params)
         drawn = chart.sample_points(max(samples, hull_size(chart.ambient)),
                                     seed)
-        arrays = walk_jets(chart, drawn[:samples])
-        groups.setdefault((chart.nvars, chart.ambient), []).append(
-            (n, (spec.id, merged, chart, expected, drawn, arrays)))
+        records.append((spec.id, merged, chart, expected, drawn))
+    charts = [rec[2] for rec in records]
+    walked = _stacked_walks(charts, [rec[4][:samples] for rec in records],
+                            walk_jets)
+    # a record's value rows: its hull sample, when one is judged, then the
+    # FD stencil around its first point
+    hull_rows = [hull_size(ch.ambient) if e.full is not None
+                 or e.hull_dim is not None or e.translation_class is not None
+                 else 0 for _, _, ch, e, _ in records]
+    values = _stacked_walks(charts, [
+        np.concatenate([d[:k], J.fd_stencil(d[0], FD_STEP, 2)])
+        for (*_, d), k in zip(records, hull_rows)], lambda ch, p: ch.value(p))
+    groups: dict = {}
+    for n, chart in enumerate(charts):
+        groups.setdefault((chart.nvars, chart.ambient.flat_dim), []).append(n)
     verdicts = [None] * len(jobs)
-    for key in list(groups):
-        # a group's arrays and reports are dropped before the next is stacked
-        idx, records = zip(*groups.pop(key))
-        for n, verdict in zip(idx, _verify_group(records, samples, tol,
-                                                 tol_zero)):
+    for idx in groups.values():
+        tails = [(values[n][:hull_rows[n]], values[n][hull_rows[n]:])
+                 for n in idx]
+        for n, verdict in zip(idx, _verify_group(
+                [records[n] for n in idx], [walked[n] for n in idx], tails,
+                samples, tol, tol_zero)):
             verdicts[n] = verdict
     return verdicts
 
 
-def _verify_group(records, samples, tol, tol_zero) -> list[FamilyVerdict]:
+def _stacked_walks(charts: list, points: list, walk) -> list:
+    """`walk(chart, points)` of each chart on its own points, made as one
+    walk per `charts.stack_key` and split back per chart in order.  A
+    DomainError is the one the first failing chart raises alone."""
+    stacks: dict = {}
+    for n, chart in enumerate(charts):
+        stacks.setdefault(stack_key(chart), []).append(n)
+    out = [None] * len(charts)
+    try:
+        for idx in stacks.values():
+            counts = [len(points[n]) for n in idx]
+            res = walk(stack_charts([charts[n] for n in idx], counts),
+                       np.concatenate([points[n] for n in idx]))
+            ends = np.cumsum(counts).tolist()
+            for n, a, b in zip(idx, [0] + ends, ends):
+                out[n] = (tuple(x[a:b] for x in res) if isinstance(res, tuple)
+                          else res[a:b])
+        return out
+    except DomainError as err:
+        error = err
+    for chart, p in zip(charts, points):
+        walk(chart, p)
+    raise error
+
+
+def _space_forms(ambients: list, reps: int) -> tuple:
+    """The flat metric and curvature sign of `reps` consecutive points in
+    each of `ambients`: shared when they are one space form, else (P, N, N)
+    and (P,) stacks of one per point."""
+    if len(set(ambients)) == 1:
+        return ambients[0].metric(), ambients[0].epsilon
+    return (np.repeat(np.stack([a.metric() for a in ambients]), reps, 0),
+            np.repeat([a.epsilon for a in ambients], reps))
+
+
+def _verify_group(records, walked, tails, samples, tol,
+                  tol_zero) -> list[FamilyVerdict]:
     """One frame, one point table and one tail pass for the walked records
-    of one group, then each record's verdict from its own rows."""
-    ids, params, charts, expected, drawn, walked = zip(*records)
-    ambient, R = charts[0].ambient, len(records)
+    of one group, then each record's verdict from its own rows; a record's
+    tail is its values on its hull sample (no rows when no hull is judged)
+    and on the FD stencil."""
+    ids, params, charts, expected, drawn = zip(*records)
+    ambients, R = [ch.ambient for ch in charts], len(records)
     stack = [np.concatenate(a) for a in zip(*walked)]
-    fr = assemble_frame(ambient, np.concatenate(
+    fr = assemble_frame(*_space_forms(ambients, samples), np.concatenate(
         [d[:samples] for d in drawn]), stack, tol_zero)
     table = point_table(fr, tol_zero)
     # what `_judge` reads, one reduction per field over the (R, S) table;
@@ -629,24 +727,21 @@ def _verify_group(records, samples, tol, tol_zero) -> list[FamilyVerdict]:
     fd_sigs = st["metric_signature"].tolist()
     stats = [dict(zip(st, row), untrusted=lines) for row, lines in zip(
         zip(*(v.tolist() for v in st.values())), untrusted(table, tol, R))]
-    # one value walk per record: its hull sample Y[k], when one is judged,
-    # then the FD stencil around its first point
-    K = hull_size(ambient)
+    G = _space_forms(ambients, 1)[0]
     full = [k for k, e in enumerate(expected) if e.full is not None]
     hull = [k for k, e in enumerate(expected)
             if e.hull_dim is not None or e.translation_class is not None]
-    Y, F = np.zeros((R, K, ambient.flat_dim)), []
-    for k, (chart, d) in enumerate(zip(charts, drawn)):
-        rows = K if k in full or k in hull else 0
-        v = chart.value(np.concatenate([d[:rows],
-                                        J.fd_stencil(d[0], FD_STEP, 2)]))
-        Y[k, :rows] = v[:rows]
-        F.append(v[rows:])
-    fd = _fd_cross_check(ambient, np.stack(F), stack[1][::samples],
-                         stack[2][::samples], fd_sigs, tol_zero)
-    fulls = dict(zip(full, fullness(charts[0], tol=tol, sample=Y[full])))
-    reds = dict(zip(hull, reduction_report(charts[0], tol=tol,
-                                           tol_zero=tol_zero, sample=Y[hull])))
+    Y = np.zeros((R, hull_size(ambients[0]), ambients[0].flat_dim))
+    for k, (y, _) in enumerate(tails):
+        Y[k, :len(y)] = y
+    fd = _fd_cross_check(G, np.stack([f for _, f in tails]),
+                         stack[1][::samples], stack[2][::samples], fd_sigs,
+                         tol_zero)
+    fulls = dict(zip(full, fullness(charts[0], tol=tol, sample=Y[full],
+                                    metric=_pick(G, full))))
+    reds = dict(zip(hull, reduction_report(
+        charts[0], tol=tol, tol_zero=tol_zero, sample=Y[hull],
+        metric=_pick(G, hull))))
     return [_judge(ids[k], params[k], expected[k], stats[k], fd[k],
                    fulls.get(k), reds.get(k), tol=tol) for k in range(R)]
 

@@ -134,10 +134,18 @@ def _rank(s: np.ndarray, tol: float):
 def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
     """Rank by singular values above an absolute tolerance (scaled by s_max).
 
-    A stack of matrices (..., a, b) gives an integer array of ranks.
+    A stack of matrices (..., a, b) gives an integer array of ranks.  A
+    matrix with a non-finite entry has no singular values to decide on, so
+    LAPACK never sees it, and its rank reads 0.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    r = _rank(np.linalg.svd(matrix, compute_uv=False), tol)
+    if np.isfinite(matrix).all():
+        s = np.linalg.svd(matrix, compute_uv=False)
+    else:
+        finite = np.isfinite(matrix).all((-2, -1))
+        s = np.full(matrix.shape[:-2] + (min(matrix.shape[-2:]),), np.nan)
+        s[finite] = np.linalg.svd(matrix[finite], compute_uv=False)
+    r = _rank(s, tol)
     return int(r) if matrix.ndim == 2 else r
 
 

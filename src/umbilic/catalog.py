@@ -3,14 +3,17 @@
 Each entry couples a chart constructor (graph charts for curved factors,
 polynomial charts for flat ones) with its parameter domain, flat embedding
 signature and the properties the classification asserts for it.  A
-chart's coordinates are one function of its walk arguments, with its
-constants as plain floats; it calls the module's `sqrt`, `sin` and `cos`,
-so replacing them gives the closed form on other arguments, such as
-symbols.  Chart coordinates follow the canonical order: negative block
-first, then positive; degenerate chart factors always contribute the last
-chart variable.  The graph families are rows of one table, and each
-lightlike product is a null pair (t, base(u), t) over its base family at
-m-1, whose function calls the base's on the first m-1 arguments.
+chart's coordinates are one function of its walk arguments; its float
+constants (r, a, theta and those derived from them) are keywords bound by
+`functools.partial`, and may also be arrays of one value per point, so
+that `charts.stack_charts` walks the records of a family at once.  The
+function calls the module's `sqrt`, `sin` and `cos`, so replacing them
+gives the closed form on other arguments, such as symbols.  Chart
+coordinates follow the canonical order: negative block first, then
+positive; degenerate chart factors always contribute the last chart
+variable.  The graph families are rows of one table, and each lightlike
+product is a null pair (t, base(u), t) over its base family at m-1, whose
+function calls the base's on the first m-1 arguments.
 """
 from __future__ import annotations
 
@@ -150,12 +153,14 @@ def _ms(params, dv: int, dn: int, lift: int = 0, cone: bool = False):
     coordinates whose curved factor has m - lift variables.
 
     A cone factor needs a positive direction, so its index stays below its
-    dimension.  Messages name the m and s that were passed.
+    dimension, and a base of two variables: over one variable a cone is a
+    null line, which is geodesic.  Messages name the m and s that were
+    passed.
     """
     m, s = _integer(params, "m"), _integer(params, "s")
     _fits(f"m={m}", m + dv, m + dn)
     k = m - lift
-    _require(k >= 1, f"m={m}: need m >= {1 + lift}")
+    _require(k >= 1 + cone, f"m={m}: need m >= {1 + cone + lift}")
     _require(0 <= s <= k - cone,
              f"index s={s} out of range for m={m} (need 0 <= s <= {k - cone})")
     return m, s
@@ -182,11 +187,12 @@ class _Graph:
     """A graph family over m chart variables in `space(m + dn, s + dp)`.
 
     `coords(u, s, r)` gives the flat coordinates (r is None for a family
-    without a radius); `r_range` is the radius's open range; `box` is
-    "ball" (of radius r, or 1), "flat" or "cone".  A row with a sign
-    `sigma` has squared mean curvature norm h(r) = sigma / r**2 - eps at
-    radius r; a totally geodesic row in a curved space form has radius 1,
-    with sigma = eps and h(1) = 0.
+    without a radius, and may be an array of one radius per point);
+    `r_range` is the radius's open range; `box` is "ball" (of radius r, or
+    1), "flat" or "cone".  A row with a sign `sigma` has squared mean
+    curvature norm h(r) = sigma / r**2 - eps at radius r; a totally
+    geodesic row in a curved space form has radius 1, with sigma = eps and
+    h(1) = 0.
     """
 
     space: Callable[[int, int], AmbientSpace]
@@ -236,7 +242,7 @@ def _graph_chart(g: _Graph, params: dict, name: str,
         box = _flat_box(k)
     else:
         box = _cone_box(k, s)
-    return ExprChart(lambda u: g.coords(u, s, r), k,
+    return ExprChart(functools.partial(g.coords, s=s, r=r), k,
                      g.space(k + g.dn, s + g.dp), box, name)
 
 
@@ -249,13 +255,13 @@ _GRAPHS: dict[str, _Graph] = {
     "main1-2": _Graph(_S, 1, 1, lambda u, s, r:
                       [0.0] + _sphere(u, s, 1.0), sigma=1),
     "main1-3": _Graph(_S, 1, 0, lambda u, s, r: _sphere(u, s, r * r)
-                      + [math.sqrt(1 - r * r)], (0.0, 1.0), sigma=1),
-    "main1-4": _Graph(_S, 1, 1, lambda u, s, r: [math.sqrt(r * r - 1)]
+                      + [np.sqrt(1 - r * r)], (0.0, 1.0), sigma=1),
+    "main1-4": _Graph(_S, 1, 1, lambda u, s, r: [np.sqrt(r * r - 1)]
                       + _sphere(u, s, r * r), (1.0, math.inf), sigma=1),
     "main1-5": _Graph(_S, 2, 1, lambda u, s, r:
                       [1.0] + _sphere(u, s, 1.0) + [1.0]),
     "main1-6": _Graph(_S, 1, 1, lambda u, s, r: _hyper(u, s, r * r)
-                      + [math.sqrt(1 + r * r)], (0.0, math.inf), sigma=-1),
+                      + [np.sqrt(1 + r * r)], (0.0, math.inf), sigma=-1),
     "main1-7": _Graph(_S, 1, 1, lambda u, s, r:
                       _null_graph(u, s, -0.75, -1.25), box="flat"),
     "light1-5": _Graph(_S, 1, 1, lambda u, s, r:
@@ -265,13 +271,13 @@ _GRAPHS: dict[str, _Graph] = {
                       _hyper(u, s, 1.0) + [0.0], sigma=-1),
     "main2-2": _Graph(_H, 1, 1, lambda u, s, r:
                       [0.0] + _hyper(u, s, 1.0), sigma=-1),
-    "main2-3": _Graph(_H, 1, 1, lambda u, s, r: [math.sqrt(1 - r * r)]
+    "main2-3": _Graph(_H, 1, 1, lambda u, s, r: [np.sqrt(1 - r * r)]
                       + _hyper(u, s, r * r), (0.0, 1.0), sigma=-1),
     "main2-4": _Graph(_H, 1, 0, lambda u, s, r: _hyper(u, s, r * r)
-                      + [math.sqrt(r * r - 1)], (1.0, math.inf), sigma=-1),
+                      + [np.sqrt(r * r - 1)], (1.0, math.inf), sigma=-1),
     "main2-5": _Graph(_H, 2, 1, lambda u, s, r:
                       [1.0] + _hyper(u, s, 1.0) + [1.0]),
-    "main2-6": _Graph(_H, 1, 0, lambda u, s, r: [math.sqrt(1 + r * r)]
+    "main2-6": _Graph(_H, 1, 0, lambda u, s, r: [np.sqrt(1 + r * r)]
                       + _sphere(u, s, r * r), (0.0, math.inf), sigma=1),
     "main2-7": _Graph(_H, 1, 0, lambda u, s, r:
                       _null_graph(u, s, 1.25, 0.75), box="flat"),
@@ -292,6 +298,11 @@ _GRAPHS: dict[str, _Graph] = {
 # Lightlike product families
 # ---------------------------------------------------------------------------
 
+def _pair(base, u, **consts):
+    """(t, base(u'), t), t the last walk argument and u' the others."""
+    return [u[-1], *base(u[:-1], **consts), u[-1]]
+
+
 def _null_pair(base: _Graph, params: dict, name: str) -> ExprChart:
     """The null line times `base`: (t, base(u), t) over `base` at m-1.
 
@@ -299,15 +310,13 @@ def _null_pair(base: _Graph, params: dict, name: str) -> ExprChart:
     _T_BOX; the flat embedding gains one negative and one positive
     direction.
     """
-    m = _integer(params, "m")
-    # over one variable a cone is a line, not a genuinely curved factor
-    _require(base.box != "cone" or m >= 3, f"m={m}: need m >= 3")
     core = _graph_chart(base, params, name, lift=1)
     amb, sig = core.ambient, core.ambient.signature
     ambient = AmbientSpace(amb.epsilon, amb.n + 2, amb.p + 1,
                            Signature(sig.neg + 1, sig.pos + 1))
-    return ExprChart(lambda u: [u[-1], *core.coords(u[:-1]), u[-1]], m,
-                     ambient, [*core.box.tolist(), _T_BOX], name)
+    coords = functools.partial(_pair, core.coords.func, **core.coords.keywords)
+    return ExprChart(coords, core.nvars + 1, ambient,
+                     [*core.box.tolist(), _T_BOX], name)
 
 
 # lightlike product -> its base (light1-1 and light2-1: the unit S and H)
@@ -338,11 +347,14 @@ def _table(fid: str) -> Callable[[dict], ExprChart]:
 # Special entries
 # ---------------------------------------------------------------------------
 
+def _psi_a_coords(u, s, a):
+    return [a, *_sphere(u, s, 1.0), a]
+
+
 def _psi_a(p):
     m, s = _ms(p, 0, 3)
-    a = float(p["a"])
-    return ExprChart(lambda u: [a, *_sphere(u, s, 1.0), a], m,
-                     AmbientSpace.sphere(m + 2, s + 1), _ball_box(m, 1.0),
+    return ExprChart(functools.partial(_psi_a_coords, s=s, a=float(p["a"])),
+                     m, AmbientSpace.sphere(m + 2, s + 1), _ball_box(m, 1.0),
                      "psi-a")
 
 
@@ -359,21 +371,22 @@ def _s_example(p):
                      box, "S-example")
 
 
+def _s_theta_coords(u, theta, ct, st):
+    xs = u[:-1]
+    q = indefinite_square(xs, 0)
+    rho = u[-1] - theta
+    return [(-0.5 * ct) * q - st * rho, (-0.5 * st) * q + ct * rho, *xs,
+            (0.5 * st) * (2.0 - q) + ct * rho,
+            (0.5 * ct) * (2.0 - q) - st * rho]
+
+
 def _s_theta(p):
     m = _integer(p, "m")
     _fits(f"m={m}", m + 1, m + 4)
     _require(m >= 1, "m must be >= 1")
     theta = float(p["theta"])
-    ct, st = math.cos(theta), math.sin(theta)
-
-    def coords(u):
-        xs = u[:-1]
-        q = indefinite_square(xs, 0)
-        rho = u[-1] - theta
-        return [(-0.5 * ct) * q - st * rho, (-0.5 * st) * q + ct * rho, *xs,
-                (0.5 * st) * (2.0 - q) + ct * rho,
-                (0.5 * ct) * (2.0 - q) - st * rho]
-
+    coords = functools.partial(_s_theta_coords, theta=theta,
+                               ct=math.cos(theta), st=math.sin(theta))
     box = _flat_box(m) + [[theta - 0.7, theta + 0.7]]
     return ExprChart(coords, m + 1, AmbientSpace.sphere(m + 3, 2),
                      box, "S-theta")
@@ -397,18 +410,18 @@ def _plane(p):
                      _flat_box(k + r), "plane-P")
 
 
+def _cv_parallel_coords(uv, a):
+    u, v = uv
+    w = v * v + a * a
+    return [w - 0.75, a * cos(u), a * sin(u), v, w - 1.25]
+
+
 def _cv_parallel(p):
     a = float(p["a"])
     _require(a > 0, "a must be positive")
-    a2 = a * a
-
-    def coords(uv):
-        u, v = uv
-        w = v * v + a2
-        return [w - 0.75, a * cos(u), a * sin(u), v, w - 1.25]
-
-    return ExprChart(coords, 2, AmbientSpace.sphere(4, 1),
-                     [[-2.0, 2.0], [-1.0, 1.0]], "cv-parallel")
+    return ExprChart(functools.partial(_cv_parallel_coords, a=a), 2,
+                     AmbientSpace.sphere(4, 1), [[-2.0, 2.0], [-1.0, 1.0]],
+                     "cv-parallel")
 
 
 def _clifford(p):

@@ -48,14 +48,9 @@ class AmbientSpace:
         return self.signature.dim
 
     def metric(self) -> np.ndarray:
-        """The flat embedding metric, built on first use and read-only."""
-        return self._metric
-
-    @functools.cached_property
-    def _metric(self) -> np.ndarray:
-        G = self.signature.metric()
-        G.setflags(write=False)
-        return G
+        """The flat embedding metric, read-only and built once per
+        signature."""
+        return _flat_metric(self.signature)
 
     @classmethod
     def flat(cls, n: int, p: int) -> "AmbientSpace":
@@ -68,6 +63,13 @@ class AmbientSpace:
     @classmethod
     def hyperbolic(cls, n: int, p: int) -> "AmbientSpace":
         return cls(-1, n, p, Signature(p + 1, n - p))
+
+
+@functools.cache
+def _flat_metric(signature: Signature) -> np.ndarray:
+    G = signature.metric()
+    G.setflags(write=False)
+    return G
 
 
 class ImmersionChart:
@@ -175,6 +177,33 @@ class CompositeChart(ExprChart):
     jet_list = ExprChart.jet_list
 
 
+def stack_key(chart: ExprChart):
+    """Charts with one key differ at most in the float constants of their
+    coordinate function, the keywords of a `functools.partial`: one walk
+    of `stack_charts` serves them all.  Any other chart is its own key."""
+    f = chart.coords
+    if not isinstance(f, functools.partial):
+        return chart
+    return (f.func, f.args, chart.nvars, chart.ambient,
+            tuple((k, v) for k, v in f.keywords.items()
+                  if not isinstance(v, float)))
+
+
+def stack_charts(charts: list, counts: list) -> ExprChart:
+    """One chart for charts of one `stack_key`, to be walked once on their
+    points stacked in order, counts[k] of them for charts[k]: each float
+    constant becomes an array of one value per point, so every point is
+    walked with its own chart's constants.  A single chart is itself."""
+    first = charts[0]
+    if len(charts) == 1:
+        return first
+    f = first.coords
+    consts = {k: np.repeat([c.coords.keywords[k] for c in charts], counts)
+              if isinstance(v, float) else v for k, v in f.keywords.items()}
+    return ExprChart(functools.partial(f.func, *f.args, **consts),
+                     first.nvars, first.ambient, first.box, first.name)
+
+
 def compose(outer: ExprChart, inner: ExprChart) -> CompositeChart:
     """Chart composition; the inner image must stay inside the outer domain."""
     return CompositeChart(outer, inner)
@@ -213,9 +242,18 @@ def fd_jet_arrays(chart: ImmersionChart, point, step: float = 1e-4,
 def ambient_residual(ambient: AmbientSpace, values):
     """|<y,y> - epsilon| at each image point y of (..., N) values, NaN where
     an image is not finite."""
+    return quadric_residual(ambient.metric(), ambient.epsilon, values)
+
+
+def quadric_residual(G: np.ndarray, eps, values):
+    """|<y,y> - eps| at each image point y of (P, N) values, for the
+    diagonal flat metric G and curvature sign eps shared by every point,
+    or a (P, N, N) and a (P,) stack of one per point; 0 at a flat point."""
     values = np.asarray(values)
-    if ambient.epsilon == 0:
+    if not isinstance(eps, np.ndarray) and not eps:
         return np.zeros(values.shape[:-1])
-    w = np.diagonal(ambient.metric())
-    return np.abs(np.einsum("...n,n,...n->...", values, w, values)
-                  - ambient.epsilon)
+    w = np.diagonal(G, axis1=-2, axis2=-1)
+    out = np.abs(np.einsum("...n,...n,...n->...", values, w, values) - eps)
+    if isinstance(eps, np.ndarray):
+        out[eps == 0] = 0.0
+    return out

@@ -93,10 +93,13 @@ class Jet3:
     hess and third are packed by sorted multi-index (T2 = m(m+1)/2,
     T3 = m(m+1)(m+2)/6, see `packed_indices`).  A jet of P points at once
     carries a leading point axis: value (P,), grad (P, m), hess (P, T2),
-    third (P, T3); `jet[k]` is the jet of point k alone.
+    third (P, T3); `jet[k]` is the jet of point k alone.  A factor or
+    term that is an array of point values, one per point, acts point by
+    point, and an array operand defers to the jet.
     """
 
     __slots__ = ("value", "grad", "hess", "third")
+    __array_ufunc__ = None
 
     def __init__(self, value, grad, hess, third):
         self.value = value
@@ -143,8 +146,10 @@ class Jet3:
 
     def __mul__(self, o):
         if not isinstance(o, Jet3):
-            return Jet3(self.value * o, o * self.grad, o * self.hess,
-                        o * self.third)
+            # an array of point values scales each point's derivatives
+            f = o[..., None] if isinstance(o, np.ndarray) and o.ndim else o
+            return Jet3(self.value * o, f * self.grad, f * self.hess,
+                        f * self.third)
         a, b = self.value[..., None], o.value[..., None]
         i, j = packed_indices(self.grad.shape[-1], 2)
         grad = a * o.grad + b * self.grad

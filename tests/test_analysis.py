@@ -16,7 +16,8 @@ from umbilic.bilinear import Signature
 from umbilic.catalog import (family_ids, family_instance, get_family,
                              instances, instantiate)
 from umbilic.charts import (ExprChart, ImmersionChart, ambient_residual,
-                            fd_jet_arrays, transform_chart)
+                            fd_jet_arrays, quadric_residual, stack_charts,
+                            stack_key, transform_chart)
 from umbilic.errors import DegenerateMetricError, DomainError, InputError
 
 TOL = 1e-7
@@ -147,7 +148,7 @@ class TestParallelism:
         h = J.unpack(h, 2, axis=-2)               # [i, j, n]
         # the walked third derivatives, [i, j, k, n]
         third = J.unpack(np.swapaxes(fr.walked_third, -1, -2), 3, axis=-2)
-        G, eps = fr.ambient.metric(), fr.ambient.epsilon
+        G, eps = fr.G, fr.eps
         P_tan = fr.jac @ np.linalg.inv(fr.metric) @ fr.jac.T @ G
         worst = 0.0
         for i, j, k in np.ndindex(third.shape[:3]):
@@ -497,7 +498,8 @@ class TestJudge:
 
 
 class TestVerifyFamilies:
-    """Records stacked by (m, ambient) give the one-at-a-time verdicts."""
+    """Records walked by family and stacked by (m, N) give the one-at-a-time
+    verdicts."""
 
     # at tol=1e-15, 29 of the 92 records fail
     @pytest.mark.parametrize("kw", [{}, {"tol": 1e-15}, {"tol_zero": 1e-15}])
@@ -519,12 +521,15 @@ class TestVerifyFamilies:
         assert bool(unstable) == ("tol_zero" in kw)
 
     def test_one_report_pass_per_group(self, monkeypatch):
+        # one walk per family (U-flat is akk-4's chart under another name,
+        # so the two share theirs) and one report per (m, N)
         jobs = instances(42)
-        shapes = set()
+        shapes, stacks = set(), set()
         for fid, params in jobs:
             ch = get_family(fid).build(params)
-            shapes.add((ch.nvars, ch.ambient))
-        assert len(shapes) == 16
+            shapes.add((ch.nvars, ch.ambient.flat_dim))
+            stacks.add(stack_key(ch))
+        assert (len(shapes), len(stacks)) == (6, 40)
         calls = {"point_table": 0, "jet_arrays": 0}
         point_table = analysis.point_table
         jet_arrays = ImmersionChart.jet_arrays
@@ -540,7 +545,7 @@ class TestVerifyFamilies:
         monkeypatch.setattr(analysis, "point_table", table)
         monkeypatch.setattr(ImmersionChart, "jet_arrays", walk)
         verify_families(jobs, samples=16, seed=42)
-        assert calls == {"point_table": 16, "jet_arrays": 92}
+        assert calls == {"point_table": 6, "jet_arrays": 40}
 
     def test_no_object_per_point(self, monkeypatch):
         # the verifier judges columns: no PointReport, and the Signatures
@@ -605,8 +610,9 @@ class TestVerifyFamilies:
         groups: dict = {}
         for fid, params in jobs:
             chart = family_instance(fid, params)[2]
-            groups.setdefault((chart.nvars, chart.ambient), []).append(chart)
-        assert len(got) == len(groups) == 16
+            groups.setdefault((chart.nvars, chart.ambient.flat_dim),
+                              []).append(chart)
+        assert len(got) == len(groups) == 6
         for arrays, charts in zip(got, groups.values()):
             for k, chart in enumerate(charts):
                 point = chart.sample_points(16, 42)[0]
@@ -615,14 +621,16 @@ class TestVerifyFamilies:
                     assert np.array_equal(a[k], b), chart.name
 
     def test_stacked_hull_checks_equal_one_sample_calls(self):
+        # the samples of one flat dimension, each with its own metric
         groups: dict = {}
         for fid, params in instances(42):
             chart = family_instance(fid, params)[2]
-            groups.setdefault(chart.ambient, []).append(chart)
+            groups.setdefault(chart.ambient.flat_dim, []).append(chart)
         for charts in groups.values():
             Y = np.stack([analysis.hull_sample(ch, 42) for ch in charts])
-            full = fullness(charts[0], sample=Y)
-            red = reduction_report(charts[0], sample=Y)
+            G = np.stack([ch.ambient.metric() for ch in charts])
+            full = fullness(charts[0], sample=Y, metric=G)
+            red = reduction_report(charts[0], sample=Y, metric=G)
             assert len(full) == len(red) == len(charts)
             for k, ch in enumerate(charts):
                 assert full[k] == fullness(ch, seed=42)
@@ -642,13 +650,131 @@ class TestVerifyFamilies:
                 return _method(self, *args, **kwargs)
             monkeypatch.setattr(cls, name, counted)
         verify_families(jobs, samples=16, seed=42)
-        assert calls == {"sample_points": 92, "value": 92}
+        assert calls == {"sample_points": 92, "value": 40}
+
+    def test_group_mixes_flat_and_curved_space_forms(self, monkeypatch):
+        # four space forms of flat dimension 4 in one frame: flat rows keep
+        # their second derivatives and a zero ambient residual
+        jobs = [("U-flat", None), ("main1-3", {"r": 0.3}), ("akk-4", None),
+                ("main2-3", {"r": 0.7}), ("main1-3", None)]
+        frames = []
+        assemble = analysis.assemble_frame
+
+        def captured(*args, **kwargs):
+            frames.append(assemble(*args, **kwargs))
+            return frames[-1]
+
+        monkeypatch.setattr(analysis, "assemble_frame", captured)
+        stacked = verify_families(jobs)
+        monkeypatch.undo()
+        (fr,) = frames
+        assert fr.G.shape == (25, 4, 4)
+        assert fr.eps.tolist() == [0] * 5 + [1] * 5 + [0] * 5 + [-1] * 5 + [1] * 5
+        for (fid, params), got in zip(jobs, stacked):
+            want = verify_family(fid, params)
+            assert got.status == want.status == "pass"
+            assert got.failures == want.failures
+            # repr tells -0.0 from 0.0, and a NaN from a number
+            assert repr(got.summary) == repr(want.summary), fid
+
+    def test_walk_error_of_a_stacked_draw_is_its_own(self, monkeypatch):
+        # the second record's box leaves the sphere chart's disc: the family
+        # walk fails past the first record's rows, and the error names the
+        # point as the record's own walk does
+        spec = get_family("main1-3")
+        build = spec.build
+
+        def widened(params):
+            chart = build(params)
+            if params["r"] == 0.3:
+                chart.box = 10 * chart.box
+            return chart
+
+        monkeypatch.setattr(spec, "build", widened)
+        jobs = [("main1-3", None), ("main1-3", {"r": 0.3})]
+        with pytest.raises(DomainError) as alone:
+            verify_family(*jobs[1])
+        with pytest.raises(DomainError) as stacked:
+            verify_families(jobs)
+        assert str(stacked.value) == str(alone.value)
+        assert " at point " in str(alone.value)
 
     @pytest.mark.parametrize("fid, r", [("main1-4", 1e155),
                                         ("main1-3", 1e-200)])
     def test_closed_form_arithmetic_error_names_the_family(self, fid, r):
         with pytest.raises(DomainError, match=fid):
             verify_family(fid, {"r": r})
+
+
+class TestMixedFrame:
+    """A frame whose points lie in different space forms gives each point
+    the numbers its own space form gives it alone."""
+
+    def test_flat_rows_skip_the_position_removal(self):
+        # 0 times an overflowing position part would be NaN; akk-4 at
+        # index 1 has -0.0 entries, which 0 times a negative one would flip
+        flat = instantiate("akk-4", {"s": 1})
+        curved = instantiate("main1-3", {"s": 1})
+        pf, pc = flat.sample_points(5, 1), curved.sample_points(5, 1)
+        big = tuple(1e110 * a for a in flat.jet_arrays(pf))
+        G = np.stack([flat.ambient.metric()] * 5
+                     + [curved.ambient.metric()] * 5)
+        eps = np.repeat([0, 1], 5)
+        mixed = analysis.assemble_frame(
+            G, eps, np.concatenate([pf, pc]),
+            [np.concatenate(a) for a in zip(big, curved.jet_arrays(pc))])
+        alone = analysis.assemble_frame(flat.ambient.metric(), 0, pf, big)
+        assert np.signbit(alone.second).any()
+        assert mixed.second[:5].tobytes() == alone.second.tobytes()
+        curved_alone = build_frame(curved, pc)
+        assert mixed.second[5:].tobytes() == curved_alone.second.tobytes()
+
+    def test_flat_rows_have_no_ambient_residual(self):
+        flat, curved = instantiate("akk-4"), instantiate("main1-3")
+        values = np.concatenate([flat.value(flat.sample_points(3, 1)),
+                                 curved.value(curved.sample_points(3, 1))])
+        G = np.stack([flat.ambient.metric()] * 3
+                     + [curved.ambient.metric()] * 3)
+        got = quadric_residual(G, np.repeat([0, 1], 3), values)
+        assert got[:3].tolist() == [0.0] * 3
+        np.testing.assert_array_equal(
+            got[3:], ambient_residual(curved.ambient, values[3:]))
+
+
+PARAMETRIC = [fid for fid in family_ids() if get_family(fid).parametric]
+
+
+class TestFamilyWalks:
+    """A family's records walked at once, each point with its own record's
+    constants, give each record's own walk, bit for bit."""
+
+    def test_seventeen_parametric_families(self):
+        assert len(PARAMETRIC) == 17
+        assert {"S-theta", "cv-parallel", "psi-a"} <= set(PARAMETRIC)
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("fid", PARAMETRIC)
+    def test_rows_equal_each_records_walk(self, fid, seed):
+        charts = [family_instance(f, p)[2] for f, p in instances(seed)
+                  if f == fid]
+        assert len(charts) == 4 and len({stack_key(c) for c in charts}) == 1
+        points = [c.sample_points(16, seed) for c in charts]
+        # the verifier's value rows: a hull sample, then an FD stencil
+        rows = [np.concatenate([c.sample_points(40, seed),
+                                J.fd_stencil(p[0], analysis.FD_STEP, 2)])
+                for c, p in zip(charts, points)]
+        n = len(rows[0])
+        jets = stack_charts(charts, [16] * 4).jet_arrays(np.concatenate(points))
+        values = stack_charts(charts, [n] * 4).value(np.concatenate(rows))
+        for k, chart in enumerate(charts):
+            for got, want in zip(jets, chart.jet_arrays(points[k])):
+                assert np.array_equal(got[16 * k:16 * (k + 1)], want)
+            assert np.array_equal(values[n * k:n * (k + 1)],
+                                  chart.value(rows[k]))
+
+    def test_one_chart_is_its_own_stack(self):
+        chart = instantiate("main1-3")
+        assert stack_charts([chart], [5]) is chart
 
 
 def _same_report(batch, single):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from umbilic import catalog, charts
-from umbilic.analysis import analyze_point
+from umbilic.analysis import analyze_point, verify_family
 from umbilic.catalog import (expected_report, family_ids, get_family,
                              instantiate, resolve_params)
 from umbilic.charts import ambient_residual
@@ -101,6 +101,18 @@ class TestParameterValidation:
         # a lightlike product checks its base at m-1 but reports m itself
         with pytest.raises(InputError, match=r"s=2 out of range for m=2"):
             instantiate("light2-3", {"s": 2})
+
+    @pytest.mark.parametrize("fid, m, bound", [
+        ("light1-5", 1, 2), ("light2-5", 1, 2),
+        ("light1-6", 1, 3), ("light1-6", 2, 3), ("light2-6", 2, 3)])
+    def test_cone_needs_a_base_of_two_variables(self, fid, m, bound):
+        # over one variable a cone is a null line, which is geodesic: the
+        # verifier and the annotation, not totally geodesic, would disagree
+        with pytest.raises(InputError, match=rf"^m={m}: need m >= {bound}$"):
+            instantiate(fid, {"m": m, "s": 0})
+        with pytest.raises(InputError, match=rf"^m={m}: need m >= {bound}$"):
+            verify_family(fid, {"m": m, "s": 0})
+        assert verify_family(fid, {"m": bound, "s": 0}).status == "pass"
 
     def test_integral_floats_accepted(self):
         p = np.array([0.1, -0.2, 0.05])

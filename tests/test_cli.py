@@ -325,23 +325,43 @@ class TestTrustRule:
         assert res.notes
 
 
+@pytest.mark.parametrize("a", [1e100, 1e150, 1e154])
+class TestNonFiniteSecondFundamentalForm:
+    """cv-parallel's second fundamental form overflows at a large offset a:
+    its rank is never asked of LAPACK, and the samples are refused by their
+    own `non-finite residuals` line, not by a traceback."""
+
+    def test_analyze_exits_1(self, capsys, a):
+        code, out, err = run(["analyze", "--family", "cv-parallel",
+                              "--param", f"a={a}"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("domain error: non-finite residuals: ")
+        assert "Traceback" not in err
+
+    def test_verify_family_fails(self, a):
+        verdict = verify_family("cv-parallel", {"a": a})
+        assert verdict.status == "fail"
+        assert verdict.failures[0].startswith("non-finite residuals: ")
+
+    def test_classify_gives_no_label(self, a):
+        res = classify(instantiate("cv-parallel", {"a": a}))
+        assert (res.label, res.h_norm, res.params) == (None, None, {})
+
+
 def test_trace_targets_resolve(monkeypatch):
-    # every layer the benchmark's traced run wraps still exists, so that a
-    # rename fails here and not in the traced run; read-only, as below
+    # the benchmark's recorder finds every layer its traced run wraps, so
+    # that a rename fails here and not in the traced run; read-only, as
+    # below, and undone before the next test
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    tracing = importlib.import_module("tracing")
-    missing = []
-    for name, modname, clsname, attr in tracing.TARGETS:
-        owner = importlib.import_module(f"umbilic.{modname}")
-        if clsname is None:
-            found = getattr(owner, attr, None) is not None
-        else:
-            cls = getattr(owner, clsname, None)
-            found = cls is not None and attr in vars(cls)
-        if not found:
-            missing.append(name)
-    assert missing == []
+    recorder = importlib.import_module("tracing").Recorder()
+    before = dict(vars(analysis))
+    try:
+        recorder.install("umbilic")
+        assert recorder.missing == []
+    finally:
+        recorder.uninstall()
+    assert dict(vars(analysis)) == before
 
 
 def test_verify_all_matches_reference(capsys, monkeypatch):
@@ -412,6 +432,9 @@ def test_benchmark_workloads_pass(workload, monkeypatch):
     (["analyze", "--family", "main1-3", "--point", "0", "-inf"], 2),
     # finite, but the offset's image is too large to square
     (["moduli", "--a", "1e155"], 1),
+    # the second fundamental form overflows before any rank is taken
+    (["analyze", "--family", "cv-parallel", "--param", "a=1e100"], 1),
+    (["analyze", "--family", "psi-a", "--param", "a=1.7e308"], 1),
     # every walk is order 3, so every asserted parallel is checked: neither
     # command takes an order
     (["verify-all", "--order", "2"], 2),
