@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,9 +44,10 @@ class Frame:
     work; the points of a stack may come from several charts of the same
     dimension m and flat dimension N, in different space forms.
 
-    A point's space form enters only through the diagonal flat metric `G`
-    and the curvature sign `eps`: one (N, N) metric and one int shared by
-    every point, or a (P, N, N) and a (P,) stack of one per point.
+    A point's space form enters only through the diagonal weights `w` of
+    its flat metric (its `AmbientSpace.weights()`) and its curvature sign
+    `eps`, carried per point: `w` is shaped like the image points and
+    `eps` like the point axes.
 
     `second` holds the ambient second derivatives with the space-form
     position component already removed, one row per sorted pair i <= j
@@ -61,8 +62,8 @@ class Frame:
     that.
     """
 
-    G: np.ndarray            # (N, N) or (P, N, N) flat metric
-    eps: int | np.ndarray    # curvature sign, shared or (P,)
+    w: np.ndarray            # (..., N) diagonal of the flat metric
+    eps: np.ndarray          # (...) curvature sign
     point: np.ndarray
     value: np.ndarray
     jac: np.ndarray          # (..., N, m): column i is the tangent vector d_i f
@@ -86,8 +87,7 @@ class Frame:
         """Christoffel coefficients gamma (..., m, T2), indexed [l, ij],
         second fundamental form h (..., T2, N) and mean curvature H
         (..., N); needs a non-degenerate metric."""
-        # (..., m, N)
-        TG = np.swapaxes(self.jac, -1, -2) @ self.G
+        TG = _tangent_rows(self.jac, self.w)
         gamma = np.linalg.solve(
             self.metric, np.einsum("...ln,...pn->...lp", TG, self.second))
         h = self.second - np.swapaxes(self.jac @ gamma, -1, -2)
@@ -119,31 +119,21 @@ class Frame:
         return next(iter(self.branches))
 
     def take(self, idx: np.ndarray) -> "Frame":
-        return Frame(_pick(self.G, idx),
-                     self.eps[idx] if isinstance(self.eps, np.ndarray) else self.eps,
-                     self.point[idx], self.value[idx],
-                     self.jac[idx], self.second[idx], self.walked_third[idx],
-                     self.metric[idx], self.scale[idx],
-                     tuple(c[idx] for c in self.counts))
+        *arrays, counts = (getattr(self, f.name) for f in fields(self))
+        return Frame(*(a[idx] for a in arrays), tuple(c[idx] for c in counts))
 
 
-def _pick(G: np.ndarray, idx) -> np.ndarray:
-    """The flat metric of the points or samples `idx`: G itself when they
-    all share it."""
-    return G if G.ndim == 2 else G[idx]
-
-
-def _times(y: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """y G for each row y of (..., N), with the metric of its point."""
-    return y @ G if G.ndim == 2 else (y[..., None, :] @ G)[..., 0, :]
+def _tangent_rows(jac: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """jac^T G (..., m, N) for jacobians (..., N, m) and the weights w
+    (..., N) of each point's flat metric G, in C order: a product laid out
+    as the transposed jacobian would be summed in another order."""
+    return np.multiply(np.swapaxes(jac, -1, -2), w[..., None, :], order="C")
 
 
 def _less_position(eps, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X - eps Y point by point, as a fresh C-contiguous array; a flat
-    point keeps X itself, since 0 Y would flip the sign of a zero.  The
-    callers skip it when every point is flat."""
-    if not isinstance(eps, np.ndarray):
-        return X - eps * Y
+    point keeps X itself, since 0 Y would flip the sign of a zero or turn
+    an overflow into NaN."""
     out = X - eps.reshape(eps.shape + (1,) * (X.ndim - eps.ndim)) * Y
     flat = eps == 0
     out[flat] = X[flat]
@@ -169,31 +159,27 @@ def walk_jets(chart: ImmersionChart, points) -> tuple:
     return arrays
 
 
-def _off_position(G, eps, val, D):
-    """Rows of D less their position part eps <D, G y> y, y the image point;
-    always a fresh C-contiguous array, so no product depends on the stack."""
-    if not isinstance(eps, np.ndarray) and not eps:
-        return np.ascontiguousarray(D)
-    return _less_position(eps, D, np.einsum(
-        "...pn,...n->...p", D, _times(val, G))[..., None] * val[..., None, :])
-
-
 @NON_FINITE_POLICY
-def assemble_frame(G: np.ndarray, eps, points, arrays,
+def assemble_frame(w: np.ndarray, eps: np.ndarray, points, arrays,
                    tol_zero: float = DEFAULT_ZERO_TOL) -> Frame:
     """The pointwise curvature data of walked jet arrays at one point or a
-    stack of points, in the space forms of flat metric G and curvature
-    sign eps (shared, or one per point, see `Frame`); every result is
+    stack of points, each in the space form of its flat metric weights w
+    (..., N) and curvature sign eps (...) (see `Frame`); every result is
     computed point by point, so a point's data do not depend on the rest
     of its stack."""
     val, jac, hess, third = arrays
-    g = np.swapaxes(jac, -1, -2) @ G @ jac
+    g = _tangent_rows(jac, w) @ jac
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    D = _off_position(G, eps, val, np.swapaxes(hess, -1, -2))
+    # the second derivatives less their position part eps <D, G y> y, y the
+    # image point; a fresh C-contiguous array, so no product depends on the
+    # stack
+    D = np.swapaxes(hess, -1, -2)
+    D = _less_position(eps, D, np.einsum("...pn,...n->...p", D, val * w)
+                       [..., None] * val[..., None, :])
     scale = np.maximum(1.0, np.maximum(np.abs(D).max(axis=(-2, -1)),
                                        np.abs(g).max(axis=(-2, -1))))
     counts = B.signature_counts(g, tol_zero)
-    return Frame(G, eps, points, val, jac, D, third, g, scale, counts)
+    return Frame(w, eps, points, val, jac, D, third, g, scale, counts)
 
 
 def build_frame(chart: ImmersionChart, points, *,
@@ -201,8 +187,10 @@ def build_frame(chart: ImmersionChart, points, *,
     """Evaluate jets and assemble the pointwise curvature data at one
     point (m,) or, in one walk, at a (P, m) stack of points."""
     points = np.asarray(points, dtype=float)
-    return assemble_frame(chart.ambient.metric(), chart.ambient.epsilon,
-                          points, walk_jets(chart, points), tol_zero)
+    amb, lead = chart.ambient, points.shape[:-1]
+    w = np.broadcast_to(amb.weights(), lead + (amb.flat_dim,))
+    return assemble_frame(w, np.full(lead, amb.epsilon), points,
+                          walk_jets(chart, points), tol_zero)
 
 
 def induced_metric(chart: ImmersionChart, point) -> tuple[np.ndarray, Signature]:
@@ -230,16 +218,15 @@ def parallelism_residual(fr: Frame):
     # the residual lies in the range of the normal projector I - P_tan, of
     # rank N - m: work in Euclidean-orthonormal coordinates Q of that range
     normal = np.eye(N) - (fr.jac @ fr.ginv @ np.swapaxes(fr.jac, -1, -2)
-                          @ fr.G)
+                          * fr.w[..., None, :])
     Q = np.linalg.eigh(normal @ np.swapaxes(normal, -1, -2))[1][..., m:]
     k = N - m
     # the position removal I - eps (G y) y^T, then the normal projection,
     # applied to the (N, k) side before the one product with the third
     # derivatives (T3, N)
     K = np.swapaxes(normal, -1, -2) @ Q
-    if isinstance(fr.eps, np.ndarray) or fr.eps:
-        K = _less_position(fr.eps, K, _times(fr.value, fr.G)[..., :, None]
-                           * (fr.value[..., None, :] @ K))
+    K = _less_position(fr.eps, K, (fr.value * fr.w)[..., :, None]
+                       * (fr.value[..., None, :] @ K))
     # C[ab, c] = sum_l gamma^l_ab h_cl, one row per (sorted pair ab, c)
     h_lc = J.unpack(h @ Q, 2, axis=-2)    # (..., m, m, k)
     C = (np.swapaxes(gamma, -1, -2) @ h_lc.reshape(lead + (m, m * k))
@@ -277,7 +264,7 @@ def umbilicity_data(fr: Frame) -> dict:
         umb = _enorm(h - g[..., None] * H[..., None, :], 1)
         return dict(umbilicity_residual=umb / fr.scale,
                     geodesic_residual=geo / fr.scale, mean_curvature=H,
-                    h_norm=(_times(H, fr.G) * H).sum(-1),
+                    h_norm=(H * fr.w * H).sum(-1),
                     minimal_residual=_enorm(H),
                     first_normal_rank=B.numerical_rank(h))
 
@@ -377,8 +364,7 @@ def point_table(fr: Frame, tol_zero: float) -> dict:
     for (degenerate, _), idx in fr.branches.items():
         sub = fr if idx is None else fr.take(idx)
         cols = umbilicity_data(sub)
-        cols["ambient_residual"] = quadric_residual(sub.G, sub.eps,
-                                                    sub.value)
+        cols["ambient_residual"] = quadric_residual(sub.w, sub.eps, sub.value)
         if degenerate:
             cols["radical_last_var_residual"] = _radical_last_var(sub, tol_zero)
         else:
@@ -476,46 +462,49 @@ def reduction_report(chart: ImmersionChart, seed: int = 42,
                      tol: float = DEFAULT_TOL,
                      tol_zero: float = DEFAULT_ZERO_TOL,
                      sample: np.ndarray | None = None,
-                     metric: np.ndarray | None = None):
+                     weights: np.ndarray | None = None):
     """Classify the affine hull of sampled image points; `sample` is
     `hull_sample(chart, seed)` when the caller has drawn it already, and a
     (R, K, N) stack of samples gives a list with one report per sample.
-    `metric` is the flat metric of the samples, the chart's when None, or
-    a (R, N, N) stack of one per sample."""
+    `weights` is the diagonal of each sample's flat metric, a (R, N)
+    stack, or the chart's `AmbientSpace.weights()` when None."""
     Y = hull_sample(chart, seed) if sample is None else sample
     stack = Y if Y.ndim == 3 else Y[None]
     vh, ranks = B.svd_split(stack[:, 1:] - stack[:, :1], tol_zero)
     ranks = ranks.tolist()
-    G = chart.ambient.metric() if metric is None else metric
+    w = np.broadcast_to(chart.ambient.weights() if weights is None
+                        else weights, stack[:, 0].shape)
     out = [None] * len(stack)
     # the hulls of one dimension share one gram signature and one solve
     for hull_dim in set(ranks):
         idx = [k for k, r in enumerate(ranks) if r == hull_dim]
-        W, Gi = vh[idx, :hull_dim], _pick(G, idx)
-        gram = W @ Gi @ np.swapaxes(W, -1, -2)
+        W = vh[idx, :hull_dim]
+        WG = W * w[idx, None, :]
+        gram = WG @ np.swapaxes(W, -1, -2)
         sigs = B.signature_of(gram, tol_zero)
         live = [n for n, s in enumerate(sigs) if hull_dim and not s.degenerate]
         proj = dict(zip(live, np.swapaxes(W[live], -1, -2) @ np.linalg.solve(
-            gram[live], W[live] @ _pick(Gi, live))))
+            gram[live], WG[live])))
         for n, k in enumerate(idx):
-            out[k] = _translation(W[n], gram[n], sigs[n], stack[k, 0],
-                                  _pick(G, k), proj.get(n), tol, tol_zero)
+            out[k] = _translation(W[n], gram[n], sigs[n], stack[k, 0], w[k],
+                                  proj.get(n), tol, tol_zero)
     return out if Y.ndim == 3 else out[0]
 
 
-def _translation(W, gram, dir_sig, base, G, proj, tol, tol_zero):
-    """The report on the hull through `base` spanned by the rows of W."""
+def _translation(W, gram, dir_sig, base, w, proj, tol, tol_zero):
+    """The report on the hull through `base` spanned by the rows of W, in
+    the flat metric of diagonal weights w."""
     hull_dim = W.shape[0]
     if dir_sig.degenerate:
         offset = base - W.T @ (W @ base)
         R = B.radical(gram, tol_zero)
-        coeff = float(np.max(np.abs(R.T @ W @ G @ offset), initial=0.0))
+        coeff = float(np.max(np.abs(R.T @ W @ (w * offset)), initial=0.0))
         cls = "+N" if coeff > tol else "linear"
         return ReductionReport(hull_dim, dir_sig, cls, None)
     if hull_dim == 0:
         return ReductionReport(0, dir_sig, "linear", None)
     v = base - proj @ base
-    vv = float(v @ G @ v)
+    vv = float((v * w) @ v)
     if _enorm(v) <= tol:
         cls, rho = "linear", None
     elif vv > tol:
@@ -529,7 +518,7 @@ def _translation(W, gram, dir_sig, base, G, proj, tol, tol_zero):
 
 def fullness(chart: ImmersionChart, seed: int = 42,
              tol: float = DEFAULT_TOL, sample: np.ndarray | None = None,
-             metric: np.ndarray | None = None):
+             weights: np.ndarray | None = None):
     """Whether the image lies in no proper non-degenerate subspace.
 
     The complement of the linear span of sampled image points carries the
@@ -537,15 +526,16 @@ def fullness(chart: ImmersionChart, seed: int = 42,
     vanishes (the complement is totally degenerate or trivial).  `sample`
     is `hull_sample(chart, seed)` when the caller has drawn it already; a
     (R, K, N) stack gives a list with one (full, residual) per sample.
-    `metric` is as for `reduction_report`.
+    `weights` is as for `reduction_report`.
     """
     Y = hull_sample(chart, seed) if sample is None else sample
-    G = chart.ambient.metric() if metric is None else metric
     vh, ranks = B.svd_split(Y if Y.ndim == 3 else Y[None])
+    w = np.broadcast_to(chart.ambient.weights() if weights is None
+                        else weights, vh.shape[:2])
     out = []
     for k, (v, r) in enumerate(zip(vh, ranks.tolist())):
         C = v[r:]
-        residual = (float(np.max(np.abs(C @ _pick(G, k) @ C.T))) if len(C)
+        residual = (float(np.max(np.abs((C * w[k]) @ C.T))) if len(C)
                     else 0.0)
         out.append((not len(C) or residual <= tol, residual))
     return out if Y.ndim == 3 else out[0]
@@ -578,11 +568,11 @@ class FamilyVerdict:
 
 
 @NON_FINITE_POLICY
-def _fd_cross_check(G: np.ndarray, values, jac, hess, sigs,
+def _fd_cross_check(w: np.ndarray, values, jac, hess, sigs,
                     tol_zero: float) -> list[list[str]]:
     """Independent finite-difference check of walked jets and their metric,
-    one list of failures per record, each with its flat metric (G shared or
-    one per record): its chart values (S, N) on the order-2
+    one list of failures per record, each with the weights (R, N) of its
+    flat metric and its chart values (S, N) on the order-2
     `jets.fd_stencil` around the point where `jac`, `hess` and the metric
     signature in `sigs` were walked.  An overtight zero tolerance turns the
     oracle's O(step^2) truncation error into phantom metric rank, which the
@@ -590,7 +580,7 @@ def _fd_cross_check(G: np.ndarray, values, jac, hess, sigs,
     _, fjac, fhess, _ = J.fd_derivatives(values, jac.shape[-1], FD_STEP, 2)
     d1 = np.max(np.abs(jac - fjac), axis=(-2, -1)).tolist()
     d2 = np.max(np.abs(hess - fhess), axis=(-2, -1)).tolist()
-    g_fd = np.swapaxes(fjac, -1, -2) @ G @ fjac
+    g_fd = _tangent_rows(fjac, w) @ fjac
     sig_fd = np.stack(B.signature_counts(
         0.5 * (g_fd + np.swapaxes(g_fd, -1, -2)), tol_zero), -1).tolist()
     out = []
@@ -682,16 +672,6 @@ def _stacked_walks(charts: list, points: list, walk) -> list:
     raise error
 
 
-def _space_forms(ambients: list, reps: int) -> tuple:
-    """The flat metric and curvature sign of `reps` consecutive points in
-    each of `ambients`: shared when they are one space form, else (P, N, N)
-    and (P,) stacks of one per point."""
-    if len(set(ambients)) == 1:
-        return ambients[0].metric(), ambients[0].epsilon
-    return (np.repeat(np.stack([a.metric() for a in ambients]), reps, 0),
-            np.repeat([a.epsilon for a in ambients], reps))
-
-
 def _verify_group(records, walked, tails, samples, tol,
                   tol_zero) -> list[FamilyVerdict]:
     """One frame, one point table and one tail pass for the walked records
@@ -699,10 +679,13 @@ def _verify_group(records, walked, tails, samples, tol,
     tail is its values on its hull sample (no rows when no hull is judged)
     and on the FD stencil."""
     ids, params, charts, expected, drawn = zip(*records)
-    ambients, R = [ch.ambient for ch in charts], len(records)
+    R, amb = len(records), charts[0].ambient
+    w = np.stack([ch.ambient.weights() for ch in charts])
+    eps = np.array([ch.ambient.epsilon for ch in charts])
     stack = [np.concatenate(a) for a in zip(*walked)]
-    fr = assemble_frame(*_space_forms(ambients, samples), np.concatenate(
-        [d[:samples] for d in drawn]), stack, tol_zero)
+    fr = assemble_frame(np.repeat(w, samples, 0), np.repeat(eps, samples),
+                        np.concatenate([d[:samples] for d in drawn]), stack,
+                        tol_zero)
     table = point_table(fr, tol_zero)
     # what `_judge` reads, one reduction per field over the (R, S) table;
     # a max keeps a NaN, and reduces a residual over its branch's rows
@@ -727,21 +710,20 @@ def _verify_group(records, walked, tails, samples, tol,
     fd_sigs = st["metric_signature"].tolist()
     stats = [dict(zip(st, row), untrusted=lines) for row, lines in zip(
         zip(*(v.tolist() for v in st.values())), untrusted(table, tol, R))]
-    G = _space_forms(ambients, 1)[0]
     full = [k for k, e in enumerate(expected) if e.full is not None]
     hull = [k for k, e in enumerate(expected)
             if e.hull_dim is not None or e.translation_class is not None]
-    Y = np.zeros((R, hull_size(ambients[0]), ambients[0].flat_dim))
+    Y = np.zeros((R, hull_size(amb), amb.flat_dim))
     for k, (y, _) in enumerate(tails):
         Y[k, :len(y)] = y
-    fd = _fd_cross_check(G, np.stack([f for _, f in tails]),
+    fd = _fd_cross_check(w, np.stack([f for _, f in tails]),
                          stack[1][::samples], stack[2][::samples], fd_sigs,
                          tol_zero)
     fulls = dict(zip(full, fullness(charts[0], tol=tol, sample=Y[full],
-                                    metric=_pick(G, full))))
+                                    weights=w[full])))
     reds = dict(zip(hull, reduction_report(
         charts[0], tol=tol, tol_zero=tol_zero, sample=Y[hull],
-        metric=_pick(G, hull))))
+        weights=w[hull])))
     return [_judge(ids[k], params[k], expected[k], stats[k], fd[k],
                    fulls.get(k), reds.get(k), tol=tol) for k in range(R)]
 

@@ -47,10 +47,10 @@ class AmbientSpace:
     def flat_dim(self) -> int:
         return self.signature.dim
 
-    def metric(self) -> np.ndarray:
-        """The flat embedding metric, read-only and built once per
-        signature."""
-        return _flat_metric(self.signature)
+    def weights(self) -> np.ndarray:
+        """The diagonal of the flat embedding metric, read-only and built
+        once per signature."""
+        return _flat_weights(self.signature)
 
     @classmethod
     def flat(cls, n: int, p: int) -> "AmbientSpace":
@@ -66,10 +66,10 @@ class AmbientSpace:
 
 
 @functools.cache
-def _flat_metric(signature: Signature) -> np.ndarray:
-    G = signature.metric()
-    G.setflags(write=False)
-    return G
+def _flat_weights(signature: Signature) -> np.ndarray:
+    w = signature.weights()
+    w.setflags(write=False)
+    return w
 
 
 class ImmersionChart:
@@ -239,21 +239,10 @@ def fd_jet_arrays(chart: ImmersionChart, point, step: float = 1e-4,
     return J.fd_arrays(chart.value, point, step, order)
 
 
-def ambient_residual(ambient: AmbientSpace, values):
-    """|<y,y> - epsilon| at each image point y of (..., N) values, NaN where
-    an image is not finite."""
-    return quadric_residual(ambient.metric(), ambient.epsilon, values)
-
-
-def quadric_residual(G: np.ndarray, eps, values):
-    """|<y,y> - eps| at each image point y of (P, N) values, for the
-    diagonal flat metric G and curvature sign eps shared by every point,
-    or a (P, N, N) and a (P,) stack of one per point; 0 at a flat point."""
-    values = np.asarray(values)
-    if not isinstance(eps, np.ndarray) and not eps:
-        return np.zeros(values.shape[:-1])
-    w = np.diagonal(G, axis1=-2, axis2=-1)
-    out = np.abs(np.einsum("...n,...n,...n->...", values, w, values) - eps)
-    if isinstance(eps, np.ndarray):
-        out[eps == 0] = 0.0
-    return out
+def quadric_residual(w: np.ndarray, eps, values):
+    """|<y,y> - eps| at each image point y of (..., N) values, for the
+    diagonal weights w (..., N) of the flat metric and the curvature sign
+    eps (...) of each point; 0 at a flat point, NaN at another point where
+    the image is not finite."""
+    return np.where(eps == 0, 0.0, np.abs(
+        np.einsum("...n,...n,...n->...", values, w, values) - eps))

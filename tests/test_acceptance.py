@@ -90,7 +90,7 @@ def test_criterion_03_flat_classification(_report):
     s, vh = np.linalg.svd(flat, full_matrices=False)[1:]
     ok &= int(np.sum(s > ZERO_TOL * s[0])) == 1
     span = vh[0]
-    G = ch.ambient.metric()
+    G = ch.ambient.signature.metric()
     ok &= abs(float(span @ G @ span)) <= 1e-9
     ok &= float(np.linalg.norm(H)) > 0.1 and abs(float(H @ G @ H)) <= 1e-9
     _report(3, "flat catalog + null first normal space", ok)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from umbilic import analysis
+from umbilic import bilinear as B
 from umbilic import jets as J
 from umbilic.analysis import (analyze_point, analyze_points, build_frame,
                               fullness, induced_metric, parallelism_residual,
@@ -15,9 +16,9 @@ from umbilic.analysis import (analyze_point, analyze_points, build_frame,
 from umbilic.bilinear import Signature
 from umbilic.catalog import (family_ids, family_instance, get_family,
                              instances, instantiate)
-from umbilic.charts import (ExprChart, ImmersionChart, ambient_residual,
-                            fd_jet_arrays, quadric_residual, stack_charts,
-                            stack_key, transform_chart)
+from umbilic.charts import (ExprChart, ImmersionChart, fd_jet_arrays,
+                            quadric_residual, stack_charts, stack_key,
+                            transform_chart)
 from umbilic.errors import DegenerateMetricError, DomainError, InputError
 
 TOL = 1e-7
@@ -62,7 +63,7 @@ class TestMeanCurvature:
         ch = instantiate("main2-6", {"r": 1.4})
         fr = build_frame(ch, np.array([0.1, 0.2]))
         rep = analyze_point(ch, np.array([0.1, 0.2]))
-        G = ch.ambient.metric()
+        G = ch.ambient.signature.metric()
         H_flat = rep.mean_curvature - ch.ambient.epsilon * fr.value
         flat_norm = float(H_flat @ G @ H_flat)
         assert rep.h_norm == pytest.approx(flat_norm - ch.ambient.epsilon,
@@ -148,7 +149,7 @@ class TestParallelism:
         h = J.unpack(h, 2, axis=-2)               # [i, j, n]
         # the walked third derivatives, [i, j, k, n]
         third = J.unpack(np.swapaxes(fr.walked_third, -1, -2), 3, axis=-2)
-        G, eps = fr.G, fr.eps
+        G, eps = ch.ambient.signature.metric(), ch.ambient.epsilon
         P_tan = fr.jac @ np.linalg.inv(fr.metric) @ fr.jac.T @ G
         worst = 0.0
         for i, j, k in np.ndindex(third.shape[:3]):
@@ -628,9 +629,9 @@ class TestVerifyFamilies:
             groups.setdefault(chart.ambient.flat_dim, []).append(chart)
         for charts in groups.values():
             Y = np.stack([analysis.hull_sample(ch, 42) for ch in charts])
-            G = np.stack([ch.ambient.metric() for ch in charts])
-            full = fullness(charts[0], sample=Y, metric=G)
-            red = reduction_report(charts[0], sample=Y, metric=G)
+            w = np.stack([ch.ambient.weights() for ch in charts])
+            full = fullness(charts[0], sample=Y, weights=w)
+            red = reduction_report(charts[0], sample=Y, weights=w)
             assert len(full) == len(red) == len(charts)
             for k, ch in enumerate(charts):
                 assert full[k] == fullness(ch, seed=42)
@@ -668,7 +669,7 @@ class TestVerifyFamilies:
         stacked = verify_families(jobs)
         monkeypatch.undo()
         (fr,) = frames
-        assert fr.G.shape == (25, 4, 4)
+        assert fr.w.shape == (25, 4)
         assert fr.eps.tolist() == [0] * 5 + [1] * 5 + [0] * 5 + [-1] * 5 + [1] * 5
         for (fid, params), got in zip(jobs, stacked):
             want = verify_family(fid, params)
@@ -712,20 +713,23 @@ class TestMixedFrame:
 
     def test_flat_rows_skip_the_position_removal(self):
         # 0 times an overflowing position part would be NaN; akk-4 at
-        # index 1 has -0.0 entries, which 0 times a negative one would flip
+        # index 1 has -0.0 entries, which 0 times a negative one would flip:
+        # a flat row keeps its walked second derivatives byte for byte
         flat = instantiate("akk-4", {"s": 1})
         curved = instantiate("main1-3", {"s": 1})
         pf, pc = flat.sample_points(5, 1), curved.sample_points(5, 1)
         big = tuple(1e110 * a for a in flat.jet_arrays(pf))
-        G = np.stack([flat.ambient.metric()] * 5
-                     + [curved.ambient.metric()] * 5)
+        w = np.stack([flat.ambient.weights()] * 5
+                     + [curved.ambient.weights()] * 5)
         eps = np.repeat([0, 1], 5)
         mixed = analysis.assemble_frame(
-            G, eps, np.concatenate([pf, pc]),
+            w, eps, np.concatenate([pf, pc]),
             [np.concatenate(a) for a in zip(big, curved.jet_arrays(pc))])
-        alone = analysis.assemble_frame(flat.ambient.metric(), 0, pf, big)
-        assert np.signbit(alone.second).any()
-        assert mixed.second[:5].tobytes() == alone.second.tobytes()
+        alone = analysis.assemble_frame(w[:5], eps[:5], pf, big)
+        walked = np.ascontiguousarray(np.swapaxes(big[2], -1, -2))
+        assert np.signbit(walked).any()
+        assert mixed.second[:5].tobytes() == walked.tobytes()
+        assert alone.second.tobytes() == walked.tobytes()
         curved_alone = build_frame(curved, pc)
         assert mixed.second[5:].tobytes() == curved_alone.second.tobytes()
 
@@ -733,12 +737,109 @@ class TestMixedFrame:
         flat, curved = instantiate("akk-4"), instantiate("main1-3")
         values = np.concatenate([flat.value(flat.sample_points(3, 1)),
                                  curved.value(curved.sample_points(3, 1))])
-        G = np.stack([flat.ambient.metric()] * 3
-                     + [curved.ambient.metric()] * 3)
-        got = quadric_residual(G, np.repeat([0, 1], 3), values)
+        w = np.stack([flat.ambient.weights()] * 3
+                     + [curved.ambient.weights()] * 3)
+        got = quadric_residual(w, np.repeat([0, 1], 3), values)
         assert got[:3].tolist() == [0.0] * 3
         np.testing.assert_array_equal(
-            got[3:], ambient_residual(curved.ambient, values[3:]))
+            got[3:], quadric_residual(curved.ambient.weights(), 1, values[3:]))
+
+
+def _dense_reference(w, eps, arrays, m):
+    """The frame quantities by matrix products with each point's dense flat
+    metric G = diag(w): metric, second, gamma, h, H, h_norm and the
+    parallelism residual (the last five None on a degenerate metric)."""
+    val, jac, hess, third = arrays
+    N = w.shape[-1]
+    G = np.zeros(w.shape + (N,))
+    G[..., np.arange(N), np.arange(N)] = w
+    eps = eps[..., None, None]
+
+    def less_position(X, Y):
+        return np.where(eps == 0, X, X - eps * Y)
+
+    def times_G(y):
+        return (y[..., None, :] @ G)[..., 0, :]
+
+    T = np.swapaxes(jac, -1, -2)
+    g = T @ G @ jac
+    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    D = np.swapaxes(hess, -1, -2)
+    D = less_position(D, np.einsum("...pn,...n->...p", D, times_G(val))
+                      [..., None] * val[..., None, :])
+    out = dict(metric=g, second=D)
+    if B.signature_counts(g, analysis.DEFAULT_ZERO_TOL)[2].any():
+        return out | dict.fromkeys(
+            ("gamma", "h", "H", "h_norm", "parallel"))
+    ginv = np.linalg.inv(g)
+    gamma = np.linalg.solve(g, np.einsum("...ln,...pn->...lp", T @ G, D))
+    h = D - np.swapaxes(jac @ gamma, -1, -2)
+    i, j = J.packed_indices(m, 2)
+    H = np.einsum("...p,...pn->...n",
+                  ginv[..., i, j] * np.where(i == j, 1.0, 2.0), h) / m
+    normal = np.eye(N) - (jac @ ginv @ T @ G)
+    Q = np.linalg.eigh(normal @ np.swapaxes(normal, -1, -2))[1][..., m:]
+    K = np.swapaxes(normal, -1, -2) @ Q
+    K = less_position(K, times_G(val)[..., :, None] * (val[..., None, :] @ K))
+    k, lead = N - m, g.shape[:-2]
+    h_lc = J.unpack(h @ Q, 2, axis=-2)
+    C = (np.swapaxes(gamma, -1, -2) @ h_lc.reshape(lead + (m, m * k))
+         ).reshape(lead + (-1, k))
+    c = np.take(C, J.split_triples(m), axis=-2)
+    v = np.swapaxes(third, -1, -2) @ K - c[..., 0, :, :] - c[..., 1, :, :]
+    v -= c[..., 2, :, :]
+    scale = np.maximum(1.0, np.maximum(np.abs(D).max(axis=(-2, -1)),
+                                       np.abs(g).max(axis=(-2, -1))))
+    return out | dict(gamma=gamma, h=h, H=H, h_norm=(times_G(H) * H).sum(-1),
+                      parallel=analysis._enorm(v, 1) / scale)
+
+
+class TestDenseMetricReference:
+    """Products with each point's metric weights give, bit for bit, the
+    numbers of the dense metric's matrix products; a product that reads a
+    transposed layout sums in another order and moves them by an ulp."""
+
+    @staticmethod
+    def _check(fr, want):
+        for name in ("metric", "second"):
+            assert np.array_equal(getattr(fr, name), want[name]), name
+        if want["h"] is None:
+            assert fr.branch[0]
+            return
+        for name, got in zip(("gamma", "h", "H"), fr.tensors):
+            assert np.array_equal(got, want[name]), name
+        table = analysis.point_table(fr, analysis.DEFAULT_ZERO_TOL)
+        assert np.array_equal(table["h_norm"], want["h_norm"])
+        assert np.array_equal(parallelism_residual(fr), want["parallel"])
+
+    @pytest.mark.parametrize("fid", sorted(family_ids()))
+    def test_analyze_points(self, fid):
+        # the four points `umbilic analyze` reads by default
+        ch = instantiate(fid)
+        points = ch.sample_points(4, 42)
+        amb = ch.ambient
+        self._check(build_frame(ch, points), _dense_reference(
+            np.broadcast_to(amb.weights(), (4, amb.flat_dim)),
+            np.full(4, amb.epsilon), ch.jet_arrays(points), ch.nvars))
+
+    def test_mixed_group(self, monkeypatch):
+        # the flat and curved records of
+        # `test_group_mixes_flat_and_curved_space_forms`, in one frame
+        jobs = [("U-flat", None), ("main1-3", {"r": 0.3}), ("akk-4", None),
+                ("main2-3", {"r": 0.7}), ("main1-3", None)]
+        calls = []
+        assemble = analysis.assemble_frame
+
+        def captured(*args, **kwargs):
+            calls.append((args, assemble(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(analysis, "assemble_frame", captured)
+        verify_families(jobs)
+        monkeypatch.undo()
+        ((w, eps, points, arrays, _), fr), = calls
+        assert len(set(eps.tolist())) == 3
+        self._check(fr, _dense_reference(w, eps, arrays, points.shape[-1]))
 
 
 PARAMETRIC = [fid for fid in family_ids() if get_family(fid).parametric]
@@ -804,7 +905,8 @@ class TestAnalyzePoints:
         assert untrusted(table, analysis.DEFAULT_TOL) == [[]]
         np.testing.assert_array_equal(
             table["ambient_residual"],
-            ambient_residual(ch.ambient, ch.value(table["point"])))
+            quadric_residual(ch.ambient.weights(), ch.ambient.epsilon,
+                             ch.value(table["point"])))
 
     @pytest.mark.parametrize("fid", sorted(family_ids()))
     def test_stack_matches_single_points(self, fid):

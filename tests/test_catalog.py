@@ -7,7 +7,7 @@ from umbilic import catalog, charts
 from umbilic.analysis import analyze_point, verify_family
 from umbilic.catalog import (expected_report, family_ids, get_family,
                              instantiate, resolve_params)
-from umbilic.charts import ambient_residual
+from umbilic.charts import quadric_residual
 from umbilic.errors import DomainError, InputError
 
 EXPECTED_IDS = (
@@ -165,7 +165,8 @@ class TestChartConsistency:
     @pytest.mark.parametrize("fid", sorted(EXPECTED_IDS))
     def test_image_lies_on_the_space_form(self, fid):
         chart = instantiate(fid)
-        residual = ambient_residual(chart.ambient,
+        amb = chart.ambient
+        residual = quadric_residual(amb.weights(), amb.epsilon,
                                     chart.value(chart.sample_points(25, 11)))
         assert residual.shape == (25,)
         assert residual.max() <= 1e-12

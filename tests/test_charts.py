@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from umbilic import jets as J
 from umbilic.bilinear import random_pseudo_orthogonal
 from umbilic.catalog import family_ids, instances, instantiate
-from umbilic.charts import (AmbientSpace, ExprChart, ambient_residual,
-                            compose, fd_jet_arrays, linear_chart,
-                            transform_chart, unit_draw)
+from umbilic.charts import (AmbientSpace, ExprChart, compose, fd_jet_arrays,
+                            linear_chart, quadric_residual, transform_chart,
+                            unit_draw)
 from umbilic.errors import DomainError, InputError
 
 
@@ -75,13 +75,13 @@ class TestAmbientSpace:
         with pytest.raises(InputError):
             AmbientSpace(2, 3, 0, Signature(0, 4))
 
-    def test_metric_is_built_once_and_read_only(self):
+    def test_weights_are_built_once_and_read_only(self):
         amb = AmbientSpace.hyperbolic(3, 1)
-        G = amb.metric()
-        assert G is amb.metric()
-        np.testing.assert_array_equal(G, np.diag([-1.0, -1.0, 1.0, 1.0]))
+        w = amb.weights()
+        assert w is amb.weights()
+        np.testing.assert_array_equal(w, [-1.0, -1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            G[0, 0] = 1.0
+            w[0] = 1.0
 
 
 class TestExprChart:
@@ -95,8 +95,8 @@ class TestExprChart:
 
     def test_image_on_the_sphere(self):
         ch = _unit_sphere_chart()
-        assert ambient_residual(ch.ambient,
-                                ch.value(ch.sample_points(30, 0))).max() < 1e-12
+        values = ch.value(ch.sample_points(30, 0))
+        assert quadric_residual(ch.ambient.weights(), 1, values).max() < 1e-12
 
     def test_wrong_coordinate_count(self):
         # the count is checked where the function is walked
@@ -221,7 +221,8 @@ class TestTransformChart:
         L = random_pseudo_orthogonal(ch.ambient.signature, rng)
         moved = transform_chart(ch, L)
         values = moved.value(moved.sample_points(20, 0))
-        assert ambient_residual(moved.ambient, values).max() < 1e-10
+        assert quadric_residual(moved.ambient.weights(), 1,
+                                values).max() < 1e-10
 
     def test_values_are_linear_images(self):
         ch = _unit_sphere_chart()
@@ -317,9 +318,9 @@ class TestPointStacks:
         # one residual per point, NaN only where the image is not finite
         ch = _unit_sphere_chart()
         values = ch.value(ch.sample_points(4, 1))
-        assert ambient_residual(ch.ambient, values).max() < 1e-12
+        assert quadric_residual(ch.ambient.weights(), 1, values).max() < 1e-12
         values[2, 0] = np.nan
-        residual = ambient_residual(ch.ambient, values)
+        residual = quadric_residual(ch.ambient.weights(), 1, values)
         assert np.isnan(residual).tolist() == [False, False, True, False]
         assert residual[[0, 1, 3]].max() < 1e-12
 

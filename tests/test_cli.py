@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from umbilic import analysis, cli
 from umbilic.analysis import analyze_point, verify_family
-from umbilic.catalog import instantiate
+from umbilic.catalog import family_ids, get_family, instantiate
 from umbilic.charts import ImmersionChart
 from umbilic.cli import main
 from umbilic.congruence import classify
+from umbilic.errors import DomainError, InputError
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -444,6 +445,38 @@ def test_bad_numbers_fail_closed(argv, code, capsys):
     got, _, err = run(argv, capsys)
     assert got == code
     assert "Traceback" not in err
+
+
+# every float parameter of every family, at the extremes of the floats
+_FLOAT_PARAMS = [(fid, key) for fid in family_ids()
+                 for key, v in get_family(fid).defaults.items()
+                 if isinstance(v, float)]
+_EXTREMES = [0.0, -0.0, 5e-324, 1e-300, 1e-100, 1e-8, 1e8, 1e100, 1e150,
+             1e154, 1e200, 1e300, 1.7e308, -1e100]
+
+
+def test_sweep_covers_every_float_parameter():
+    assert len(_FLOAT_PARAMS) == 17
+    assert {key for _, key in _FLOAT_PARAMS} == {"r", "a", "theta"}
+
+
+@pytest.mark.parametrize("fid, key", _FLOAT_PARAMS)
+def test_extreme_parameters_fail_closed(fid, key, capsys):
+    # a library call raises a domain or input error or returns, and the
+    # command exits with a documented code and no traceback; a
+    # RuntimeWarning is an error here (pyproject filterwarnings)
+    for value in _EXTREMES:
+        params = {key: value}
+        for call in (lambda: verify_family(fid, params),
+                     lambda: classify(instantiate(fid, params))):
+            try:
+                call()
+            except (DomainError, InputError):
+                pass
+        code, _, err = run(["analyze", "--family", fid, "--param",
+                            f"{key}={value!r}", "--json", "-"], capsys)
+        assert code in (0, 1, 2), (fid, value)
+        assert "Traceback" not in err, (fid, value)
 
 
 class TestModuli:

@@ -61,7 +61,7 @@ def symbolic_h_norm(chart, u):
             mp.setattr(catalog, name, getattr(sympy, name))
         coords = sympy.Matrix(chart.coords(list(x)))
     at = dict(zip(x, u))
-    G = sympy.diag(*chart.ambient.metric().diagonal().astype(int).tolist())
+    G = sympy.diag(*chart.ambient.weights().astype(int).tolist())
     X = coords.subs(at).evalf(30)
     J = coords.jacobian(x).subs(at).evalf(30)
     ginv = (J.T * G * J).inv()
