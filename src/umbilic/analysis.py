@@ -46,8 +46,8 @@ class Frame:
 
     A point's space form enters only through the diagonal weights `w` of
     its flat metric (its `AmbientSpace.weights()`) and its curvature sign
-    `eps`, carried per point: `w` is shaped like the image points and
-    `eps` like the point axes.
+    `eps`, which broadcast against the image points and the point axes: a
+    one-chart frame holds its chart's (N,) weights and one sign.
 
     `second` holds the ambient second derivatives with the space-form
     position component already removed, one row per sorted pair i <= j
@@ -62,8 +62,8 @@ class Frame:
     that.
     """
 
-    w: np.ndarray            # (..., N) diagonal of the flat metric
-    eps: np.ndarray          # (...) curvature sign
+    w: np.ndarray            # (N,) or (..., N) diagonal of the flat metric
+    eps: np.ndarray          # () or (...) curvature sign
     point: np.ndarray
     value: np.ndarray
     jac: np.ndarray          # (..., N, m): column i is the tangent vector d_i f
@@ -90,10 +90,10 @@ class Frame:
         TG = _tangent_rows(self.jac, self.w)
         gamma = np.linalg.solve(
             self.metric, np.einsum("...ln,...pn->...lp", TG, self.second))
-        h = self.second - np.swapaxes(self.jac @ gamma, -1, -2)
+        h = self.second - (self.jac @ gamma).swapaxes(-1, -2)
         # each off-diagonal row stands for both h_ij and h_ji
         i, j = J.packed_indices(self.m, 2)
-        weights = self.ginv[..., i, j] * np.where(i == j, 1.0, 2.0)
+        weights = self.ginv[..., i, j] * J.pair_multiplicity(self.m)
         H = np.einsum("...p,...pn->...n", weights, h) / self.m
         return gamma, h, H
 
@@ -106,7 +106,7 @@ class Frame:
     def branches(self) -> dict:
         """The indices of the points on each branch (degenerate, metric
         vanishes) of a stack; None for the one branch all points share."""
-        null = np.ravel(self.counts[2])
+        null = self.counts[2].ravel()
         kinds = {(n > 0, n == self.m) for n in set(null.tolist())}
         return {(d, v): None if len(kinds) == 1 else np.flatnonzero(
             ((null > 0) == d) & ((null == self.m) == v)) for d, v in kinds}
@@ -119,15 +119,17 @@ class Frame:
         return next(iter(self.branches))
 
     def take(self, idx: np.ndarray) -> "Frame":
-        *arrays, counts = (getattr(self, f.name) for f in fields(self))
-        return Frame(*(a[idx] for a in arrays), tuple(c[idx] for c in counts))
+        _, _, *arrays, counts = (getattr(self, f.name) for f in fields(self))
+        return Frame(np.broadcast_to(self.w, self.value.shape)[idx],
+                     np.broadcast_to(self.eps, self.scale.shape)[idx],
+                     *(a[idx] for a in arrays), tuple(c[idx] for c in counts))
 
 
 def _tangent_rows(jac: np.ndarray, w: np.ndarray) -> np.ndarray:
     """jac^T G (..., m, N) for jacobians (..., N, m) and the weights w
-    (..., N) of each point's flat metric G, in C order: a product laid out
+    (N,) or (..., N) of the flat metric G, in C order: a product laid out
     as the transposed jacobian would be summed in another order."""
-    return np.multiply(np.swapaxes(jac, -1, -2), w[..., None, :], order="C")
+    return np.multiply(jac.swapaxes(-1, -2), w[..., None, :], order="C")
 
 
 def _less_position(eps, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -135,8 +137,8 @@ def _less_position(eps, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     point keeps X itself, since 0 Y would flip the sign of a zero or turn
     an overflow into NaN."""
     out = X - eps.reshape(eps.shape + (1,) * (X.ndim - eps.ndim)) * Y
-    flat = eps == 0
-    out[flat] = X[flat]
+    if not eps.all():
+        out[eps == 0] = X[eps == 0]
     return out
 
 
@@ -164,16 +166,16 @@ def assemble_frame(w: np.ndarray, eps: np.ndarray, points, arrays,
                    tol_zero: float = DEFAULT_ZERO_TOL) -> Frame:
     """The pointwise curvature data of walked jet arrays at one point or a
     stack of points, each in the space form of its flat metric weights w
-    (..., N) and curvature sign eps (...) (see `Frame`); every result is
-    computed point by point, so a point's data do not depend on the rest
-    of its stack."""
+    (N,) or (..., N) and curvature sign eps () or (...) (see `Frame`); every
+    result is computed point by point, so a point's data do not depend on
+    the rest of its stack."""
     val, jac, hess, third = arrays
     g = _tangent_rows(jac, w) @ jac
-    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    g = 0.5 * (g + g.swapaxes(-1, -2))
     # the second derivatives less their position part eps <D, G y> y, y the
     # image point; a fresh C-contiguous array, so no product depends on the
     # stack
-    D = np.swapaxes(hess, -1, -2)
+    D = hess.swapaxes(-1, -2)
     D = _less_position(eps, D, np.einsum("...pn,...n->...p", D, val * w)
                        [..., None] * val[..., None, :])
     scale = np.maximum(1.0, np.maximum(np.abs(D).max(axis=(-2, -1)),
@@ -187,9 +189,8 @@ def build_frame(chart: ImmersionChart, points, *,
     """Evaluate jets and assemble the pointwise curvature data at one
     point (m,) or, in one walk, at a (P, m) stack of points."""
     points = np.asarray(points, dtype=float)
-    amb, lead = chart.ambient, points.shape[:-1]
-    w = np.broadcast_to(amb.weights(), lead + (amb.flat_dim,))
-    return assemble_frame(w, np.full(lead, amb.epsilon), points,
+    amb = chart.ambient
+    return assemble_frame(amb.weights(), np.array(amb.epsilon), points,
                           walk_jets(chart, points), tol_zero)
 
 
@@ -217,23 +218,23 @@ def parallelism_residual(fr: Frame):
     lead = fr.metric.shape[:-2]
     # the residual lies in the range of the normal projector I - P_tan, of
     # rank N - m: work in Euclidean-orthonormal coordinates Q of that range
-    normal = np.eye(N) - (fr.jac @ fr.ginv @ np.swapaxes(fr.jac, -1, -2)
+    normal = np.eye(N) - (fr.jac @ fr.ginv @ fr.jac.swapaxes(-1, -2)
                           * fr.w[..., None, :])
-    Q = np.linalg.eigh(normal @ np.swapaxes(normal, -1, -2))[1][..., m:]
+    Q = np.linalg.eigh(normal @ normal.swapaxes(-1, -2))[1][..., m:]
     k = N - m
     # the position removal I - eps (G y) y^T, then the normal projection,
     # applied to the (N, k) side before the one product with the third
     # derivatives (T3, N)
-    K = np.swapaxes(normal, -1, -2) @ Q
+    K = normal.swapaxes(-1, -2) @ Q
     K = _less_position(fr.eps, K, (fr.value * fr.w)[..., :, None]
                        * (fr.value[..., None, :] @ K))
     # C[ab, c] = sum_l gamma^l_ab h_cl, one row per (sorted pair ab, c)
     h_lc = J.unpack(h @ Q, 2, axis=-2)    # (..., m, m, k)
-    C = (np.swapaxes(gamma, -1, -2) @ h_lc.reshape(lead + (m, m * k))
+    C = (gamma.swapaxes(-1, -2) @ h_lc.reshape(lead + (m, m * k))
          ).reshape(lead + (-1, k))
     # at each sorted triple ijk: C[ij, k], C[jk, i] and C[ik, j]
-    c = np.take(C, J.split_triples(m), axis=-2)
-    v = np.swapaxes(fr.walked_third, -1, -2) @ K
+    c = C.take(J.split_triples(m), -2)
+    v = fr.walked_third.swapaxes(-1, -2) @ K
     v -= c[..., 0, :, :]
     v -= c[..., 1, :, :]
     v -= c[..., 2, :, :]
@@ -269,8 +270,8 @@ def umbilicity_data(fr: Frame) -> dict:
                     first_normal_rank=B.numerical_rank(h))
 
     # rows span the tangent space
-    basis = B.row_space_bases(np.swapaxes(fr.jac, -1, -2))
-    classes = fr.second - (fr.second @ np.swapaxes(basis, -1, -2)) @ basis
+    basis = B.row_space_bases(fr.jac.swapaxes(-1, -2))
+    classes = fr.second - (fr.second @ basis.swapaxes(-1, -2)) @ basis
     geo = _enorm(classes, 1)
     if vanishes:
         # metric identically zero: umbilicity is vacuous
@@ -288,9 +289,7 @@ def umbilicity_data(fr: Frame) -> dict:
 def _radical_last_var(fr: Frame, tol_zero: float):
     """Distance of the last chart direction from the metric radical."""
     R = B.radical(fr.metric, tol_zero)
-    e_last = np.zeros(fr.m)
-    e_last[-1] = 1.0
-    return _enorm(e_last - np.einsum("...ij,...j->...i", R, R[..., -1, :]))
+    return _enorm(np.eye(fr.m)[-1] - np.einsum("...ij,...j->...i", R, R[..., -1, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +359,7 @@ def point_table(fr: Frame, tol_zero: float) -> dict:
     branch is computed for all of its points at once; a one-branch frame
     gives its own arrays."""
     table = dict(point=fr.point, metric=fr.metric,
-                 metric_signature=np.stack(fr.counts, -1))
+                 metric_signature=np.array(fr.counts).T)
     for (degenerate, _), idx in fr.branches.items():
         sub = fr if idx is None else fr.take(idx)
         cols = umbilicity_data(sub)
@@ -471,21 +470,20 @@ def reduction_report(chart: ImmersionChart, seed: int = 42,
     Y = hull_sample(chart, seed) if sample is None else sample
     stack = Y if Y.ndim == 3 else Y[None]
     vh, ranks = B.svd_split(stack[:, 1:] - stack[:, :1], tol_zero)
-    ranks = ranks.tolist()
-    w = np.broadcast_to(chart.ambient.weights() if weights is None
-                        else weights, stack[:, 0].shape)
+    w = (chart.ambient.weights()[None].repeat(len(stack), 0)
+         if weights is None else weights)
     out = [None] * len(stack)
     # the hulls of one dimension share one gram signature and one solve
-    for hull_dim in set(ranks):
-        idx = [k for k, r in enumerate(ranks) if r == hull_dim]
+    for hull_dim in set(ranks.tolist()):
+        idx = (ranks == hull_dim).nonzero()[0]
         W = vh[idx, :hull_dim]
         WG = W * w[idx, None, :]
-        gram = WG @ np.swapaxes(W, -1, -2)
+        gram = WG @ W.swapaxes(-1, -2)
         sigs = B.signature_of(gram, tol_zero)
         live = [n for n, s in enumerate(sigs) if hull_dim and not s.degenerate]
-        proj = dict(zip(live, np.swapaxes(W[live], -1, -2) @ np.linalg.solve(
+        proj = dict(zip(live, W[live].swapaxes(-1, -2) @ np.linalg.solve(
             gram[live], WG[live])))
-        for n, k in enumerate(idx):
+        for n, k in enumerate(idx.tolist()):
             out[k] = _translation(W[n], gram[n], sigs[n], stack[k, 0], w[k],
                                   proj.get(n), tol, tol_zero)
     return out if Y.ndim == 3 else out[0]
@@ -498,7 +496,7 @@ def _translation(W, gram, dir_sig, base, w, proj, tol, tol_zero):
     if dir_sig.degenerate:
         offset = base - W.T @ (W @ base)
         R = B.radical(gram, tol_zero)
-        coeff = float(np.max(np.abs(R.T @ W @ (w * offset)), initial=0.0))
+        coeff = float(np.abs(R.T @ W @ (w * offset)).max(initial=0.0))
         cls = "+N" if coeff > tol else "linear"
         return ReductionReport(hull_dim, dir_sig, cls, None)
     if hull_dim == 0:
@@ -530,12 +528,12 @@ def fullness(chart: ImmersionChart, seed: int = 42,
     """
     Y = hull_sample(chart, seed) if sample is None else sample
     vh, ranks = B.svd_split(Y if Y.ndim == 3 else Y[None])
-    w = np.broadcast_to(chart.ambient.weights() if weights is None
-                        else weights, vh.shape[:2])
+    w = (chart.ambient.weights()[None].repeat(len(vh), 0)
+         if weights is None else weights)
     out = []
     for k, (v, r) in enumerate(zip(vh, ranks.tolist())):
         C = v[r:]
-        residual = (float(np.max(np.abs((C * w[k]) @ C.T))) if len(C)
+        residual = (float(np.abs((C * w[k]) @ C.T).max()) if len(C)
                     else 0.0)
         out.append((not len(C) or residual <= tol, residual))
     return out if Y.ndim == 3 else out[0]
@@ -578,11 +576,11 @@ def _fd_cross_check(w: np.ndarray, values, jac, hess, sigs,
     oracle's O(step^2) truncation error into phantom metric rank, which the
     signature comparison reports."""
     _, fjac, fhess, _ = J.fd_derivatives(values, jac.shape[-1], FD_STEP, 2)
-    d1 = np.max(np.abs(jac - fjac), axis=(-2, -1)).tolist()
-    d2 = np.max(np.abs(hess - fhess), axis=(-2, -1)).tolist()
+    d1 = np.abs(jac - fjac).max((-2, -1)).tolist()
+    d2 = np.abs(hess - fhess).max((-2, -1)).tolist()
     g_fd = _tangent_rows(fjac, w) @ fjac
     sig_fd = np.stack(B.signature_counts(
-        0.5 * (g_fd + np.swapaxes(g_fd, -1, -2)), tol_zero), -1).tolist()
+        0.5 * (g_fd + g_fd.swapaxes(-1, -2)), tol_zero), -1).tolist()
     out = []
     for a, b, sig_jet, sig in zip(d1, d2, sigs, sig_fd):
         failures = []
@@ -702,8 +700,8 @@ def _verify_group(records, walked, tails, samples, tol,
     st.update(
         h_median=median,
         h_spread=st["h_norm"] - h.min(1, where=nondeg, initial=np.inf),
-        marginally_trapped=np.all(
-            ~nondeg | ((minimal > tol) & (np.abs(h) <= tol)), 1),
+        marginally_trapped=(
+            ~nondeg | ((minimal > tol) & (np.abs(h) <= tol))).all(1),
         ranks=(null[..., None] == np.arange(null.max() + 1)).any(1),
         first_normal_rank=table["first_normal_rank"].reshape(R, -1).max(1),
         metric_signature=table["metric_signature"][::samples])

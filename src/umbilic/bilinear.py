@@ -61,7 +61,7 @@ class SymmetricForm:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
             raise InputError(f"form must be square, got shape {a.shape}")
-        if np.abs(a - np.swapaxes(a, -1, -2)).max(
+        if np.abs(a - a.swapaxes(-1, -2)).max(
                 initial=0.0) > SYMMETRY_TOL:
             raise InputError("form is not symmetric to within 1e-14")
         object.__setattr__(self, "entries", a)

@@ -64,14 +64,26 @@ def split_triples(m: int) -> np.ndarray:
                              pos[i, k] * m + j]))
 
 
+@functools.cache
+def _unpacked_positions(size: int, rank: int) -> np.ndarray:
+    """`_positions` of the m whose packed tensors have `size` entries."""
+    return _positions(next(m for m in itertools.count()
+                           if packed_indices(m, rank).shape[1] >= size), rank)
+
+
+@functools.cache
+def pair_multiplicity(m: int) -> np.ndarray:
+    """The read-only (T2,) count of the entries of a symmetric matrix that
+    each sorted pair stands for: 1.0 for (i, i), 2.0 for i < j."""
+    i, j = packed_indices(m, 2)
+    return _frozen(np.where(i == j, 1.0, 2.0))
+
+
 def unpack(t: np.ndarray, rank: int, axis: int = -1) -> np.ndarray:
     """The full symmetric tensor of a packed one: the packed `axis` of t
     becomes `rank` axes of length m, each entry read from its sorted
     multi-index."""
-    m = 0
-    while packed_indices(m, rank).shape[1] < t.shape[axis]:
-        m += 1
-    return np.take(t, _positions(m, rank), axis=axis)
+    return t.take(_unpacked_positions(t.shape[axis], rank), axis)
 
 
 def _pair_var(h, g):
@@ -83,7 +95,7 @@ def _pair_var(h, g):
 def _hess_grad(h, g):
     """h_ij g_k + h_jk g_i + h_ik g_j at each sorted triple i <= j <= k,
     from a packed Hessian and a gradient."""
-    t = np.take(_pair_var(h, g), split_triples(g.shape[-1]), axis=-1)
+    t = _pair_var(h, g).take(split_triples(g.shape[-1]), -1)
     return t[..., 0, :] + t[..., 1, :] + t[..., 2, :]
 
 
@@ -118,10 +130,6 @@ class Jet3:
                    np.zeros(lead + packed_indices(m, 3).shape[1:]))
 
     @classmethod
-    def constant(cls, c: float, m: int, lead: tuple) -> "Jet3":
-        return cls._zeros(np.full(lead, c), m)
-
-    @classmethod
     def variable(cls, index: int, value, m: int) -> "Jet3":
         jet = cls._zeros(value, m)
         jet.grad[..., index] = 1.0
@@ -153,8 +161,9 @@ class Jet3:
         a, b = self.value[..., None], o.value[..., None]
         i, j = packed_indices(self.grad.shape[-1], 2)
         grad = a * o.grad + b * self.grad
-        hess = (a * o.hess + b * self.hess + self.grad[..., i] * o.grad[..., j]
-                + o.grad[..., i] * self.grad[..., j])
+        hess = (a * o.hess + b * self.hess
+                + self.grad.take(i, -1) * o.grad.take(j, -1)
+                + o.grad.take(i, -1) * self.grad.take(j, -1))
         third = a * o.third + b * self.third
         for h, g in ((self.hess, o.grad), (o.hess, self.grad)):
             if h.any():   # a zero Hessian, as of a variable, adds nothing
@@ -167,13 +176,12 @@ class Jet3:
         """Chain rule for a scalar function with derivatives d0..d3 at value."""
         g = self.grad
         i, j = packed_indices(g.shape[-1], 2)
-        gg = g[..., i] * g[..., j]
+        gg = g.take(i, -1) * g.take(j, -1)
         d1, d2 = d1[..., None], d2[..., None]
         grad = d1 * g
         hess = d2 * gg + d1 * self.hess
         # (g_i g_j) g_k at each sorted triple, split as (ij, k)
-        ggg = np.take(_pair_var(gg, g), split_triples(g.shape[-1])[0],
-                      axis=-1)
+        ggg = _pair_var(gg, g).take(split_triples(g.shape[-1])[0], -1)
         third = (d3[..., None] * ggg + d2 * _hess_grad(self.hess, g)
                  + d1 * self.third)
         return Jet3(d0, grad, hess, third)
@@ -182,16 +190,6 @@ class Jet3:
 # ---------------------------------------------------------------------------
 # Coordinate functions
 # ---------------------------------------------------------------------------
-
-def _reject(bad, t, msg: str):
-    """Raise DomainError with msg (formatting the argument) where `bad`
-    holds; where the argument has several points, name the first
-    offending one."""
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        where = f" at point {k}" if np.size(t) > 1 else ""
-        raise DomainError(msg.format(float(np.ravel(t)[k])) + where)
-
 
 def _lift(derivs, x):
     """Apply a scalar function, given by its derivatives d0..d3, to a value
@@ -202,7 +200,11 @@ def _lift(derivs, x):
 
 
 def _sqrt_derivs(t):
-    _reject(t <= 0.0, t, "sqrt argument {!r} is not strictly positive")
+    if np.any(t <= 0.0):   # name the first offending point of a stack
+        k = int(np.argmax(t <= 0.0))
+        where = f" at point {k}" if np.size(t) > 1 else ""
+        raise DomainError(f"sqrt argument {float(np.ravel(t)[k])!r} is not "
+                          f"strictly positive{where}")
     s = np.sqrt(t)
     return s, 0.5 / s, -0.25 / (s * t), 0.375 / (s * t * t)
 
@@ -247,7 +249,7 @@ def indefinite_square(xs, neg: int):
     g = np.array([x.grad for x in xs])
     m, a = g.shape[-1], v[..., None]
     i, j = packed_indices(m, 2)
-    gg = g[..., i] * g[..., j]
+    gg = g.take(i, -1) * g.take(j, -1)
     curved = any(x.hess.any() or x.third.any() for x in xs)
     if not curved:
         blocks = [v * v, a * g + a * g, gg + gg]
@@ -289,8 +291,8 @@ def evaluate(f, points) -> list[Jet3]:
     """
     points = np.asarray(points, dtype=float)
     args = coordinates(points)
-    m = len(args)
-    out = [j if isinstance(j, Jet3) else Jet3.constant(j, m, args[0].shape)
+    m, lead = len(args), args[0].shape
+    out = [j if isinstance(j, Jet3) else Jet3._zeros(np.full(lead, j), m)
            for j in f([Jet3.variable(i, args[i], m) for i in range(m)])]
     return [j[0] for j in out] if points.ndim == 1 else out
 
@@ -320,19 +322,15 @@ def _stencil_offsets(m: int, order: int):
     return _frozen(centres), _frozen(block)
 
 
-def _fd_hessians(F, m: int, h: float) -> np.ndarray:
-    """Central-difference Hessians from values F (B, block, ...) laid out
-    as in `_stencil_offsets`; returns them packed, (B, ..., T2)."""
-    f0, fp, fm = F[:, :1], F[:, 1:1 + m], F[:, 1 + m:1 + 2 * m]
-    out = np.empty(F.shape[:1] + packed_indices(m, 2).shape[1:] + F.shape[2:])
-    pos = _positions(m, 2)
-    i = np.arange(m)
-    out[:, pos[i, i]] = (fp - 2 * f0 + fm) / h**2
-    iu, ju = np.triu_indices(m, 1)
-    q = F[:, 1 + 2 * m:].reshape(F.shape[:1] + (-1, 4) + F.shape[2:])
-    out[:, pos[iu, ju]] = ((q[:, :, 0] - q[:, :, 1] - q[:, :, 2] + q[:, :, 3])
-                           / (4 * h**2))
-    return np.moveaxis(out, 1, -1)
+@functools.cache
+def _fd_rows(m: int) -> tuple:
+    """Read-only positions for `fd_derivatives` over m variables: the pairs
+    (i, i), the pairs i < j (in `np.triu_indices(m, 1)` order), and per
+    sorted triple i <= j <= k the centres +e_i and -e_i and the pair jk."""
+    i, j = packed_indices(m, 2)
+    a, b, c = packed_indices(m, 3)
+    return tuple(map(_frozen, (np.flatnonzero(i == j), np.flatnonzero(i < j),
+                               1 + a, 1 + m + a, _positions(m, 2)[b, c])))
 
 
 def fd_stencil(point, step: float = 1e-4, order: int = 3) -> np.ndarray:
@@ -354,19 +352,23 @@ def fd_derivatives(F, m: int, step: float = 1e-4, order: int = 3):
     derivatives, variable axes last, O(step^2) truncation on every entry."""
     h = step
     centres, block = _stencil_offsets(m, order)
-    F = np.moveaxis(np.asarray(F, dtype=float), -2, 0)
-    F = F.reshape((len(centres), len(block)) + F.shape[1:])
-    value = F[0, 0]
-    grad = np.moveaxis((F[0, 1:1 + m] - F[0, 1 + m:1 + 2 * m]) / (2 * h), 0, -1)
-    hessians = _fd_hessians(F, m, h)
-    if order == 2:
-        return value, grad, hessians[0], None
-    # one difference per sorted index i <= j <= k: d_i of the Hessian
-    # entry jk, from the blocks centred at +e_i and -e_i
-    i, j, k = packed_indices(m, 3)
-    jk = _positions(m, 2)[j, k]
-    third = (hessians[1 + i, ..., jk] - hessians[1 + m + i, ..., jk]) / (2 * h)
-    return value, grad, hessians[0], np.moveaxis(third, 0, -1)
+    diag, off, plus, minus, jk = _fd_rows(m)
+    F = np.asarray(F, dtype=float)
+    # the stencil axis last, split into the centres' Hessian stencils
+    F = F.swapaxes(-1, -2).reshape(F.shape[:-2] + (F.shape[-1], len(centres),
+                                                   len(block)))
+    f0, fp, fm = F[..., :1], F[..., 1:1 + m], F[..., 1 + m:1 + 2 * m]
+    q = F[..., 1 + 2 * m:].reshape(F.shape[:-1] + (-1, 4))
+    hessians = np.empty(F.shape[:-1] + (len(diag) + len(off),))
+    hessians[..., diag] = (fp - 2 * f0 + fm) / h**2
+    hessians[..., off] = ((q[..., 0] - q[..., 1] - q[..., 2] + q[..., 3])
+                          / (4 * h**2))
+    grad = (F[..., 0, 1:1 + m] - F[..., 0, 1 + m:1 + 2 * m]) / (2 * h)
+    # order 3: one difference per sorted index i <= j <= k, d_i of the
+    # Hessian entry jk from the blocks centred at +e_i and -e_i
+    third = (None if order == 2 else
+             (hessians[..., plus, jk] - hessians[..., minus, jk]) / (2 * h))
+    return F[..., 0, 0], grad, hessians[..., 0, :], third
 
 
 def fd_arrays(f, point, step: float = 1e-4, order: int = 3):

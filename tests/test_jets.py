@@ -256,25 +256,35 @@ class TestFiniteDifferenceOracle:
             err.append(np.max(np.abs(fd.hess - jet.hess)))
         assert 3.5 <= err[0] / err[1] <= 4.5
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_stencil_matches_the_loop_reference(self, m):
-        # one call on the whole stencil, differenced in the loop's order
+        # one call on the whole stencil, differenced in the loop's order; the
+        # last coordinate mixes every variable with distinct weights, so each
+        # pair and triple has its own derivative and a reordered index table
+        # shows
         def f(q):
             u = J.coordinates(q)
+            mix = sum(c * x for c, x in zip([1.0, 2.3, 3.7, 5.1], u))
             return np.stack([
                 J.sqrt(2.0 + u[0] * u[-1]) * J.sin(u[0] - 0.5 * u[-1]),
-                u[-1] * u[-1] * u[0] + J.cos(u[0])], axis=-1)
+                u[-1] * u[-1] * u[0] + J.cos(u[0]),
+                J.sin(mix) * J.sqrt(3.0 + mix)], axis=-1)
 
-        p = np.array([0.3, -0.2, 0.45][:m])
-        want = _fd_loop(lambda q: f(q[None])[0], p, 1e-3)
+        points = np.array([[0.3, -0.2, 0.45, -0.35],
+                           [-0.1, 0.25, 0.05, 0.4]])[:, :m]
+        wants = [_fd_loop(lambda q: f(q[None])[0], p, 1e-3) for p in points]
         for order in (2, 3):
-            got = J.fd_arrays(f, p, 1e-3, order)
-            for k in range(3):
-                assert np.array_equal(got[k], want[k])
-            if order == 3:
-                assert np.array_equal(got[3], want[3])
-            else:
-                assert got[3] is None
+            got = J.fd_arrays(f, points[0], 1e-3, order)
+            # a leading record axis: values (R, S, N), one stencil per record
+            F = np.stack([f(J.fd_stencil(p, 1e-3, order)) for p in points])
+            stacked = J.fd_derivatives(F, m, 1e-3, order)
+            for r, want in enumerate(wants):
+                for k in range(4 if order == 3 else 3):
+                    assert np.array_equal(stacked[k][r], want[k])
+                    if r == 0:
+                        assert np.array_equal(got[k], want[k])
+            if order == 2:
+                assert got[3] is None and stacked[3] is None
 
     @given(hnp.arrays(np.float64, st.integers(1, 4),
                       elements=st.floats(-10.0, 10.0)),

@@ -3,6 +3,10 @@ something reads every function, class and method they define."""
 
 import ast
 import functools
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +115,21 @@ def test_every_definition_is_read(module):
     # code that nothing reads is dead, and stays deleted
     assert sorted(set(definitions(PACKAGE / f"{module}.py"))
                   - names_read()) == []
+
+
+def test_import_fills_no_cache():
+    # cached tables (index tables, weights, draws) fill on first use, so
+    # importing the package and its CLI builds none of them
+    code = ("import json, umbilic, umbilic.cli\n"
+            "from umbilic import charts, jets\n"
+            "print(json.dumps({f'{m.__name__}.{n}': f.cache_info().currsize\n"
+            "                  for m in (jets, charts)\n"
+            "                  for n, f in vars(m).items()\n"
+            "                  if hasattr(f, 'cache_info')}))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    tables = json.loads(done.stdout)
+    assert {"umbilic.jets.packed_indices", "umbilic.jets._fd_rows",
+            "umbilic.charts._flat_weights"} <= set(tables)
+    assert tables == dict.fromkeys(tables, 0)
