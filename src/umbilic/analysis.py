@@ -188,8 +188,7 @@ def build_frame(chart: ImmersionChart, points, *,
                 tol_zero: float = DEFAULT_ZERO_TOL) -> Frame:
     """Evaluate jets and assemble the pointwise curvature data at one
     point (m,) or, in one walk, at a (P, m) stack of points."""
-    points = np.asarray(points, dtype=float)
-    amb = chart.ambient
+    points, amb = np.asarray(points, dtype=float), chart.ambient
     return assemble_frame(amb.weights(), np.array(amb.epsilon), points,
                           walk_jets(chart, points), tol_zero)
 
@@ -289,7 +288,9 @@ def umbilicity_data(fr: Frame) -> dict:
 def _radical_last_var(fr: Frame, tol_zero: float):
     """Distance of the last chart direction from the metric radical."""
     R = B.radical(fr.metric, tol_zero)
-    return _enorm(np.eye(fr.m)[-1] - np.einsum("...ij,...j->...i", R, R[..., -1, :]))
+    e_last = np.zeros(fr.m)
+    e_last[-1] = 1.0
+    return _enorm(e_last - np.einsum("...ij,...j->...i", R, R[..., -1, :]))
 
 
 # ---------------------------------------------------------------------------

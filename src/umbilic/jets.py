@@ -350,7 +350,6 @@ def fd_derivatives(F, m: int, step: float = 1e-4, order: int = 3):
     map on the `fd_stencil` of m variables, with any leading axes: value,
     gradient, packed Hessian and (order 3, else None) packed third
     derivatives, variable axes last, O(step^2) truncation on every entry."""
-    h = step
     centres, block = _stencil_offsets(m, order)
     diag, off, plus, minus, jk = _fd_rows(m)
     F = np.asarray(F, dtype=float)
@@ -359,16 +358,16 @@ def fd_derivatives(F, m: int, step: float = 1e-4, order: int = 3):
                                                    len(block)))
     f0, fp, fm = F[..., :1], F[..., 1:1 + m], F[..., 1 + m:1 + 2 * m]
     q = F[..., 1 + 2 * m:].reshape(F.shape[:-1] + (-1, 4))
-    hessians = np.empty(F.shape[:-1] + (len(diag) + len(off),))
-    hessians[..., diag] = (fp - 2 * f0 + fm) / h**2
-    hessians[..., off] = ((q[..., 0] - q[..., 1] - q[..., 2] + q[..., 3])
-                          / (4 * h**2))
-    grad = (F[..., 0, 1:1 + m] - F[..., 0, 1 + m:1 + 2 * m]) / (2 * h)
+    hess = np.empty(F.shape[:-1] + (len(diag) + len(off),))
+    hess[..., diag] = (fp - 2 * f0 + fm) / step**2
+    hess[..., off] = ((q[..., 0] - q[..., 1] - q[..., 2] + q[..., 3])
+                      / (4 * step**2))
+    grad = (F[..., 0, 1:1 + m] - F[..., 0, 1 + m:1 + 2 * m]) / (2 * step)
     # order 3: one difference per sorted index i <= j <= k, d_i of the
     # Hessian entry jk from the blocks centred at +e_i and -e_i
     third = (None if order == 2 else
-             (hessians[..., plus, jk] - hessians[..., minus, jk]) / (2 * h))
-    return F[..., 0, 0], grad, hessians[..., 0, :], third
+             (hess[..., plus, jk] - hess[..., minus, jk]) / (2 * step))
+    return F[..., 0, 0], grad, hess[..., 0, :], third
 
 
 def fd_arrays(f, point, step: float = 1e-4, order: int = 3):
