@@ -55,11 +55,10 @@ class Frame:
     derivatives, one column per sorted triple i <= j <= k, which only
     `parallelism_residual` reads, in one product with a projection on
     their small (N, k) side.  A frame built on a (P, m) stack carries a
-    leading point axis on every array, on `scale` and on the signature
-    `counts`.  The induced metric's signature is decided once, at the
-    `tol_zero` given to `assemble_frame`; every pointwise computation on
-    the frame branches on it, so a stack must be split by `branches` before
-    that.
+    leading point axis on every array and on `scale`.  The induced metric's
+    signature is decided once, at the `tol_zero` given to `assemble_frame`,
+    which the frame keeps; every pointwise computation on the frame
+    branches on it, so a stack must be split by `branches` before that.
     """
 
     w: np.ndarray            # (N,) or (..., N) diagonal of the flat metric
@@ -71,7 +70,8 @@ class Frame:
     walked_third: np.ndarray  # (..., N, T3), T3 = m(m+1)(m+2)/6
     metric: np.ndarray       # (..., m, m) induced first fundamental form
     scale: np.ndarray        # (...)
-    counts: tuple            # metric signature (neg, pos, null), each (...)
+    counts: np.ndarray       # (..., 3) metric signature (neg, pos, null)
+    tol_zero: float          # the zero tolerance that decided `counts`
 
     @property
     def m(self) -> int:
@@ -97,16 +97,11 @@ class Frame:
         H = np.einsum("...p,...pn->...n", weights, h) / self.m
         return gamma, h, H
 
-    @property
-    def signature(self) -> Signature | list:
-        """The metric's Signature, or a list of one per point of a stack."""
-        return B.signatures(self.counts)
-
     @functools.cached_property
     def branches(self) -> dict:
         """The indices of the points on each branch (degenerate, metric
         vanishes) of a stack; None for the one branch all points share."""
-        null = self.counts[2].ravel()
+        null = self.counts[..., 2].ravel()
         kinds = {(n > 0, n == self.m) for n in set(null.tolist())}
         return {(d, v): None if len(kinds) == 1 else np.flatnonzero(
             ((null > 0) == d) & ((null == self.m) == v)) for d, v in kinds}
@@ -119,10 +114,10 @@ class Frame:
         return next(iter(self.branches))
 
     def take(self, idx: np.ndarray) -> "Frame":
-        _, _, *arrays, counts = (getattr(self, f.name) for f in fields(self))
+        _, _, *arrays, tol_zero = (getattr(self, f.name) for f in fields(self))
         return Frame(np.broadcast_to(self.w, self.value.shape)[idx],
                      np.broadcast_to(self.eps, self.scale.shape)[idx],
-                     *(a[idx] for a in arrays), tuple(c[idx] for c in counts))
+                     *(a[idx] for a in arrays), tol_zero)
 
 
 def _tangent_rows(jac: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -130,6 +125,14 @@ def _tangent_rows(jac: np.ndarray, w: np.ndarray) -> np.ndarray:
     (N,) or (..., N) of the flat metric G, in C order: a product laid out
     as the transposed jacobian would be summed in another order."""
     return np.multiply(jac.swapaxes(-1, -2), w[..., None, :], order="C")
+
+
+def _metric(jac: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The induced metric 0.5 (J^T G J + its transpose) of jacobians J
+    (..., N, m) in the flat metric G of diagonal weights w: exactly
+    symmetric, so its signature needs no symmetry check."""
+    g = _tangent_rows(jac, w) @ jac
+    return 0.5 * (g + g.swapaxes(-1, -2))
 
 
 def _less_position(eps, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -170,8 +173,7 @@ def assemble_frame(w: np.ndarray, eps: np.ndarray, points, arrays,
     result is computed point by point, so a point's data do not depend on
     the rest of its stack."""
     val, jac, hess, third = arrays
-    g = _tangent_rows(jac, w) @ jac
-    g = 0.5 * (g + g.swapaxes(-1, -2))
+    g = _metric(jac, w)
     # the second derivatives less their position part eps <D, G y> y, y the
     # image point; a fresh C-contiguous array, so no product depends on the
     # stack
@@ -180,8 +182,8 @@ def assemble_frame(w: np.ndarray, eps: np.ndarray, points, arrays,
                        [..., None] * val[..., None, :])
     scale = np.maximum(1.0, np.maximum(np.abs(D).max(axis=(-2, -1)),
                                        np.abs(g).max(axis=(-2, -1))))
-    counts = B.signature_counts(g, tol_zero)
-    return Frame(w, eps, points, val, jac, D, third, g, scale, counts)
+    return Frame(w, eps, points, val, jac, D, third, g, scale,
+                 B.signature_counts(g, tol_zero), tol_zero)
 
 
 def build_frame(chart: ImmersionChart, points, *,
@@ -193,10 +195,12 @@ def build_frame(chart: ImmersionChart, points, *,
                           walk_jets(chart, points), tol_zero)
 
 
+@NON_FINITE_POLICY
 def induced_metric(chart: ImmersionChart, point) -> tuple[np.ndarray, Signature]:
-    """First fundamental form and its numerical signature at a point."""
-    fr = build_frame(chart, point)
-    return fr.metric, fr.signature
+    """First fundamental form and its numerical signature at a point, from
+    the walked Jacobian alone."""
+    g = _metric(walk_jets(chart, point)[1], chart.ambient.weights())
+    return g, Signature(*B.signature_counts(g).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +289,9 @@ def umbilicity_data(fr: Frame) -> dict:
                 first_normal_rank=B.numerical_rank(classes))
 
 
-def _radical_last_var(fr: Frame, tol_zero: float):
+def _radical_last_var(fr: Frame):
     """Distance of the last chart direction from the metric radical."""
-    R = B.radical(fr.metric, tol_zero)
+    R = B.radical(fr.metric, fr.tol_zero)
     e_last = np.zeros(fr.m)
     e_last[-1] = 1.0
     return _enorm(e_last - np.einsum("...ij,...j->...i", R, R[..., -1, :]))
@@ -351,22 +355,21 @@ def _residuals(table: dict, records: int = 1) -> tuple:
 
 
 @NON_FINITE_POLICY
-def point_table(fr: Frame, tol_zero: float) -> dict:
-    """The pointwise results on a stacked frame built at `tol_zero`, as
-    columns named as the `PointReport` fields they fill: points, metrics,
-    signature counts (P, 3), first normal ranks, the residuals of
-    `_RESIDUALS` and the mean curvature (P, N), each NaN where a point's
-    branch leaves it undefined (the mean curvature with h_norm).  Each
-    branch is computed for all of its points at once; a one-branch frame
-    gives its own arrays."""
+def point_table(fr: Frame) -> dict:
+    """The pointwise results on a stacked frame, as columns named as the
+    `PointReport` fields they fill: points, metrics, signature counts
+    (P, 3), first normal ranks, the residuals of `_RESIDUALS` and the mean
+    curvature (P, N), each NaN where a point's branch leaves it undefined
+    (the mean curvature with h_norm).  Each branch is computed for all of
+    its points at once; a one-branch frame gives its own arrays."""
     table = dict(point=fr.point, metric=fr.metric,
-                 metric_signature=np.array(fr.counts).T)
+                 metric_signature=fr.counts)
     for (degenerate, _), idx in fr.branches.items():
         sub = fr if idx is None else fr.take(idx)
         cols = umbilicity_data(sub)
         cols["ambient_residual"] = quadric_residual(sub.w, sub.eps, sub.value)
         if degenerate:
-            cols["radical_last_var_residual"] = _radical_last_var(sub, tol_zero)
+            cols["radical_last_var_residual"] = _radical_last_var(sub)
         else:
             cols["parallel_residual"] = parallelism_residual(sub)
         # one read-only column for the residuals the branch leaves undefined
@@ -415,8 +418,7 @@ def point_report(table: dict, k: int) -> PointReport:
 def analyze_points(chart: ImmersionChart, points, *,
                    tol_zero: float = DEFAULT_ZERO_TOL) -> dict:
     """The `point_table` of a (P, m) stack of points, from one frame."""
-    return point_table(build_frame(chart, points, tol_zero=tol_zero),
-                       tol_zero)
+    return point_table(build_frame(chart, points, tol_zero=tol_zero))
 
 
 def analyze_point(chart: ImmersionChart, point, *,
@@ -453,8 +455,12 @@ def hull_size(ambient: AmbientSpace) -> int:
 
 
 def hull_sample(chart: ImmersionChart, seed: int = 42) -> np.ndarray:
-    """The image points sampled for the hull and fullness."""
-    return chart.value(chart.sample_points(hull_size(chart.ambient), seed))
+    """The image points sampled for the hull and fullness; DomainError when
+    one is not finite, which no SVD could split."""
+    Y = chart.value(chart.sample_points(hull_size(chart.ambient), seed))
+    if not np.isfinite(Y).all():
+        raise DomainError(f"hull sample of {chart.name!r} is not finite")
+    return Y
 
 
 @NON_FINITE_POLICY
@@ -579,9 +585,7 @@ def _fd_cross_check(w: np.ndarray, values, jac, hess, sigs,
     _, fjac, fhess, _ = J.fd_derivatives(values, jac.shape[-1], FD_STEP, 2)
     d1 = np.abs(jac - fjac).max((-2, -1)).tolist()
     d2 = np.abs(hess - fhess).max((-2, -1)).tolist()
-    g_fd = _tangent_rows(fjac, w) @ fjac
-    sig_fd = np.stack(B.signature_counts(
-        0.5 * (g_fd + g_fd.swapaxes(-1, -2)), tol_zero), -1).tolist()
+    sig_fd = B.signature_counts(_metric(fjac, w), tol_zero).tolist()
     out = []
     for a, b, sig_jet, sig in zip(d1, d2, sigs, sig_fd):
         failures = []
@@ -685,7 +689,7 @@ def _verify_group(records, walked, tails, samples, tol,
     fr = assemble_frame(np.repeat(w, samples, 0), np.repeat(eps, samples),
                         np.concatenate([d[:samples] for d in drawn]), stack,
                         tol_zero)
-    table = point_table(fr, tol_zero)
+    table = point_table(fr)
     # what `_judge` reads, one reduction per field over the (R, S) table;
     # a max keeps a NaN, and reduces a residual over its branch's rows
     values, defined = _residuals(table, R)

@@ -50,27 +50,6 @@ class Signature:
         return (self.neg, self.pos, self.null)
 
 
-@dataclass(frozen=True)
-class SymmetricForm:
-    """Dense symmetric matrix of double-precision reals, or a (P, n, n)
-    stack of them."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-            raise InputError(f"form must be square, got shape {a.shape}")
-        if np.abs(a - a.swapaxes(-1, -2)).max(
-                initial=0.0) > SYMMETRY_TOL:
-            raise InputError("form is not symmetric to within 1e-14")
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[-1]
-
-
 def inner_product(u, v, sig: Signature) -> float:
     """Indefinite inner product of u and v; null-block coordinates contribute 0."""
     u = np.asarray(u, dtype=float)
@@ -89,31 +68,33 @@ def gram_matrix(vectors: np.ndarray, sig: Signature) -> np.ndarray:
     return (vectors * sig.weights()) @ vectors.T
 
 
-def signature_counts(form: SymmetricForm | np.ndarray,
-                     tol_zero: float = DEFAULT_ZERO_TOL) -> tuple:
-    """Counts (neg, pos, null) of eigenvalues below -tol_zero / above
-    +tol_zero / in between, integer arrays over a (..., n, n) stack."""
+def signature_counts(forms: np.ndarray,
+                     tol_zero: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """Counts (neg, pos, null) of the eigenvalues below -tol_zero, above
+    +tol_zero and in between of each symmetric matrix of a (..., n, n)
+    stack, as one (..., 3) integer array."""
     if not 0 < tol_zero < np.inf:
         raise InputError("tol_zero must be positive and finite")
-    if not isinstance(form, SymmetricForm):
-        form = SymmetricForm(form)
-    eig = np.linalg.eigvalsh(form.entries)
-    neg = (eig < -tol_zero).sum(-1)
-    pos = (eig > tol_zero).sum(-1)
-    return neg, pos, form.dim - neg - pos
+    eig = np.linalg.eigvalsh(forms)
+    counts = np.empty(eig.shape[:-1] + (3,), dtype=int)
+    counts[..., 0] = (eig < -tol_zero).sum(-1)
+    counts[..., 1] = (eig > tol_zero).sum(-1)
+    counts[..., 2] = eig.shape[-1] - counts[..., 0] - counts[..., 1]
+    return counts
 
 
-def signatures(counts: tuple):
-    """The Signature of (neg, pos, null) counts; a list over a stack."""
-    neg, pos, null = (c.tolist() for c in counts)
-    return (Signature(neg, pos, null) if isinstance(neg, int)
-            else list(map(Signature, neg, pos, null)))
-
-
-def signature_of(form: SymmetricForm | np.ndarray,
-                 tol_zero: float = DEFAULT_ZERO_TOL):
-    """Signature by `signature_counts`; a list over a (P, n, n) stack."""
-    return signatures(signature_counts(form, tol_zero))
+def signature_of(form, tol_zero: float = DEFAULT_ZERO_TOL):
+    """The Signature of a symmetric form by `signature_counts`; a list over
+    a (P, n, n) stack.  A form that is not square, or not symmetric to
+    within 1e-14, raises InputError."""
+    a = np.asarray(form, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise InputError(f"form must be square, got shape {a.shape}")
+    if np.abs(a - a.swapaxes(-1, -2)).max(initial=0.0) > SYMMETRY_TOL:
+        raise InputError("form is not symmetric to within 1e-14")
+    counts = signature_counts(a, tol_zero).tolist()
+    return (Signature(*counts) if a.ndim == 2
+            else [Signature(*c) for c in counts])
 
 
 def radical(forms: np.ndarray,

@@ -117,7 +117,7 @@ class ImmersionChart:
         return lo + (hi - lo) * unit_draw(seed, count, self.nvars)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=256)
 def unit_draw(seed: int, count: int, m: int) -> np.ndarray:
     """`default_rng(seed).random((count, m))`, kept read-only for reuse."""
     U = np.random.default_rng(seed).random((count, m))

@@ -42,6 +42,16 @@ class TestInducedMetric:
         _, sig = induced_metric(ch, np.array([0.2, 0.1]))
         assert sig.as_tuple() == (1, 1, 0)
 
+    @pytest.mark.parametrize("fid", sorted(family_ids()))
+    def test_is_the_frame_metric(self, fid):
+        # one formula: the metric and the signature a frame decides
+        ch = instantiate(fid)
+        p = ch.sample_points(1, 42)[0]
+        g, sig = induced_metric(ch, p)
+        fr = build_frame(ch, p)
+        assert np.array_equal(g, fr.metric)
+        assert np.array_equal(sig.as_tuple(), fr.counts)
+
 
 class TestMeanCurvature:
     def test_null_offset_sphere_vector(self):
@@ -171,7 +181,7 @@ class TestParallelism:
         fr = build_frame(ch, ch.sample_points(4, 31))
         tracemalloc.start()
         try:
-            analysis.point_table(fr, analysis.DEFAULT_ZERO_TOL)
+            analysis.point_table(fr)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -768,7 +778,7 @@ def _dense_reference(w, eps, arrays, m):
     D = less_position(D, np.einsum("...pn,...n->...p", D, times_G(val))
                       [..., None] * val[..., None, :])
     out = dict(metric=g, second=D)
-    if B.signature_counts(g, analysis.DEFAULT_ZERO_TOL)[2].any():
+    if B.signature_counts(g, analysis.DEFAULT_ZERO_TOL)[..., 2].any():
         return out | dict.fromkeys(
             ("gamma", "h", "H", "h_norm", "parallel"))
     ginv = np.linalg.inv(g)
@@ -808,7 +818,7 @@ class TestDenseMetricReference:
             return
         for name, got in zip(("gamma", "h", "H"), fr.tensors):
             assert np.array_equal(got, want[name]), name
-        table = analysis.point_table(fr, analysis.DEFAULT_ZERO_TOL)
+        table = analysis.point_table(fr)
         assert np.array_equal(table["h_norm"], want["h_norm"])
         assert np.array_equal(parallelism_residual(fr), want["parallel"])
 
@@ -986,7 +996,7 @@ class TestAnalyzePoints:
         assert fr.second.shape == (6, 5)
         assert fr.walked_third.shape == (5, 10)
         assert fr.metric.shape == (3, 3)
-        assert isinstance(fr.signature, Signature)
+        assert fr.counts.shape == (3,)
         assert np.ndim(fr.scale) == 0
         data = umbilicity_data(fr)
         assert np.ndim(data["umbilicity_residual"]) == 0
@@ -994,5 +1004,15 @@ class TestAnalyzePoints:
         assert np.ndim(parallelism_residual(fr)) == 0
         stacked = build_frame(ch, p[None])
         assert stacked.second.shape == (1, 6, 5)
-        assert stacked.signature == [fr.signature]
+        assert np.array_equal(stacked.counts, fr.counts[None])
         assert parallelism_residual(stacked).shape == (1,)
+
+    def test_take_of_every_point_keeps_every_field(self):
+        # the zero tolerance travels with the signature it decided
+        ch = instantiate("light1-2")
+        fr = build_frame(ch, ch.sample_points(4, 5), tol_zero=1e-9)
+        sub = fr.take(np.arange(4))
+        for f in dataclasses.fields(analysis.Frame):
+            got = getattr(sub, f.name)
+            want = np.broadcast_to(getattr(fr, f.name), np.shape(got))
+            assert np.array_equal(got, want), f.name

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hypothesis.extra import numpy as hnp
 
-from umbilic.bilinear import (DEFAULT_ZERO_TOL, Signature, SymmetricForm,
-                              _rank, gram_matrix, inner_product,
+from umbilic.bilinear import (DEFAULT_ZERO_TOL, Signature, _rank,
+                              gram_matrix, inner_product,
                               numerical_rank, radical,
                               random_pseudo_orthogonal, signature_of,
                               svd_split)
@@ -34,9 +34,8 @@ def _null_space_basis(matrix, tol=DEFAULT_ZERO_TOL):
 
 
 def _radical_basis(form, tol_zero=DEFAULT_ZERO_TOL):
-    form = SymmetricForm(form)
-    eig, vecs = np.linalg.eigh(form.entries)
-    idx = [i for i in range(form.dim) if abs(eig[i]) <= tol_zero]
+    eig, vecs = np.linalg.eigh(np.asarray(form, dtype=float))
+    idx = [i for i in range(len(eig)) if abs(eig[i]) <= tol_zero]
     idx.sort(key=lambda i: abs(eig[i]))
     out = []
     for i in idx:
@@ -141,7 +140,12 @@ class TestSignatureOf:
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InputError):
-            SymmetricForm(np.array([[0.0, 1.0], [0.5, 0.0]]))
+            signature_of(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(InputError, match="must be square"):
+            signature_of(np.zeros(shape))
 
     def test_congruence_invariance(self):
         # Sylvester: signature is invariant under change of basis

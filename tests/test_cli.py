@@ -12,7 +12,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from umbilic import analysis, cli
-from umbilic.analysis import analyze_point, verify_family
+from umbilic.analysis import (analyze_point, fullness, reduction_report,
+                              verify_family)
 from umbilic.catalog import family_ids, get_family, instantiate
 from umbilic.charts import ImmersionChart
 from umbilic.cli import main
@@ -468,7 +469,9 @@ def test_extreme_parameters_fail_closed(fid, key, capsys):
     for value in _EXTREMES:
         params = {key: value}
         for call in (lambda: verify_family(fid, params),
-                     lambda: classify(instantiate(fid, params))):
+                     lambda: classify(instantiate(fid, params)),
+                     lambda: reduction_report(instantiate(fid, params)),
+                     lambda: fullness(instantiate(fid, params))):
             try:
                 call()
             except (DomainError, InputError):

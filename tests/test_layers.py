@@ -1,5 +1,6 @@
-"""The package's modules import one another in one direction only, and
-something reads every function, class and method they define."""
+"""The package's modules import one another in one direction only,
+something reads every function, class and method they define, and they
+name nothing that only numpy 2 has."""
 
 import ast
 import functools
@@ -133,3 +134,42 @@ def test_import_fills_no_cache():
     assert {"umbilic.jets.packed_indices", "umbilic.jets._fd_rows",
             "umbilic.charts._flat_weights"} <= set(tables)
     assert tables == dict.fromkeys(tables, 0)
+
+
+# names numpy 2 added, which the supported numpy >= 1.24 lacks; `concat` and
+# `astype` only as numpy functions, since arrays have an `astype` method
+NUMPY2_NAMES = {"mT", "matrix_transpose", "vecdot", "vector_norm",
+                "matrix_norm", "permute_dims", "unstack", "cumulative_sum",
+                "isdtype"}
+NUMPY2_FUNCTIONS = {"concat", "astype"}
+
+
+def numpy2_names(source: str) -> list[str]:
+    """The numpy-2-only names a module's source reads or imports, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            on_numpy = (isinstance(node.value, ast.Name)
+                        and node.value.id in ("np", "numpy"))
+            if node.attr in NUMPY2_NAMES or (
+                    on_numpy and node.attr in NUMPY2_FUNCTIONS):
+                found.append(f"{node.lineno}: {node.attr}")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "numpy"):
+            found += [f"{node.lineno}: {a.name}" for a in node.names
+                      if a.name in NUMPY2_NAMES | NUMPY2_FUNCTIONS]
+    return found
+
+
+def test_numpy2_scan_finds_every_name():
+    source = "\n".join(
+        [f"x.{n}" for n in sorted(NUMPY2_NAMES)]
+        + [f"np.{n}(a)" for n in sorted(NUMPY2_FUNCTIONS)]
+        + ["from numpy.linalg import vector_norm", "a.astype(int)",
+           "np.concatenate(a)"])
+    assert len(numpy2_names(source)) == len(NUMPY2_NAMES) + 3
+
+
+@pytest.mark.parametrize("module", ORDER + ["__init__"])
+def test_no_numpy2_only_names(module):
+    assert numpy2_names((PACKAGE / f"{module}.py").read_text()) == []
