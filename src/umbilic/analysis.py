@@ -417,7 +417,10 @@ def point_report(table: dict, k: int) -> PointReport:
 
 def analyze_points(chart: ImmersionChart, points, *,
                    tol_zero: float = DEFAULT_ZERO_TOL) -> dict:
-    """The `point_table` of a (P, m) stack of points, from one frame."""
+    """The `point_table` of a (P, m) stack of points, from one frame;
+    InputError for an empty stack."""
+    if not np.size(points):
+        raise InputError("analyze_points needs at least one point")
     return point_table(build_frame(chart, points, tol_zero=tol_zero))
 
 
@@ -722,11 +725,12 @@ def _verify_group(records, walked, tails, samples, tol,
     fd = _fd_cross_check(w, np.stack([f for _, f in tails]),
                          stack[1][::samples], stack[2][::samples], fd_sigs,
                          tol_zero)
+    # a group with no record that judges the hull makes no SVD of it
     fulls = dict(zip(full, fullness(charts[0], tol=tol, sample=Y[full],
-                                    weights=w[full])))
+                                    weights=w[full]))) if full else {}
     reds = dict(zip(hull, reduction_report(
         charts[0], tol=tol, tol_zero=tol_zero, sample=Y[hull],
-        weights=w[hull])))
+        weights=w[hull]))) if hull else {}
     return [_judge(ids[k], params[k], expected[k], stats[k], fd[k],
                    fulls.get(k), reds.get(k), tol=tol) for k in range(R)]
 

@@ -4,8 +4,10 @@ A chart is a jet-evaluable map from an open box of chart coordinates into
 the flat embedding space of an ambient space form (flat space itself, a
 unit pseudo-sphere, or a unit pseudo-hyperbolic space).  A chart is one
 coordinate function of its walk arguments, walked at order 3 for every
-use.  A composition of charts is the composed function, and an isometric
-image is the composition with a linear chart.
+use.  A composition of charts is the composed function.  An image L f of
+a chart f under a linear map L of the flat space is not walked again: its
+jets and values are L applied to f's.  A chart remembers its last jet walk
+and its last values, keyed by the points, and hands them out read-only.
 """
 from __future__ import annotations
 
@@ -85,6 +87,7 @@ class ImmersionChart:
             box = np.tile([-0.5, 0.5], (nvars, 1))
         self.box = np.asarray(box, dtype=float).reshape(nvars, 2)
         self.name = name
+        self._memo = {}   # slot -> (points key, its read-only results)
 
     # -- evaluation -------------------------------------------------------
     # Every evaluation takes one point (m,) or a (P, m) stack of points,
@@ -94,13 +97,34 @@ class ImmersionChart:
         """(values (N,), jac (N,m), hess (N,T2), third (N,T3)), each with a
         leading (P,) axis for a (P, m) stack of points; hess and third are
         packed by sorted multi-index (see `jets.packed_indices`).  The walk
-        is always order 3; `order=2` returns None for third."""
+        is always order 3; `order=2` returns None for third.  The arrays
+        are read-only, and a call at the points of the last walk returns
+        that walk's arrays."""
         if order not in (2, 3):
             raise InputError("order must be 2 or 3")
+        arrays = self._remember("jets", points, self._arrays)
+        return arrays[:order + 1] + (None,) * (3 - order)
+
+    def _remember(self, slot: str, points, compute):
+        """compute(points), made read-only; the last result of a slot is
+        kept, with the shape and bytes of its points, and returned again
+        for equal points.  A compute that raises stores nothing."""
         points = np.asarray(points, dtype=float)
+        key = (points.shape, points.tobytes())
+        last = self._memo.get(slot)
+        if last is not None and last[0] == key:
+            return last[1]
+        out = compute(points)
+        for a in out if isinstance(out, tuple) else (out,):
+            a.setflags(write=False)
+        self._memo[slot] = (key, out)
+        return out
+
+    def _arrays(self, points) -> tuple:
+        """The four order-3 jet arrays of `jet_arrays`, walked."""
         js = self.jet_list(points.reshape(-1, points.shape[-1]))
         out = []
-        for name in ("value", "grad", "hess", "third")[:order + 1]:
+        for name in ("value", "grad", "hess", "third"):
             # one C-contiguous (P, N, ...) layout for every stack, so that
             # the matrix products on a point's rows, and so its numbers, do
             # not depend on the rest of its stack
@@ -109,7 +133,7 @@ class ImmersionChart:
             for k, row in enumerate(rows):
                 a[:, k] = row
             out.append(a.reshape(points.shape[:-1] + a.shape[1:]))
-        return tuple(out) + (None,) * (3 - order)
+        return tuple(out)
 
     def sample_points(self, count: int, seed: int = 42) -> np.ndarray:
         """Seeded draws lo + (hi - lo) U in the chart box, U a `unit_draw`."""
@@ -147,7 +171,11 @@ class ExprChart(ImmersionChart):
         return J.evaluate(self.walk, points)
 
     def value(self, points):
-        points = np.asarray(points, dtype=float)
+        """The image points (N,), or (P, N) for a (P, m) stack, read-only;
+        a call at the points of the last call returns its array."""
+        return self._remember("value", points, self._values)
+
+    def _values(self, points):
         args = J.coordinates(points)
         # an overflow gives inf or nan without a warning, as floats do
         with np.errstate(all="ignore"):
@@ -213,8 +241,8 @@ def linear_chart(matrix: np.ndarray, ambient: AmbientSpace) -> ExprChart:
     """Chart u -> matrix @ u (rows of `matrix` give ambient coordinates):
     each coordinate adds c * u[i] to 0.0 over the nonzero c of its row."""
     matrix = np.asarray(matrix, dtype=float)
-    rows = [[(i, float(c)) for i, c in enumerate(row) if c != 0.0]
-            for row in matrix]
+    rows = [[(i, c) for i, c in enumerate(row) if c != 0.0]
+            for row in matrix.tolist()]
     # `sum` adds the terms in order; a term is an array or a jet, or a float
     # where an inner chart's coordinate is constant
     return ExprChart(lambda u: [sum((c * u[i] for i, c in row), 0.0)
@@ -222,13 +250,39 @@ def linear_chart(matrix: np.ndarray, ambient: AmbientSpace) -> ExprChart:
                      matrix.shape[1], ambient, name="linear")
 
 
-def transform_chart(chart: ExprChart, matrix: np.ndarray) -> CompositeChart:
+class ImageChart(CompositeChart):
+    """The image L f of a chart f under a linear map L of its flat space:
+    the composition with `linear_chart(L)`, whose jets and values are L
+    applied along the N axis of f's, so f's remembered walk serves it."""
+
+    def __init__(self, chart: ExprChart, matrix: np.ndarray):
+        super().__init__(linear_chart(matrix, chart.ambient), chart,
+                         name=chart.name + "~L")
+        self.chart, self.matrix = chart, matrix
+
+    # einsum, not a matrix product: a point's numbers stay those of the
+    # point alone, whatever its stack
+    def _arrays(self, points) -> tuple:
+        c = self.chart
+        val, *rest = c._remember("jets", points, c._arrays)
+        return (np.einsum("ij,...j->...i", self.matrix, val),
+                *(np.einsum("ij,...jk->...ik", self.matrix, a) for a in rest))
+
+    def _values(self, points):
+        c = self.chart
+        # a non-finite value gives inf or nan without a warning, as the
+        # chart's own values do
+        with np.errstate(all="ignore"):
+            return np.einsum("ij,...j->...i", self.matrix,
+                             c._remember("value", points, c._values))
+
+
+def transform_chart(chart: ExprChart, matrix: np.ndarray) -> ImageChart:
     """Post-compose a chart with a linear map of its flat embedding space."""
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.array(matrix, dtype=float)   # the image's own copy
     if matrix.shape != (chart.ambient.flat_dim,) * 2:
         raise InputError("transform matrix does not match the embedding dimension")
-    return CompositeChart(linear_chart(matrix, chart.ambient), chart,
-                          name=chart.name + "~L")
+    return ImageChart(chart, matrix)
 
 
 def fd_jet_arrays(chart: ImmersionChart, point, step: float = 1e-4,

@@ -89,7 +89,8 @@ def unpack(t: np.ndarray, rank: int, axis: int = -1) -> np.ndarray:
 def _pair_var(h, g):
     """h_p g_k for every packed pair p and variable k, flattened to the
     layout of `split_triples`."""
-    return (h[..., :, None] * g[..., None, :]).reshape(h.shape[:-1] + (-1,))
+    return (h[..., :, None] * g[..., None, :]).reshape(
+        h.shape[:-1] + (h.shape[-1] * g.shape[-1],))
 
 
 def _hess_grad(h, g):

@@ -531,6 +531,18 @@ class TestVerifyFamilies:
                     if "metric signature unstable" in f]
         assert bool(unstable) == ("tol_zero" in kw)
 
+    def test_no_hull_call_without_a_record_to_judge(self, monkeypatch):
+        # a group whose records judge no hull or fullness makes no SVD
+        rows = {"fullness": [], "reduction_report": []}
+        for name in rows:
+            def counted(*args, _f=getattr(analysis, name), _n=name, **kwargs):
+                rows[_n].append(len(kwargs["sample"]))
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(analysis, name, counted)
+        verify_families(instances(42), samples=16, seed=42)
+        assert rows["fullness"] and rows["reduction_report"]
+        assert 0 not in rows["fullness"] + rows["reduction_report"]
+
     def test_one_report_pass_per_group(self, monkeypatch):
         # one walk per family (U-flat is akk-4's chart under another name,
         # so the two share theirs) and one report per (m, N)
@@ -986,6 +998,13 @@ class TestAnalyzePoints:
         # a point analyzed alone is named by no stack index
         with pytest.raises(DomainError, match=r"not strictly positive$"):
             analyze_point(ch, points[2])
+
+    @pytest.mark.parametrize("fid", ["main1-3", "light1-2", "psi-a",
+                                     "S-example"])
+    def test_empty_stack_is_refused(self, fid):
+        ch = instantiate(fid)
+        with pytest.raises(InputError, match="at least one point"):
+            analyze_points(ch, np.zeros((0, ch.nvars)))
 
     def test_single_point_frame_shapes(self):
         ch = instantiate("main1-3", {"m": 3})

@@ -237,6 +237,126 @@ class TestTransformChart:
         with pytest.raises(InputError):
             transform_chart(ch, np.eye(2))
 
+    @pytest.mark.parametrize("fid", family_ids())
+    def test_image_is_the_walked_composite(self, fid):
+        # L applied to the chart's arrays is the walk of linear_chart(L)
+        # composed with the chart, to rounding, and a stacked point's rows
+        # are its rows alone bit for bit
+        ch = instantiate(fid)
+        N = ch.ambient.flat_dim
+        rng = np.random.default_rng(77)
+        matrices = [random_pseudo_orthogonal(ch.ambient.signature, rng),
+                    random_pseudo_orthogonal(ch.ambient.signature, rng),
+                    2 * np.eye(N), np.eye(N)[::-1]]
+        points = ch.sample_points(5, 78)
+        for L in matrices:
+            image = transform_chart(ch, L)
+            walked = compose(linear_chart(L, ch.ambient), ch)
+            for q in (points[0], points):
+                got = image.jet_arrays(q) + (image.value(q),)
+                want = walked.jet_arrays(q) + (walked.value(q),)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    tol = 1e-15 * (1 + np.abs(w).max())
+                    assert np.abs(g - w).max() <= tol
+            stacked = image.jet_arrays(points) + (image.value(points),)
+            for k, p in enumerate(points):
+                alone = image.jet_arrays(p) + (image.value(p),)
+                for g, w in zip(stacked, alone):
+                    _assert_same(g[k], w)
+
+    def test_image_of_an_image_composes(self):
+        ch = instantiate("main2-4")
+        rng = np.random.default_rng(79)
+        L1, L2 = (random_pseudo_orthogonal(ch.ambient.signature, rng)
+                  for _ in range(2))
+        twice = transform_chart(transform_chart(ch, L1), L2)
+        walked = compose(linear_chart(L2, ch.ambient),
+                         compose(linear_chart(L1, ch.ambient), ch))
+        p = ch.sample_points(3, 80)
+        for g, w in zip(twice.jet_arrays(p) + (twice.value(p),),
+                        walked.jet_arrays(p) + (walked.value(p),)):
+            assert np.abs(g - w).max() <= 1e-14 * (1 + np.abs(w).max())
+
+
+class TestMemo:
+    """A chart keeps its last jet walk and its last values, read-only."""
+
+    def test_hit_returns_equal_read_only_arrays(self):
+        ch = instantiate("main1-3")
+        p = ch.sample_points(4, 81)
+        first = ch.jet_arrays(p) + (ch.value(p),)
+        again = ch.jet_arrays(p.copy()) + (ch.value(p.copy()),)
+        for a, b in zip(first, again):
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError):
+            again[1][0, 0, 0] = 1.0
+
+    def test_one_slot_walks_again_for_other_points(self, monkeypatch):
+        ch = instantiate("light1-2")
+        a, b = ch.sample_points(3, 82), ch.sample_points(3, 83)
+        walks = []
+        evaluate = J.evaluate
+        monkeypatch.setattr(J, "evaluate",
+                            lambda f, q: walks.append(len(q)) or evaluate(f, q))
+        first = ch.jet_arrays(a)
+        ch.jet_arrays(b)
+        again = ch.jet_arrays(a)
+        assert walks == [3, 3, 3]
+        for x, y in zip(first, again):
+            assert np.array_equal(x, y)
+        ch.jet_arrays(a)
+        assert walks == [3, 3, 3]
+
+    def test_order2_hit_has_no_third_derivatives(self):
+        ch = instantiate("psi-a")
+        p = ch.sample_points(2, 84)
+        full = ch.jet_arrays(p)
+        part = ch.jet_arrays(p, order=2)
+        assert part[3] is None
+        assert all(x is y for x, y in zip(part[:3], full[:3]))
+
+    def test_failed_walk_stores_nothing(self):
+        ch = ExprChart(lambda u: [u[0], J.sqrt(1.0 - u[0] * u[0])], 1,
+                       AmbientSpace.flat(2, 0))
+        good, bad = np.array([[0.5]]), np.array([[2.0]])
+        kept = ch.jet_arrays(good)
+        for walk in (ch.jet_arrays, ch.value):
+            for _ in range(2):
+                with pytest.raises(DomainError, match=r"^sqrt argument -3\.0 "
+                                   r"is not strictly positive$"):
+                    walk(bad)
+        assert ch.jet_arrays(good)[0] is kept[0]
+
+    def test_fresh_chart_has_its_own_memo(self):
+        a = instantiate("main1-3", {"r": 0.4})
+        b = instantiate("main1-3", {"r": 0.6})
+        p = a.sample_points(2, 85)
+        va, ja = a.value(p), a.jet_arrays(p)
+        vb, jb = b.value(p), b.jet_arrays(p)
+        assert not np.array_equal(va, vb)
+        assert not np.array_equal(ja[1], jb[1])
+        again = instantiate("main1-3", {"r": 0.4})
+        assert again.value(p) is not va
+        assert np.array_equal(again.value(p), va)
+
+    def test_image_reads_its_charts_walk(self, monkeypatch):
+        ch = instantiate("main2-4")
+        L = random_pseudo_orthogonal(ch.ambient.signature,
+                                     np.random.default_rng(86))
+        p = ch.sample_points(3, 87)
+        base = ch.jet_arrays(p), ch.value(p)
+        walks = []
+        evaluate = J.evaluate
+        monkeypatch.setattr(J, "evaluate",
+                            lambda f, q: walks.append(len(q)) or evaluate(f, q))
+        for image in (transform_chart(ch, L), transform_chart(ch, -L)):
+            image.jet_arrays(p)
+            image.value(p)
+        assert walks == []
+        assert ch.jet_arrays(p)[0] is base[0][0] and ch.value(p) is base[1]
+
 
 class TestFdJetArrays:
     def test_matches_taylor_jets(self):
@@ -314,10 +434,20 @@ class TestPointStacks:
                            r"strictly positive$"):
             ch.jet_arrays(points[2])
 
+    @pytest.mark.parametrize("fid", ["main1-3", "light1-2", "psi-a",
+                                     "S-example"])
+    def test_empty_stack_gives_empty_arrays(self, fid):
+        ch = instantiate(fid)
+        m, N = ch.nvars, ch.ambient.flat_dim
+        T2, T3 = J.packed_indices(m, 2).shape[1], J.packed_indices(m, 3).shape[1]
+        got = ch.jet_arrays(np.zeros((0, m))) + (ch.value(np.zeros((0, m))),)
+        assert [a.shape for a in got] == [(0, N), (0, N, m), (0, N, T2),
+                                          (0, N, T3), (0, N)]
+
     def test_ambient_residual_propagates_nan(self):
         # one residual per point, NaN only where the image is not finite
         ch = _unit_sphere_chart()
-        values = ch.value(ch.sample_points(4, 1))
+        values = ch.value(ch.sample_points(4, 1)).copy()   # read-only
         assert quadric_residual(ch.ambient.weights(), 1, values).max() < 1e-12
         values[2, 0] = np.nan
         residual = quadric_residual(ch.ambient.weights(), 1, values)
