@@ -268,13 +268,12 @@ class ImageChart(CompositeChart):
         return (np.einsum("ij,...j->...i", self.matrix, val),
                 *(np.einsum("ij,...jk->...ik", self.matrix, a) for a in rest))
 
+    # einsum sets no floating-point flags: a non-finite value gives inf or
+    # nan without a warning, as the chart's own values do
     def _values(self, points):
         c = self.chart
-        # a non-finite value gives inf or nan without a warning, as the
-        # chart's own values do
-        with np.errstate(all="ignore"):
-            return np.einsum("ij,...j->...i", self.matrix,
-                             c._remember("value", points, c._values))
+        return np.einsum("ij,...j->...i", self.matrix,
+                         c._remember("value", points, c._values))
 
 
 def transform_chart(chart: ExprChart, matrix: np.ndarray) -> ImageChart:

@@ -237,6 +237,16 @@ class TestTransformChart:
         with pytest.raises(InputError):
             transform_chart(ch, np.eye(2))
 
+    def test_non_finite_values_give_no_warning(self):
+        # an overflowing chart's image is inf or nan, as the chart's own
+        # values are, with no RuntimeWarning (an error in this suite)
+        ch = ExprChart(lambda u: [u[0] * 1e300, u[0]], 1,
+                       AmbientSpace.flat(2, 0))
+        moved = transform_chart(ch, np.array([[0.0, 1.0], [1.0, 1e300]]))
+        got = moved.value(np.array([[1e10], [1.0]]))
+        assert not np.isfinite(got[0]).any()
+        assert np.isfinite(got[1]).all()
+
     @pytest.mark.parametrize("fid", family_ids())
     def test_image_is_the_walked_composite(self, fid):
         # L applied to the chart's arrays is the walk of linear_chart(L)
