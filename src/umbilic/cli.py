@@ -10,6 +10,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -291,10 +292,19 @@ def _add_common(sub, samples_default=DEFAULT_SAMPLES):
                      help="write a JSON report to PATH ('-' for stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and its subparsers, that read `-1e-3` and `-1,0` as values
+    like `-1.5`: no option of this CLI starts `-<digit>` or `-.<digit>`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process on first use."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="umbilic",
         description="Numerical verification of the totally umbilical "
                     "submanifold catalog in indefinite space forms.")

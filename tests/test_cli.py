@@ -437,6 +437,12 @@ def test_benchmark_workloads_pass(workload, monkeypatch):
     # the second fundamental form overflows before any rank is taken
     (["analyze", "--family", "cv-parallel", "--param", "a=1e100"], 1),
     (["analyze", "--family", "psi-a", "--param", "a=1.7e308"], 1),
+    # a negative number in scientific notation or in a list is a value,
+    # not an option
+    (["moduli", "--a", "-1,0"], 0),
+    (["moduli", "--a", "-1e-3,0"], 0),
+    (["analyze", "--family", "main1-3", "--point", "-1e-3", "0.2"], 0),
+    (["analyze", "--family", "main1-3", "--point", "-.2", "-2e-1"], 0),
     # every walk is order 3, so every asserted parallel is checked: neither
     # command takes an order
     (["verify-all", "--order", "2"], 2),
