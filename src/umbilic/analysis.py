@@ -472,31 +472,30 @@ def reduction_report(chart: ImmersionChart, seed: int = 42,
                      tol_zero: float = DEFAULT_ZERO_TOL,
                      sample: np.ndarray | None = None,
                      weights: np.ndarray | None = None):
-    """Classify the affine hull of sampled image points; `sample` is
-    `hull_sample(chart, seed)` when the caller has drawn it already, and a
-    (R, K, N) stack of samples gives a list with one report per sample.
-    `weights` is the diagonal of each sample's flat metric, a (R, N)
-    stack, or the chart's `AmbientSpace.weights()` when None."""
-    Y = hull_sample(chart, seed) if sample is None else sample
-    stack = Y if Y.ndim == 3 else Y[None]
-    vh, ranks = B.svd_split(stack[:, 1:] - stack[:, :1], tol_zero)
-    w = (chart.ambient.weights()[None].repeat(len(stack), 0)
-         if weights is None else weights)
-    out = [None] * len(stack)
+    """Classify the affine hull of sampled image points: the report on
+    `hull_sample(chart, seed)`, or, for an (R, K, N) stack `sample` of
+    samples drawn already and the (R, N) diagonals `weights` of their flat
+    metrics, a list with one report per sample."""
+    one = sample is None
+    if one:
+        sample = hull_sample(chart, seed)[None]
+        weights = chart.ambient.weights()[None]
+    vh, ranks = B.svd_split(sample[:, 1:] - sample[:, :1], tol_zero)
+    out = [None] * len(sample)
     # the hulls of one dimension share one gram signature and one solve
     for hull_dim in set(ranks.tolist()):
         idx = (ranks == hull_dim).nonzero()[0]
         W = vh[idx, :hull_dim]
-        WG = W * w[idx, None, :]
+        WG = W * weights[idx, None, :]
         gram = WG @ W.swapaxes(-1, -2)
         sigs = B.signature_of(gram, tol_zero)
         live = [n for n, s in enumerate(sigs) if hull_dim and not s.degenerate]
         proj = dict(zip(live, W[live].swapaxes(-1, -2) @ np.linalg.solve(
             gram[live], WG[live])))
         for n, k in enumerate(idx.tolist()):
-            out[k] = _translation(W[n], gram[n], sigs[n], stack[k, 0], w[k],
-                                  proj.get(n), tol, tol_zero)
-    return out if Y.ndim == 3 else out[0]
+            out[k] = _translation(W[n], gram[n], sigs[n], sample[k, 0],
+                                  weights[k], proj.get(n), tol, tol_zero)
+    return out[0] if one else out
 
 
 def _translation(W, gram, dir_sig, base, w, proj, tol, tol_zero):
@@ -531,22 +530,21 @@ def fullness(chart: ImmersionChart, seed: int = 42,
 
     The complement of the linear span of sampled image points carries the
     restricted ambient form; the immersion is full iff that restriction
-    vanishes (the complement is totally degenerate or trivial).  `sample`
-    is `hull_sample(chart, seed)` when the caller has drawn it already; a
-    (R, K, N) stack gives a list with one (full, residual) per sample.
-    `weights` is as for `reduction_report`.
+    vanishes (the complement is totally degenerate or trivial).  The
+    samples are as for `reduction_report`: one (full, residual) for
+    `hull_sample(chart, seed)`, or a list of them for a `sample` stack.
     """
-    Y = hull_sample(chart, seed) if sample is None else sample
-    vh, ranks = B.svd_split(Y if Y.ndim == 3 else Y[None])
-    w = (chart.ambient.weights()[None].repeat(len(vh), 0)
-         if weights is None else weights)
+    one = sample is None
+    if one:
+        sample = hull_sample(chart, seed)[None]
+        weights = chart.ambient.weights()[None]
+    vh, ranks = B.svd_split(sample)
     out = []
-    for k, (v, r) in enumerate(zip(vh, ranks.tolist())):
+    for v, r, w in zip(vh, ranks.tolist(), weights):
         C = v[r:]
-        residual = (float(np.abs((C * w[k]) @ C.T).max()) if len(C)
-                    else 0.0)
+        residual = float(np.abs((C * w) @ C.T).max()) if len(C) else 0.0
         out.append((not len(C) or residual <= tol, residual))
-    return out if Y.ndim == 3 else out[0]
+    return out[0] if one else out
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from .bilinear import Signature
 from .charts import AmbientSpace, ExprChart
 from .errors import DomainError, InputError
 from .jets import cos, indefinite_square, sin, sqrt
@@ -311,9 +310,7 @@ def _null_pair(base: _Graph, params: dict, name: str) -> ExprChart:
     direction.
     """
     core = _graph_chart(base, params, name, lift=1)
-    amb, sig = core.ambient, core.ambient.signature
-    ambient = AmbientSpace(amb.epsilon, amb.n + 2, amb.p + 1,
-                           Signature(sig.neg + 1, sig.pos + 1))
+    ambient = base.space(core.ambient.n + 2, core.ambient.p + 1)
     coords = functools.partial(_pair, core.coords.func, **core.coords.keywords)
     return ExprChart(coords, core.nvars + 1, ambient,
                      [*core.box.tolist(), _T_BOX], name)

@@ -5,7 +5,8 @@ the flat embedding space of an ambient space form (flat space itself, a
 unit pseudo-sphere, or a unit pseudo-hyperbolic space).  A chart is one
 coordinate function of its walk arguments, walked at order 3 for every
 use.  A composition of charts is the composed function.  An image L f of
-a chart f under a linear map L of the flat space is not walked again: its
+a chart f under a linear map L of the flat space has f's coordinate
+function followed by `linear_chart`'s rule, but is not walked again: its
 jets and values are L applied to f's.  A chart remembers its last jet walk
 and its last values, keyed by the points, and hands them out read-only.
 """
@@ -237,27 +238,33 @@ def compose(outer: ExprChart, inner: ExprChart) -> CompositeChart:
     return CompositeChart(outer, inner)
 
 
+def _combine(rows, xs) -> list:
+    """matrix @ xs for the rows of a matrix as lists: each coordinate adds
+    c * xs[i] to 0.0 over the nonzero c of its row, in order.  A term is an
+    array or a jet, or a float where xs[i] is a constant coordinate."""
+    return [sum((c * xs[i] for i, c in enumerate(row) if c != 0.0), 0.0)
+            for row in rows]
+
+
 def linear_chart(matrix: np.ndarray, ambient: AmbientSpace) -> ExprChart:
-    """Chart u -> matrix @ u (rows of `matrix` give ambient coordinates):
-    each coordinate adds c * u[i] to 0.0 over the nonzero c of its row."""
+    """Chart u -> matrix @ u (rows of `matrix` give ambient coordinates),
+    by the rule of `_combine`."""
     matrix = np.asarray(matrix, dtype=float)
-    rows = [[(i, c) for i, c in enumerate(row) if c != 0.0]
-            for row in matrix.tolist()]
-    # `sum` adds the terms in order; a term is an array or a jet, or a float
-    # where an inner chart's coordinate is constant
-    return ExprChart(lambda u: [sum((c * u[i] for i, c in row), 0.0)
-                                for row in rows],
-                     matrix.shape[1], ambient, name="linear")
+    rows = matrix.tolist()
+    return ExprChart(lambda u: _combine(rows, u), matrix.shape[1], ambient,
+                     name="linear")
 
 
-class ImageChart(CompositeChart):
+class ImageChart(ExprChart):
     """The image L f of a chart f under a linear map L of its flat space:
-    the composition with `linear_chart(L)`, whose jets and values are L
-    applied along the N axis of f's, so f's remembered walk serves it."""
+    f's coordinate function followed by `linear_chart`'s rule, whose jets
+    and values are L applied along the N axis of f's, so f's remembered
+    walk serves it."""
 
     def __init__(self, chart: ExprChart, matrix: np.ndarray):
-        super().__init__(linear_chart(matrix, chart.ambient), chart,
-                         name=chart.name + "~L")
+        rows = matrix.tolist()
+        super().__init__(lambda u: _combine(rows, chart.walk(u)), chart.nvars,
+                         chart.ambient, chart.box, chart.name + "~L")
         self.chart, self.matrix = chart, matrix
 
     # einsum, not a matrix product: a point's numbers stay those of the

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import catalog
 from .analysis import (DEFAULT_TOL, DEFAULT_ZERO_TOL, analyze_point,
-                       analyze_points, fullness, hull_sample, point_report,
+                       analyze_points, fullness, point_report,
                        reduction_report, untrusted, verify_families)
 from .congruence import closure_demonstrated, moduli_demo
 from .errors import DomainError, InputError
@@ -194,10 +194,9 @@ def cmd_analyze(args) -> int:
             },
         })
 
-    sample = hull_sample(chart, args.seed)
     red = reduction_report(chart, seed=args.seed, tol=args.tol,
-                           tol_zero=args.tol_zero, sample=sample)
-    is_full, _ = fullness(chart, seed=args.seed, tol=args.tol, sample=sample)
+                           tol_zero=args.tol_zero)
+    is_full, _ = fullness(chart, seed=args.seed, tol=args.tol)
     notes = []
     rank = max(p["radical_rank"] for p in point_payloads)
     if expected.allows("radical_rank", rank):

@@ -235,12 +235,12 @@ def cos(x):
 def indefinite_square(xs, neg: int):
     """-sum of first `neg` squares + sum of the rest.
 
-    Plain `Jet3` terms are squared in one stacked product, by the rule of
-    `Jet3.__mul__`, and summed term by term in the loop's order; where no
-    term has a Hessian or third derivatives, as for chart variables, those
-    products are skipped.  Any other term (point values, a subclass) takes
-    the loop."""
-    if not xs or any(type(x) is not Jet3 for x in xs):
+    Plain `Jet3` terms with no Hessian or third derivatives, as chart
+    variables are, are squared in one stacked product by the rule of
+    `Jet3.__mul__` and summed in the loop's order; any other term (point
+    values, a curved jet, a subclass) takes the loop."""
+    if not xs or any(type(x) is not Jet3 or x.hess.any() or x.third.any()
+                     for x in xs):
         acc = 0.0
         for i, x in enumerate(xs):
             term = x * x
@@ -251,25 +251,13 @@ def indefinite_square(xs, neg: int):
     m, a = g.shape[-1], v[..., None]
     i, j = packed_indices(m, 2)
     gg = g.take(i, -1) * g.take(j, -1)
-    curved = any(x.hess.any() or x.third.any() for x in xs)
-    if not curved:
-        blocks = [v * v, a * g + a * g, gg + gg]
-    else:
-        h = np.array([x.hess for x in xs])
-        t = np.array([x.third for x in xs])
-        third = a * t + a * t
-        if h.any():
-            hg = _hess_grad(h, g)
-            third = third + hg + hg
-        blocks = [v * v, a * g + a * g, a * h + a * h + gg + gg, third]
     sign = np.where(np.arange(len(xs)) < neg, -1.0, 1.0)
-    signed = [sign.reshape((-1,) + (1,) * (b.ndim - 1)) * b for b in blocks]
+    signed = [sign.reshape((-1,) + (1,) * (b.ndim - 1)) * b
+              for b in (v * v, a * g + a * g, gg + gg)]
     # summed in the loop's order; the loop starts the value from 0.0
-    sums = [functools.reduce(np.add, signed[0], 0.0)]
-    sums += [functools.reduce(np.add, b) for b in signed[1:]]
-    if not curved:
-        sums.append(np.zeros(v.shape[1:] + packed_indices(m, 3).shape[1:]))
-    return Jet3(*sums)
+    return Jet3(functools.reduce(np.add, signed[0], 0.0),
+                *(functools.reduce(np.add, b) for b in signed[1:]),
+                np.zeros(v.shape[1:] + packed_indices(m, 3).shape[1:]))
 
 
 def coordinates(points) -> list:

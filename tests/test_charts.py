@@ -275,6 +275,29 @@ class TestTransformChart:
                 for g, w in zip(stacked, alone):
                     _assert_same(g[k], w)
 
+    @pytest.mark.parametrize("fid", family_ids())
+    def test_image_walk_is_the_walked_composite(self, fid):
+        # an image's own coordinate function is its chart's walk followed
+        # by linear_chart's rule: walked on jets or on point values it is
+        # the composite bit for bit, and it composes like any chart
+        ch = instantiate(fid)
+        rng = np.random.default_rng(88)
+        L, M = (random_pseudo_orthogonal(ch.ambient.signature, rng)
+                for _ in range(2))
+        image = transform_chart(ch, L)
+        walked = compose(linear_chart(L, ch.ambient), ch)
+        p = ch.sample_points(4, 89)
+        for g, w in zip(image.jet_list(p), walked.jet_list(p)):
+            for name in ("value", "grad", "hess", "third"):
+                _assert_same(getattr(g, name), getattr(w, name))
+        args = J.coordinates(p)
+        for g, w in zip(image.coords(args), walked.coords(args)):
+            _assert_same(np.asarray(g), np.asarray(w))
+        outer = linear_chart(M, ch.ambient)
+        for g, w in zip(compose(outer, image).jet_arrays(p),
+                        compose(outer, walked).jet_arrays(p)):
+            _assert_same(g, w)
+
     def test_image_of_an_image_composes(self):
         ch = instantiate("main2-4")
         rng = np.random.default_rng(79)
