@@ -54,19 +54,15 @@ def commands() -> list[list[str]]:
     return out
 
 
-def record(argv: list[str]) -> bytes:
-    """The UTF-8 JSON text of [exit code, stdout, stderr] of one command."""
+def entry(argv: list[str]) -> dict:
+    """The manifest entry of one command: its argv, and the sha256 and byte
+    length of the UTF-8 JSON text of [exit code, stdout, stderr]."""
     from umbilic import cli
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    return json.dumps([code, out.getvalue(), err.getvalue()]).encode()
-
-
-def entry(argv: list[str]) -> dict:
-    """The manifest entry of one command."""
-    blob = record(argv)
+    blob = json.dumps([code, out.getvalue(), err.getvalue()]).encode()
     return {"argv": list(argv), "sha256": hashlib.sha256(blob).hexdigest(),
             "bytes": len(blob)}
 

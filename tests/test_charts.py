@@ -251,7 +251,9 @@ class TestTransformChart:
     def test_image_is_the_walked_composite(self, fid):
         # L applied to the chart's arrays is the walk of linear_chart(L)
         # composed with the chart, to rounding, and a stacked point's rows
-        # are its rows alone bit for bit
+        # are its rows alone bit for bit; the image's own coordinate
+        # function, walked on jets or on point values, is the composite's
+        # bit for bit, and the image composes like any chart
         ch = instantiate(fid)
         N = ch.ambient.flat_dim
         rng = np.random.default_rng(77)
@@ -259,9 +261,19 @@ class TestTransformChart:
                     random_pseudo_orthogonal(ch.ambient.signature, rng),
                     2 * np.eye(N), np.eye(N)[::-1]]
         points = ch.sample_points(5, 78)
+        args = J.coordinates(points)
+        outer = linear_chart(matrices[1], ch.ambient)
         for L in matrices:
             image = transform_chart(ch, L)
             walked = compose(linear_chart(L, ch.ambient), ch)
+            for g, w in zip(image.jet_list(points), walked.jet_list(points)):
+                for name in ("value", "grad", "hess", "third"):
+                    _assert_same(getattr(g, name), getattr(w, name))
+            for g, w in zip(image.coords(args), walked.coords(args)):
+                _assert_same(np.asarray(g), np.asarray(w))
+            for g, w in zip(compose(outer, image).jet_arrays(points),
+                            compose(outer, walked).jet_arrays(points)):
+                _assert_same(g, w)
             for q in (points[0], points):
                 got = image.jet_arrays(q) + (image.value(q),)
                 want = walked.jet_arrays(q) + (walked.value(q),)
@@ -274,29 +286,6 @@ class TestTransformChart:
                 alone = image.jet_arrays(p) + (image.value(p),)
                 for g, w in zip(stacked, alone):
                     _assert_same(g[k], w)
-
-    @pytest.mark.parametrize("fid", family_ids())
-    def test_image_walk_is_the_walked_composite(self, fid):
-        # an image's own coordinate function is its chart's walk followed
-        # by linear_chart's rule: walked on jets or on point values it is
-        # the composite bit for bit, and it composes like any chart
-        ch = instantiate(fid)
-        rng = np.random.default_rng(88)
-        L, M = (random_pseudo_orthogonal(ch.ambient.signature, rng)
-                for _ in range(2))
-        image = transform_chart(ch, L)
-        walked = compose(linear_chart(L, ch.ambient), ch)
-        p = ch.sample_points(4, 89)
-        for g, w in zip(image.jet_list(p), walked.jet_list(p)):
-            for name in ("value", "grad", "hess", "third"):
-                _assert_same(getattr(g, name), getattr(w, name))
-        args = J.coordinates(p)
-        for g, w in zip(image.coords(args), walked.coords(args)):
-            _assert_same(np.asarray(g), np.asarray(w))
-        outer = linear_chart(M, ch.ambient)
-        for g, w in zip(compose(outer, image).jet_arrays(p),
-                        compose(outer, walked).jet_arrays(p)):
-            _assert_same(g, w)
 
     def test_image_of_an_image_composes(self):
         ch = instantiate("main2-4")

@@ -168,9 +168,10 @@ def _same_jet(got, want):
 
 class TestIndefiniteSquare:
     @pytest.mark.parametrize("eps", [1, -1])
-    def test_stacked_equals_the_loop_on_curved_jets(self, eps):
+    def test_curved_jets_equal_the_loop(self, eps):
         # the cone composition's inner jets: a constant, chart variables and
-        # a square root, whose Hessian and third derivatives are non-zero
+        # a square root, whose Hessian and third derivatives are non-zero,
+        # so they take the loop
         inner = cone_embedding_chart(2, 0, eps)
         xs = inner.jet_list(inner.sample_points(5, 3))
         assert any(x.hess.any() for x in xs) and any(x.third.any() for x in xs)
