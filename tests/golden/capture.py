@@ -38,6 +38,8 @@ def commands() -> list[list[str]]:
             for t in ("1e-15", "1e-17")]
     out.append(["verify-all", "--samples", "5", "--tol-zero", "1e-16",
                 "--json", "-"])
+    # jets at 50 points, hull rows the first 40 of the same draw
+    out.append(["verify-all", "--samples", "50", "--json", "-"])
     out += [["analyze", "--family", f, "--param", f"m={m}", "--json", "-"]
             for f in ("main1-3", "light1-2") for m in (4, 8, 16)]
     out += [["analyze", "--family", f, "--json", "-"] for f in family_ids()]
@@ -46,6 +48,11 @@ def commands() -> list[list[str]]:
     out += [["analyze", "--family", "S-theta", "--tol-zero", "1e-16"],
             ["analyze", "--family", "lightcone-L", "--tol-zero", "1e-17"],
             ["moduli", "--a", "0,0.001,0.1,1", "--json", "-"],
+            # the identically zero metric, and one given point
+            ["analyze", "--family", "plane-P", "--param", "s=0", "--param",
+             "t=0", "--json", "-"],
+            ["analyze", "--family", "main1-3", "--point", "0.1", "-0.2",
+             "--json", "-"],
             ["catalog", "list"]]
     # non-finite jets or residuals, refused
     out += [["analyze", "--family", f, "--param", p]
