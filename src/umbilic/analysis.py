@@ -629,32 +629,30 @@ def verify_families(jobs, *, samples: int = 5, seed: int = 42,
     charts = [rec[2] for rec in records]
     walked = _stacked_walks(charts, [rec[4][:samples] for rec in records],
                             walk_jets)
-    # a record's value rows: its hull sample, when one is judged, then the
-    # FD stencil around its first point
-    hull_rows = [hull_size(ch.ambient) if e.full is not None
-                 or e.hull_dim is not None or e.translation_class is not None
-                 else 0 for _, _, ch, e, _ in records]
+    # a record's value rows: its hull sample, then the FD stencil around
+    # its first point
     values = _stacked_walks(charts, [
-        np.concatenate([d[:k], J.fd_stencil(d[0], FD_STEP, 2)])
-        for (*_, d), k in zip(records, hull_rows)], lambda ch, p: ch.value(p))
+        np.concatenate([d[:hull_size(ch.ambient)],
+                        J.fd_stencil(d[0], FD_STEP, 2)])
+        for _, _, ch, _, d in records], lambda ch, p: (ch.value(p),))
     groups: dict = {}
     for n, chart in enumerate(charts):
         groups.setdefault((chart.nvars, chart.ambient.flat_dim), []).append(n)
     verdicts = [None] * len(jobs)
     for idx in groups.values():
-        tails = [(values[n][:hull_rows[n]], values[n][hull_rows[n]:])
-                 for n in idx]
         for n, verdict in zip(idx, _verify_group(
-                [records[n] for n in idx], [walked[n] for n in idx], tails,
-                samples, tol, tol_zero)):
+                [records[n] for n in idx], [walked[n] for n in idx],
+                np.stack([values[n][0] for n in idx]), samples, tol,
+                tol_zero)):
             verdicts[n] = verdict
     return verdicts
 
 
 def _stacked_walks(charts: list, points: list, walk) -> list:
-    """`walk(chart, points)` of each chart on its own points, made as one
-    walk per `charts.stack_key` and split back per chart in order.  A
-    DomainError is the one the first failing chart raises alone."""
+    """`walk(chart, points)`, a tuple of arrays, of each chart on its own
+    points, made as one walk per `charts.stack_key` and split back per
+    chart in order.  A DomainError is the one the first failing chart
+    raises alone."""
     stacks: dict = {}
     for n, chart in enumerate(charts):
         stacks.setdefault(stack_key(chart), []).append(n)
@@ -666,8 +664,7 @@ def _stacked_walks(charts: list, points: list, walk) -> list:
                        np.concatenate([points[n] for n in idx]))
             ends = np.cumsum(counts).tolist()
             for n, a, b in zip(idx, [0] + ends, ends):
-                out[n] = (tuple(x[a:b] for x in res) if isinstance(res, tuple)
-                          else res[a:b])
+                out[n] = tuple(x[a:b] for x in res)
         return out
     except DomainError as err:
         error = err
@@ -679,9 +676,9 @@ def _stacked_walks(charts: list, points: list, walk) -> list:
 def _verify_group(records, walked, tails, samples, tol,
                   tol_zero) -> list[FamilyVerdict]:
     """One frame, one point table and one tail pass for the walked records
-    of one group, then each record's verdict from its own rows; a record's
-    tail is its values on its hull sample (no rows when no hull is judged)
-    and on the FD stencil."""
+    of one group, then each record's verdict from its own rows; `tails` is
+    the (R, hull_size + S, N) stack of each record's values on its hull
+    sample and then on the FD stencil."""
     ids, params, charts, expected, drawn = zip(*records)
     R, amb = len(records), charts[0].ambient
     w = np.stack([ch.ambient.weights() for ch in charts])
@@ -717,12 +714,9 @@ def _verify_group(records, walked, tails, samples, tol,
     full = [k for k, e in enumerate(expected) if e.full is not None]
     hull = [k for k, e in enumerate(expected)
             if e.hull_dim is not None or e.translation_class is not None]
-    Y = np.zeros((R, hull_size(amb), amb.flat_dim))
-    for k, (y, _) in enumerate(tails):
-        Y[k, :len(y)] = y
-    fd = _fd_cross_check(w, np.stack([f for _, f in tails]),
-                         stack[1][::samples], stack[2][::samples], fd_sigs,
-                         tol_zero)
+    Y, stencils = np.split(tails, [hull_size(amb)], axis=1)
+    fd = _fd_cross_check(w, stencils, stack[1][::samples],
+                         stack[2][::samples], fd_sigs, tol_zero)
     # a group with no record that judges the hull makes no SVD of it
     fulls = dict(zip(full, fullness(charts[0], tol=tol, sample=Y[full],
                                     weights=w[full]))) if full else {}

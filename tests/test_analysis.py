@@ -316,13 +316,12 @@ class TestVerifyFamily:
         for got in samples:
             assert np.array_equal(got, want[None])
 
-    @pytest.mark.parametrize("fid, hull", [("main1-3", True),
-                                           ("light1-2", True),
-                                           ("cubic-graph-control", False)])
-    def test_one_walk_per_record(self, monkeypatch, fid, hull):
+    @pytest.mark.parametrize("fid", ["main1-3", "light1-2",
+                                     "cubic-graph-control"])
+    def test_one_walk_per_record(self, monkeypatch, fid):
         # the residuals, the ambient check and the FD oracle read one frame:
         # one jet walk, one draw of chart points, and one value walk over
-        # the hull sample (when judged) and the 9-point FD stencil
+        # the hull sample, judged or not, and the 9-point FD stencil
         calls = {"jet_arrays": [], "sample_points": [], "value": []}
         for cls, name in ((ImmersionChart, "jet_arrays"),
                           (ImmersionChart, "sample_points"),
@@ -336,7 +335,7 @@ class TestVerifyFamily:
         assert verdict.ok
         assert len(calls["jet_arrays"]) == 1
         assert calls["sample_points"] == [40]
-        assert [len(q) for q in calls["value"]] == [40 + 9 if hull else 9]
+        assert [len(q) for q in calls["value"]] == [40 + 9]
 
     def test_status_derives_from_the_lists(self):
         verdict = analysis.FamilyVerdict("main1-3", {})
