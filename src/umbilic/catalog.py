@@ -648,6 +648,9 @@ def resolve_params(family_id: str, params: dict | None = None) -> dict:
             raise InputError(
                 f"family {spec.id!r} takes no parameter {k!r} "
                 f"(expected one of {sorted(merged)})")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise InputError(
+                f"family {spec.id!r}: parameter {k}={v!r} is not finite")
         merged[k] = v
     return merged
 

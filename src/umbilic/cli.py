@@ -1,7 +1,8 @@
 """Command-line driver: full verification runs, single-family analyses,
 the moduli demonstration, and catalog listing.
 
-Exit codes: 0 success, 1 verification/runtime failure, 2 usage error.
+Exit codes: 0 success, 1 verification/runtime failure, 2 usage error or
+unwritable standard output.
 """
 from __future__ import annotations
 
@@ -146,9 +147,7 @@ def _parse_param(text: str):
         num = float(value)
     except ValueError:
         raise UsageError(f"parameter value {value!r} is not a number")
-    if not math.isfinite(num):
-        raise UsageError(f"parameter value {value!r} is not finite")
-    if num == int(num) and "." not in value and "e" not in value.lower():
+    if num.is_integer() and "." not in value and "e" not in value.lower():
         return key, int(num)
     return key, num
 
@@ -337,7 +336,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout():
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):
+        return  # no descriptor, as for an io.StringIO
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except OSError as err:
+        # standard output is closed or full; point its descriptor at
+        # os.devnull so that the interpreter's flush at exit stays quiet
+        _discard_stdout()
+        print(f"error: cannot write standard output: {err}", file=sys.stderr)
+        return 2
+    return code
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

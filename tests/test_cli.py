@@ -1,8 +1,12 @@
 """Tests for the command-line driver: exit codes, JSON output, determinism."""
 
+import contextlib
 import importlib
+import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -459,7 +463,8 @@ _FLOAT_PARAMS = [(fid, key) for fid in family_ids()
                  for key, v in get_family(fid).defaults.items()
                  if isinstance(v, float)]
 _EXTREMES = [0.0, -0.0, 5e-324, 1e-300, 1e-100, 1e-8, 1e8, 1e100, 1e150,
-             1e154, 1e200, 1e300, 1.7e308, -1e100]
+             1e154, 1e200, 1e300, 1.7e308, -1e100, math.nan, math.inf,
+             -math.inf]
 
 
 def test_sweep_covers_every_float_parameter():
@@ -486,6 +491,89 @@ def test_extreme_parameters_fail_closed(fid, key, capsys):
                             f"{key}={value!r}", "--json", "-"], capsys)
         assert code in (0, 1, 2), (fid, value)
         assert "Traceback" not in err, (fid, value)
+
+
+# integers that build small charts, or that `catalog._fits` or a range
+# check refuses before anything is built; never one in 7-68, which builds
+# real jets
+_PARAM_INTS = st.sampled_from([*range(-3, 7), 10**6, 2**40])
+_PARAM_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(-4.0, 4.0), st.floats())
+
+
+def _params(fid):
+    return st.fixed_dictionaries({
+        key: _PARAM_INTS if isinstance(v, int) else _PARAM_FLOATS
+        for key, v in get_family(fid).defaults.items()})
+
+
+@pytest.mark.parametrize("fid", family_ids())
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fail_closed_property(fid, data):
+    # the API raises only a domain or input error, the command exits 0, 1
+    # or 2 with no traceback, and neither passes a non-finite parameter; a
+    # RuntimeWarning is an error here (pyproject filterwarnings)
+    params = data.draw(_params(fid))
+    finite = all(map(math.isfinite, params.values()))
+    try:
+        assert verify_family(fid, params).status != "pass" or finite
+    except (DomainError, InputError):
+        pass
+    argv = ["analyze", "--family", fid, "--json", "-"]
+    for key, v in params.items():
+        argv += ["--param", f"{key}={v!r}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in ((0, 1, 2) if finite else (1, 2)), argv
+    assert "Traceback" not in err.getvalue(), argv
+
+
+def _run_into(stdout, argv, unbuffered):
+    """`umbilic argv` in a child process writing to `stdout`: its exit
+    code and stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parent.parent), *sys.path])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    done = subprocess.run([sys.executable, "-m", "umbilic.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          text=True, timeout=120)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+class TestUnwritableStdout:
+    """A closed or full standard output is one `error:` line and exit 2,
+    not a traceback or the interpreter's exit code 120."""
+
+    @staticmethod
+    def _check(code, err):
+        assert code == 2
+        assert err.startswith("error: cannot write standard output: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.parametrize("argv", [["catalog", "list"],
+                                      ["verify-all", "--json", "-"]])
+    def test_closed_pipe(self, argv, unbuffered):
+        read, write = os.pipe()
+        os.close(read)  # every write fails with EPIPE
+        try:
+            self._check(*_run_into(write, argv, unbuffered))
+        finally:
+            os.close(write)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_full_device(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            self._check(*_run_into(full, ["catalog", "list"], unbuffered))
 
 
 class TestModuli:
