@@ -337,6 +337,30 @@ class TestVerifyFamily:
         assert calls["sample_points"] == [40]
         assert [len(q) for q in calls["value"]] == [40 + 9]
 
+    @pytest.mark.parametrize("samples", [5, 16, 50])
+    def test_value_rows_are_the_hull_sample_and_stencil(self, monkeypatch,
+                                                        samples):
+        # every record's value rows are `hull_sample`'s, whether or not its
+        # catalog entry judges a hull, then the order-2 FD stencil around
+        # its first point
+        seen = []
+        group = analysis._verify_group
+
+        def recorded(records, walked, tails, *args):
+            seen.extend(zip(records, tails))
+            return group(records, walked, tails, *args)
+
+        monkeypatch.setattr(analysis, "_verify_group", recorded)
+        jobs = instances(42)
+        verify_families(jobs, samples=samples, seed=42)
+        assert len(seen) == len(jobs) == 92
+        for (fid, _, chart, _, drawn), rows in seen:
+            k = analysis.hull_size(chart.ambient)
+            hull = analysis.hull_sample(chart, 42)
+            stencil = J.fd_stencil(drawn[0], analysis.FD_STEP, 2)
+            assert np.array_equal(rows[:k], hull), fid
+            assert np.array_equal(rows[k:], chart.value(stencil)), fid
+
     def test_status_derives_from_the_lists(self):
         verdict = analysis.FamilyVerdict("main1-3", {})
         assert (verdict.ok, verdict.status) == (True, "pass")
