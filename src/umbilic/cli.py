@@ -342,8 +342,10 @@ def _discard_stdout():
     except (AttributeError, ValueError, OSError):
         return  # no descriptor, as for an io.StringIO
     devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def main(argv=None) -> int:
@@ -351,8 +353,9 @@ def main(argv=None) -> int:
         code = _run(argv)
         sys.stdout.flush()
     except OSError as err:
-        # standard output is closed or full; point its descriptor at
-        # os.devnull so that the interpreter's flush at exit stays quiet
+        # standard output is closed or full (`_dump_json` turns a file's
+        # error into a UsageError); point its descriptor at os.devnull so
+        # that the interpreter's flush at exit stays quiet
         _discard_stdout()
         print(f"error: cannot write standard output: {err}", file=sys.stderr)
         return 2

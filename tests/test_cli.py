@@ -536,9 +536,8 @@ def test_fail_closed_property(fid, data):
 def _run_into(stdout, argv, unbuffered):
     """`umbilic argv` in a child process writing to `stdout`: its exit
     code and stderr."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(cli.__file__).parent.parent), *sys.path])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     done = subprocess.run([sys.executable, "-m", "umbilic.cli", *argv],
