@@ -58,6 +58,10 @@ def commands() -> list[list[str]]:
     out += [["analyze", "--family", f, "--param", p]
             for f, p in (("main1-4", "r=1e150"), ("main1-4", "r=1e100"),
                          ("light1-3", "r=1e160"))]
+    # a sqrt outside its domain: at a given point, and in a stacked walk
+    # whose message the per-point replay reports without its point index
+    out += [["analyze", "--family", "main1-3", "--point", "0.9", "0.9"],
+            ["analyze", "--family", "light1-2", "--param", "r=1e-300"]]
     return out
 
 
