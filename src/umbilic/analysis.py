@@ -26,7 +26,7 @@ DEFAULT_TOL = 1e-7
 CONTROL_GAP = 1e-2
 H_NORM_TOL = 1e-6
 FD_TOL = 1e-5
-FD_STEP = 1e-4
+FD_STEP = J.FD_STEP
 # an overflow gives a non-finite value, not a warning: `untrusted` refuses it
 NON_FINITE_POLICY = np.errstate(over="ignore", invalid="ignore")
 

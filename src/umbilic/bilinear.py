@@ -60,14 +60,6 @@ def inner_product(u, v, sig: Signature) -> float:
     return float(np.dot(u * sig.weights(), v))
 
 
-def gram_matrix(vectors: np.ndarray, sig: Signature) -> np.ndarray:
-    """Pairwise inner products of the rows of `vectors`."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if vectors.shape[1] != sig.dim:
-        raise InputError("vector length does not match signature dimension")
-    return (vectors * sig.weights()) @ vectors.T
-
-
 def signature_counts(forms: np.ndarray,
                      tol_zero: float = DEFAULT_ZERO_TOL) -> np.ndarray:
     """Counts (neg, pos, null) of the eigenvalues below -tol_zero, above
@@ -106,14 +98,14 @@ def radical(forms: np.ndarray,
     return vecs * (np.abs(eig) <= tol_zero)[..., None, :]
 
 
-def _rank(s: np.ndarray, tol: float):
+def _rank(s: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
     """Count of singular values (descending, along the last axis) above
     tol * max(1, s_max); 0 when they all vanish."""
     return (s > tol * np.maximum(1.0, s[..., :1])).sum(-1)
 
 
-def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
-    """Rank by singular values above an absolute tolerance (scaled by s_max).
+def numerical_rank(matrix: np.ndarray):
+    """Rank by singular values above DEFAULT_ZERO_TOL (scaled by s_max).
 
     A stack of matrices (..., a, b) gives an integer array of ranks.  A
     matrix with a non-finite entry has no singular values to decide on, so
@@ -126,7 +118,7 @@ def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
         finite = np.isfinite(matrix).all((-2, -1))
         s = np.full(matrix.shape[:-2] + (min(matrix.shape[-2:]),), np.nan)
         s[finite] = np.linalg.svd(matrix[finite], compute_uv=False)
-    r = _rank(s, tol)
+    r = _rank(s)
     return int(r) if matrix.ndim == 2 else r
 
 
@@ -140,13 +132,12 @@ def svd_split(matrices: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
     return vh, _rank(s, tol)
 
 
-def row_space_bases(matrices: np.ndarray,
-                    tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+def row_space_bases(matrices: np.ndarray) -> np.ndarray:
     """Row-space basis of each matrix of a (..., a, n) stack, as
-    (..., min(a, n), n) rows with every row past the matrix's rank set to
-    zero."""
+    (..., min(a, n), n) rows with every row past the matrix's
+    `numerical_rank` set to zero."""
     _, s, vh = np.linalg.svd(matrices, full_matrices=False)
-    keep = np.arange(vh.shape[-2]) < _rank(s, tol)[..., None]
+    keep = np.arange(vh.shape[-2]) < _rank(s)[..., None]
     return vh * keep[..., None]
 
 

@@ -28,23 +28,25 @@ class AmbientSpace:
 
     epsilon: 0 for flat space, +1 for the unit pseudo-sphere, -1 for the
     unit pseudo-hyperbolic space.  `n` is the space form's dimension and
-    `p` its index; `signature` describes the flat embedding space (equal
-    to (p, n-p) for epsilon=0, (p, n+1-p) for +1, (p+1, n+1-p) for -1).
+    `p` its index.  A p that leaves a negative count in `signature` raises
+    InputError.
     """
 
     epsilon: int
     n: int
     p: int
-    signature: Signature
 
     def __post_init__(self):
         if self.epsilon not in (-1, 0, 1):
             raise InputError("epsilon must be -1, 0 or +1")
-        expected_dim = self.n if self.epsilon == 0 else self.n + 1
-        if self.signature.dim != expected_dim or self.signature.null != 0:
-            raise InputError(
-                f"embedding signature {self.signature} inconsistent with "
-                f"epsilon={self.epsilon}, n={self.n}")
+        _ = self.signature   # a negative count raises here, not at first use
+
+    @functools.cached_property
+    def signature(self) -> Signature:
+        """The flat embedding space's: p negative directions, one more for
+        epsilon=-1, in n + |epsilon| dimensions."""
+        neg = self.p + (self.epsilon == -1)
+        return Signature(neg, self.n + abs(self.epsilon) - neg)
 
     @property
     def flat_dim(self) -> int:
@@ -57,15 +59,15 @@ class AmbientSpace:
 
     @classmethod
     def flat(cls, n: int, p: int) -> "AmbientSpace":
-        return cls(0, n, p, Signature(p, n - p))
+        return cls(0, n, p)
 
     @classmethod
     def sphere(cls, n: int, p: int) -> "AmbientSpace":
-        return cls(1, n, p, Signature(p, n + 1 - p))
+        return cls(1, n, p)
 
     @classmethod
     def hyperbolic(cls, n: int, p: int) -> "AmbientSpace":
-        return cls(-1, n, p, Signature(p + 1, n - p))
+        return cls(-1, n, p)
 
 
 @functools.cache
@@ -192,14 +194,13 @@ class CompositeChart(ExprChart):
     function walked on the inner chart's, so values and jets come from the
     one walk like any other chart's."""
 
-    def __init__(self, outer: ExprChart, inner: ExprChart, name: str = ""):
+    def __init__(self, outer: ExprChart, inner: ExprChart):
         if inner.ambient.flat_dim != outer.nvars:
             raise InputError(
                 f"inner produces {inner.ambient.flat_dim} coordinates but the "
                 f"outer chart has {outer.nvars} variables")
         super().__init__(lambda u: outer.walk(inner.walk(u)), inner.nvars,
-                         outer.ambient, inner.box,
-                         name or f"{outer.name}*{inner.name}")
+                         outer.ambient, inner.box, f"{outer.name}*{inner.name}")
 
     # the inherited walk, bound here too: perfbench/tracing.py times
     # composite walks apart by wrapping vars(CompositeChart)["jet_list"]
@@ -291,7 +292,7 @@ def transform_chart(chart: ExprChart, matrix: np.ndarray) -> ImageChart:
     return ImageChart(chart, matrix)
 
 
-def fd_jet_arrays(chart: ImmersionChart, point, step: float = 1e-4,
+def fd_jet_arrays(chart: ImmersionChart, point, step: float = J.FD_STEP,
                   order: int = 3):
     """Finite-difference analogue of jet_arrays at one point, in the same
     packed layout, from one evaluation of the chart's values on the whole

@@ -362,32 +362,34 @@ def main(argv=None) -> int:
     return code
 
 
-def _run(argv) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+def _check_args(args):
+    """Fill in the seed from UMBILIC_SEED; a UsageError for a value that
+    no command accepts."""
     if getattr(args, "seed", 0) is None:
         try:
             args.seed = int(os.environ.get("UMBILIC_SEED") or DEFAULT_SEED)
         except ValueError:
             args.seed = -1
     if getattr(args, "seed", 0) < 0:
-        print("error: the seed (--seed or UMBILIC_SEED) must be a "
-              "non-negative integer", file=sys.stderr)
-        return 2
+        raise UsageError("the seed (--seed or UMBILIC_SEED) must be a "
+                         "non-negative integer")
     if not all(map(math.isfinite, getattr(args, "point", None) or ())):
-        print("error: --point coordinates must be finite", file=sys.stderr)
-        return 2
+        raise UsageError("--point coordinates must be finite")
     if hasattr(args, "samples") and args.samples < 4:
-        print("error: --samples must be at least 4", file=sys.stderr)
-        return 2
+        raise UsageError("--samples must be at least 4")
     tols = [getattr(args, k) for k in ("tol", "tol_zero") if hasattr(args, k)]
     if not all(math.isfinite(t) and t > 0 for t in tols):
-        print("error: tolerances must be positive and finite", file=sys.stderr)
-        return 2
+        raise UsageError("tolerances must be positive and finite")
+
+
+def _run(argv) -> int:
+    parser = build_parser()
     try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 2
+    try:
+        _check_args(args)
         return args.func(args)
     # MemoryError: numpy refuses an out-of-range request, e.g. 10**15 samples
     except (UsageError, InputError, MemoryError) as err:

@@ -48,8 +48,8 @@ def congruence_test(chart_a: ImmersionChart, chart_b: ImmersionChart,
     Yb = chart_b.value(points)
     # images too large to square give no finite residual
     with np.errstate(over="ignore", invalid="ignore"):
-        Ga = B.gram_matrix(Ya, chart_a.ambient.signature)
-        Gb = B.gram_matrix(Yb, chart_b.ambient.signature)
+        Ga = (Ya * chart_a.ambient.weights()) @ Ya.T
+        Gb = (Yb * chart_b.ambient.weights()) @ Yb.T
         gram_res = float(np.max(np.abs(Ga - Gb)))
     if not math.isfinite(gram_res):
         raise DomainError(f"charts {chart_a.name!r} and {chart_b.name!r}: "

@@ -12,9 +12,10 @@ below, and that one function serves every use: point values in give the
 values and the variables' jets in give the jets.  A composition is just
 the composed function, so its jets come from the same walk.  The walk
 takes arrays of point values, so one call covers a whole stack of points
-and every jet carries a leading point axis; a single point is walked as a
-stack of one.  A central finite-difference oracle, which uses only value
-evaluation, is provided as an independent cross-check.
+and every jet carries a leading point axis.  A central finite-difference
+oracle, which uses only value evaluation, is provided as an independent
+cross-check; every finite difference takes the step FD_STEP unless told
+otherwise.
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ import itertools
 import numpy as np
 
 from .errors import DomainError, InputError
+
+FD_STEP = 1e-4
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -106,9 +109,9 @@ class Jet3:
     hess and third are packed by sorted multi-index (T2 = m(m+1)/2,
     T3 = m(m+1)(m+2)/6, see `packed_indices`).  A jet of P points at once
     carries a leading point axis: value (P,), grad (P, m), hess (P, T2),
-    third (P, T3); `jet[k]` is the jet of point k alone.  A factor or
-    term that is an array of point values, one per point, acts point by
-    point, and an array operand defers to the jet.
+    third (P, T3).  A factor or term that is an array of point values, one
+    per point, acts point by point, and an array operand defers to the
+    jet.
     """
 
     __slots__ = ("value", "grad", "hess", "third")
@@ -119,9 +122,6 @@ class Jet3:
         self.grad = grad
         self.hess = hess
         self.third = third
-
-    def __getitem__(self, k) -> "Jet3":
-        return Jet3(self.value[k], self.grad[k], self.hess[k], self.third[k])
 
     @classmethod
     def _zeros(cls, value, m: int) -> "Jet3":
@@ -268,22 +268,19 @@ def coordinates(points) -> list:
 
 
 def evaluate(f, points) -> list[Jet3]:
-    """Jets of each coordinate of f at a point or a (P, m) stack.
+    """Jets of each coordinate of f at a (P, m) stack of points, walked
+    once, every jet carrying the leading point axis (P,).
 
-    f maps a list of m walk arguments to a list of coordinates.  A stack
-    is walked once, every jet carrying a leading point axis; one point
-    (m,) is walked as a stack of one and gives jets without it.  A
+    f maps a list of m walk arguments to a list of coordinates.  A
     coordinate that reads no variable becomes a constant jet.  Derivatives
     are exact Taylor arithmetic, no truncation error.  Raises DomainError
-    (naming, for a stack, the first offending point) when a point falls
-    outside the domain of f.
+    (naming, for more than one point, the first offending point) when a
+    point falls outside the domain of f.
     """
-    points = np.asarray(points, dtype=float)
     args = coordinates(points)
     m, lead = len(args), args[0].shape
-    out = [j if isinstance(j, Jet3) else Jet3._zeros(np.full(lead, j), m)
-           for j in f([Jet3.variable(i, args[i], m) for i in range(m)])]
-    return [j[0] for j in out] if points.ndim == 1 else out
+    return [j if isinstance(j, Jet3) else Jet3._zeros(np.full(lead, j), m)
+            for j in f([Jet3.variable(i, args[i], m) for i in range(m)])]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +319,7 @@ def _fd_rows(m: int) -> tuple:
                                1 + a, 1 + m + a, _positions(m, 2)[b, c])))
 
 
-def fd_stencil(point, step: float = 1e-4, order: int = 3) -> np.ndarray:
+def fd_stencil(point, step: float = FD_STEP, order: int = 3) -> np.ndarray:
     """The (S, m) central-difference stencil around one point (m,), laid
     out as in `_stencil_offsets`; `fd_derivatives` reads values on it."""
     if order not in (2, 3):
@@ -334,7 +331,7 @@ def fd_stencil(point, step: float = 1e-4, order: int = 3) -> np.ndarray:
     return Q.reshape(-1, point.shape[0])
 
 
-def fd_derivatives(F, m: int, step: float = 1e-4, order: int = 3):
+def fd_derivatives(F, m: int, step: float = FD_STEP, order: int = 3):
     """Central finite differences from values F (..., S, N) of an N-vector
     map on the `fd_stencil` of m variables, with any leading axes: value,
     gradient, packed Hessian and (order 3, else None) packed third
@@ -359,7 +356,7 @@ def fd_derivatives(F, m: int, step: float = 1e-4, order: int = 3):
     return F[..., 0, 0], grad, hess[..., 0, :], third
 
 
-def fd_arrays(f, point, step: float = 1e-4, order: int = 3):
+def fd_arrays(f, point, step: float = FD_STEP, order: int = 3):
     """`fd_derivatives` of f on the `fd_stencil` at a point, where f maps
     a (K, m) stack of points to (K, N) values and is called once.  Only
     values of f are used, so this is independent of the Taylor path."""
@@ -367,7 +364,7 @@ def fd_arrays(f, point, step: float = 1e-4, order: int = 3):
     return fd_derivatives(f(Q), Q.shape[1], step, order)
 
 
-def fd_oracle(f, point, step: float = 1e-4) -> Jet3:
+def fd_oracle(f, point, step: float = FD_STEP) -> Jet3:
     """Central finite-difference jet of a scalar function f of the walk
     arguments, from its values alone.
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from umbilic.bilinear import (DEFAULT_ZERO_TOL, Signature, _rank,
-                              gram_matrix, inner_product,
-                              numerical_rank, radical,
+                              inner_product, numerical_rank, radical,
                               random_pseudo_orthogonal, signature_of,
                               svd_split)
 from umbilic.errors import InputError
@@ -122,15 +121,6 @@ class TestInnerProduct:
         with pytest.raises(InputError):
             inner_product([1.0], [1.0, 2.0], Signature(0, 2))
 
-    def test_gram_matrix_matches_pairwise(self):
-        sig = Signature(1, 2)
-        rng = np.random.default_rng(0)
-        vs = rng.normal(size=(4, 3))
-        G = gram_matrix(vs, sig)
-        for i in range(4):
-            for j in range(4):
-                assert G[i, j] == pytest.approx(
-                    inner_product(vs[i], vs[j], sig), abs=1e-14)
 
 
 class TestSignatureOf:

@@ -65,15 +65,26 @@ class TestAmbientSpace:
         assert AmbientSpace.sphere(4, 1).signature.as_tuple() == (1, 4, 0)
         assert AmbientSpace.hyperbolic(4, 1).signature.as_tuple() == (2, 3, 0)
 
-    def test_inconsistent_signature_rejected(self):
-        from umbilic.bilinear import Signature
-        with pytest.raises(InputError):
-            AmbientSpace(1, 3, 0, Signature(0, 3))
+    @pytest.mark.parametrize("eps", [-1, 0, 1])
+    def test_signature_is_the_factories_rule(self, eps):
+        # the rule the flat, sphere and hyperbolic factories once wrote out
+        rule = {0: lambda n, p: (p, n - p, 0), 1: lambda n, p: (p, n + 1 - p, 0),
+                -1: lambda n, p: (p + 1, n - p, 0)}[eps]
+        for n in range(9):
+            for p in range(n + 1):
+                amb = AmbientSpace(eps, n, p)
+                assert amb.signature.as_tuple() == rule(n, p)
+                assert amb.flat_dim == n + abs(eps)
+
+    @pytest.mark.parametrize("eps, n, p", [(0, 3, 4), (1, 3, 5), (-1, 3, 4),
+                                           (0, 3, -1), (-1, 3, -2)])
+    def test_negative_count_rejected_at_construction(self, eps, n, p):
+        with pytest.raises(InputError, match="non-negative"):
+            AmbientSpace(eps, n, p)
 
     def test_bad_epsilon(self):
-        from umbilic.bilinear import Signature
         with pytest.raises(InputError):
-            AmbientSpace(2, 3, 0, Signature(0, 4))
+            AmbientSpace(2, 3, 0)
 
     def test_weights_are_built_once_and_read_only(self):
         amb = AmbientSpace.hyperbolic(3, 1)

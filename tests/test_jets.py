@@ -100,21 +100,22 @@ def _scalar(f):
 
 class TestJetArithmetic:
     def test_polynomial_derivatives_exact(self):
-        jet, = J.evaluate(_scalar(_poly), [0.7, -0.4])
+        jet, = J.evaluate(_scalar(_poly), [[0.7, -0.4]])
         grad, hess, third = _poly_derivs(0.7, -0.4)
-        np.testing.assert_allclose(jet.grad, grad, atol=1e-14)
-        np.testing.assert_allclose(J.unpack(jet.hess, 2), hess, atol=1e-14)
-        np.testing.assert_allclose(J.unpack(jet.third, 3), third, atol=1e-14)
+        np.testing.assert_allclose(jet.grad[0], grad, atol=1e-14)
+        np.testing.assert_allclose(J.unpack(jet.hess[0], 2), hess, atol=1e-14)
+        np.testing.assert_allclose(J.unpack(jet.third[0], 3), third,
+                                   atol=1e-14)
 
     def test_symmetry_is_exact(self):
         # packed storage: permuted index reads are bit-identical
         def e(u, v, w):
             return J.sqrt(1.0 + u * v * w + u * u) * J.sin(v + 2.0 * w)
 
-        jet, = J.evaluate(_scalar(e), [0.3, -0.2, 0.15])
-        assert e(0.3, -0.2, 0.15) == jet.value
-        assert jet.hess.shape == (6,) and jet.third.shape == (10,)
-        hess, third = J.unpack(jet.hess, 2), J.unpack(jet.third, 3)
+        jet, = J.evaluate(_scalar(e), [[0.3, -0.2, 0.15]])
+        assert [e(0.3, -0.2, 0.15)] == jet.value.tolist()
+        assert jet.hess.shape == (1, 6) and jet.third.shape == (1, 10)
+        hess, third = J.unpack(jet.hess[0], 2), J.unpack(jet.third[0], 3)
         assert np.array_equal(hess, hess.T)
         for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)]:
             assert np.array_equal(third, np.transpose(third, perm))
@@ -200,17 +201,17 @@ class TestChainRule:
             return [J.sqrt(y[0]) * J.cos(y[1])]
 
         pt = [0.4, -0.3]
-        jet, = J.evaluate(lambda u: outer(inner(u)), pt)
+        jet, = J.evaluate(lambda u: outer(inner(u)), [pt])
         fd = J.fd_oracle(lambda u: outer(inner(u))[0], pt, 1e-3)
-        np.testing.assert_allclose(jet.grad, fd.grad, atol=1e-6)
-        np.testing.assert_allclose(jet.hess, fd.hess, atol=1e-6)
-        np.testing.assert_allclose(jet.third, fd.third, atol=1e-4)
+        np.testing.assert_allclose(jet.grad[0], fd.grad, atol=1e-6)
+        np.testing.assert_allclose(jet.hess[0], fd.hess, atol=1e-6)
+        np.testing.assert_allclose(jet.third[0], fd.third, atol=1e-4)
 
     def test_known_transcendental_thirds(self):
-        jet, = J.evaluate(_scalar(lambda u, v: J.sin(u * v)), [0.2, -0.3])
+        jet, = J.evaluate(_scalar(lambda u, v: J.sin(u * v)), [[0.2, -0.3]])
         x, y = 0.2, -0.3
         c, s = math.cos(x * y), math.sin(x * y)
-        third = J.unpack(jet.third, 3)
+        third = J.unpack(jet.third[0], 3)
         assert third[0, 0, 0] == pytest.approx(-y**3 * c, abs=1e-14)
         assert third[1, 0, 0] == pytest.approx(-2 * y * s - x * y * y * c,
                                                abs=1e-14)
