@@ -298,6 +298,11 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
+    def _print_message(self, message, file=None):
+        # argparse swallows a write error; `main` reports it and exits 2
+        if message:
+            (file or sys.stderr).write(message)
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:

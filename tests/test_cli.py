@@ -559,7 +559,8 @@ class TestUnwritableStdout:
         assert "Traceback" not in err and "Exception ignored" not in err
 
     @pytest.mark.parametrize("argv", [["catalog", "list"],
-                                      ["verify-all", "--json", "-"]])
+                                      ["verify-all", "--json", "-"],
+                                      ["--help"], ["verify-all", "--help"]])
     def test_closed_pipe(self, argv, unbuffered):
         read, write = os.pipe()
         os.close(read)  # every write fails with EPIPE
@@ -697,6 +698,12 @@ class TestCatalogList:
 class TestParser:
     def test_built_once_per_process(self):
         assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify-all", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: umbilic")
 
     def test_consecutive_calls_share_no_state(self, capsys):
         argv = ["analyze", "--family", "main1-3", "--json", "-"]
