@@ -23,4 +23,6 @@ def test_outputs_equal_the_manifest(monkeypatch):
     assert [c["argv"] for c in manifest["commands"]] == capture.commands()
     changed = [" ".join(c["argv"]) for c in manifest["commands"]
                if capture.entry(c["argv"]) != c]
-    assert changed == [], f"{len(changed)} commands changed output"
+    # every changed command by name, which pytest's truncated diff hides
+    assert not changed, "\n".join(
+        [f"{len(changed)} commands changed output:"] + changed)
