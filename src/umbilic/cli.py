@@ -299,9 +299,12 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def _print_message(self, message, file=None):
-        # argparse swallows a write error; `main` reports it and exits 2
-        if message:
-            (file or sys.stderr).write(message)
+        # argparse swallows a write error; on standard output `main`
+        # reports it and exits 2, as for every other command's output
+        if file is sys.stdout and message:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 @functools.cache

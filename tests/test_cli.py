@@ -533,17 +533,31 @@ def test_fail_closed_property(fid, data):
     assert "Traceback" not in err.getvalue(), argv
 
 
-def _run_into(stdout, argv, unbuffered):
-    """`umbilic argv` in a child process writing to `stdout`: its exit
-    code and stderr."""
+def _run_into(stdout, argv, unbuffered, stderr=subprocess.PIPE):
+    """`umbilic argv` in a child process writing to `stdout` and `stderr`:
+    its exit code and, from a pipe, its stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     done = subprocess.run([sys.executable, "-m", "umbilic.cli", *argv],
-                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          stdout=stdout, stderr=stderr, env=env,
                           text=True, timeout=120)
     return done.returncode, done.stderr
+
+
+def test_usage_error_into_a_closed_stderr():
+    # argparse still swallows a failed write of its own message to
+    # stderr, so the usage error keeps exit 2 (unbuffered: buffered, the
+    # interpreter's flush at exit fails after it)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, _ = _run_into(subprocess.DEVNULL, ["verify-all", "--bogus"],
+                            True, stderr=write)
+    finally:
+        os.close(write)
+    assert code == 2
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
