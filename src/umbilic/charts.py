@@ -43,8 +43,8 @@ class AmbientSpace:
 
     @functools.cached_property
     def signature(self) -> Signature:
-        """The flat embedding space's: p negative directions, one more for
-        epsilon=-1, in n + |epsilon| dimensions."""
+        """The flat embedding space's signature: p negative directions, one
+        more for epsilon=-1, in n + |epsilon| dimensions."""
         neg = self.p + (self.epsilon == -1)
         return Signature(neg, self.n + abs(self.epsilon) - neg)
 
