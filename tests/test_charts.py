@@ -68,7 +68,8 @@ class TestAmbientSpace:
     @pytest.mark.parametrize("eps", [-1, 0, 1])
     def test_signature_is_the_factories_rule(self, eps):
         # the rule the flat, sphere and hyperbolic factories once wrote out
-        rule = {0: lambda n, p: (p, n - p, 0), 1: lambda n, p: (p, n + 1 - p, 0),
+        rule = {0: lambda n, p: (p, n - p, 0),
+                1: lambda n, p: (p, n + 1 - p, 0),
                 -1: lambda n, p: (p + 1, n - p, 0)}[eps]
         for n in range(9):
             for p in range(n + 1):

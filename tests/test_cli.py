@@ -548,8 +548,8 @@ def _run_into(stdout, argv, unbuffered, stderr=subprocess.PIPE):
 
 def test_usage_error_into_a_closed_stderr():
     # argparse still swallows a failed write of its own message to
-    # stderr, so the usage error keeps exit 2 (unbuffered: buffered, the
-    # interpreter's flush at exit fails after it)
+    # stderr, so the usage error keeps exit 2; run unbuffered, since a
+    # buffered stderr fails again in the interpreter's flush at exit
     read, write = os.pipe()
     os.close(read)
     try:
