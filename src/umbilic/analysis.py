@@ -26,7 +26,6 @@ DEFAULT_TOL = 1e-7
 CONTROL_GAP = 1e-2
 H_NORM_TOL = 1e-6
 FD_TOL = 1e-5
-FD_STEP = J.FD_STEP
 # an overflow gives a non-finite value, not a warning: `untrusted` refuses it
 NON_FINITE_POLICY = np.errstate(over="ignore", invalid="ignore")
 
@@ -193,14 +192,6 @@ def build_frame(chart: ImmersionChart, points, *,
     points, amb = np.asarray(points, dtype=float), chart.ambient
     return assemble_frame(amb.weights(), np.array(amb.epsilon), points,
                           walk_jets(chart, points), tol_zero)
-
-
-@NON_FINITE_POLICY
-def induced_metric(chart: ImmersionChart, point) -> tuple[np.ndarray, Signature]:
-    """First fundamental form and its numerical signature at a point, from
-    the walked Jacobian alone."""
-    g = _metric(walk_jets(chart, point)[1], chart.ambient.weights())
-    return g, Signature(*B.signature_counts(g).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +553,6 @@ class FamilyVerdict:
     summary: dict = field(default_factory=dict)
 
     @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
     def status(self) -> str:
         """"fail", "discrepancy-noted" or "pass"."""
         if self.failures:
@@ -583,7 +570,7 @@ def _fd_cross_check(w: np.ndarray, values, jac, hess, sigs,
     signature in `sigs` were walked.  An overtight zero tolerance turns the
     oracle's O(step^2) truncation error into phantom metric rank, which the
     signature comparison reports."""
-    _, fjac, fhess, _ = J.fd_derivatives(values, jac.shape[-1], FD_STEP, 2)
+    _, fjac, fhess, _ = J.fd_derivatives(values, jac.shape[-1], J.FD_STEP, 2)
     d1 = np.abs(jac - fjac).max((-2, -1)).tolist()
     d2 = np.abs(hess - fhess).max((-2, -1)).tolist()
     sig_fd = B.signature_counts(_metric(fjac, w), tol_zero).tolist()
@@ -633,7 +620,7 @@ def verify_families(jobs, *, samples: int = 5, seed: int = 42,
     # its first point
     values = _stacked_walks(charts, [
         np.concatenate([d[:hull_size(ch.ambient)],
-                        J.fd_stencil(d[0], FD_STEP, 2)])
+                        J.fd_stencil(d[0], J.FD_STEP, 2)])
         for _, _, ch, _, d in records], lambda ch, p: (ch.value(p),))
     groups: dict = {}
     for n, chart in enumerate(charts):

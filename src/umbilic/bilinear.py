@@ -43,21 +43,8 @@ class Signature:
         return np.concatenate([
             -np.ones(self.neg), np.ones(self.pos), np.zeros(self.null)])
 
-    def metric(self) -> np.ndarray:
-        return np.diag(self.weights())
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.neg, self.pos, self.null)
-
-
-def inner_product(u, v, sig: Signature) -> float:
-    """Indefinite inner product of u and v; null-block coordinates contribute 0."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (sig.dim,) or v.shape != (sig.dim,):
-        raise InputError(
-            f"dimension mismatch: u {u.shape}, v {v.shape}, signature dim {sig.dim}")
-    return float(np.dot(u * sig.weights(), v))
 
 
 def signature_counts(forms: np.ndarray,

@@ -640,7 +640,12 @@ def get_family(family_id: str) -> FamilySpec:
     return _REGISTRY[family_id]
 
 
-def resolve_params(family_id: str, params: dict | None = None) -> dict:
+def family_instance(family_id: str, params: dict | None = None):
+    """(spec, resolved params, chart, expectations) of a family instance.
+
+    A closed form that overflows or divides by zero at an extreme (finite)
+    parameter raises DomainError naming the family and its parameters.
+    """
     spec = get_family(family_id)
     merged = dict(spec.defaults)
     for k, v in (params or {}).items():
@@ -652,17 +657,6 @@ def resolve_params(family_id: str, params: dict | None = None) -> dict:
             raise InputError(
                 f"family {spec.id!r}: parameter {k}={v!r} is not finite")
         merged[k] = v
-    return merged
-
-
-def family_instance(family_id: str, params: dict | None = None):
-    """(spec, resolved params, chart, expectations) of a family instance.
-
-    A closed form that overflows or divides by zero at an extreme (finite)
-    parameter raises DomainError naming the family and its parameters.
-    """
-    spec = get_family(family_id)
-    merged = resolve_params(family_id, params)
     try:
         return spec, merged, spec.build(merged), spec.expect(merged)
     except ArithmeticError as err:
@@ -672,12 +666,6 @@ def family_instance(family_id: str, params: dict | None = None):
 def instantiate(family_id: str, params: dict | None = None) -> ExprChart:
     """Build the chart of a catalog family with validated parameters."""
     return family_instance(family_id, params)[2]
-
-
-def expected_report(family_id: str, params: dict | None = None) -> Expected:
-    """The catalog's asserted properties for a family at given parameters,
-    which building its chart validates."""
-    return family_instance(family_id, params)[3]
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def test_criterion_01_catalog_conformance(_report):
         for params in _runs(fid):
             verdict = verify_family(fid, params, tol=PASS_TOL,
                                     tol_zero=ZERO_TOL)
-            ok &= verdict.ok
+            ok &= not verdict.failures
     for fid, target in (("main1-7", -1.0), ("main2-7", 1.0),
                         ("main1-5", 0.0), ("main2-5", 0.0)):
         ch = instantiate(fid)
@@ -82,7 +82,8 @@ def test_criterion_02_displayed_mean_curvature_vector(_report):
 
 
 def test_criterion_03_flat_classification(_report):
-    ok = all(verify_family(f"akk-{k}", tol=PASS_TOL).ok for k in range(1, 5))
+    ok = not any(verify_family(f"akk-{k}", tol=PASS_TOL).failures
+                 for k in range(1, 5))
     ch = instantiate("akk-4")
     fr = build_frame(ch, ch.sample_points(1, 6)[0])
     _, h, H = fr.tensors
@@ -90,7 +91,7 @@ def test_criterion_03_flat_classification(_report):
     s, vh = np.linalg.svd(flat, full_matrices=False)[1:]
     ok &= int(np.sum(s > ZERO_TOL * s[0])) == 1
     span = vh[0]
-    G = ch.ambient.signature.metric()
+    G = np.diag(ch.ambient.signature.weights())
     ok &= abs(float(span @ G @ span)) <= 1e-9
     ok &= float(np.linalg.norm(H)) > 0.1 and abs(float(H @ G @ H)) <= 1e-9
     _report(3, "flat catalog + null first normal space", ok)

@@ -10,7 +10,7 @@ from umbilic import analysis
 from umbilic import bilinear as B
 from umbilic import jets as J
 from umbilic.analysis import (analyze_point, analyze_points, build_frame,
-                              fullness, induced_metric, parallelism_residual,
+                              fullness, parallelism_residual,
                               point_report, reduction_report, umbilicity_data,
                               untrusted, verify_families, verify_family)
 from umbilic.bilinear import Signature
@@ -27,30 +27,20 @@ TOL = 1e-7
 class TestInducedMetric:
     def test_round_sphere_metric_at_pole(self):
         ch = instantiate("akk-2", {"r": 1.0})
-        g, sig = induced_metric(ch, np.zeros(2))
-        np.testing.assert_allclose(g, np.eye(2), atol=1e-14)
-        assert sig.as_tuple() == (0, 2, 0)
+        fr = build_frame(ch, np.zeros(2)[None])
+        np.testing.assert_allclose(fr.metric[0], np.eye(2), atol=1e-14)
+        assert fr.counts[0].tolist() == [0, 2, 0]
 
     def test_lightcone_metric_is_degenerate(self):
         # radial direction of the cone is null: g = diag(0, r^2-like)
         ch = instantiate("lightcone-L", {"n": 2, "s": 0})
-        g, sig = induced_metric(ch, np.array([1.2, 0.1]))
-        assert sig.as_tuple() == (0, 1, 1)
+        fr = build_frame(ch, np.array([1.2, 0.1])[None])
+        assert fr.counts[0].tolist() == [0, 1, 1]
 
     def test_hyperbolic_chart_signature(self):
         ch = instantiate("main2-2", {"s": 1})
-        _, sig = induced_metric(ch, np.array([0.2, 0.1]))
-        assert sig.as_tuple() == (1, 1, 0)
-
-    @pytest.mark.parametrize("fid", sorted(family_ids()))
-    def test_is_the_frame_metric(self, fid):
-        # one formula: the metric and the signature a frame decides
-        ch = instantiate(fid)
-        p = ch.sample_points(1, 42)[0]
-        g, sig = induced_metric(ch, p)
-        fr = build_frame(ch, p)
-        assert np.array_equal(g, fr.metric)
-        assert np.array_equal(sig.as_tuple(), fr.counts)
+        fr = build_frame(ch, np.array([0.2, 0.1])[None])
+        assert fr.counts[0].tolist() == [1, 1, 0]
 
 
 class TestMeanCurvature:
@@ -73,7 +63,7 @@ class TestMeanCurvature:
         ch = instantiate("main2-6", {"r": 1.4})
         fr = build_frame(ch, np.array([0.1, 0.2]))
         rep = analyze_point(ch, np.array([0.1, 0.2]))
-        G = ch.ambient.signature.metric()
+        G = np.diag(ch.ambient.signature.weights())
         H_flat = rep.mean_curvature - ch.ambient.epsilon * fr.value
         flat_norm = float(H_flat @ G @ H_flat)
         assert rep.h_norm == pytest.approx(flat_norm - ch.ambient.epsilon,
@@ -159,7 +149,7 @@ class TestParallelism:
         h = J.unpack(h, 2, axis=-2)               # [i, j, n]
         # the walked third derivatives, [i, j, k, n]
         third = J.unpack(np.swapaxes(fr.walked_third, -1, -2), 3, axis=-2)
-        G, eps = ch.ambient.signature.metric(), ch.ambient.epsilon
+        G, eps = np.diag(ch.ambient.signature.weights()), ch.ambient.epsilon
         P_tan = fr.jac @ np.linalg.inv(fr.metric) @ fr.jac.T @ G
         worst = 0.0
         for i, j, k in np.ndindex(third.shape[:3]):
@@ -246,30 +236,31 @@ class TestVerifyFamily:
     @pytest.mark.parametrize("fid", sorted(family_ids()))
     def test_all_entries_verify(self, fid):
         verdict = verify_family(fid)
-        assert verdict.ok, verdict.failures
+        assert not verdict.failures, verdict.failures
 
     def test_s_example_discrepancy_is_noted(self):
         verdict = verify_family("S-example")
-        assert verdict.ok and verdict.status == "discrepancy-noted"
+        assert verdict.status == "discrepancy-noted"
         assert verdict.discrepancies == [
             "radical_rank: computed 1, catalog asserts 2 "
             "(allowed discrepancy)"]
 
     def test_identically_zero_metric_verifies(self):
         # plane-P at s = t = 0: the metric vanishes, umbilicity is vacuous
-        assert verify_family("plane-P", {"s": 0, "t": 0, "rad": 2}).ok
+        verdict = verify_family("plane-P", {"s": 0, "t": 0, "rad": 2})
+        assert not verdict.failures
 
     def test_misannotation_is_caught(self):
         # verifying under a wrong expected parameterization must fail:
         # the r drawn for the chart differs from the annotated one
         verdict = verify_family("main1-3", {"r": 0.5})
-        assert verdict.ok
+        assert not verdict.failures
         assert verdict.summary["h_norm"] == pytest.approx(3.0, abs=1e-9)
 
     def test_fd_cross_check_catches_overtight_zero_tol(self):
         # the oracle's truncation error shows up as metric rank at 1e-15
         verdict = verify_family("S-theta", tol_zero=1e-15)
-        assert not verdict.ok
+        assert verdict.failures
         assert any("metric signature unstable under the oracle cross-check"
                    in f for f in verdict.failures)
 
@@ -284,13 +275,13 @@ class TestVerifyFamily:
 
         monkeypatch.setattr(spec, "build", scaled)
         verdict = verify_family("main1-3")
-        assert not verdict.ok
+        assert verdict.failures
         assert any("image off its space form" in f for f in verdict.failures)
 
     def test_overflowing_radius_fails_closed_without_warnings(self):
         # a RuntimeWarning raises here (filterwarnings = error)
         verdict = verify_family("main1-4", {"m": 2, "s": 0, "r": 1e100})
-        assert verdict.ok is False
+        assert verdict.failures
         assert any("non-finite residuals" in f for f in verdict.failures)
 
     @pytest.mark.parametrize("a", [1e154, 1e160])
@@ -309,7 +300,7 @@ class TestVerifyFamily:
                 return _f(*args, **kwargs)
             monkeypatch.setattr(analysis, name, counted)
         verdict = verify_family("main1-3")
-        assert verdict.ok
+        assert not verdict.failures
         assert verdict.summary["full"] and verdict.summary["hull_dim"] == 3
         want = analysis.hull_sample(instantiate("main1-3"), 42)
         assert len(samples) == 2
@@ -332,7 +323,7 @@ class TestVerifyFamily:
                 return _method(self, *args, **kwargs)
             monkeypatch.setattr(cls, name, counted)
         verdict = verify_family(fid, samples=5)
-        assert verdict.ok
+        assert not verdict.failures
         assert len(calls["jet_arrays"]) == 1
         assert calls["sample_points"] == [40]
         assert [len(q) for q in calls["value"]] == [40 + 9]
@@ -357,17 +348,17 @@ class TestVerifyFamily:
         for (fid, _, chart, _, drawn), rows in seen:
             k = analysis.hull_size(chart.ambient)
             hull = analysis.hull_sample(chart, 42)
-            stencil = J.fd_stencil(drawn[0], analysis.FD_STEP, 2)
+            stencil = J.fd_stencil(drawn[0], J.FD_STEP, 2)
             assert np.array_equal(rows[:k], hull), fid
             assert np.array_equal(rows[k:], chart.value(stencil)), fid
 
     def test_status_derives_from_the_lists(self):
         verdict = analysis.FamilyVerdict("main1-3", {})
-        assert (verdict.ok, verdict.status) == (True, "pass")
+        assert verdict.status == "pass"
         verdict.discrepancies.append("noted")
-        assert (verdict.ok, verdict.status) == (True, "discrepancy-noted")
+        assert verdict.status == "discrepancy-noted"
         verdict.failures.append("failed")
-        assert (verdict.ok, verdict.status) == (False, "fail")
+        assert verdict.status == "fail"
 
     @pytest.mark.parametrize("fid, field", [
         ("main1-3", "umbilicity_residual"),
@@ -391,7 +382,7 @@ class TestVerifyFamily:
 
         monkeypatch.setattr(analysis, "point_table", with_nan)
         verdict = verify_family(fid)
-        assert verdict.ok is False
+        assert verdict.failures
         assert any("non-finite residuals" in f for f in verdict.failures)
 
 
@@ -544,7 +535,6 @@ class TestVerifyFamilies:
         for (fid, params), got in zip(jobs, stacked):
             want = verify_family(fid, params, samples=16, seed=42, **kw)
             assert (got.family_id, got.params) == (want.family_id, want.params)
-            assert got.ok == want.ok
             assert got.failures == want.failures
             assert got.discrepancies == want.discrepancies
             assert got.summary.keys() == want.summary.keys()
@@ -662,7 +652,7 @@ class TestVerifyFamilies:
         for arrays, charts in zip(got, groups.values()):
             for k, chart in enumerate(charts):
                 point = chart.sample_points(16, 42)[0]
-                want = fd_jet_arrays(chart, point, analysis.FD_STEP, order=2)
+                want = fd_jet_arrays(chart, point, J.FD_STEP, order=2)
                 for a, b in zip(arrays[:3], want[:3]):
                     assert np.array_equal(a[k], b), chart.name
 
@@ -907,7 +897,7 @@ class TestFamilyWalks:
         points = [c.sample_points(16, seed) for c in charts]
         # the verifier's value rows: a hull sample, then an FD stencil
         rows = [np.concatenate([c.sample_points(40, seed),
-                                J.fd_stencil(p[0], analysis.FD_STEP, 2)])
+                                J.fd_stencil(p[0], J.FD_STEP, 2)])
                 for c, p in zip(charts, points)]
         n = len(rows[0])
         jets = stack_charts(charts, [16] * 4).jet_arrays(np.concatenate(points))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from umbilic.bilinear import (DEFAULT_ZERO_TOL, Signature, _rank,
-                              inner_product, numerical_rank, radical,
+                              numerical_rank, radical,
                               random_pseudo_orthogonal, signature_of,
                               svd_split)
 from umbilic.errors import InputError
@@ -97,29 +97,9 @@ class TestSignature:
         np.testing.assert_array_equal(sig.weights(),
                                       [-1, -1, 1, 1, 1, 0])
 
-    def test_metric_is_diagonal(self):
-        sig = Signature(1, 2)
-        np.testing.assert_array_equal(sig.metric(), np.diag([-1, 1, 1]))
-
     def test_negative_counts_rejected(self):
         with pytest.raises(InputError):
             Signature(-1, 2)
-
-
-class TestInnerProduct:
-    def test_lorentz_null_vector(self):
-        sig = Signature(1, 1)
-        v = np.array([1.0, 1.0])
-        assert inner_product(v, v, sig) == 0.0
-
-    def test_null_block_contributes_nothing(self):
-        sig = Signature(0, 1, 2)
-        u = np.array([1.0, 5.0, -7.0])
-        assert inner_product(u, u, sig) == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            inner_product([1.0], [1.0, 2.0], Signature(0, 2))
 
 
 
@@ -240,7 +220,7 @@ class TestRandomPseudoOrthogonal:
         sig = Signature(neg, pos)
         rng = np.random.default_rng(seed)
         L = random_pseudo_orthogonal(sig, rng)
-        G = sig.metric()
+        G = np.diag(sig.weights())
         np.testing.assert_allclose(L.T @ G @ L, G, atol=1e-10)
 
     def test_null_coordinates_fixed(self):

@@ -5,8 +5,8 @@ import pytest
 
 from umbilic import catalog, charts
 from umbilic.analysis import analyze_point, verify_family
-from umbilic.catalog import (expected_report, family_ids, get_family,
-                             instantiate, resolve_params)
+from umbilic.catalog import (family_ids, family_instance, get_family,
+                             instantiate)
 from umbilic.charts import quadric_residual
 from umbilic.errors import DomainError, InputError
 
@@ -55,7 +55,7 @@ class TestRegistry:
         assert get_family("plane").id == "plane-P"
 
     def test_defaults_merge(self):
-        assert resolve_params("main1-3", {"r": 0.25}) == {
+        assert family_instance("main1-3", {"r": 0.25})[1] == {
             "m": 2, "s": 0, "r": 0.25}
 
     @pytest.mark.parametrize("fid, base", [
@@ -179,15 +179,15 @@ class TestChartConsistency:
             s = np.linalg.svd(jac, compute_uv=False)
             assert s[-1] > 1e-6
 
-    def test_expected_report_validates_too(self):
+    def test_family_instance_validates(self):
         with pytest.raises(InputError):
-            expected_report("main1-3", {"r": 2.0})
+            family_instance("main1-3", {"r": 2.0})
 
     @pytest.mark.parametrize("light,base", NULL_PAIRS)
     def test_lightlike_family_is_a_null_pair_over_its_base(self, light,
                                                            base):
         # the lightlike item is (t, base(u), t) over the base at m-1
-        params = resolve_params(light, {"m": 3})
+        params = family_instance(light, {"m": 3})[1]
         chart = instantiate(light, params)
         core = instantiate(base, {**params, "m": 2})
         for u in core.sample_points(3, 13):
@@ -225,20 +225,20 @@ class TestExpectations:
     def test_geodesic_entries_marked(self):
         for fid in ("main1-1", "main1-2", "main2-1", "main2-2", "akk-1",
                     "light1-1", "light2-1"):
-            assert expected_report(fid).totally_geodesic, fid
+            assert family_instance(fid)[3].totally_geodesic, fid
 
     def test_controls_marked_non_umbilical(self):
         for fid in ("cv-parallel", "clifford-control", "cubic-graph-control"):
-            assert not expected_report(fid).totally_umbilical
+            assert not family_instance(fid)[3].totally_umbilical
 
     def test_light_item6_expects_rank_two(self):
-        assert expected_report("light1-6").radical_rank == 2
-        assert expected_report("light2-6").radical_rank == 2
-        assert expected_report("light1-3").radical_rank == 1
+        assert family_instance("light1-6")[3].radical_rank == 2
+        assert family_instance("light2-6")[3].radical_rank == 2
+        assert family_instance("light1-3")[3].radical_rank == 1
 
     def test_psi_limit_switches_class(self):
-        assert not expected_report("psi-a", {"a": 1.0}).totally_geodesic
-        assert expected_report("psi-a", {"a": 0.0}).totally_geodesic
+        assert not family_instance("psi-a", {"a": 1.0})[3].totally_geodesic
+        assert family_instance("psi-a", {"a": 0.0})[3].totally_geodesic
 
     def test_umbilical_items_are_the_non_degenerate_graph_rows(self):
         ids = {eps: [row[0] for row in catalog.umbilical_items(eps)]
@@ -257,7 +257,7 @@ class TestExpectations:
                 lo, hi = e.h_norm_range
                 for params in [d[1] for d in catalog.instances(3)
                                if d[0] == fid]:
-                    h = expected_report(fid, params).h_norm
+                    h = family_instance(fid, params)[3].h_norm
                     assert lo < h < hi
                     assert g.radius(h) == pytest.approx(params["r"],
                                                         rel=1e-14)
@@ -287,8 +287,8 @@ def test_instances_are_the_defaults_then_seeded_draws():
 
 
 def test_allowed_discrepancy_needs_a_disagreement():
-    e = expected_report("S-example")
+    e = family_instance("S-example")[3]
     assert e.allows("radical_rank", 1)
     assert not e.allows("radical_rank", 2)   # agrees: nothing to allow
     assert not e.allows("radical_rank", 0)   # disagrees, not allowed
-    assert not expected_report("main1-3").allows("radical_rank", 1)
+    assert not family_instance("main1-3")[3].allows("radical_rank", 1)
