@@ -2,7 +2,7 @@
 the moduli demonstration, and catalog listing.
 
 Exit codes: 0 success, 1 verification/runtime failure, 2 usage error or
-unwritable standard output.
+unwritable standard output; an unwritable standard error changes none.
 """
 from __future__ import annotations
 
@@ -300,11 +300,12 @@ class _Parser(argparse.ArgumentParser):
 
     def _print_message(self, message, file=None):
         # argparse swallows a write error; on standard output `main`
-        # reports it and exits 2, as for every other command's output
+        # reports it and exits 2, as for every other command's output,
+        # and its messages to stderr take the CLI's one stderr path
         if file is sys.stdout and message:
             file.write(message)
-        else:
-            super()._print_message(message, file)
+        elif message:
+            _write_stderr(message)
 
 
 @functools.cache
@@ -344,9 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _discard_stdout():
+def _discard(stream):
+    """Point the descriptor of an unwritable stream at os.devnull, so that
+    the interpreter's flush at exit stays quiet."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, ValueError, OSError):
         return  # no descriptor, as for an io.StringIO
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -354,6 +357,17 @@ def _discard_stdout():
         os.dup2(devnull, fd)
     finally:
         os.close(devnull)
+
+
+def _write_stderr(text: str):
+    """Every message of this CLI to standard error: written and flushed at
+    once, and dropped if standard error cannot take it, so that the exit
+    code stays the command's."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        _discard(sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -364,8 +378,8 @@ def main(argv=None) -> int:
         # standard output is closed or full (`_dump_json` turns a file's
         # error into a UsageError); point its descriptor at os.devnull so
         # that the interpreter's flush at exit stays quiet
-        _discard_stdout()
-        print(f"error: cannot write standard output: {err}", file=sys.stderr)
+        _discard(sys.stdout)
+        _write_stderr(f"error: cannot write standard output: {err}\n")
         return 2
     return code
 
@@ -401,12 +415,12 @@ def _run(argv) -> int:
         return args.func(args)
     # MemoryError: numpy refuses an out-of-range request, e.g. 10**15 samples
     except (UsageError, InputError, MemoryError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        _write_stderr(f"error: {err}\n")
         return 2
     except (DomainError, ArithmeticError) as err:
         # ArithmeticError: a last guard; `catalog.family_instance` names the
         # family when its closed forms overflow or divide by zero
-        print(f"domain error: {err}", file=sys.stderr)
+        _write_stderr(f"domain error: {err}\n")
         return 1
 
 

@@ -546,18 +546,25 @@ def _run_into(stdout, argv, unbuffered, stderr=subprocess.PIPE):
     return done.returncode, done.stderr
 
 
-def test_usage_error_into_a_closed_stderr():
-    # argparse still swallows a failed write of its own message to
-    # stderr, so the usage error keeps exit 2; run unbuffered, since a
-    # buffered stderr fails again in the interpreter's flush at exit
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv, want", [
+    (["verify-all", "--bogus"], 2),
+    (["analyze", "--family", "nope"], 2),
+    (["verify-all", "--seed", "-3"], 2),
+    (["analyze", "--family", "main1-3", "--param", "r=2"], 2),
+    (["analyze", "--family", "main1-3", "--point", "0.9", "0.9"], 1)])
+def test_usage_error_into_a_closed_stderr(argv, want, unbuffered):
+    # a message that cannot reach stderr leaves the command's exit code:
+    # not 120 from the interpreter's flush at exit, nor 1 from reporting
+    # the failed write as a standard-output error
     read, write = os.pipe()
     os.close(read)
     try:
-        code, _ = _run_into(subprocess.DEVNULL, ["verify-all", "--bogus"],
-                            True, stderr=write)
+        code, _ = _run_into(subprocess.DEVNULL, argv, unbuffered,
+                            stderr=write)
     finally:
         os.close(write)
-    assert code == 2
+    assert code == want
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
