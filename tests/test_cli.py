@@ -546,6 +546,16 @@ def _run_into(stdout, argv, unbuffered, stderr=subprocess.PIPE):
     return done.returncode, done.stderr
 
 
+def test_parser_messages_to_stderr_take_the_one_path(monkeypatch):
+    # argparse's usage and error lines, like every other stderr message
+    seen = []
+    monkeypatch.setattr(cli, "_write_stderr", seen.append)
+    cli.build_parser()._print_message("usage: umbilic\n", sys.stderr)
+    assert main(["verify-all", "--bogus"]) == 2
+    assert seen[0] == "usage: umbilic\n"
+    assert seen[-1].endswith("unrecognized arguments: --bogus\n")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("argv, want", [
     (["verify-all", "--bogus"], 2),

@@ -73,8 +73,8 @@ def test_no_unused_imports(module):
 
 
 # every module, test and benchmark file that may read a definition
-READERS = [p for d in ("src", "tests", "perfbench")
-           for p in (PACKAGE.parent.parent / d).rglob("*.py")]
+READERS = tuple(p for d in ("src", "tests", "perfbench")
+                for p in (PACKAGE.parent.parent / d).rglob("*.py"))
 
 
 def definitions(path: Path) -> list[str]:
@@ -93,11 +93,11 @@ def definitions(path: Path) -> list[str]:
 
 
 @functools.cache
-def names_read() -> set[str]:
-    """Every name read in READERS: a Name, an Attribute, an imported name
+def names_read(readers: tuple[Path, ...] = READERS) -> set[str]:
+    """Every name read in `readers`: a Name, an Attribute, an imported name
     or a string constant, so that a table of names to look up counts."""
     names = set()
-    for path in READERS:
+    for path in readers:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -116,6 +116,20 @@ def test_every_definition_is_read(module):
     # code that nothing reads is dead, and stays deleted
     assert sorted(set(definitions(PACKAGE / f"{module}.py"))
                   - names_read()) == []
+
+
+def test_every_export_is_read_outside_tests():
+    # a public name that only tests call is a second way to a fact that
+    # the program reaches another way
+    tests = PACKAGE.parent.parent / "tests"
+    outside = tuple(p for p in READERS if p != PACKAGE / "__init__.py"
+                    and tests not in p.parents)
+    exports = next(node.value for node in
+                   ast.parse((PACKAGE / "__init__.py").read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and node.targets[0].id == "__all__")
+    assert sorted({e.value for e in exports.elts}
+                  - names_read(outside)) == []
 
 
 def test_import_fills_no_cache():
