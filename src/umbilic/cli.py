@@ -376,8 +376,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except OSError as err:
         # standard output is closed or full (`_dump_json` turns a file's
-        # error into a UsageError); point its descriptor at os.devnull so
-        # that the interpreter's flush at exit stays quiet
+        # error into a UsageError)
         _discard(sys.stdout)
         _write_stderr(f"error: cannot write standard output: {err}\n")
         return 2

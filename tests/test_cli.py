@@ -547,7 +547,8 @@ def _run_into(stdout, argv, unbuffered, stderr=subprocess.PIPE):
 
 
 def test_parser_messages_to_stderr_take_the_one_path(monkeypatch):
-    # argparse's usage and error lines, like every other stderr message
+    # argparse's usage and error lines go where every other stderr
+    # message goes
     seen = []
     monkeypatch.setattr(cli, "_write_stderr", seen.append)
     cli.build_parser()._print_message("usage: umbilic\n", sys.stderr)
