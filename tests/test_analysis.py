@@ -42,6 +42,20 @@ class TestInducedMetric:
         fr = build_frame(ch, np.array([0.2, 0.1])[None])
         assert fr.counts[0].tolist() == [1, 1, 0]
 
+    @pytest.mark.parametrize("fid", sorted(family_ids()))
+    def test_is_the_frame_metric(self, fid):
+        # the frame's metric is the pullback J^T G J of the flat metric by
+        # the chart's own Jacobian, and its counts are that form's
+        ch = instantiate(fid)
+        p = ch.sample_points(1, 42)[0]
+        jac = ch.jet_arrays(p, order=2)[1]
+        g = jac.T @ np.diag(ch.ambient.weights()) @ jac
+        fr = build_frame(ch, p)
+        np.testing.assert_allclose(fr.metric, g, rtol=1e-13,
+                                   atol=1e-13 * np.abs(g).max())
+        sig = B.signature_of(0.5 * (g + g.T))
+        assert fr.counts.tolist() == list(sig.as_tuple())
+
 
 class TestMeanCurvature:
     def test_null_offset_sphere_vector(self):
