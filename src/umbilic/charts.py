@@ -292,12 +292,13 @@ def transform_chart(chart: ExprChart, matrix: np.ndarray) -> ImageChart:
     return ImageChart(chart, matrix)
 
 
-def fd_jet_arrays(chart: ImmersionChart, point, step: float = J.FD_STEP,
-                  order: int = 3):
+def fd_jet_arrays(chart: ImmersionChart, point, step: float = J.FD_STEP):
     """Finite-difference analogue of jet_arrays at one point, in the same
     packed layout, from one evaluation of the chart's values on the whole
-    stencil."""
-    return J.fd_arrays(chart.value, point, step, order)
+    order-3 stencil.  Only values are used, so this is independent of the
+    Taylor path."""
+    Q = J.fd_stencil(point, step)
+    return J.fd_derivatives(chart.value(Q), Q.shape[1], step)
 
 
 def quadric_residual(w: np.ndarray, eps, values):

@@ -192,21 +192,25 @@ class Jet3:
 # Coordinate functions
 # ---------------------------------------------------------------------------
 
-def _lift(derivs, x):
-    """Apply a scalar function, given by its derivatives d0..d3, to a value
-    or a jet."""
+def _lift(value, derivs, x):
+    """Apply a scalar function to a jet by its derivatives d0..d3, or to
+    point values by `value` alone."""
     if isinstance(x, Jet3):
         return x.apply(*derivs(x.value))
-    return derivs(x)[0]
+    return value(x)
 
 
-def _sqrt_derivs(t):
+def _sqrt_value(t):
     if np.any(t <= 0.0):   # name the first offending point of a stack
         k = int(np.argmax(t <= 0.0))
         where = f" at point {k}" if np.size(t) > 1 else ""
         raise DomainError(f"sqrt argument {float(np.ravel(t)[k])!r} is not "
                           f"strictly positive{where}")
-    s = np.sqrt(t)
+    return np.sqrt(t)
+
+
+def _sqrt_derivs(t):
+    s = _sqrt_value(t)
     return s, 0.5 / s, -0.25 / (s * t), 0.375 / (s * t * t)
 
 
@@ -221,15 +225,15 @@ def _cos_derivs(t):
 
 
 def sqrt(x):
-    return _lift(_sqrt_derivs, x)
+    return _lift(_sqrt_value, _sqrt_derivs, x)
 
 
 def sin(x):
-    return _lift(_sin_derivs, x)
+    return _lift(np.sin, _sin_derivs, x)
 
 
 def cos(x):
-    return _lift(_cos_derivs, x)
+    return _lift(np.cos, _cos_derivs, x)
 
 
 def indefinite_square(xs, neg: int):
@@ -356,22 +360,13 @@ def fd_derivatives(F, m: int, step: float = FD_STEP, order: int = 3):
     return F[..., 0, 0], grad, hess[..., 0, :], third
 
 
-def fd_arrays(f, point, step: float = FD_STEP, order: int = 3):
-    """`fd_derivatives` of f on the `fd_stencil` at a point, where f maps
-    a (K, m) stack of points to (K, N) values and is called once.  Only
-    values of f are used, so this is independent of the Taylor path."""
-    Q = fd_stencil(point, step, order)
-    return fd_derivatives(f(Q), Q.shape[1], step, order)
-
-
 def fd_oracle(f, point, step: float = FD_STEP) -> Jet3:
     """Central finite-difference jet of a scalar function f of the walk
     arguments, from its values alone.
 
     Independent of the Taylor path; exists purely as a cross-check oracle.
     """
-    def values(q):
-        return np.broadcast_to(f(coordinates(q)), q.shape[:1])[:, None]
-
-    value, grad, hess, third = fd_arrays(values, point, step)
+    Q = fd_stencil(point, step)
+    F = np.broadcast_to(f(coordinates(Q)), Q.shape[:1])[:, None]
+    value, grad, hess, third = fd_derivatives(F, Q.shape[1], step)
     return Jet3(float(value[0]), grad[0], hess[0], third[0])

@@ -1,6 +1,8 @@
 """Tests for the pointwise geometry engine and family verifier."""
 
 import dataclasses
+import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,15 +10,18 @@ import pytest
 
 from umbilic import analysis
 from umbilic import bilinear as B
+from umbilic import catalog
 from umbilic import jets as J
 from umbilic.analysis import (analyze_point, analyze_points, build_frame,
                               fullness, parallelism_residual,
                               point_report, reduction_report, umbilicity_data,
                               untrusted, verify_families, verify_family)
 from umbilic.bilinear import Signature
-from umbilic.catalog import (family_ids, family_instance, get_family,
-                             instances, instantiate)
-from umbilic.charts import (ExprChart, ImmersionChart, fd_jet_arrays,
+from umbilic.catalog import (Expected, FamilySpec, family_ids,
+                             family_instance, get_family, instances,
+                             instantiate)
+from umbilic.charts import (AmbientSpace, ExprChart, ImmersionChart,
+                            fd_jet_arrays,
                             quadric_residual, stack_charts, stack_key,
                             transform_chart)
 from umbilic.errors import DegenerateMetricError, DomainError, InputError
@@ -400,6 +405,85 @@ class TestVerifyFamily:
         assert any("non-finite residuals" in f for f in verdict.failures)
 
 
+# the radius of each circle of the Clifford torus
+CLIFFORD_RADIUS = 0.5 ** 0.5
+
+
+def _grid():
+    """Every family taking (m, s) at 1 <= m <= 5 and 0 <= s <= m, S-theta
+    at 0 <= m <= 5, lightcone-L at 1 <= n <= 5 and 0 <= s <= n, and
+    plane-P at s, t, rad <= 2."""
+    for fid in family_ids():
+        if {"m", "s"} <= set(get_family(fid).defaults):
+            yield from ((fid, {"m": m, "s": s})
+                        for m in range(1, 6) for s in range(m + 1))
+    yield from (("S-theta", {"m": m}) for m in range(6))
+    yield from (("lightcone-L", {"n": n, "s": s})
+                for n in range(1, 6) for s in range(n + 1))
+    yield from (("plane-P", dict(zip(("s", "t", "rad"), v)))
+                for v in itertools.product(range(3), repeat=3))
+
+
+def _names_what_it_breaks(fid, params, message) -> bool:
+    """Whether a refusal names the parameter outside its range: for (m, s)
+    the bound it states is one that m or s breaks."""
+    if fid == "S-theta":
+        return message == "m must be >= 1" and params["m"] < 1
+    if fid == "lightcone-L":
+        return re.search(r"\bn\b" if params["n"] < 2 else r"\bs\b",
+                         message) is not None
+    if fid == "plane-P":
+        return re.search(r"\brad\b", message) is not None and not params["rad"]
+    m, s = params["m"], params["s"]
+    low = re.fullmatch(rf"m={m}: need m >= (\d+)", message)
+    high = re.fullmatch(rf"index s={s} out of range for m={m} "
+                        r"\(need 0 <= s <= (\d+)\)", message)
+    return bool(low and m < int(low[1]) or high and s > int(high[1]))
+
+
+class TestClassification:
+    def test_every_dimension_and_index(self):
+        # each instance is refused for the parameter it breaks, or verifies;
+        # the two flat degenerate slices note their allowed radical rank
+        run = []
+        for fid, params in _grid():
+            try:
+                family_instance(fid, params)
+            except InputError as err:
+                assert _names_what_it_breaks(fid, params, str(err)), (
+                    fid, params, str(err))
+            else:
+                run.append((fid, params))
+        assert len(run) == 643
+        noted = {"S-example", "S-theta"}
+        assert [(v.family_id, v.status) for v in verify_families(run)] == [
+            (fid, "discrepancy-noted" if fid in noted else "pass")
+            for fid, _ in run]
+
+    @pytest.mark.parametrize("coords, ambient, box", [
+        # the cubic graph control times a null line
+        (lambda u: [u[-1], u[0], u[1], u[0] * u[0] * u[0], u[-1]],
+         AmbientSpace.flat(5, 1), [[0.3, 1.0], [-1.0, 1.0]]),
+        # the Clifford torus times a null line
+        (lambda u: [u[-1], *(CLIFFORD_RADIUS * f(x) for x in u[:2]
+                             for f in (J.cos, J.sin)), u[-1]],
+         AmbientSpace.flat(6, 1), [[-2.0, 2.0], [-2.0, 2.0]]),
+    ], ids=["cubic", "clifford"])
+    def test_degenerate_negative_control(self, monkeypatch, coords, ambient,
+                                         box):
+        # a null line times a non-umbilical factor: the quotient branch
+        # must find it not umbilical, by more than the control gap
+        chart = ExprChart(coords, 3, ambient, box + [[-0.7, 0.7]], "control")
+        monkeypatch.setitem(catalog._REGISTRY, "control", FamilySpec(
+            "control", "degenerate negative control", {}, lambda p: chart,
+            lambda p: Expected(radical_rank=1, totally_umbilical=False,
+                               radical_contains_last_var=True)))
+        verdict = verify_family("control")
+        assert verdict.status == "pass", verdict.failures
+        assert verdict.summary["radical_rank"] == 1
+        assert verdict.summary["umbilicity_residual"] > analysis.CONTROL_GAP
+
+
 def _judged(monkeypatch, fid, **changes):
     """`verify_family(fid)` against the catalog's expectation with `changes`
     made, and the point table it judged."""
@@ -666,7 +750,8 @@ class TestVerifyFamilies:
         for arrays, charts in zip(got, groups.values()):
             for k, chart in enumerate(charts):
                 point = chart.sample_points(16, 42)[0]
-                want = fd_jet_arrays(chart, point, J.FD_STEP, order=2)
+                # the order-2 stencil is the order-3 stencil's centre block
+                want = fd_jet_arrays(chart, point, J.FD_STEP)
                 for a, b in zip(arrays[:3], want[:3]):
                     assert np.array_equal(a[k], b), chart.name
 

@@ -492,9 +492,12 @@ class TestPointStacks:
 class TestFdOrder:
     @pytest.mark.parametrize("fid", ["main1-3", "light1-2", "psi-a", "S-theta"])
     def test_order2_jac_and_hess_are_those_of_order3(self, fid):
+        # the verifier's order-2 stencil is the centre block of the order-3
+        # stencil of `fd_jet_arrays`, so the two agree bit for bit
         ch = instantiate(fid)
         p = ch.sample_points(1, 72)[0]
-        v2, jac2, hess2, third2 = fd_jet_arrays(ch, p, 1e-4, order=2)
+        v2, jac2, hess2, third2 = J.fd_derivatives(
+            ch.value(J.fd_stencil(p, 1e-4, 2)), ch.nvars, 1e-4, 2)
         v3, jac3, hess3, third3 = fd_jet_arrays(ch, p, 1e-4)
         assert third2 is None
         assert J.unpack(third3, 3).shape == J.unpack(hess3, 2).shape + (ch.nvars,)
@@ -502,14 +505,16 @@ class TestFdOrder:
         assert np.array_equal(jac2, jac3)
         assert np.array_equal(hess2, hess3)
 
-    def test_one_value_call_per_stencil(self):
+    def test_one_value_call_per_stencil(self, monkeypatch):
         calls = []
         ch = _unit_sphere_chart()
+        value = ch.value
 
-        def value(points):
+        def recorded(points):
             calls.append(np.shape(points))
-            return ch.value(points)
+            return value(points)
 
-        J.fd_arrays(value, np.array([0.1, 0.2]), 1e-4, order=2)
-        J.fd_arrays(value, np.array([0.1, 0.2]), 1e-4)
-        assert calls == [(9, 2), (45, 2)]
+        monkeypatch.setattr(ch, "value", recorded)
+        fd_jet_arrays(ch, np.array([0.1, 0.2]), 1e-4)
+        assert calls == [(45, 2)]
+        assert J.fd_stencil(np.array([0.1, 0.2]), 1e-4, 2).shape == (9, 2)

@@ -35,7 +35,7 @@ def _poly_derivs(x, y):
 def _fd_loop(f, point, step):
     """Reference central differences: one call of f per stencil point,
     shifting coordinates one at a time; the Hessian and third derivatives
-    are returned packed, as `fd_arrays` gives them."""
+    are returned packed, as `fd_derivatives` gives them."""
     m = point.shape[0]
 
     def shift(p, i, d):
@@ -276,7 +276,9 @@ class TestFiniteDifferenceOracle:
                            [-0.1, 0.25, 0.05, 0.4]])[:, :m]
         wants = [_fd_loop(lambda q: f(q[None])[0], p, 1e-3) for p in points]
         for order in (2, 3):
-            got = J.fd_arrays(f, points[0], 1e-3, order)
+            # one point, no leading axis
+            got = J.fd_derivatives(f(J.fd_stencil(points[0], 1e-3, order)),
+                                   m, 1e-3, order)
             # a leading record axis: values (R, S, N), one stencil per record
             F = np.stack([f(J.fd_stencil(p, 1e-3, order)) for p in points])
             stacked = J.fd_derivatives(F, m, 1e-3, order)

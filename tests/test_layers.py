@@ -92,23 +92,53 @@ def definitions(path: Path) -> list[str]:
     return names
 
 
+def _read_name(node: ast.AST) -> str | None:
+    """The name a node reads: a Name, an Attribute, an imported name or a
+    string constant, so that a table of names to look up counts."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.split(".")[-1]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _reads(node: ast.AST, inside: frozenset = frozenset()):
+    """The names read under `node`, less a read of a definition's name in
+    that definition's own body (a recursion, a `super().name(...)` call),
+    which `inside` holds for the bodies enclosing `node`."""
+    name = _read_name(node)
+    if name is not None and name not in inside:
+        yield name
+    body = getattr(node, "body", None)
+    for child in ast.iter_child_nodes(node):
+        within = inside
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and child in body:
+            within = inside | {node.name}
+        yield from _reads(child, within)
+
+
 @functools.cache
 def names_read(readers: tuple[Path, ...] = READERS) -> set[str]:
-    """Every name read in `readers`: a Name, an Attribute, an imported name
-    or a string constant, so that a table of names to look up counts."""
-    names = set()
-    for path in readers:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.split(".")[-1])
-            elif isinstance(node, ast.Constant) and isinstance(node.value,
-                                                               str):
-                names.add(node.value)
-    return names
+    """Every name read in `readers` outside the body of a definition of
+    that name (see `_reads`)."""
+    return {name for path in readers
+            for name in _reads(ast.parse(path.read_text()))}
+
+
+def test_a_definition_does_not_read_itself():
+    # a recursion and a `super()` call are no reads; a call from elsewhere,
+    # a decorator and a default value are
+    source = ("class A:\n    def f(self):\n        super().f()\n"
+              "def g(n):\n    return g(n - 1)\n")
+    assert set(_reads(ast.parse(source))) == {"super", "n"}
+    source += "@h\ndef k(x=j):\n    return A().f()\n"
+    assert set(_reads(ast.parse(source))) == {"super", "n", "h", "j", "A",
+                                              "f"}
 
 
 @pytest.mark.parametrize("module", ORDER)
