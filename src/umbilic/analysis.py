@@ -263,8 +263,9 @@ def umbilicity_data(fr: Frame) -> dict:
                     minimal_residual=_enorm(H),
                     first_normal_rank=B.numerical_rank(h))
 
-    # rows span the tangent space
-    basis = B.row_space_bases(fr.jac.swapaxes(-1, -2))
+    # the rows vh[:r] span the tangent space; the rest are zeroed
+    vh, r = B.svd_split(fr.jac.swapaxes(-1, -2))
+    basis = vh * (np.arange(vh.shape[-2]) < r[..., None])[..., None]
     classes = fr.second - (fr.second @ basis.swapaxes(-1, -2)) @ basis
     geo = _enorm(classes, 1)
     if vanishes:
@@ -780,6 +781,11 @@ def _judge(family_id, params, expected, st, fd_failures, full, red, *,
            expected.allows("radical_rank", rank))
     _check_residual(verdict, "umbilicity", umb, expected.totally_umbilical,
                     tol)
+    if expected.totally_umbilical:
+        # h = g H: the first normal space is spanned by H, zero on a
+        # totally geodesic record
+        _check(verdict, "first normal rank", st["first_normal_rank"],
+               0 if expected.totally_geodesic else 1)
     _check(verdict, "totally_geodesic", geo <= tol, expected.totally_geodesic)
 
     # mean curvature invariants (points with a non-degenerate metric only);

@@ -110,22 +110,12 @@ def numerical_rank(matrix: np.ndarray):
 
 
 def svd_split(matrices: np.ndarray, tol: float = DEFAULT_ZERO_TOL):
-    """Full right singular vectors `vh` and numerical ranks `r` of a
+    """Reduced right singular vectors `vh` and numerical ranks `r` of a
     (..., a, n) stack: the rows vh[:r] are a Euclidean-orthonormal basis of
-    the row space, and vh[r:] of the right null space.  With a >= n, as in
-    every hull sample, the reduced SVD already gives all n rows of vh."""
-    full = matrices.shape[-2] < matrices.shape[-1]
-    _, s, vh = np.linalg.svd(matrices, full_matrices=full)
-    return vh, _rank(s, tol)
-
-
-def row_space_bases(matrices: np.ndarray) -> np.ndarray:
-    """Row-space basis of each matrix of a (..., a, n) stack, as
-    (..., min(a, n), n) rows with every row past the matrix's
-    `numerical_rank` set to zero."""
+    the row space, and with a >= n, as in every hull sample, the rows vh[r:]
+    are one of the right null space."""
     _, s, vh = np.linalg.svd(matrices, full_matrices=False)
-    keep = np.arange(vh.shape[-2]) < _rank(s)[..., None]
-    return vh * keep[..., None]
+    return vh, _rank(s, tol)
 
 
 def random_pseudo_orthogonal(sig: Signature,

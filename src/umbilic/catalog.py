@@ -392,14 +392,17 @@ def _s_theta(p):
 def _flat_lightcone(p):
     n, s = _integer(p, "n"), _integer(p, "s")
     _fits(f"n={n}", n, n + 1)
-    _require(n >= 2 and 0 <= s <= n - 1, "need n >= 2 and 0 <= s <= n-1")
+    _require(n >= 2, f"n={n}: need n >= 2")
+    _require(0 <= s <= n - 1,
+             f"index s={s} out of range for n={n} (need 0 <= s <= {n - 1})")
     return ExprChart(lambda u: _cone(u, s), n, AmbientSpace.flat(n + 1, s + 1),
                      _cone_box(n, s), "lightcone-L")
 
 
 def _plane(p):
     s, t, r = _integer(p, "s"), _integer(p, "t"), _integer(p, "rad")
-    _require(s >= 0 and t >= 0 and r >= 1, "need s,t >= 0 and rad >= 1")
+    for name, value, low in (("s", s, 0), ("t", t, 0), ("rad", r, 1)):
+        _require(value >= low, f"{name}={value}: need {name} >= {low}")
     k = s + t  # the chart variables are the x's and y's, then the z's
     _fits(f"s={s} t={t} rad={r}", k + r, k + 2 * r)
     return ExprChart(lambda u: [*u[k:], *u[:k], *u[k:]], k + r,

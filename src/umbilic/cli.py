@@ -18,9 +18,9 @@ from json.encoder import encode_basestring_ascii as _json_string
 import numpy as np
 
 from . import catalog
-from .analysis import (DEFAULT_TOL, DEFAULT_ZERO_TOL, analyze_point,
-                       analyze_points, fullness, point_report,
-                       reduction_report, untrusted, verify_families)
+from .analysis import (DEFAULT_TOL, DEFAULT_ZERO_TOL, analyze_points,
+                       fullness, point_report, reduction_report, untrusted,
+                       verify_families)
 from .congruence import closure_demonstrated, moduli_demo
 from .errors import DomainError, InputError
 
@@ -163,14 +163,7 @@ def cmd_analyze(args) -> int:
     else:
         points = chart.sample_points(args.samples, args.seed)
 
-    try:
-        table = analyze_points(chart, points, tol_zero=args.tol_zero)
-    except DomainError:
-        # report the first offending sample as it reads alone, with no
-        # index into a stack the user never sees
-        for p in points:
-            analyze_point(chart, p, tol_zero=args.tol_zero)
-        raise
+    table = analyze_points(chart, points, tol_zero=args.tol_zero)
     (lines,) = untrusted(table, args.tol)
     if lines:
         raise DomainError("; ".join(lines))

@@ -424,19 +424,57 @@ def _grid():
                 for v in itertools.product(range(3), repeat=3))
 
 
+# a null line times a factor that is not umbilical: (coords, ambient, box
+# of the factor's variables)
+_NULL_PRODUCTS = {
+    # the cubic graph control times a null line
+    "cubic": (lambda u: [u[-1], u[0], u[1], u[0] * u[0] * u[0], u[-1]],
+              AmbientSpace.flat(5, 1), [[0.3, 1.0], [-1.0, 1.0]]),
+    # the Clifford torus times a null line
+    "clifford": (lambda u: [u[-1], *(CLIFFORD_RADIUS * f(x) for x in u[:2]
+                                     for f in (J.cos, J.sin)), u[-1]],
+                 AmbientSpace.flat(6, 1), [[-2.0, 2.0], [-2.0, 2.0]]),
+}
+
+
+def _register_null_product(monkeypatch, name):
+    """Register the null product `name` as a family of that id, asserted to
+    have radical rank 1 holding the last chart direction, and not to be
+    umbilical."""
+    coords, ambient, box = _NULL_PRODUCTS[name]
+    chart = ExprChart(coords, 3, ambient, box + [[-0.7, 0.7]], name)
+    monkeypatch.setitem(catalog._REGISTRY, name, FamilySpec(
+        name, "degenerate negative control", {}, lambda p: chart,
+        lambda p: Expected(radical_rank=1, totally_umbilical=False,
+                           radical_contains_last_var=True)))
+
+
+# each judged point-table column, on each metric branch (False: not
+# degenerate) where it is defined, but two: `ambient_residual` is a trust
+# check that every catalog image passes, as each lies on its space form,
+# and the degenerate `radical_last_var_residual` is judged only where the
+# catalog asserts the last chart direction in the radical, so reading it
+# as 0 can fail nothing
+_MUTATIONS = [(column, degenerate) for column, on in [
+    *analysis._RESIDUALS.values(), ("first_normal_rank", (True, True))]
+    for degenerate in (False, True) if on[degenerate]
+    and column != "ambient_residual"
+    and (column, degenerate) != ("radical_last_var_residual", True)]
+
+
 def _names_what_it_breaks(fid, params, message) -> bool:
-    """Whether a refusal names the parameter outside its range: for (m, s)
-    the bound it states is one that m or s breaks."""
+    """Whether a refusal names the value outside its range: for a
+    dimension (m, or n for `lightcone-L`) and an index s the bound it
+    states is one that the named value breaks."""
     if fid == "S-theta":
         return message == "m must be >= 1" and params["m"] < 1
-    if fid == "lightcone-L":
-        return re.search(r"\bn\b" if params["n"] < 2 else r"\bs\b",
-                         message) is not None
     if fid == "plane-P":
-        return re.search(r"\brad\b", message) is not None and not params["rad"]
-    m, s = params["m"], params["s"]
-    low = re.fullmatch(rf"m={m}: need m >= (\d+)", message)
-    high = re.fullmatch(rf"index s={s} out of range for m={m} "
+        rad = params["rad"]
+        return message == f"rad={rad}: need rad >= 1" and rad < 1
+    d = "n" if fid == "lightcone-L" else "m"
+    m, s = params[d], params["s"]
+    low = re.fullmatch(rf"{d}={m}: need {d} >= (\d+)", message)
+    high = re.fullmatch(rf"index s={s} out of range for {d}={m} "
                         r"\(need 0 <= s <= (\d+)\)", message)
     return bool(low and m < int(low[1]) or high and s > int(high[1]))
 
@@ -460,28 +498,38 @@ class TestClassification:
             (fid, "discrepancy-noted" if fid in noted else "pass")
             for fid, _ in run]
 
-    @pytest.mark.parametrize("coords, ambient, box", [
-        # the cubic graph control times a null line
-        (lambda u: [u[-1], u[0], u[1], u[0] * u[0] * u[0], u[-1]],
-         AmbientSpace.flat(5, 1), [[0.3, 1.0], [-1.0, 1.0]]),
-        # the Clifford torus times a null line
-        (lambda u: [u[-1], *(CLIFFORD_RADIUS * f(x) for x in u[:2]
-                             for f in (J.cos, J.sin)), u[-1]],
-         AmbientSpace.flat(6, 1), [[-2.0, 2.0], [-2.0, 2.0]]),
-    ], ids=["cubic", "clifford"])
-    def test_degenerate_negative_control(self, monkeypatch, coords, ambient,
-                                         box):
+    @pytest.mark.parametrize("name", ["cubic", "clifford"])
+    def test_degenerate_negative_control(self, monkeypatch, name):
         # a null line times a non-umbilical factor: the quotient branch
         # must find it not umbilical, by more than the control gap
-        chart = ExprChart(coords, 3, ambient, box + [[-0.7, 0.7]], "control")
-        monkeypatch.setitem(catalog._REGISTRY, "control", FamilySpec(
-            "control", "degenerate negative control", {}, lambda p: chart,
-            lambda p: Expected(radical_rank=1, totally_umbilical=False,
-                               radical_contains_last_var=True)))
-        verdict = verify_family("control")
+        _register_null_product(monkeypatch, name)
+        verdict = verify_family(name)
         assert verdict.status == "pass", verdict.failures
         assert verdict.summary["radical_rank"] == 1
         assert verdict.summary["umbilicity_residual"] > analysis.CONTROL_GAP
+
+    @pytest.mark.parametrize("column, degenerate", _MUTATIONS)
+    def test_every_judged_column_can_fail_a_record(self, monkeypatch, column,
+                                                   degenerate):
+        # a verifier that reads a column as 0 on one metric branch must
+        # fail a record that passes, or the column is judged by nothing;
+        # registered first, the null products are among the instances
+        for name in _NULL_PRODUCTS:
+            _register_null_product(monkeypatch, name)
+        jobs = instances(42)
+        assert set(_NULL_PRODUCTS) <= {fid for fid, _ in jobs}
+        before = [v.status for v in verify_families(jobs)]
+        table = analysis.point_table
+
+        def zeroed(fr):
+            cols = dict(table(fr))
+            rows = (cols["metric_signature"][:, 2] > 0) == degenerate
+            cols[column] = np.where(rows, 0, cols[column])
+            return cols
+
+        monkeypatch.setattr(analysis, "point_table", zeroed)
+        after = [v.status for v in verify_families(jobs)]
+        assert ("pass", "fail") in zip(before, after)
 
 
 def _judged(monkeypatch, fid, **changes):

@@ -256,8 +256,8 @@ class TestAnalyze:
         assert err.startswith("domain error: family 'main1-4'")
 
     def test_domain_error_at_a_later_sample(self, capsys, monkeypatch):
-        # the third of four samples leaves the sphere chart's disc; each
-        # sample is analyzed alone, so no stack index names it wrongly
+        # the third of four samples leaves the sphere chart's disc; the
+        # stacked analysis names it by its index among the samples
         points = np.array([[0.0, 0.1], [0.1, 0.0], [2.0, 2.0], [0.0, 0.0]])
         monkeypatch.setattr(ImmersionChart, "sample_points",
                             lambda self, count, seed=42: points[:count])
@@ -265,7 +265,7 @@ class TestAnalyze:
                             "--param", "r=0.5"], capsys)
         assert code == 1
         assert "sqrt argument" in err
-        assert "at point" not in err
+        assert err.rstrip().endswith("at point 2")
 
     @pytest.mark.parametrize("family", ["main1-3", "light1-2"])
     @pytest.mark.parametrize("m", [4, 8, 16])

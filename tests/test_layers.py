@@ -1,6 +1,7 @@
 """The package's modules import one another in one direction only,
-something reads every function, class and method they define, and they
-name nothing that only numpy 2 has."""
+something reads every function, class and method they define, only
+`bilinear` takes a singular value decomposition, and they name nothing
+that only numpy 2 has."""
 
 import ast
 import functools
@@ -160,6 +161,22 @@ def test_every_export_is_read_outside_tests():
                    and node.targets[0].id == "__all__")
     assert sorted({e.value for e in exports.elts}
                   - names_read(outside)) == []
+
+
+def svd_calls(path: Path) -> int:
+    """The calls `<module>.linalg.svd(...)` in a module's source."""
+    return sum(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "svd"
+               and getattr(node.func.value, "attr", None) == "linalg"
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_only_bilinear_takes_an_svd():
+    # every rank decision reads singular values from the one module whose
+    # rank rule sets them, so a change to that rule reaches them all
+    calls = {m: svd_calls(PACKAGE / f"{m}.py") for m in ORDER + ["__init__"]}
+    assert {m for m, n in calls.items() if n} == {"bilinear"}
 
 
 def test_import_fills_no_cache():
